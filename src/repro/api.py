@@ -158,9 +158,7 @@ class Scenario:
         if self._ran:
             raise RuntimeError("a Scenario can only run once; build a new one")
         self._ran = True
-        sim = Simulator(seed=self.seed,
-                        scheduler=self.config.engine_scheduler,
-                        pooling=self.config.engine_pooling)
+        sim = Simulator(seed=self.seed)
         testbed: Optional[Testbed] = None
         if self._testbed_kwargs is not None:
             testbed = build_testbed(sim, config=self.config,

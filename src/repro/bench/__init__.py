@@ -1,22 +1,16 @@
-"""Reproducible benchmark baseline for the engine and datapath fast path.
+"""Reproducible benchmarks for the engine and datapath.
 
-``python -m repro.bench`` runs three benchmark suites and a determinism
-guard, then writes ``BENCH_engine.json``, ``BENCH_datapath.json`` and
-``BENCH_parallel.json``:
+``python -m repro.bench`` runs the benchmark suites and a determinism
+guard, then writes ``BENCH_engine.json``, ``BENCH_datapath.json``,
+``BENCH_tcp.json``, ``BENCH_parallel.json`` and ``BENCH_fleet.json``:
 
 * **Engine** (:mod:`repro.bench.engine_bench`) — a deterministic
-  timer-chain workload dispatched through (a) a faithful replica of the
-  pre-fast-path engine (dataclass events, per-event heap pops, no label
-  interning; :mod:`repro.bench.baseline`), (b) the current engine with the
-  heap scheduler, and (c) the current engine with the timer wheel.  The
-  JSON reports events/sec, ns/event, and the speedup of the current engine
-  over the baseline replica *measured in the same process on the same
-  machine*, which is what makes the number honest.
+  timer-chain workload dispatched through the engine's tuple-heap loop.
+  The JSON reports one row: events/sec and ns/event.
 * **Datapath** (:mod:`repro.bench.datapath_bench`) — packet-construction
-  cost (slotted classes vs the old frozen dataclasses), policy/routing
-  lookup cost with the result caches on vs off (including hit rates), the
-  cost of a disabled trace category, and a whole-testbed scenario
-  regeneration timed end to end.
+  cost, policy/routing lookup cost with the result caches on vs off
+  (including hit rates), the cost of a disabled trace category, and a
+  whole-testbed scenario regeneration timed end to end.
 * **Parallel** (:mod:`repro.bench.parallel_bench`) — the trial-heavy
   experiments run serially and through the ``repro.parallel`` worker
   pool (``--jobs N``), writing ``BENCH_parallel.json`` with wall-clock,
@@ -30,8 +24,7 @@ guard, then writes ``BENCH_engine.json``, ``BENCH_datapath.json`` and
   is the tripwire against reintroducing per-host simulation on the
   fleet path.
 * **Guard** (:mod:`repro.bench.guard`) — re-runs the same seeded scenario
-  with the fast path on and off (caches disabled, verbose tracing forced,
-  wheel vs heap scheduler) and asserts the metric snapshots are
+  with the lookup caches on and off and asserts the metric snapshots are
   byte-identical after stripping the documented cache-diagnostic counters.
   This is the CI tripwire: an optimisation that changes results fails the
   build; one that merely changes speed cannot.

@@ -3,7 +3,7 @@
 Four measurements, each deterministic in *what* it does (wall time is the
 only non-reproducible output):
 
-* packet construction — slotted classes vs the old frozen dataclasses;
+* packet construction — one UDP packet plus its forwarded copy;
 * Mobile Policy Table lookups — result cache on vs off, with hit rates;
 * routing-table LPM lookups — result cache on vs off, with hit rates;
 * trace emission — an enabled category vs a gated-off one;
@@ -18,15 +18,10 @@ from __future__ import annotations
 import time as _wallclock
 from typing import Dict
 
-from repro.bench.baseline import (
-    BaselineAppData,
-    BaselineIPPacket,
-    BaselineUDPDatagram,
-)
 from repro.config import DEFAULT_CONFIG
 from repro.core.policy import MobilePolicyTable, RoutingMode
 from repro.net.addressing import IPAddress, Subnet
-from repro.net.packet import PROTO_UDP, AppData, IPPacket, UDPDatagram, release
+from repro.net.packet import PROTO_UDP, AppData, IPPacket, UDPDatagram
 from repro.net.routing import RouteEntry, RoutingTable
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
@@ -42,7 +37,7 @@ def _time_ns(fn, *args) -> int:
 
 # ----------------------------------------------------- packet construction
 
-def _build_packets_current(n: int, src: IPAddress, dst: IPAddress) -> None:
+def _build_packets(n: int, src: IPAddress, dst: IPAddress) -> None:
     for i in range(n):
         payload = AppData(content=i, size_bytes=512)
         datagram = UDPDatagram(src_port=7, dst_port=7, payload=payload)
@@ -50,44 +45,13 @@ def _build_packets_current(n: int, src: IPAddress, dst: IPAddress) -> None:
                  ident=i).decremented()
 
 
-def _build_packets_pooled(n: int, src: IPAddress, dst: IPAddress) -> None:
-    """The arena-backed cycle: acquire, use, release (the datapath's life)."""
-    for i in range(n):
-        payload = AppData.acquire(i, 512)
-        datagram = UDPDatagram.acquire(7, 7, payload)
-        packet = IPPacket.acquire(src, dst, PROTO_UDP, datagram, ident=i)
-        copy = packet.decremented()
-        release(copy, held=1)
-        release(packet, held=1)
-        release(datagram, held=1)
-        release(payload, held=1)
-
-
-def _build_packets_baseline(n: int, src: IPAddress, dst: IPAddress) -> None:
-    for i in range(n):
-        payload = BaselineAppData(content=i, size_bytes=512)
-        datagram = BaselineUDPDatagram(src_port=7, dst_port=7,
-                                       payload=payload)
-        BaselineIPPacket(src=src, dst=dst, protocol=PROTO_UDP,
-                         payload=datagram, ident=i).decremented()
-
-
 def _packet_bench(n: int) -> Dict[str, object]:
     src = IPAddress.parse("36.135.0.10")
     dst = IPAddress.parse("36.8.0.20")
-    _build_packets_baseline(2_000, src, dst)   # warm-up
-    _build_packets_current(2_000, src, dst)
-    _build_packets_pooled(2_000, src, dst)
-    baseline_ns = _time_ns(_build_packets_baseline, n, src, dst)
-    current_ns = _time_ns(_build_packets_current, n, src, dst)
-    pooled_ns = _time_ns(_build_packets_pooled, n, src, dst)
+    _build_packets(2_000, src, dst)   # warm-up
     return {
         "n_packets": n,
-        "baseline_ns_per_packet": baseline_ns / n,
-        "current_ns_per_packet": current_ns / n,
-        "pooled_ns_per_packet": pooled_ns / n,
-        "speedup": baseline_ns / current_ns,
-        "pooled_speedup": baseline_ns / pooled_ns,
+        "ns_per_packet": _time_ns(_build_packets, n, src, dst) / n,
     }
 
 
@@ -222,24 +186,21 @@ def _trace_bench(n: int) -> Dict[str, object]:
 
 # ------------------------------------------------- scenario regeneration
 
-def run_scenario(seed: int = 0, scheduler: str = "heap",
-                 policy_cache: int = 128, route_cache: int = 256,
-                 pooling: bool = True, duration_ns: int = s(6)) -> Simulator:
+def run_scenario(seed: int = 0, policy_cache: int = 128,
+                 route_cache: int = 256, duration_ns: int = s(6)) -> Simulator:
     """The standard benchmark/guard scenario, returned for inspection.
 
     Figure-5 testbed, a 20 ms UDP echo stream from the mobile host to the
     department correspondent, and a mid-run handoff to the department net
     (so policy/route cache invalidation runs under load).  Deterministic
-    for a given (seed, duration); the fast-path knobs must not change any
+    for a given (seed, duration); the cache sizes must not change any
     metric other than the documented cache diagnostics.
     """
     config = DEFAULT_CONFIG.with_overrides(
-        engine_scheduler=scheduler,
         policy_cache_size=policy_cache,
         route_cache_size=route_cache,
-        engine_pooling=pooling,
     )
-    sim = Simulator(seed=seed, scheduler=scheduler, pooling=pooling)
+    sim = Simulator(seed=seed)
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     UdpEchoResponder(testbed.correspondent)
@@ -263,7 +224,6 @@ def _scenario_bench(quick: bool) -> Dict[str, object]:
         "wall_ns": wall_ns,
         "events_run": profile["events_run"],
         "events_per_sec": profile["events_run"] * 1e9 / wall_ns,
-        "scheduler": profile["scheduler"],
     }
 
 

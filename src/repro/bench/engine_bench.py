@@ -1,4 +1,4 @@
-"""Engine microbenchmark: baseline replica vs heap vs timer wheel.
+"""Engine microbenchmark: raw dispatch cost of the tuple-heap loop.
 
 The workload is a fixed, fully deterministic mesh of timer chains chosen to
 look like the simulator's real life: mostly short relative timers (link
@@ -6,6 +6,9 @@ and per-packet costs), periodic same-timestamp bursts (a batch of FIFO
 deliveries landing together), and a steady trickle of cancellations
 (retransmit timers that get acked).  No RNG, no trace, no packet objects —
 this isolates the scheduling/dispatch machinery.
+
+Synthetic figures locate a cost; they are not evidence of an end-to-end
+speedup (real experiments spend most of their time outside the engine).
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import time as _wallclock
 from typing import Dict
 
-from repro.bench.baseline import BaselineSimulator
 from repro.sim.engine import Simulator
 
 #: Timer chains started at slightly staggered times.
@@ -26,18 +28,10 @@ def _noop() -> None:
     return None
 
 
-def _run_workload(sim, n_events: int) -> Dict[str, object]:
-    """Drive *sim* through the standard workload; returns measurements.
-
-    *sim* needs the engine API subset: ``call_at``/``call_later`` (whose
-    return value has ``cancel()``), ``run()``, ``events_run``.  Engines
-    offering the fire-and-forget ``post_at``/``post_later`` (which the
-    real datapath now uses) get them; the baseline replica falls back to
-    ``call_at``/``call_later``, so every contender dispatches the exact
-    same logical event sequence.
-    """
-    post_later = getattr(sim, "post_later", None) or sim.call_later
-    post_at = getattr(sim, "post_at", None) or sim.call_at
+def _run_workload(sim: Simulator, n_events: int) -> Dict[str, object]:
+    """Drive *sim* through the standard workload; returns measurements."""
+    post_later = sim.post_later
+    post_at = sim.post_at
     state = {"count": 0}
 
     def tick() -> None:
@@ -48,7 +42,7 @@ def _run_workload(sim, n_events: int) -> Dict[str, object]:
         if count % 50 == 0:
             # A timer that never fires: armed, then immediately cancelled
             # (the fate of most retransmission timers).  Cancellation needs
-            # a handle, so this stays on call_later for every engine.
+            # a handle, so this one goes through call_later.
             sim.call_later(500_000, _noop, "bench-cancelled").cancel()
         if count % 97 == 0:
             # A burst: BURST events sharing one future timestamp.
@@ -73,36 +67,11 @@ def _run_workload(sim, n_events: int) -> Dict[str, object]:
 
 
 def run_engine_bench(quick: bool = False) -> Dict[str, object]:
-    """Run the workload on all three engines; returns the BENCH_engine doc.
-
-    The baseline replica runs in the same process moments before the
-    current engine, so the reported ``speedup_vs_baseline`` compares like
-    with like (same machine, same load, same interpreter state).
-    """
+    """Run the workload on the engine; returns the BENCH_engine doc."""
     n_events = 40_000 if quick else 200_000
-
-    # Warm-up: populate type caches, counter dicts and event pools outside
-    # the timed region, identically for every contender.
-    _run_workload(BaselineSimulator(), 2_000)
-    _run_workload(Simulator(scheduler="heap"), 2_000)
-    _run_workload(Simulator(scheduler="heap", pooling=False), 2_000)
-    _run_workload(Simulator(scheduler="wheel"), 2_000)
-
-    baseline = _run_workload(BaselineSimulator(), n_events)
-    heap = _run_workload(Simulator(scheduler="heap"), n_events)
-    heap_unpooled = _run_workload(
-        Simulator(scheduler="heap", pooling=False), n_events)
-    wheel = _run_workload(Simulator(scheduler="wheel"), n_events)
-
-    for name, contender in (("heap", heap), ("heap_unpooled", heap_unpooled),
-                            ("wheel", wheel)):
-        if contender["events_run"] != baseline["events_run"]:
-            raise AssertionError(
-                "engine benchmark dispatched different event counts: "
-                f"baseline={baseline['events_run']} "
-                f"{name}={contender['events_run']}")
-
-    best = min(heap["ns_per_event"], wheel["ns_per_event"])
+    # Warm-up: populate type caches and counter dicts outside the timed
+    # region.
+    _run_workload(Simulator(), 2_000)
     return {
         "bench": "engine",
         "workload": {
@@ -111,15 +80,5 @@ def run_engine_bench(quick: bool = False) -> Dict[str, object]:
             "burst": BURST,
             "quick": quick,
         },
-        "baseline": baseline,
-        "heap": heap,
-        "heap_unpooled": heap_unpooled,
-        "wheel": wheel,
-        "speedup_vs_baseline": {
-            "heap": baseline["ns_per_event"] / heap["ns_per_event"],
-            "heap_unpooled":
-                baseline["ns_per_event"] / heap_unpooled["ns_per_event"],
-            "wheel": baseline["ns_per_event"] / wheel["ns_per_event"],
-            "best": baseline["ns_per_event"] / best,
-        },
+        "heap": _run_workload(Simulator(), n_events),
     }

@@ -1,11 +1,10 @@
 """Same-seed determinism guard for the fast path.
 
 An optimisation that changes *results* is a bug wearing a speedup's
-clothes.  This guard re-runs one seeded scenario under every fast-path
-configuration — event/packet pooling on and off, caches on and off, heap
-and timer-wheel scheduler — and asserts the metric snapshots serialize
-byte-identically once the documented cache-diagnostic counters are
-stripped.
+clothes.  This guard re-runs one seeded scenario with the policy and
+routing lookup caches on and off, and asserts the metric snapshots
+serialize byte-identically once the documented cache-diagnostic counters
+are stripped.
 
 The stripped keys are exactly the ``policy/lookup_cache`` counters: they
 exist *because* the cache does, so they legitimately differ when the cache
@@ -23,17 +22,10 @@ from repro.bench.datapath_bench import run_scenario
 #: Snapshot-key prefix of the cache diagnostics the guard ignores.
 CACHE_METRIC_PREFIX = "policy/lookup_cache"
 
-#: (name, scheduler, policy_cache_size, route_cache_size, pooling) per
-#: configuration: the full pooled/unpooled x heap/wheel x caches-on/off cube.
+#: (name, policy_cache_size, route_cache_size) per configuration.
 GUARD_CONFIGS = [
-    ("pooled-caches-heap", "heap", 128, 256, True),
-    ("pooled-caches-wheel", "wheel", 128, 256, True),
-    ("pooled-nocache-heap", "heap", 0, 0, True),
-    ("pooled-nocache-wheel", "wheel", 0, 0, True),
-    ("unpooled-caches-heap", "heap", 128, 256, False),
-    ("unpooled-caches-wheel", "wheel", 128, 256, False),
-    ("unpooled-nocache-heap", "heap", 0, 0, False),
-    ("unpooled-nocache-wheel", "wheel", 0, 0, False),
+    ("caches", 128, 256),
+    ("nocache", 0, 0),
 ]
 
 
@@ -52,25 +44,21 @@ def run_determinism_guard(seed: int = 0) -> Dict[str, object]:
     """Run the scenario under every configuration; returns the verdict doc.
 
     ``passed`` is True iff every configuration's stripped snapshot is
-    byte-identical to the reference (fast path fully on, heap scheduler).
+    byte-identical to the reference (caches on).
     """
     runs: List[Dict[str, object]] = []
     reference_json = None
-    for name, scheduler, policy_cache, route_cache, pooling in GUARD_CONFIGS:
-        sim = run_scenario(seed=seed, scheduler=scheduler,
-                           policy_cache=policy_cache,
-                           route_cache=route_cache,
-                           pooling=pooling)
+    for name, policy_cache, route_cache in GUARD_CONFIGS:
+        sim = run_scenario(seed=seed, policy_cache=policy_cache,
+                           route_cache=route_cache)
         snapshot = strip_cache_metrics(sim.metrics.snapshot())
         blob = canonical_json(snapshot)
         if reference_json is None:
             reference_json = blob
         runs.append({
             "config": name,
-            "scheduler": scheduler,
             "policy_cache_size": policy_cache,
             "route_cache_size": route_cache,
-            "pooling": pooling,
             "snapshot_bytes": len(blob),
             "matches_reference": blob == reference_json,
             "events_run": sim.events_run,

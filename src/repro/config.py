@@ -352,16 +352,6 @@ class Config:
     tcp_nagle: bool = False
 
     # ------------------------------------------------------------ fast path
-    #: Event-queue implementation for Scenario-built simulators: "heap"
-    #: (binary heap, default) or "wheel" (hierarchical timer wheel).  Both
-    #: order events identically; the choice affects wall time only.
-    engine_scheduler: str = "heap"
-    #: Zero-allocation fast path: free-list arenas for events and packets
-    #: plus the batched in-engine dispatch loop.  Observationally neutral —
-    #: same-seed runs are byte-identical with it on or off (the bench guard
-    #: asserts this) — so it defaults on; turn it off to get plain
-    #: allocate-per-event behaviour when debugging object lifetimes.
-    engine_pooling: bool = True
     #: Entries in the Mobile Policy Table's per-destination lookup cache
     #: (0 disables caching).
     policy_cache_size: int = 128

@@ -30,7 +30,6 @@ it* is the manager's.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
@@ -81,26 +80,11 @@ class AttachmentOption:
 class ConnectivityManager:
     """Probe candidates, apply hysteresis, switch to the best network."""
 
-    def __init__(self, mobile: "MobileHost", *_shim: int,
+    def __init__(self, mobile: "MobileHost", *,
                  probe_interval: Optional[int] = None,
                  probe_timeout: Optional[int] = None,
                  up_threshold: Optional[int] = None,
                  down_threshold: Optional[int] = None) -> None:
-        if _shim:
-            warnings.warn(
-                "passing probe knobs positionally to ConnectivityManager is "
-                "deprecated; use keyword arguments",
-                DeprecationWarning, stacklevel=2)
-            shim_values = dict(zip(("probe_interval", "probe_timeout",
-                                    "up_threshold", "down_threshold"), _shim))
-            probe_interval = probe_interval if probe_interval is not None \
-                else shim_values.get("probe_interval")
-            probe_timeout = probe_timeout if probe_timeout is not None \
-                else shim_values.get("probe_timeout")
-            up_threshold = up_threshold if up_threshold is not None \
-                else shim_values.get("up_threshold")
-            down_threshold = down_threshold if down_threshold is not None \
-                else shim_values.get("down_threshold")
         defaults = mobile.config.autoswitch
         self.mobile = mobile
         self.sim = mobile.sim

@@ -26,7 +26,6 @@ behaves exactly like a stationary one.
 from __future__ import annotations
 
 import enum
-import warnings
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.config import Config, DEFAULT_CONFIG
@@ -59,18 +58,9 @@ class MobileHost(Host):
 
     def __init__(self, sim: Simulator, name: str, home_address: IPAddress,
                  home_subnet: Subnet, home_agent: IPAddress,
-                 *_shim,
+                 *,
                  config: Optional[Config] = None,
                  default_mode: Optional[RoutingMode] = None) -> None:
-        if _shim:
-            warnings.warn(
-                "passing config/default_mode positionally to MobileHost is "
-                "deprecated; use keyword arguments",
-                DeprecationWarning, stacklevel=2)
-            if config is None and len(_shim) >= 1:
-                config = _shim[0]
-            if default_mode is None and len(_shim) >= 2:
-                default_mode = _shim[1]
         if config is None:
             config = DEFAULT_CONFIG
         if default_mode is None:

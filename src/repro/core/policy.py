@@ -29,7 +29,6 @@ transit-filtering router.
 from __future__ import annotations
 
 import enum
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -88,18 +87,11 @@ class MobilePolicyTable:
     tables unchanged and merely add our Mobile Policy Table for IP's use."
     """
 
-    def __init__(self, *_shim: RoutingMode,
+    def __init__(self, *,
                  default_mode: Optional[RoutingMode] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  owner: str = "",
                  cache_size: int = 128) -> None:
-        if _shim:
-            warnings.warn(
-                "passing default_mode positionally to MobilePolicyTable is "
-                "deprecated; use MobilePolicyTable(default_mode=...)",
-                DeprecationWarning, stacklevel=2)
-            if default_mode is None:
-                default_mode = _shim[0]
         self._default_mode = default_mode if default_mode is not None \
             else RoutingMode.TUNNEL
         self._entries: List[PolicyEntry] = []

@@ -24,14 +24,12 @@ the VIF.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.net.addressing import IPAddress
 from repro.net.interface import InterfaceState, NetworkInterface
 from repro.net.packet import PROTO_IPIP, IPPacket, encapsulate, encapsulation_depth
-from repro.sim.arena import release
 from repro.sim.engine import Simulator
 from repro.sim.fifo import FifoDelay
 from repro.sim.randomness import jittered
@@ -52,15 +50,8 @@ class TunnelError(RuntimeError):
 class VirtualInterface(NetworkInterface):
     """The paper's ``vif``: an interface that encapsulates instead of sends."""
 
-    def __init__(self, sim: Simulator, name: str, *_shim: Config,
+    def __init__(self, sim: Simulator, name: str, *,
                  config: Optional[Config] = None) -> None:
-        if _shim:
-            warnings.warn(
-                "passing config positionally to VirtualInterface is "
-                "deprecated; use VirtualInterface(sim, name, config=...)",
-                DeprecationWarning, stacklevel=2)
-            if config is None:
-                config = _shim[0]
         if config is None:
             config = DEFAULT_CONFIG
         super().__init__(sim, name, config.virtual_device, config)
@@ -144,14 +135,11 @@ class IPIPModule:
         # the Section 5.2 hazard) must not fire.
         self._fifo.post(
             cost,
-            lambda: self._reinject(inner, outer),
+            lambda: self._reinject(inner),
             label=f"ipip-decap:{self.host.name}")
 
-    def _reinject(self, inner: IPPacket, outer: IPPacket) -> None:
+    def _reinject(self, inner: IPPacket) -> None:
         self.host.ip.receive_packet(inner, self.host.loopback)
-        # The outer wrapper is dead once the inner packet has re-entered IP;
-        # held=2 covers this frame's parameter plus the decap closure cell.
-        release(outer, held=2)
 
 
 def install_tunnel(host: "Host", name: str = "vif") -> VirtualInterface:

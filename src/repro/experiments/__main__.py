@@ -25,7 +25,7 @@ CPU.
 
 ``--profile`` prints an aggregated :meth:`Simulator.profile` after each
 experiment's report: dispatch counts by label, queue high-water mark,
-event-pool and packet-arena hit rates, simulated-vs-wall throughput.
+simulated-vs-wall throughput.
 Like ``--metrics`` it sees simulators built in this process; with
 ``--jobs > 1`` the trials that ran in workers contribute reports but not
 profiles.
@@ -124,8 +124,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="print merged metrics registries per experiment")
     parser.add_argument("--profile", action="store_true",
                         help="print the aggregated engine profile (dispatch "
-                             "counts, queue high-water, pool hit rates) "
-                             "after each experiment")
+                             "counts, queue high-water) after each experiment")
     parser.add_argument("--figures", action="store_true",
                         help="render ASCII figures 6 and 7 instead")
     parser.add_argument("--list", action="store_true", dest="list_ids",
@@ -136,10 +135,8 @@ def _parser() -> argparse.ArgumentParser:
 def aggregate_profiles(profiles: list) -> dict:
     """Fold per-simulator :meth:`Simulator.profile` dicts into one view.
 
-    Monotonic quantities (events, wall time, pool reuses, dispatch counts)
-    sum; the queue high-water is the max across simulators; the pool hit
-    rate is recomputed from the summed totals.  ``packet_arenas`` is
-    process-global, so the last profile's view is the current one.
+    Monotonic quantities (events, wall time, dispatch counts) sum; the
+    queue high-water is the max across simulators.
     """
     total: dict = {
         "simulators": len(profiles),
@@ -148,8 +145,6 @@ def aggregate_profiles(profiles: list) -> dict:
         "wall_time_ns": 0,
         "queue_depth_max": 0,
         "dispatched_by_label": {},
-        "event_pool": {"reuses": 0, "free": 0},
-        "packet_arenas": {},
     }
     dispatched = total["dispatched_by_label"]
     for profile in profiles:
@@ -160,13 +155,6 @@ def aggregate_profiles(profiles: list) -> dict:
                                        profile["queue_depth_max"])
         for label, count in profile["dispatched_by_label"].items():
             dispatched[label] = dispatched.get(label, 0) + count
-        pool = profile["event_pool"]
-        total["event_pool"]["reuses"] += pool["reuses"]
-        total["event_pool"]["free"] += pool["free"]
-        total["packet_arenas"] = profile["packet_arenas"]
-    events = total["events_run"]
-    total["event_pool"]["hit_rate"] = (
-        total["event_pool"]["reuses"] / events if events else 0.0)
     wall = total["wall_time_ns"]
     total["sim_to_wall_ratio"] = (total["sim_time_ns"] / wall) if wall else None
     total["dispatched_by_label"] = dict(sorted(dispatched.items()))

@@ -45,7 +45,7 @@ class AuditViolation(AssertionError):
 
     ``violations`` is the list of human-readable findings;``window`` the
     last few trace records (time, category, event, fields) preceding the
-    first finding — copied, never the pooled records themselves.
+    first finding.
     """
 
     def __init__(self, violations: List[str],
@@ -123,8 +123,7 @@ class PlaneAuditor:
         category = record.category
         if category not in ("binding", "binding_shard", "home_agent"):
             return
-        # Records are pooled: copy what the window keeps.
-        fields = dict(record.fields)
+        fields = record.fields
         self._window.append((record.time, category, record.event, fields))
         self._expire_pending(record.time)
         handler = getattr(self, f"_on_{category}_{record.event}", None)

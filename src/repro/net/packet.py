@@ -19,19 +19,10 @@ Treat instances as immutable: nothing in the repository mutates a packet
 after construction, and sharing below relies on that (``decremented()``
 copies, tunnels nest the inner packet by reference).
 
-Two further fast-path refinements (both observationally neutral):
-
-* ``size_bytes`` is computed once at construction and stored in a slot —
-  the "cached header encode".  Packets are immutable, so the walk down
-  the payload chain never needs repeating; link serialization and TCP
-  pacing read a plain attribute.
-* Each class is backed by a :mod:`repro.sim.arena` free list.  The
-  ``acquire(...)`` classmethods are drop-in pooled constructors used by
-  the hot datapath sites (UDP/TCP build, forwarding, tunneling);
-  :func:`repro.sim.arena.release` parks provably-dead instances at safe
-  points (post-delivery, post-decapsulation).  The reference-count guard
-  in ``release`` means a packet that is still traced, queued for
-  retransmit, or held by a test simply never recycles.
+``size_bytes`` is computed once at construction and stored in a slot —
+the "cached header encode".  Packets are immutable, so the walk down the
+payload chain never needs repeating; link serialization and TCP pacing
+read a plain attribute.
 """
 
 from __future__ import annotations
@@ -40,13 +31,6 @@ import itertools
 from typing import Any, Optional, Protocol, runtime_checkable
 
 from repro.net.addressing import IPAddress
-from repro.sim.arena import (  # noqa: F401  (re-exported for profile/tests)
-    arena_enabled,
-    arena_stats,
-    poolable,
-    release,
-    set_arena_enabled,
-)
 
 #: IANA protocol numbers (the subset we implement).
 PROTO_ICMP = 1
@@ -82,7 +66,6 @@ class Sized(Protocol):
     def size_bytes(self) -> int: ...
 
 
-@poolable(clear=("content",))
 class AppData:
     """Opaque application payload: a label plus an explicit wire size.
 
@@ -98,20 +81,6 @@ class AppData:
         self.content = content
         self.size_bytes = size_bytes
 
-    @classmethod
-    def acquire(cls, content: Any = None, size_bytes: int = 0) -> "AppData":
-        """Pooled constructor: identical semantics to ``AppData(...)``."""
-        pool = cls._pool
-        if pool:
-            if size_bytes < 0:
-                raise ValueError("payload size cannot be negative")
-            self = pool.pop()
-            cls._pool_reuses += 1
-            self.content = content
-            self.size_bytes = size_bytes
-            return self
-        return cls(content, size_bytes)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AppData):
             return NotImplemented
@@ -125,7 +94,6 @@ class AppData:
         return f"AppData(content={self.content!r}, size_bytes={self.size_bytes})"
 
 
-@poolable(clear=("payload",))
 class UDPDatagram:
     """A UDP header plus application payload.
 
@@ -146,25 +114,6 @@ class UDPDatagram:
         self.payload = payload if payload is not None else AppData()
         self.size_bytes = UDP_HEADER_BYTES + self.payload.size_bytes
 
-    @classmethod
-    def acquire(cls, src_port: int, dst_port: int,
-                payload: Optional[AppData] = None) -> "UDPDatagram":
-        """Pooled constructor: identical semantics to ``UDPDatagram(...)``."""
-        pool = cls._pool
-        if pool:
-            if not 0 <= src_port <= 0xFFFF:
-                raise ValueError(f"bad UDP port {src_port}")
-            if not 0 <= dst_port <= 0xFFFF:
-                raise ValueError(f"bad UDP port {dst_port}")
-            self = pool.pop()
-            cls._pool_reuses += 1
-            self.src_port = src_port
-            self.dst_port = dst_port
-            self.payload = payload if payload is not None else AppData()
-            self.size_bytes = UDP_HEADER_BYTES + self.payload.size_bytes
-            return self
-        return cls(src_port, dst_port, payload)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UDPDatagram):
             return NotImplemented
@@ -180,7 +129,6 @@ class UDPDatagram:
                 f"dst_port={self.dst_port}, payload={self.payload!r})")
 
 
-@poolable(clear=("src", "dst", "payload"))
 class IPPacket:
     """An IPv4 datagram.
 
@@ -203,25 +151,6 @@ class IPPacket:
         self.ident = ident if ident is not None else _next_packet_id()
         self.size_bytes = IP_HEADER_BYTES + payload.size_bytes
 
-    @classmethod
-    def acquire(cls, src: IPAddress, dst: IPAddress, protocol: int,
-                payload: Sized, ttl: int = 64,
-                ident: Optional[int] = None) -> "IPPacket":
-        """Pooled constructor: identical semantics to ``IPPacket(...)``."""
-        pool = cls._pool
-        if pool:
-            self = pool.pop()
-            cls._pool_reuses += 1
-            self.src = src
-            self.dst = dst
-            self.protocol = protocol
-            self.payload = payload
-            self.ttl = ttl
-            self.ident = ident if ident is not None else _next_packet_id()
-            self.size_bytes = IP_HEADER_BYTES + payload.size_bytes
-            return self
-        return cls(src, dst, protocol, payload, ttl, ident)
-
     @property
     def is_tunneled(self) -> bool:
         """True if this packet is an IP-in-IP encapsulation."""
@@ -236,8 +165,8 @@ class IPPacket:
 
     def decremented(self) -> "IPPacket":
         """Copy with TTL decremented (used when forwarding)."""
-        return IPPacket.acquire(self.src, self.dst, self.protocol,
-                                self.payload, self.ttl - 1, self.ident)
+        return IPPacket(self.src, self.dst, self.protocol,
+                        self.payload, self.ttl - 1, self.ident)
 
     def protocol_name(self) -> str:
         """Human-readable protocol number."""
@@ -271,7 +200,7 @@ class IPPacket:
 def encapsulate(inner: IPPacket, outer_src: IPAddress, outer_dst: IPAddress,
                 ttl: int = 64) -> IPPacket:
     """Wrap *inner* in an IP-in-IP outer header (RFC 2003 style)."""
-    return IPPacket.acquire(outer_src, outer_dst, PROTO_IPIP, inner, ttl)
+    return IPPacket(outer_src, outer_dst, PROTO_IPIP, inner, ttl)
 
 
 def decapsulate(outer: IPPacket) -> IPPacket:

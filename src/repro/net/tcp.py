@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -62,7 +61,6 @@ from repro.net.congestion import (
 )
 from repro.net.packet import PROTO_TCP, TCP_HEADER_BYTES, AppData, IPPacket
 from repro.net.sack import ReassemblyBuffer, SackScoreboard
-from repro.sim.arena import poolable, release
 from repro.sim.engine import Event, Simulator
 from repro.sim.fifo import FifoDelay
 from repro.sim.randomness import jittered
@@ -82,7 +80,6 @@ SACK_OPTION_BASE_BYTES = 2
 SACK_BLOCK_BYTES = 8
 
 
-@poolable(clear=("flags", "payload", "sack"))
 class TCPSegment:
     """One TCP segment; ``seq`` counts bytes, SYN/FIN occupy one each.
 
@@ -97,8 +94,7 @@ class TCPSegment:
     part of ``TCP_HEADER_BYTES`` (a real TCP header always carries it),
     so advertising costs no extra bytes.
     ``size_bytes`` is precomputed at construction (immutability makes the
-    cache trivially sound); delivered segments are recycled through the
-    class arena once the receiver is provably done with them.
+    cache trivially sound).
     """
 
     __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "payload",
@@ -120,31 +116,6 @@ class TCPSegment:
         if sack:
             size += SACK_OPTION_BASE_BYTES + SACK_BLOCK_BYTES * len(sack)
         self.size_bytes = size
-
-    @classmethod
-    def acquire(cls, src_port: int, dst_port: int, seq: int, ack: int,
-                flags: frozenset, payload: Optional[AppData] = None,
-                sack: Tuple[Tuple[int, int], ...] = (),
-                wnd: int = -1) -> "TCPSegment":
-        """Pooled constructor: identical semantics to ``TCPSegment(...)``."""
-        pool = cls._pool
-        if pool:
-            self = pool.pop()
-            cls._pool_reuses += 1
-            self.src_port = src_port
-            self.dst_port = dst_port
-            self.seq = seq
-            self.ack = ack
-            self.flags = flags
-            self.payload = payload if payload is not None else AppData()
-            self.sack = sack
-            self.wnd = wnd
-            size = TCP_HEADER_BYTES + self.payload.size_bytes
-            if sack:
-                size += SACK_OPTION_BASE_BYTES + SACK_BLOCK_BYTES * len(sack)
-            self.size_bytes = size
-            return self
-        return cls(src_port, dst_port, seq, ack, flags, payload, sack, wnd)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TCPSegment):
@@ -297,24 +268,10 @@ class TCPConnection:
 
     def __init__(self, service: "TCPService", local_addr: IPAddress,
                  local_port: int, remote_addr: IPAddress, remote_port: int,
-                 *shim_args,
+                 *,
                  congestion_control: Optional[str] = None,
                  initial_cwnd: Optional[int] = None,
                  initial_ssthresh: Optional[int] = None) -> None:
-        if shim_args:
-            if len(shim_args) > 2:
-                raise TypeError(
-                    f"TCPConnection takes at most 2 positional tuning "
-                    f"arguments (cwnd, ssthresh), got {len(shim_args)}")
-            warnings.warn(
-                "passing cwnd/ssthresh tuning positionally to TCPConnection "
-                "is deprecated; use keyword-only initial_cwnd= and "
-                "initial_ssthresh=", DeprecationWarning, stacklevel=2)
-            shim = dict(zip(("initial_cwnd", "initial_ssthresh"), shim_args))
-            if initial_cwnd is None:
-                initial_cwnd = shim.get("initial_cwnd")
-            if initial_ssthresh is None:
-                initial_ssthresh = shim.get("initial_ssthresh")
         self._service = service
         self.sim = service.sim
         self.local_addr = local_addr
@@ -621,12 +578,10 @@ class TCPConnection:
             # Whatever goes out carries rcv_nxt, so the held ACK
             # piggybacks on it.
             self._delack_clear()
-        segment = TCPSegment.acquire(
+        segment = TCPSegment(
             self.local_port, self.remote_port,
             seq if seq is not None else self.snd_nxt,
-            self.rcv_nxt, flags,
-            payload if payload is not None else AppData.acquire(None, 0),
-            sack, wnd,
+            self.rcv_nxt, flags, payload, sack, wnd,
         )
         self.segments_sent += 1
         self._service.transmit(self, segment)
@@ -1328,9 +1283,8 @@ class TCPService:
 
     def transmit(self, conn: TCPConnection, segment: TCPSegment) -> None:
         """Wrap a segment in IP and send it (with host tx cost)."""
-        packet = IPPacket.acquire(conn.local_addr, conn.remote_addr,
-                                  PROTO_TCP, segment,
-                                  self.config.default_ttl)
+        packet = IPPacket(conn.local_addr, conn.remote_addr,
+                          PROTO_TCP, segment, self.config.default_ttl)
         delay = jittered(self._rng, self.timings.tx_cost, self.config.jitter)
         self._tx_fifo.post(delay, lambda: self.host.ip.send(packet),
                            label=f"tcp-tx:{self.host.name}")
@@ -1339,20 +1293,8 @@ class TCPService:
         segment = packet.payload
         assert isinstance(segment, TCPSegment)
         delay = jittered(self._rng, self.timings.rx_cost, self.config.jitter)
-        self._rx_fifo.post(delay, lambda: self._dispatch(packet, segment),
+        self._rx_fifo.post(delay, lambda: self._demux(packet, segment),
                            label=f"tcp-rx:{self.host.name}")
-
-    def _dispatch(self, packet: IPPacket, segment: TCPSegment) -> None:
-        try:
-            self._demux(packet, segment)
-        finally:
-            # Recycle-on-delivery: at this point the only expected
-            # references are this frame's parameters plus the closure cell
-            # in the (already-dispatched) rx event.  Anything extra — a
-            # reassembly buffer, a trace, a deferred callback — raises the
-            # refcount and silently vetoes the release.
-            release(packet, held=2)
-            release(segment, held=2)
 
     def _demux(self, packet: IPPacket, segment: TCPSegment) -> None:
         key = (segment.dst_port, packet.src, segment.src_port)
@@ -1382,11 +1324,11 @@ class TCPService:
         conn._arm_retransmit()
 
     def _send_reset(self, packet: IPPacket, segment: TCPSegment) -> None:
-        reset = TCPSegment.acquire(segment.dst_port, segment.src_port,
-                                   segment.ack, segment.seq + segment.seq_space,
-                                   frozenset({FLAG_RST}))
-        response = IPPacket.acquire(packet.dst, packet.src, PROTO_TCP,
-                                    reset, self.config.default_ttl)
+        reset = TCPSegment(segment.dst_port, segment.src_port,
+                           segment.ack, segment.seq + segment.seq_space,
+                           frozenset({FLAG_RST}))
+        response = IPPacket(packet.dst, packet.src, PROTO_TCP,
+                            reset, self.config.default_ttl)
         self.sim.trace.emit("tcp", "reset_sent", host=self.host.name,
                             segment=segment.describe())
         self.host.ip.send(response)

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from repro.config import Config, HostTimings
 from repro.net.addressing import IPAddress, UNSPECIFIED
 from repro.net.packet import PROTO_UDP, AppData, IPPacket, UDPDatagram
-from repro.sim.arena import release
 from repro.sim.engine import Simulator
 from repro.sim.fifo import FifoDelay
 from repro.sim.randomness import jittered
@@ -133,7 +132,7 @@ class UDPService:
                       dst_port: int, via: Optional["NetworkInterface"] = None,
                       ttl: Optional[int] = None) -> None:
         """Build and transmit one datagram for *sock*."""
-        datagram = UDPDatagram.acquire(sock.port, dst_port, data)
+        datagram = UDPDatagram(sock.port, dst_port, data)
         source = sock.bound_address
         if source.is_unspecified and via is None:
             route = self.host.ip.ip_rt_route(dst, source)
@@ -141,8 +140,8 @@ class UDPService:
                 source = route.source
         elif source.is_unspecified and via is not None and via.address is not None:
             source = via.address
-        packet = IPPacket.acquire(source, dst, PROTO_UDP, datagram,
-                                  ttl if ttl is not None else self.config.default_ttl)
+        packet = IPPacket(source, dst, PROTO_UDP, datagram,
+                          ttl if ttl is not None else self.config.default_ttl)
         delay = jittered(self._rng, self.timings.tx_cost, self.config.jitter)
         self._tx_fifo.post(delay, lambda: self.host.ip.send(packet, via=via),
                            label=f"udp-tx:{self.host.name}")
@@ -168,17 +167,7 @@ class UDPService:
         delay = jittered(self._rng, self.timings.rx_cost, self.config.jitter)
         self._rx_fifo.post(
             delay,
-            lambda: self._deliver_datagram(sock, datagram, packet),
+            lambda: sock._deliver(datagram.payload, packet.src,
+                                  datagram.src_port, packet.dst),
             label=f"udp-rx:{self.host.name}",
         )
-
-    def _deliver_datagram(self, sock: UDPSocket, datagram: UDPDatagram,
-                          packet: IPPacket) -> None:
-        sock._deliver(datagram.payload, packet.src, datagram.src_port,
-                      packet.dst)
-        # Recycle-on-delivery: the expected remaining references are this
-        # frame's parameters plus the rx closure's cells (held=2 each).
-        # Anything else still holding the packet or datagram — a trace, a
-        # fault hook, a test — raises the refcount and vetoes the release.
-        release(packet, held=2)
-        release(datagram, held=2)

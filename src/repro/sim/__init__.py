@@ -9,13 +9,6 @@ reconstruct per-stage timings such as Figure 7's registration time-line.
 """
 
 from repro.sim.engine import Event, Simulator, Time
-from repro.sim.scheduler import (
-    SCHEDULERS,
-    HeapScheduler,
-    Scheduler,
-    TimerWheelScheduler,
-    create_scheduler,
-)
 from repro.sim.trace import VERBOSE_CATEGORIES, Trace, TraceRecord
 from repro.sim.units import (
     KBPS,
@@ -39,11 +32,6 @@ __all__ = [
     "Trace",
     "TraceRecord",
     "VERBOSE_CATEGORIES",
-    "Scheduler",
-    "HeapScheduler",
-    "TimerWheelScheduler",
-    "SCHEDULERS",
-    "create_scheduler",
     "NANOSECOND",
     "MICROSECOND",
     "MILLISECOND",

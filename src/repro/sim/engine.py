@@ -23,27 +23,13 @@ runs, and wall clocks are not.
 Performance notes (the engine is the hottest loop in the repository):
 
 * :class:`Event` is a hand-rolled ``__slots__`` class, not a dataclass —
-  the slotted layout roughly halves its construction cost, and with
-  pooling on (the default) steady-state runs barely construct events at
-  all: fire-and-forget callbacks scheduled through :meth:`Simulator.post_at`
-  / :meth:`Simulator.post_later` return no handle, so the engine recycles
-  their :class:`Event` objects through a free list the moment they
-  dispatch.  ``call_at``/``call_later`` events are *never* recycled —
-  callers hold them as cancellation handles, and a stale handle must stay
-  inert forever rather than cancel an unrelated reused event.
-* The event queue is a pluggable :class:`~repro.sim.scheduler.Scheduler`.
-  The default :class:`~repro.sim.scheduler.HeapScheduler` stores
-  ``(time, seq, event)`` tuples so heap comparisons run in C, and the
-  pooled fast path pops them inline without batch-list round-trips.
-* Dispatch labels are interned at scheduling time; the fast path counts
-  them into a plain ``dict`` inside the loop and flushes into the metrics
-  registry only when a run ends (or :meth:`profile` is called), so the
-  per-event cost is one dict hit instead of a registry lookup.  Both
-  paths produce identical ``engine/dispatched`` counters.
-
-Every fast path above is observationally neutral: a same-seed simulation
-produces byte-identical ``metrics.snapshot()`` output with pooling on or
-off, under either scheduler (``python -m repro.bench`` gates on it).
+  the slotted layout roughly halves its construction cost.
+* The queue is a plain heap of ``(time, seq, event)`` tuples: heap
+  comparisons stop at the unique ``(time, seq)`` ints and run in C.
+* Dispatch labels are interned at scheduling time; the run loop counts
+  them into a plain ``dict`` and flushes into the metrics registry only
+  when a run ends (or :meth:`profile` is called), so the per-event cost
+  is one dict hit instead of a registry lookup.
 """
 
 from __future__ import annotations
@@ -52,11 +38,10 @@ import random
 import sys
 import time as _wallclock
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.capture import note_simulator
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.sim.scheduler import HeapScheduler, Scheduler, create_scheduler
 from repro.sim.trace import Trace
 from repro.sim.units import SECOND
 
@@ -64,15 +49,6 @@ from repro.sim.units import SECOND
 Time = int
 
 _intern = sys.intern
-
-#: Process-wide default for ``Simulator(pooling=None)``.  ``Config.engine_pooling``
-#: feeds through the :class:`~repro.api.Scenario` facade; tests flip this to
-#: exercise both modes without threading a parameter through every factory.
-DEFAULT_POOLING = True
-
-#: Upper bound on the per-simulator event free list.  Beyond this the
-#: steady-state working set is covered and extra events are left to the GC.
-EVENT_POOL_CAP = 4096
 
 
 class SimulationError(RuntimeError):
@@ -82,15 +58,14 @@ class SimulationError(RuntimeError):
 class Event:
     """A scheduled callback.
 
-    Events sort by ``(time, seq)``: earlier deadlines first, and among
-    equal deadlines the event scheduled first runs first.
+    The engine runs events in ``(time, seq)`` order: earlier deadlines
+    first, and among equal deadlines the event scheduled first runs first.
 
     This is also the public cancellation handle: everything
     :meth:`Simulator.call_at`/:meth:`Simulator.call_later` returns is an
     :class:`Event`, so components should annotate stored timers as
     ``Optional[Event]`` and call :meth:`cancel` without casts.
-    ``post_at``/``post_later`` return no handle — their events may be
-    recycled and must never be cancellable from outside.
+    ``post_at``/``post_later`` return no handle.
     """
 
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "_owner")
@@ -104,22 +79,8 @@ class Event:
         self.cancelled = cancelled
         # The owning Simulator while a *handle* event sits in its queue;
         # cleared on pop so a late cancel() cannot corrupt the queue
-        # accounting.  Pooled (post_*) events never set it: ``_owner is
-        # None`` at dispatch is the engine's recyclability test.
+        # accounting.  post_* events never set it.
         self._owner: Optional["Simulator"] = None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.time == other.time and self.seq == other.seq
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.seq))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -148,33 +109,13 @@ class Simulator:
         Optional pre-built :class:`MetricsRegistry`; a fresh one is created
         otherwise.  Passing a shared registry lets cooperating simulations
         aggregate, at the cost of label discipline being on the caller.
-    scheduler:
-        Event queue implementation: a :class:`~repro.sim.scheduler.Scheduler`
-        instance, a registered name (``"heap"``, ``"wheel"``), or ``None``
-        for the default heap.  Both built-ins order events identically, so
-        the choice affects wall time only, never results.
-    pooling:
-        Recycle ``post_at``/``post_later`` events through a free list and
-        run the inline heap fast path.  ``None`` (default) follows the
-        module-level :data:`DEFAULT_POOLING`; ``Config.engine_pooling``
-        sets it through the Scenario facade.  Results are byte-identical
-        either way — ``False`` exists for debugging (every event is a
-        fresh object, friendlier to ``id()``-based inspection).
-    label_accounting:
-        Keep per-label dispatch counters (the ``engine/dispatched``
-        metrics).  Leave on (default) for reproducible snapshots; turning
-        it off removes those counters from the snapshot entirely and is
-        only for raw-throughput measurement.
     """
 
     def __init__(self, seed: int = 0, trace: Optional[Trace] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 scheduler: Union[str, Scheduler, None] = None,
-                 pooling: Optional[bool] = None,
-                 label_accounting: bool = True) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self._now: Time = 0
         self._seq: int = 0
-        self._scheduler: Scheduler = create_scheduler(scheduler)
+        self._heap: List[tuple] = []
         self._seed = seed
         self._rngs: Dict[str, random.Random] = {}
         self.trace: Trace = trace if trace is not None else Trace(self)
@@ -182,18 +123,9 @@ class Simulator:
             metrics if metrics is not None else MetricsRegistry())
         self._running = False
         self._events_run = 0
-        self._pooling = DEFAULT_POOLING if pooling is None else bool(pooling)
-        # The inline fast path requires the tuple-heap layout; any other
-        # scheduler (or a HeapScheduler subclass) takes the generic loop,
-        # which still recycles post events when pooling is on.
-        self._fast = self._pooling and type(self._scheduler) is HeapScheduler
-        self._event_pool: List[Event] = []
-        self._pool_reuses = 0
-        self._count_labels = label_accounting
         # O(1) accounting of live and cancelled-but-still-queued events, so
-        # that pending() and the depth gauge never scan the queue.  The
-        # invariant `_live == len(scheduler) - _cancelled_in_queue` holds
-        # at every point the old subtraction was evaluated.
+        # that pending() and the depth gauge never scan the queue:
+        # `_live == len(_heap) - _cancelled_in_queue` between dispatches.
         self._live = 0
         self._cancelled_in_queue = 0
         self._depth_hw = 0
@@ -218,16 +150,6 @@ class Simulator:
         """Number of callbacks executed so far (for harness statistics)."""
         return self._events_run
 
-    @property
-    def scheduler(self) -> Scheduler:
-        """The event queue implementation in use."""
-        return self._scheduler
-
-    @property
-    def pooling(self) -> bool:
-        """Whether event recycling and the inline fast path are enabled."""
-        return self._pooling
-
     # ------------------------------------------------------------ randomness
 
     def rng(self, stream: str) -> random.Random:
@@ -249,19 +171,19 @@ class Simulator:
     def call_at(self, when: Time, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule *callback* to run at absolute time *when*.
 
-        Returns the :class:`Event` as a cancellation handle; the event is
-        therefore never pooled.  Prefer :meth:`post_at` when the handle
-        would be discarded.
+        Returns the :class:`Event` as a cancellation handle.  Prefer
+        :meth:`post_at` when the handle would be discarded.
         """
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at {when} ns; "
                 f"it is already {self._now} ns"
             )
-        event = Event(when, self._seq, callback, _intern(label))
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(when, seq, callback, _intern(label))
         event._owner = self
-        self._seq += 1
-        self._scheduler.push(event)
+        heappush(self._heap, (when, seq, event))
         self._bump_live()
         return event
 
@@ -274,12 +196,9 @@ class Simulator:
     def post_at(self, when: Time, callback: Callable[[], None], label: str = "") -> None:
         """Schedule *callback* at *when*, fire-and-forget.
 
-        The no-handle twin of :meth:`call_at`: nothing escapes that could
-        ever call ``cancel()``, so with pooling on the engine recycles the
-        backing :class:`Event` the moment it dispatches.  Datapath code
-        (link deliveries, serial FIFOs, forwarding) schedules exclusively
-        through this, which is what makes steady-state runs allocate
-        almost nothing.
+        The no-handle twin of :meth:`call_at`, for callers that never
+        cancel: datapath code (link deliveries, serial FIFOs, forwarding)
+        schedules exclusively through this.
         """
         if when < self._now:
             raise SimulationError(
@@ -288,20 +207,8 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = when
-            event.seq = seq
-            event.callback = callback
-            event.label = _intern(label)
-            self._pool_reuses += 1
-        else:
-            event = Event(when, seq, callback, _intern(label))
-        if self._fast:
-            heappush(self._scheduler._heap, (when, seq, event))
-        else:
-            self._scheduler.push(event)
+        event = Event(when, seq, callback, _intern(label))
+        heappush(self._heap, (when, seq, event))
         self._bump_live()
 
     def post_later(self, delay: Time, callback: Callable[[], None], label: str = "") -> None:
@@ -345,105 +252,17 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         wall_start = _wallclock.perf_counter_ns()
-        try:
-            if self._fast:
-                self._run_fast(until, max_events)
-            else:
-                self._run_generic(until, max_events)
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-            self.wall_time_ns += _wallclock.perf_counter_ns() - wall_start
-
-    def _run_fast(self, until: Optional[Time], max_events: Optional[int]) -> None:
-        """Inline heap loop: pops ``(time, seq, event)`` tuples straight off
-        ``HeapScheduler._heap``, recycles post events, and defers label
-        accounting to a plain dict flushed when the run ends."""
-        heap = self._scheduler._heap
-        pool = self._event_pool
-        counts = self._label_counts if self._count_labels else None
+        heap = self._heap
+        counts = self._label_counts
         pop = heappop
-        events_local = 0
-        try:
-            if until is None and max_events is None:
-                while heap:
-                    when, _seq, event = pop(heap)
-                    if event.cancelled:
-                        self._cancelled_in_queue -= 1
-                        event._owner = None
-                        continue
-                    self._live -= 1
-                    self._now = when
-                    events_local += 1
-                    if counts is not None:
-                        label = event.label
-                        try:
-                            counts[label] += 1
-                        except KeyError:
-                            counts[label] = 1
-                    callback = event.callback
-                    if event._owner is None:
-                        if len(pool) < EVENT_POOL_CAP:
-                            event.callback = None
-                            pool.append(event)
-                    else:
-                        event._owner = None
-                    callback()
-            else:
-                ran_this_call = 0
-                while heap:
-                    head = heap[0]
-                    when = head[0]
-                    if until is not None and when > until:
-                        break
-                    pop(heap)
-                    event = head[2]
-                    if event.cancelled:
-                        self._cancelled_in_queue -= 1
-                        event._owner = None
-                        continue
-                    self._live -= 1
-                    self._now = when
-                    events_local += 1
-                    ran_this_call += 1
-                    if max_events is not None and ran_this_call > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} (runaway simulation?)"
-                        )
-                    if counts is not None:
-                        label = event.label
-                        try:
-                            counts[label] += 1
-                        except KeyError:
-                            counts[label] = 1
-                    callback = event.callback
-                    if event._owner is None:
-                        if len(pool) < EVENT_POOL_CAP:
-                            event.callback = None
-                            pool.append(event)
-                    else:
-                        event._owner = None
-                    callback()
-        finally:
-            self._events_run += events_local
-            if counts:
-                self._flush_label_counts()
-
-    def _run_generic(self, until: Optional[Time], max_events: Optional[int]) -> None:
-        """Batched scheduler-agnostic loop (identical to the pre-pooling
-        engine apart from recycling post events when pooling is on)."""
-        scheduler = self._scheduler
-        counters = self._dispatch_counters
-        counting = self._count_labels
-        pooling = self._pooling
-        pool = self._event_pool
         ran_this_call = 0
-        while True:
-            batch = scheduler.pop_batch(until)
-            if batch is None:
-                break
-            for event in batch:
+        try:
+            while heap:
+                entry = pop(heap)
+                when, _seq, event = entry
+                if until is not None and when > until:
+                    heappush(heap, entry)
+                    break
                 if event.cancelled:
                     # Lazy purge: cancelled events are dropped without
                     # running their callbacks.
@@ -451,29 +270,26 @@ class Simulator:
                     event._owner = None
                     continue
                 self._live -= 1
-                self._now = event.time
-                self._events_run += 1
+                self._now = when
                 ran_this_call += 1
                 if max_events is not None and ran_this_call > max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (runaway simulation?)"
                     )
-                if counting:
-                    label = event.label
-                    counter = counters.get(label)
-                    if counter is None:
-                        counter = self.metrics.counter("engine", "dispatched",
-                                                       label=label or "unlabeled")
-                        counters[label] = counter
-                    counter.value += 1
-                callback = event.callback
-                if event._owner is None:
-                    if pooling and len(pool) < EVENT_POOL_CAP:
-                        event.callback = None
-                        pool.append(event)
-                else:
-                    event._owner = None
-                callback()
+                label = event.label
+                try:
+                    counts[label] += 1
+                except KeyError:
+                    counts[label] = 1
+                event._owner = None
+                event.callback()
+            if until is not None and self._now < until:
+                self._now = until
+        finally:
+            self._events_run += ran_this_call
+            self._flush_label_counts()
+            self._running = False
+            self.wall_time_ns += _wallclock.perf_counter_ns() - wall_start
 
     def run_for(self, duration: Time) -> None:
         """Run for *duration* nanoseconds of virtual time from now."""
@@ -486,7 +302,7 @@ class Simulator:
     # ------------------------------------------------------------- profiling
 
     def _flush_label_counts(self) -> None:
-        """Drain the fast loop's deferred label counts into the registry."""
+        """Drain the run loop's deferred label counts into the registry."""
         counts = self._label_counts
         if not counts:
             return
@@ -506,13 +322,6 @@ class Simulator:
         Unlike ``metrics.snapshot()`` this includes wall-clock figures, so
         it is *not* reproducible across runs — use it for performance
         work, not for golden-file comparisons.
-
-        The ``event_pool`` block reports the engine arena (reuses, current
-        free-list size, hit rate over all dispatches) and ``packet_arenas``
-        the per-class packet free lists.  When the simulator has recycled
-        at least one event a lazy ``engine/pool_reuses`` counter is also
-        materialised in the registry — only here, so snapshots taken
-        without profiling stay byte-identical to unpooled runs.
         """
         self._flush_label_counts()
         dispatched = {
@@ -520,16 +329,6 @@ class Simulator:
             for label, counter in sorted(self._dispatch_counters.items())
         }
         wall = self.wall_time_ns
-        reuses = self._pool_reuses
-        if reuses:
-            # Lazy: materialised only on profile(), so unprofiled runs stay
-            # snapshot-neutral (the byte-identity guard depends on that).
-            self.metrics.counter("engine", "pool_reuses").value = reuses
-        try:
-            from repro.net.packet import arena_stats
-            packet_arenas = arena_stats()
-        except ImportError:  # pragma: no cover - packet layer not loaded
-            packet_arenas = {}
         return {
             "events_run": self._events_run,
             "sim_time_ns": self._now,
@@ -537,15 +336,7 @@ class Simulator:
             "sim_to_wall_ratio": (self._now / wall) if wall else None,
             "queue_depth_max": self._queue_depth_gauge.value,
             "pending": self.pending(),
-            "scheduler": self._scheduler.name,
-            "pooling": self._pooling,
             "dispatched_by_label": dispatched,
-            "event_pool": {
-                "reuses": reuses,
-                "free": len(self._event_pool),
-                "hit_rate": (reuses / self._events_run) if self._events_run else 0.0,
-            },
-            "packet_arenas": packet_arenas,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -35,8 +35,8 @@ class FifoDelay:
     def post(self, delay: int, callback: Callable[[], None],
              label: str = "") -> None:
         """Like :meth:`schedule`, but fire-and-forget: no cancellation
-        handle is returned, so the engine may recycle the event.  Use it
-        whenever the ``schedule`` return value would be discarded."""
+        handle is returned.  Use it whenever the ``schedule`` return value
+        would be discarded."""
         start = max(self._sim.now, self._busy_until)
         finish = start + max(delay, 0)
         self._busy_until = finish

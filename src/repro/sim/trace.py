@@ -23,13 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
-from repro.sim.arena import poolable, release
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
 
-@poolable(clear=("fields",))
 class TraceRecord:
     """One traced occurrence.
 
@@ -49,21 +46,6 @@ class TraceRecord:
         self.category = category
         self.event = event
         self.fields = fields if fields is not None else {}
-
-    @classmethod
-    def acquire(cls, time: int, category: str, event: str,
-                fields: Optional[Dict[str, Any]] = None) -> "TraceRecord":
-        """Pooled constructor: identical semantics to ``TraceRecord(...)``."""
-        pool = cls._pool
-        if pool:
-            self = pool.pop()
-            cls._pool_reuses += 1
-            self.time = time
-            self.category = category
-            self.event = event
-            self.fields = fields if fields is not None else {}
-            return self
-        return cls(time, category, event, fields)
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
@@ -120,11 +102,9 @@ class Trace:
         """Deliver every future record to *callback* as it is emitted.
 
         Callbacks run synchronously inside :meth:`emit`, in subscription
-        order, and see the record before any :meth:`clear` can recycle it
-        — a subscriber that keeps data must **copy** the fields it needs,
-        never hold the (pooled) record.  With no subscribers the emit
-        path pays a single truthiness check, so runs that never subscribe
-        stay byte-identical and un-slowed.
+        order.  With no subscribers the emit path pays a single truthiness
+        check, so runs that never subscribe stay byte-identical and
+        un-slowed.
         """
         self._subscribers.append(callback)
 
@@ -139,7 +119,7 @@ class Trace:
         """Record *event* in *category* at the current virtual time."""
         if not self.enabled or category in self._disabled_categories:
             return
-        record = TraceRecord.acquire(self._sim.now, category, event, fields)
+        record = TraceRecord(self._sim.now, category, event, fields)
         self._records.append(record)
         if self._subscribers:
             for callback in self._subscribers:
@@ -189,15 +169,7 @@ class Trace:
         return None
 
     def clear(self) -> None:
-        """Drop all records (harnesses call this between iterations).
-
-        Records nobody else kept a reference to are recycled into the
-        :class:`TraceRecord` arena; anything a harness still holds (via
-        :meth:`select`, :attr:`records`, ...) survives untouched.
-        """
-        for record in self._records:
-            # held=2: this loop variable plus the list slot about to die.
-            release(record, held=2)
+        """Drop all records (harnesses call this between iterations)."""
         self._records.clear()
 
 

@@ -66,19 +66,26 @@ def test_fifo_total_time_is_sum_of_services(service_times):
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1_000_000),
-                          st.booleans()),
+                          st.booleans(), st.booleans()),
                 min_size=1, max_size=30))
 def test_cancelled_events_never_run(schedule):
+    # ``use_post`` entries go through the handle-free post_at and can never
+    # be cancelled; the rest are cancellable call_at events.
     sim = Simulator()
     ran = []
     events = []
-    for index, (when, cancel) in enumerate(schedule):
-        events.append((sim.call_at(when, lambda index=index: ran.append(index)),
-                       cancel))
+    for index, (when, use_post, cancel) in enumerate(schedule):
+        def callback(index=index):
+            ran.append(index)
+        if use_post:
+            sim.post_at(when, callback)
+        else:
+            events.append((sim.call_at(when, callback), cancel))
     for event, cancel in events:
         if cancel:
             event.cancel()
     sim.run()
-    expected = [index for index, (_, cancel) in enumerate(schedule)
-                if not cancel]
+    expected = [index for index, (_, use_post, cancel) in enumerate(schedule)
+                if use_post or not cancel]
     assert sorted(ran) == expected
+    assert sim.pending() == 0

@@ -1,11 +1,11 @@
-"""Scheduler equivalence over whole scenarios (the fast-path invariant).
+"""Whole-scenario determinism of the engine.
 
-The heap and the timer wheel must be observably interchangeable: for the
-same seed, a full testbed scenario — build, traffic, a mid-run handoff —
-must produce a byte-identical metrics snapshot and an identical trace
-under either scheduler.  Anything less means event ordering leaked out of
-the queue implementation, which would silently unfix every seed in the
-repository.
+For the same seed, a full testbed scenario — build, traffic, a mid-run
+handoff — must reproduce a byte-identical metrics snapshot and an
+identical trace.  Anything less means event ordering depends on something
+other than ``(time, seq)``, which would silently unfix every seed in the
+repository.  The engine has one scheduler, its ``(time, seq)`` heap, so
+"same seed, same scheduler" is simply "same seed".
 """
 
 import pytest
@@ -25,25 +25,15 @@ def observable_state(sim):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_heap_and_wheel_scenarios_are_byte_identical(seed):
-    heap_sim = run_scenario(seed=seed, scheduler="heap", duration_ns=s(4))
-    wheel_sim = run_scenario(seed=seed, scheduler="wheel", duration_ns=s(4))
-    heap_snapshot, heap_trace = observable_state(heap_sim)
-    wheel_snapshot, wheel_trace = observable_state(wheel_sim)
-    assert heap_snapshot == wheel_snapshot
-    assert heap_trace == wheel_trace
-    assert heap_sim.events_run == wheel_sim.events_run
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_same_seed_same_scheduler_reproduces(seed):
-    first = run_scenario(seed=seed, scheduler="wheel", duration_ns=s(3))
-    second = run_scenario(seed=seed, scheduler="wheel", duration_ns=s(3))
+    first = run_scenario(seed=seed, duration_ns=s(3))
+    second = run_scenario(seed=seed, duration_ns=s(3))
     assert observable_state(first) == observable_state(second)
+    assert first.events_run == second.events_run
 
 
 def test_different_seeds_differ():
-    """Sanity check that the equivalence above is not vacuous."""
-    a = run_scenario(seed=0, scheduler="heap", duration_ns=s(3))
-    b = run_scenario(seed=1, scheduler="heap", duration_ns=s(3))
+    """Sanity check that the reproduction above is not vacuous."""
+    a = run_scenario(seed=0, duration_ns=s(3))
+    b = run_scenario(seed=1, duration_ns=s(3))
     assert observable_state(a) != observable_state(b)

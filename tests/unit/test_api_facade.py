@@ -1,14 +1,10 @@
-"""The repro.api Scenario facade and the keyword-only constructor shims."""
-
-import warnings
+"""The repro.api Scenario facade and constructor defaults."""
 
 import pytest
 
-from repro import DEFAULT_CONFIG, RoutingMode, Scenario, Simulator, s
+from repro import DEFAULT_CONFIG, Scenario, Simulator, s
 from repro.core.autoswitch import ConnectivityManager
 from repro.core.mobile_host import MobileHost
-from repro.core.policy import MobilePolicyTable
-from repro.core.tunnel import VirtualInterface
 from repro.net.addressing import IPAddress, Subnet
 from repro.sim.units import ms
 from repro.testbed import build_testbed
@@ -44,7 +40,7 @@ def test_with_config_overrides_match_manual_config_byte_for_byte():
 
     config = DEFAULT_CONFIG.with_overrides(tcp_congestion_control="reno",
                                            tcp_sack=True)
-    manual_sim = Simulator(seed=11, scheduler=config.engine_scheduler)
+    manual_sim = Simulator(seed=11)
     manual_tb = build_testbed(manual_sim, config=config)
     manual_sim.call_at(ms(100), manual_tb.visit_dept, label="scenario-step")
     manual_sim.run_for(s(3))
@@ -133,59 +129,11 @@ def test_scenario_without_testbed_still_runs():
     assert result.sim.now == ms(1)
 
 
-# ------------------------------------------------------- deprecation shims
+# ---------------------------------------------------------- constructors
 
 def _home_pieces(sim):
     return (IPAddress.parse("36.123.0.10"), Subnet.parse("36.123.0.0/24"),
             IPAddress.parse("36.123.0.1"))
-
-
-def test_virtual_interface_positional_config_warns_but_works():
-    sim = Simulator()
-    with pytest.warns(DeprecationWarning):
-        vif = VirtualInterface(sim, "vif0", DEFAULT_CONFIG)
-    assert vif.config is DEFAULT_CONFIG
-
-
-def test_mobile_host_positional_config_warns_but_works():
-    sim = Simulator()
-    home, subnet, agent = _home_pieces(sim)
-    with pytest.warns(DeprecationWarning):
-        mh = MobileHost(sim, "mh", home, subnet, agent,
-                        DEFAULT_CONFIG, RoutingMode.TRIANGLE)
-    assert mh.config is DEFAULT_CONFIG
-    assert mh.policy.default_mode is RoutingMode.TRIANGLE
-
-
-def test_policy_table_positional_default_mode_warns_but_works():
-    with pytest.warns(DeprecationWarning):
-        table = MobilePolicyTable(RoutingMode.ENCAP_DIRECT)
-    assert table.default_mode is RoutingMode.ENCAP_DIRECT
-
-
-def test_connectivity_manager_positional_knobs_warn_but_work():
-    sim = Simulator()
-    home, subnet, agent = _home_pieces(sim)
-    mh = MobileHost(sim, "mh", home, subnet, agent)
-    with pytest.warns(DeprecationWarning):
-        manager = ConnectivityManager(mh, ms(250), ms(200), 3, 4)
-    assert manager.probe_interval == ms(250)
-    assert manager.probe_timeout == ms(200)
-    assert manager.up_threshold == 3
-    assert manager.down_threshold == 4
-
-
-def test_keyword_constructors_do_not_warn():
-    sim = Simulator()
-    home, subnet, agent = _home_pieces(sim)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        mh = MobileHost(sim, "mh", home, subnet, agent,
-                        config=DEFAULT_CONFIG,
-                        default_mode=RoutingMode.TUNNEL)
-        ConnectivityManager(mh, probe_interval=ms(100))
-        MobilePolicyTable(default_mode=RoutingMode.LOCAL)
-        VirtualInterface(sim, "vif1", config=DEFAULT_CONFIG)
 
 
 def test_connectivity_manager_defaults_come_from_config():

@@ -189,16 +189,16 @@ class TestConnectionIntegration:
         client = lan.a.tcp.connect(ip("10.0.0.2"), 23, initial_cwnd=WIN)
         lan.run(500)
         # Drop exactly the first data segment at the receiver's demux.
-        original = lan.b.tcp._dispatch
+        original = lan.b.tcp._demux
         dropped = []
 
-        def lossy_dispatch(packet, segment):
+        def lossy_demux(packet, segment):
             if segment.payload.size_bytes > 0 and not dropped:
                 dropped.append(segment)
                 return
             original(packet, segment)
 
-        lan.b.tcp._dispatch = lossy_dispatch
+        lan.b.tcp._demux = lossy_demux
         for i in range(6):
             client.send(AppData(i, MSS))
         lan.run(4000)

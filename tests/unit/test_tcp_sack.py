@@ -124,10 +124,10 @@ def open_sack_session(lan, got):
 
 def drop_data_segments(lan, indices):
     """Drop the Nth, Mth, ... data segments arriving at host b."""
-    original = lan.b.tcp._dispatch
+    original = lan.b.tcp._demux
     state = {"seen": 0, "dropped": []}
 
-    def lossy_dispatch(packet, segment):
+    def lossy_demux(packet, segment):
         if segment.payload.size_bytes > 0:
             index = state["seen"]
             state["seen"] += 1
@@ -136,7 +136,7 @@ def drop_data_segments(lan, indices):
                 return
         original(packet, segment)
 
-    lan.b.tcp._dispatch = lossy_dispatch
+    lan.b.tcp._demux = lossy_demux
     return state
 
 
@@ -147,14 +147,14 @@ class TestSackWireBehaviour:
         client = open_sack_session(lan, got)
         drop_data_segments(lan, {0})
         seen_sacks = []
-        original = lan.a.tcp._dispatch
+        original = lan.a.tcp._demux
 
-        def spying_dispatch(packet, segment):
+        def spying_demux(packet, segment):
             if segment.sack:
                 seen_sacks.append(segment.sack)
             original(packet, segment)
 
-        lan.a.tcp._dispatch = spying_dispatch
+        lan.a.tcp._demux = spying_demux
         for i in range(5):
             client.send(AppData(i, MSS))
         lan.run(4000)
