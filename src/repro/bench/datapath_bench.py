@@ -152,9 +152,9 @@ def _trace_bench(n: int) -> Dict[str, object]:
 
     def emit_gated() -> None:
         for _ in range(n):
-            # "policy.cache" is in VERBOSE_CATEGORIES: off by default.
-            if trace.wants("policy.cache"):
-                trace.emit("policy.cache", "hit", host="bench",
+            # "engine.debug" is in VERBOSE_CATEGORIES: off by default.
+            if trace.wants("engine.debug"):
+                trace.emit("engine.debug", "hit", host="bench",
                            packet=packet.describe())
 
     enabled_ns = _time_ns(emit_enabled)

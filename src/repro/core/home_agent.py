@@ -25,6 +25,8 @@ build it either way.
 
 from __future__ import annotations
 
+import random
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
 
 from repro.core.bindings import MobilityBinding, MobilityBindingTable
@@ -82,7 +84,6 @@ class HomeAgentService:
         self.on_binding_change: Optional[
             Callable[[IPAddress, Optional[MobilityBinding]], None]] = None
         self._intercept_routes: Dict[IPAddress, RouteEntry] = {}
-        self._rng = host.sim.rng(f"home-agent:{host.name}")
         # Registrations are processed one at a time (one CPU): a burst of
         # simultaneous arrivals queues, which is what the scalability
         # experiment measures.
@@ -109,6 +110,11 @@ class HomeAgentService:
             "home_agent", "requests_denied", host=host.name)
         self._expired_counter = metrics.counter(
             "home_agent", "bindings_expired", host=host.name)
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Processing-cost jitter, created on first draw."""
+        return self.sim.rng(f"home-agent:{self.host.name}")
 
     # -------------------------------------------------------------- provision
 

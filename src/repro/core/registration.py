@@ -21,7 +21,9 @@ timestamps Figure 7 reports (request sent, reply received).
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.net.addressing import IPAddress
@@ -135,10 +137,6 @@ class RegistrationClient:
         self.config = host.config
         self.home_address = home_address
         self.home_agent = home_agent
-        self._rng = self.sim.rng(f"reg-client:{host.name}")
-        # Backoff jitter draws from its own stream so enabling it never
-        # perturbs the marshal/send cost sequence above.
-        self._backoff_rng = self.sim.rng(f"reg-backoff:{host.name}")
         self._pending: Dict[int, _PendingRegistration] = {}
         #: Terminal-failure hook: fires (in addition to the per-request
         #: ``on_fail``) when a request exhausts ``max_transmissions``.
@@ -161,6 +159,17 @@ class RegistrationClient:
                                                  host=host.name)
         self._latency_histogram = metrics.histogram(
             "registration", "latency_ms", host=host.name)
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Marshal/send cost jitter, created on first draw."""
+        return self.sim.rng(f"reg-client:{self.host.name}")
+
+    @cached_property
+    def _backoff_rng(self) -> random.Random:
+        """Backoff jitter: its own stream, so enabling it never perturbs
+        the marshal/send cost sequence."""
+        return self.sim.rng(f"reg-backoff:{self.host.name}")
 
     def rebind_source(self, source: IPAddress) -> None:
         """Pin the registration socket's source address.

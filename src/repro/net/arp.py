@@ -55,10 +55,12 @@ class ARPMessage:
         return self.sender_ip == self.target_ip
 
 
-@dataclass
 class _CacheEntry:
-    mac: MACAddress
-    expires_at: int
+    __slots__ = ("mac", "expires_at")
+
+    def __init__(self, mac: MACAddress, expires_at: int) -> None:
+        self.mac = mac
+        self.expires_at = expires_at
 
 
 @dataclass
@@ -120,9 +122,15 @@ class ARPService:
         ``create=False`` is the gratuitous-ARP rule: only update entries
         that already exist, never create new ones.
         """
-        if not create and addr not in self._cache:
+        expires_at = self._sim.now + self._cfg.arp_timeout
+        entry = self._cache.get(addr)
+        if entry is not None:
+            entry.mac = mac
+            entry.expires_at = expires_at
+        elif create:
+            self._cache[addr] = _CacheEntry(mac, expires_at)
+        else:
             return
-        self._cache[addr] = _CacheEntry(mac=mac, expires_at=self._sim.now + self._cfg.arp_timeout)
         self._release_pending(addr, mac)
 
     def flush(self, addr: Optional[IPAddress] = None) -> None:

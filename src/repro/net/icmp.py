@@ -14,7 +14,9 @@ installing a host route, so tests can exercise that scenario.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.config import Config, HostTimings
@@ -76,7 +78,6 @@ class ICMPService:
         self.host = host
         self.config = config
         self.timings = timings
-        self._rng = sim.rng(f"icmp:{host.name}")
         self._tx_fifo = FifoDelay(sim)
         self._rx_fifo = FifoDelay(sim)
         self._pending: Dict[Tuple[int, int], _PendingPing] = {}
@@ -87,6 +88,11 @@ class ICMPService:
         self.echoes_answered = 0
         self.redirects_received = 0
         host.ip.register_protocol(PROTO_ICMP, self._receive)
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Jitter stream, created on first draw."""
+        return self.sim.rng(f"icmp:{self.host.name}")
 
     # ------------------------------------------------------------------ ping
 

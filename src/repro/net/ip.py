@@ -15,6 +15,8 @@ Linux 1.2.13 (Section 3.3):
 
 from __future__ import annotations
 
+import random
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol
 
 from repro.config import Config, HostTimings
@@ -69,7 +71,6 @@ class IPStack:
         #: addresses and subnets change.
         self._local: Dict[int, int] = {}
         self._handlers: Dict[int, ProtocolHandler] = {}
-        self._rng = sim.rng(f"ip:{host.name}")
         self._forward_fifo = FifoDelay(sim)
         # Statistics.
         self.sent = 0
@@ -88,6 +89,11 @@ class IPStack:
                                                  host=host.name)
         self._filtered_counter = metrics.counter("ip", "filtered_drops",
                                                  host=host.name)
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Jitter stream, created on first draw."""
+        return self.sim.rng(f"ip:{self.host.name}")
 
     # --------------------------------------------------------------- plumbing
 

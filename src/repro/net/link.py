@@ -20,7 +20,8 @@ with an independent loss probability drawn from a dedicated RNG stream.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+import sys
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.config import LinkTimings
 from repro.net.addressing import IPAddress
@@ -103,42 +104,58 @@ class Link:
         return False
 
 
+def _all_but(receivers: List[Callable], members: Sequence[object],
+             sender: object) -> List[Callable]:
+    """A fresh copy of *receivers* without the one belonging to *sender*.
+
+    *members* and *receivers* run in step; a sender that is not a member
+    (already unplugged) leaves every receiver in.
+    """
+    try:
+        index = members.index(sender)
+    except ValueError:
+        return receivers[:]
+    return receivers[:index] + receivers[index + 1:]
+
+
 class EthernetSegment(Link):
     """A shared Ethernet: frames reach every other attached interface."""
 
     def __init__(self, sim: Simulator, name: str, timings: LinkTimings) -> None:
         super().__init__(sim, name, timings)
         self._ports: List["EthernetInterface"] = []
+        #: Each port's ``deliver_frame``, in step with ``_ports``.
+        self._receivers: List[Callable[["EthernetFrame"], None]] = []
+        self._label = sys.intern(f"eth:{name}")
 
     def attach(self, interface: "EthernetInterface") -> None:
         """Connect an interface to the shared medium."""
         if interface in self._ports:
             raise ValueError(f"{interface.name} already attached to {self.name}")
         self._ports.append(interface)
+        self._receivers.append(interface.deliver_frame)
 
     def detach(self, interface: "EthernetInterface") -> None:
         """Disconnect an interface (unplug the cable)."""
-        self._ports.remove(interface)
+        index = self._ports.index(interface)
+        del self._ports[index]
+        del self._receivers[index]
 
     def transmit(self, frame: "EthernetFrame", sender: "EthernetInterface") -> None:
         """Put *frame* on the wire; deliver to every other port after delay.
 
         The segment is a single shared medium: concurrent senders
         serialize behind one another (we model the ether as one queue
-        rather than simulating CSMA/CD collisions).
+        rather than simulating CSMA/CD collisions).  The ports attached
+        now receive the frame, even if one is unplugged before it lands.
         """
         self._count_tx(frame.size_bytes)
         if self._drops():
             return
         deliver_at = self._delivery_time(frame.size_bytes)
-        for port in self._ports:
-            if port is sender:
-                continue
-            self.sim.post_at(
-                deliver_at,
-                lambda port=port: port.deliver_frame(frame),
-                label=f"eth:{self.name}",
-            )
+        self.sim.post_each(deliver_at,
+                           _all_but(self._receivers, self._ports, sender),
+                           frame, self._label)
 
 
 class PointToPointLink(Link):
@@ -152,6 +169,7 @@ class PointToPointLink(Link):
     def __init__(self, sim: Simulator, name: str, timings: LinkTimings) -> None:
         super().__init__(sim, name, timings)
         self._endpoints: List[object] = []
+        self._label = sys.intern(f"p2p:{name}")
 
     def connect(self, endpoint: object) -> None:
         """Register one of the two endpoints."""
@@ -175,7 +193,7 @@ class PointToPointLink(Link):
         self.sim.post_at(
             deliver_at,
             lambda: peer.deliver_from_link(packet),  # type: ignore[attr-defined]
-            label=f"p2p:{self.name}",
+            label=self._label,
         )
 
 
@@ -191,17 +209,24 @@ class RadioChannel(Link):
     def __init__(self, sim: Simulator, name: str, timings: LinkTimings) -> None:
         super().__init__(sim, name, timings)
         self._radios: List["RadioInterface"] = []
+        #: Each radio's ``deliver_from_radio``, in step with ``_radios``.
+        self._receivers: List[Callable[[IPPacket], None]] = []
         self._by_address: Dict[IPAddress, "RadioInterface"] = {}
+        self._label = sys.intern(f"radio:{name}")
+        self._broadcast_label = sys.intern(f"radio:{name}:bcast")
 
     def attach(self, interface: "RadioInterface") -> None:
         """Register a radio on the channel."""
         if interface in self._radios:
             raise ValueError(f"{interface.name} already attached to {self.name}")
         self._radios.append(interface)
+        self._receivers.append(interface.deliver_from_radio)
 
     def detach(self, interface: "RadioInterface") -> None:
         """Remove a radio and withdraw its published addresses."""
-        self._radios.remove(interface)
+        index = self._radios.index(interface)
+        del self._radios[index]
+        del self._receivers[index]
         stale = [addr for addr, iface in self._by_address.items() if iface is interface]
         for addr in stale:
             del self._by_address[addr]
@@ -223,14 +248,9 @@ class RadioChannel(Link):
         # One shared air interface: all radios serialize behind each other.
         deliver_at = self._delivery_time(packet.size_bytes)
         if next_hop.is_limited_broadcast:
-            for radio in self._radios:
-                if radio is sender:
-                    continue
-                self.sim.post_at(
-                    deliver_at,
-                    lambda radio=radio: radio.deliver_from_radio(packet),
-                    label=f"radio:{self.name}:bcast",
-                )
+            self.sim.post_each(deliver_at,
+                               _all_but(self._receivers, self._radios, sender),
+                               packet, self._broadcast_label)
             return
         target = self._by_address.get(next_hop)
         if target is None or target is sender:
@@ -242,5 +262,5 @@ class RadioChannel(Link):
         self.sim.post_at(
             deliver_at,
             lambda: target.deliver_from_radio(packet),
-            label=f"radio:{self.name}",
+            label=self._label,
         )

@@ -49,7 +49,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.config import Config, HostTimings
@@ -1011,12 +1013,18 @@ class TCPConnection:
     # ----------------------------------------------------------- data intake
 
     def _trim_send_buffer(self) -> None:
-        base = self.iss + 1
-        self._send_buffer = [
-            item for item in self._send_buffer
-            if base + item.offset + (1 if item.fin else item.data.size_bytes)
-            > self.snd_una
-        ]
+        """Drop the fully acknowledged items.
+
+        The buffer is in offset order, so they are a prefix of it.
+        """
+        buffer = self._send_buffer
+        acked = self.snd_una - (self.iss + 1)
+        done = 0
+        for item in buffer:
+            if item.offset + (1 if item.fin else item.data.size_bytes) > acked:
+                break
+            done += 1
+        del buffer[:done]
 
     def _on_all_acked(self) -> None:
         if self.state == TCPState.FIN_WAIT_1 and self._fin_queued:
@@ -1180,7 +1188,6 @@ class TCPService:
         self.host = host
         self.config = config
         self.timings = timings
-        self._rng = sim.rng(f"tcp:{host.name}")
         self._tx_fifo = FifoDelay(sim)
         self._rx_fifo = FifoDelay(sim)
         self._connections: Dict[ConnKey, TCPConnection] = {}
@@ -1194,6 +1201,11 @@ class TCPService:
             "tcp", "rto_expirations", host=host.name)
         self.dup_ack_counter = sim.metrics.counter(
             "tcp", "dup_acks", host=host.name)
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Jitter stream, created on first draw."""
+        return self.sim.rng(f"tcp:{self.host.name}")
 
     # ------------------------------------------------------------ lazy metrics
     # Created on first touch (like repro.faults' injected counters) so

@@ -11,6 +11,8 @@ out of passing the socket's bound source address as the hint to
 
 from __future__ import annotations
 
+import random
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.config import Config, HostTimings
@@ -90,13 +92,17 @@ class UDPService:
         self.host = host
         self.config = config
         self.timings = timings
-        self._rng = sim.rng(f"udp:{host.name}")
         self._tx_fifo = FifoDelay(sim)
         self._rx_fifo = FifoDelay(sim)
         self._sockets: Dict[int, UDPSocket] = {}
         self._next_ephemeral = self.EPHEMERAL_START
         self.datagrams_dropped_no_port = 0
         host.ip.register_protocol(PROTO_UDP, self._receive)
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Jitter stream, created on first draw."""
+        return self.sim.rng(f"udp:{self.host.name}")
 
     # --------------------------------------------------------------- sockets
 

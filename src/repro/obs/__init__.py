@@ -13,6 +13,7 @@ from repro.obs.capture import (
     capture_policy_tables,
     capture_simulators,
     note_metrics_registry,
+    note_policy_snapshots,
     note_policy_table,
     note_simulator,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "capture_simulators",
     "capture_policy_tables",
     "note_metrics_registry",
+    "note_policy_snapshots",
     "note_simulator",
     "note_policy_table",
     "format_report",

@@ -46,8 +46,9 @@ def note_policy_table(table) -> None:
 
 
 def capture_active() -> bool:
-    """True while at least one :func:`capture_simulators` block is open."""
-    return bool(_active)
+    """True while a :func:`capture_simulators` or
+    :func:`capture_policy_tables` block is open."""
+    return bool(_active or _active_policy)
 
 
 class CapturedMetrics:
@@ -72,6 +73,19 @@ def note_metrics_registry(registry) -> None:
         carrier = CapturedMetrics(registry)
         for bucket in _active:
             bucket.append(carrier)
+
+
+def note_policy_snapshots(snapshots) -> None:
+    """Feed worker-produced policy-table snapshots into every active capture.
+
+    Worker processes cannot hand their live tables to the parent, so the
+    parallel runner ships each table's
+    :meth:`~repro.core.policy.MobilePolicyTable.snapshot` home instead;
+    :func:`repro.obs.export.format_policy_table` renders either.
+    """
+    if _active_policy:
+        for bucket in _active_policy:
+            bucket.extend(snapshots)
 
 
 @contextlib.contextmanager

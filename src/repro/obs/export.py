@@ -133,9 +133,10 @@ def format_policy_table(table) -> str:
 
     Renders the table's :meth:`~repro.core.policy.MobilePolicyTable.snapshot`
     — owner, default mode, and every entry with its origin — in the style
-    of :func:`format_report`, for the ``--metrics`` report.
+    of :func:`format_report`, for the ``--metrics`` report.  *table* may
+    also be such a snapshot already (what a worker process ships home).
     """
-    snap = table.snapshot()
+    snap = table if isinstance(table, dict) else table.snapshot()
     owner = snap["owner"] or "(unowned)"
     lines: List[str] = [f"[policy table: {owner}]",
                         f"  {'default':<44} {snap['default_mode']}"]
@@ -149,6 +150,6 @@ def format_policy_table(table) -> str:
 
 
 def format_policy_tables(tables: Iterable) -> str:
-    """Every captured policy table, one block each."""
+    """Every captured policy table (or snapshot), one block each."""
     blocks = [format_policy_table(table) for table in tables]
     return "\n".join(blocks)

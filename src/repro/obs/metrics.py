@@ -41,7 +41,17 @@ DEFAULT_LATENCY_BUCKETS_MS: Tuple[float, ...] = (
 
 
 def _labels_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
-    return tuple(sorted((key, str(value)) for key, value in labels.items()))
+    # Label values are nearly always str already (host and interface
+    # names, modes), and most metrics have one label: skip the str()
+    # calls, and the sort too when there is nothing to sort.
+    if len(labels) == 1:
+        for key, value in labels.items():
+            return ((key, value if type(value) is str else str(value)),)
+    for value in labels.values():
+        if type(value) is not str:
+            return tuple(sorted((key, str(value))
+                                for key, value in labels.items()))
+    return tuple(sorted(labels.items()))
 
 
 def format_key(component: str, name: str,
@@ -240,6 +250,13 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Metric] = {}
+        #: One shared tuple per distinct label set.  A host's or an
+        #: interface's label set recurs across dozens of its metrics, and
+        #: a fleet builds tens of thousands of metrics, so sharing them
+        #: keeps set-up from allocating (and the collector from tracing)
+        #: a fresh copy for each.
+        self._label_sets: Dict[Tuple[Tuple[str, str], ...],
+                               Tuple[Tuple[str, str], ...]] = {}
 
     # ---------------------------------------------------------------- factories
 
@@ -255,7 +272,7 @@ class MetricsRegistry:
                   buckets: Optional[Sequence[float]] = None,
                   **labels: object) -> Histogram:
         """Get or create a histogram (default: latency buckets in ms)."""
-        key: MetricKey = (component, name, _labels_key(labels))
+        key = self._key(component, name, labels)
         existing = self._metrics.get(key)
         if existing is not None:
             if not isinstance(existing, Histogram):
@@ -268,9 +285,15 @@ class MetricsRegistry:
         self._metrics[key] = metric
         return metric
 
+    def _key(self, component: str, name: str,
+             labels: Dict[str, object]) -> MetricKey:
+        label_set = _labels_key(labels)
+        return (component, name,
+                self._label_sets.setdefault(label_set, label_set))
+
     def _get_or_create(self, cls, component: str, name: str,
                        labels: Dict[str, object]):
-        key: MetricKey = (component, name, _labels_key(labels))
+        key = self._key(component, name, labels)
         existing = self._metrics.get(key)
         if existing is not None:
             if not isinstance(existing, cls):

@@ -9,10 +9,11 @@ one of two interchangeable paths:
   in-process loop.  Parent-side :func:`repro.obs.capture_simulators`
   blocks see every simulator the trials build, exactly as before.
 * ``jobs=N`` — a ``multiprocessing.Pool`` of N workers.  Each worker
-  resolves the function path, runs the trial inside its own metrics
-  capture, and ships back ``(result, merged MetricsRegistry)``; the
-  parent feeds the returned registries into any active capture so
-  ``--metrics`` reports are complete either way.
+  resolves the function path, runs the trial inside its own metrics and
+  policy-table captures, and ships back ``(result, merged
+  MetricsRegistry, policy-table snapshots)``; the parent feeds both into
+  any active captures, in submission order, so ``--metrics`` reports are
+  complete either way.
 
 The function-path indirection (rather than pickling callables) is what
 makes the pool spawn-safe: the child only needs to import the module,
@@ -29,8 +30,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.obs.capture import (
     capture_active,
+    capture_policy_tables,
     capture_simulators,
     note_metrics_registry,
+    note_policy_snapshots,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -75,18 +78,19 @@ def _run_payload(payload: _Payload):
     """Execute one trial in a worker process.
 
     Module-level so the pool can pickle it by reference under ``spawn``.
-    Returns ``(result, registry-or-None)``; the registry is the merged
-    metrics of every simulator the trial built, collected only when the
-    parent asked (a capture block was active at submit time).
+    Returns ``(result, registry, policy snapshots)``: the merged metrics
+    of every simulator the trial built and the snapshot of every Mobile
+    Policy Table it built, collected only when the parent asked (a
+    capture block was active at submit time), else ``None`` for both.
     """
     func_ref, params, collect = payload
     func = resolve_trial(func_ref)
     if not collect:
-        return func(**params), None
-    with capture_simulators() as sims:
+        return func(**params), None, None
+    with capture_simulators() as sims, capture_policy_tables() as tables:
         result = func(**params)
     registry = MetricsRegistry.merged(sim.metrics for sim in sims)
-    return result, registry
+    return result, registry, [table.snapshot() for table in tables]
 
 
 def effective_jobs(jobs: Optional[int]) -> int:
@@ -119,10 +123,10 @@ class ParallelRunner:
         """Execute *trials*, returning their results in order.
 
         ``collect_metrics=None`` (the default) collects worker-side
-        metrics registries exactly when a parent capture block is
-        active, so ``--metrics`` works transparently; pass True/False to
-        force.  Collected registries are fed to the active captures (or
-        discarded when none is active).
+        metrics registries and policy-table snapshots exactly when a
+        parent capture block is active, so ``--metrics`` works
+        transparently; pass True/False to force.  What is collected is
+        fed to the active captures (or discarded when none is active).
         """
         trial_list = list(trials)
         if collect_metrics is None:
@@ -133,10 +137,11 @@ class ParallelRunner:
         if outcomes is None:  # pool unavailable: degrade, don't fail
             return self._run_serial(trial_list)
         results: List[Any] = []
-        for result, registry in outcomes:
+        for result, registry, policies in outcomes:
             results.append(result)
             if registry is not None:
                 note_metrics_registry(registry)
+                note_policy_snapshots(policies)
         return results
 
     def _run_serial(self, trials: Sequence[Trial]) -> List[Any]:

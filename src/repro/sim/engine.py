@@ -30,6 +30,16 @@ Performance notes (the engine is the hottest loop in the repository):
   them into a plain ``dict`` and flushes into the metrics registry only
   when a run ends (or :meth:`profile` is called), so the per-event cost
   is one dict hit instead of a registry lookup.
+* A frame on a shared medium reaches every other port at the same
+  instant.  :meth:`Simulator.post_each` queues such a fan-out as **one**
+  heap entry whose receivers the run loop calls in turn, with one shared
+  argument, so nothing is allocated per receiver.  Each receiver still
+  counts as one event (``events_run``, the label count, the
+  ``max_events`` budget and the live/queue-depth accounting), so every
+  count is what N separate ``post_at`` calls would give, and so is the
+  order: N events at one instant with consecutive sequence numbers run
+  back to back, and whatever a receiver schedules for that instant runs
+  after the last of them.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ import random
 import sys
 import time as _wallclock
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.capture import note_simulator
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -53,6 +63,11 @@ _intern = sys.intern
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the engine (e.g. scheduling in the past)."""
+
+
+def _budget_exceeded(max_events: int) -> SimulationError:
+    return SimulationError(
+        f"exceeded max_events={max_events} (runaway simulation?)")
 
 
 class Event:
@@ -95,6 +110,23 @@ class Event:
             self._owner._note_cancelled()
 
 
+class _FanOut(Event):
+    """One heap entry that calls each of *receivers* with *arg*, in order.
+
+    Queued by :meth:`Simulator.post_each`.  ``callback`` is None, which is
+    how the run loop tells a fan-out from a plain event.  The entry is
+    never cancelled and never handed out.
+    """
+
+    __slots__ = ("receivers", "arg")
+
+    def __init__(self, time: Time, seq: int, receivers: List[Callable],
+                 arg: object, label: str) -> None:
+        super().__init__(time, seq, None, label)  # type: ignore[arg-type]
+        self.receivers = receivers
+        self.arg = arg
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -124,8 +156,10 @@ class Simulator:
         self._running = False
         self._events_run = 0
         # O(1) accounting of live and cancelled-but-still-queued events, so
-        # that pending() and the depth gauge never scan the queue:
-        # `_live == len(_heap) - _cancelled_in_queue` between dispatches.
+        # that pending() and the depth gauge never scan the queue.  Between
+        # dispatches `_live == len(_heap) - _cancelled_in_queue + sum of
+        # (receivers - 1) over queued fan-outs`: each fan-out receiver is a
+        # live event of its own, though the fan-out is one heap entry.
         self._live = 0
         self._cancelled_in_queue = 0
         self._depth_hw = 0
@@ -217,8 +251,31 @@ class Simulator:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
         self.post_at(self._now + delay, callback, label)
 
-    def _bump_live(self) -> None:
-        live = self._live + 1
+    def post_each(self, when: Time, receivers: List[Callable[[Any], None]],
+                  arg: object, label: str = "") -> None:
+        """Call ``receiver(arg)`` for each of *receivers* at *when*.
+
+        Fire-and-forget fan-out (a shared medium delivering one frame to
+        every port): one heap entry, counted exactly like one
+        :meth:`post_at` per receiver.  The engine keeps *receivers*, so
+        the caller must hand over a list it does not mutate afterwards.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule event {label!r} at {when} ns; "
+                f"it is already {self._now} ns"
+            )
+        count = len(receivers)
+        if not count:
+            return
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap,
+                 (when, seq, _FanOut(when, seq, receivers, arg, _intern(label))))
+        self._bump_live(count)
+
+    def _bump_live(self, count: int = 1) -> None:
+        live = self._live + count
         self._live = live
         if live > self._depth_hw:
             self._depth_hw = live
@@ -246,7 +303,9 @@ class Simulator:
             Safety valve against runaway loops; raises if this *call*
             executes more than ``max_events`` callbacks.  The budget is
             per-call: a fresh ``run()`` starts from zero, regardless of
-            how many events earlier calls dispatched.
+            how many events earlier calls dispatched.  The event that
+            would exceed the budget (or the rest of a fan-out) stays
+            queued, so a later ``run()`` still dispatches it.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -269,20 +328,37 @@ class Simulator:
                     self._cancelled_in_queue -= 1
                     event._owner = None
                     continue
-                self._live -= 1
                 self._now = when
-                ran_this_call += 1
-                if max_events is not None and ran_this_call > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (runaway simulation?)"
-                    )
                 label = event.label
-                try:
-                    counts[label] += 1
-                except KeyError:
-                    counts[label] = 1
-                event._owner = None
-                event.callback()
+                callback = event.callback
+                if callback is not None:
+                    if max_events is not None and ran_this_call >= max_events:
+                        heappush(heap, entry)  # still queued for a later run()
+                        raise _budget_exceeded(max_events)
+                    ran_this_call += 1
+                    self._live -= 1
+                    try:
+                        counts[label] += 1
+                    except KeyError:
+                        counts[label] = 1
+                    event._owner = None
+                    callback()
+                    continue
+                # A fan-out: every receiver is one event of its own.
+                receivers = event.receivers
+                arg = event.arg
+                for index, receiver in enumerate(receivers):
+                    if max_events is not None and ran_this_call >= max_events:
+                        event.receivers = receivers[index:]
+                        heappush(heap, entry)
+                        raise _budget_exceeded(max_events)
+                    ran_this_call += 1
+                    self._live -= 1
+                    try:
+                        counts[label] += 1
+                    except KeyError:
+                        counts[label] = 1
+                    receiver(arg)
             if until is not None and self._now < until:
                 self._now = until
         finally:

@@ -68,7 +68,7 @@ class TraceRecord:
 #: Categories that are *off* unless a consumer opts in: per-event debug
 #: firehoses whose records no experiment harness reads.  Everything else
 #: records by default, exactly as before the fast path existed.
-VERBOSE_CATEGORIES = frozenset({"engine.debug", "policy.cache", "route.cache"})
+VERBOSE_CATEGORIES = frozenset({"engine.debug"})
 
 
 class Trace:

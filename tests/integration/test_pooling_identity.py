@@ -1,15 +1,21 @@
-"""Extension-experiment reports must match their committed golden digests.
+"""Experiment reports and one run's metrics must match committed digests.
 
-The extension experiments (x1-x6) cover UDP probes, registration storms,
-sharded fleets, fault injection and TCP congestion control over handoffs.
-Each runs here at a shrunk parameterization and seeds 0-2, and the sha256
-of its ``format_report()`` must equal the digest in ``report_goldens.json``.
-A change that moves any report byte fails this test.
+Three kinds of golden, all sha256 digests in ``report_goldens.json``:
 
-If a report change is intended, regenerate the digests from the repo root
-and say in the commit why the reports moved::
+* the extension experiments (x1-x6: UDP probes, registration storms,
+  sharded fleets, fault injection, TCP congestion control over handoffs)
+  at a shrunk parameterization and seeds 0-2 (``x4/1``);
+* the fast paper experiments and x9 at their default seed, exactly as
+  ``python -m repro.experiments <id>`` prints them (``e1/default``);
+* the full ``metrics.snapshot()`` of one 20-host x4 shard
+  (``x4-shard/metrics``), which pins every engine dispatch count and the
+  queue high-water exactly, not only through report text.
 
-    PYTHONPATH=src python -c "import hashlib, json; from tests.integration.test_pooling_identity import EXPERIMENTS; print(json.dumps({f'{n}/{s}': hashlib.sha256(r(s).format_report().encode()).hexdigest() for n, r in EXPERIMENTS for s in (0, 1, 2)}, indent=2, sort_keys=True))" > tests/integration/report_goldens.json
+A change that moves any of these fails this test.  If a change is
+intended, regenerate the digests from the repo root and say in the
+commit why they moved::
+
+    PYTHONPATH=src python -c "import json; from tests.integration.test_pooling_identity import golden_digests; print(json.dumps(golden_digests(), indent=2, sort_keys=True))" > tests/integration/report_goldens.json
 """
 
 import hashlib
@@ -26,6 +32,10 @@ from repro.experiments import (
     run_smart_correspondent_experiment,
     run_tcp_cc_experiment,
 )
+from repro.experiments.__main__ import RUNNERS
+from repro.experiments.exp_ha_scalability import run_fleet_trial
+from repro.obs import capture_simulators
+from repro.parallel import spawn_seed
 
 GOLDEN_PATH = Path(__file__).with_name("report_goldens.json")
 
@@ -45,11 +55,52 @@ EXPERIMENTS = [
         seed=seed)),
 ]
 
+#: Ids whose full default run takes a couple of seconds at most.
+DEFAULT_SEED_IDS = ("e1", "f6", "f7", "f3", "a1", "x9")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def default_report_digest(name: str) -> str:
+    return _sha256(RUNNERS[name][1](1))
+
+
+def x4_shard_metrics_digest() -> str:
+    """The first shard of x4's default sweep, cut to 20 hosts."""
+    with capture_simulators() as sims:
+        run_fleet_trial(fleet_size=20, seed=spawn_seed(97, 0, 0))
+    (sim,) = sims
+    return _sha256(json.dumps(sim.metrics.snapshot(), sort_keys=True))
+
+
+def golden_digests() -> dict:
+    """Every digest this module checks, keyed as in the golden file."""
+    digests = {f"{name}/{seed}": _sha256(runner(seed).format_report())
+               for name, runner in EXPERIMENTS for seed in (0, 1, 2)}
+    digests.update({f"{name}/default": default_report_digest(name)
+                    for name in DEFAULT_SEED_IDS})
+    digests["x4-shard/metrics"] = x4_shard_metrics_digest()
+    return digests
+
+
+def _golden(key: str) -> str:
+    return json.loads(GOLDEN_PATH.read_text())[key]
+
 
 @pytest.mark.parametrize("name,runner", EXPERIMENTS,
                          ids=[name for name, _ in EXPERIMENTS])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_report_matches_golden(name, runner, seed):
     report = runner(seed).format_report()
-    digest = hashlib.sha256(report.encode()).hexdigest()
-    assert digest == json.loads(GOLDEN_PATH.read_text())[f"{name}/{seed}"]
+    assert _sha256(report) == _golden(f"{name}/{seed}")
+
+
+@pytest.mark.parametrize("name", DEFAULT_SEED_IDS)
+def test_default_seed_report_matches_golden(name):
+    assert default_report_digest(name) == _golden(f"{name}/default")
+
+
+def test_x4_shard_metrics_snapshot_matches_golden():
+    assert x4_shard_metrics_digest() == _golden("x4-shard/metrics")

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.sim import Simulator, ms
@@ -185,3 +187,167 @@ def test_max_events_exact_budget_is_allowed():
         sim.call_at(ms(index), lambda: None)
     sim.run(max_events=5)  # exactly at the cap: fine
     assert sim.events_run == 5
+
+
+# ------------------------------------------------------- fan-out dispatch
+
+def _dispatch_count(sim, label):
+    return sim.metrics.get("engine", "dispatched", label=label).value
+
+
+def _depth_max(sim):
+    return sim.metrics.gauge("engine", "queue_depth_max").value
+
+
+def test_fan_out_counts_like_one_post_at_per_receiver():
+    """events_run, the label counter and the queue high-water of a fan-out
+    to N receivers equal those of N post_at calls at the same instant."""
+    n = 7
+    batched, separate = Simulator(), Simulator()
+    for sim in (batched, separate):
+        sim.post_at(ms(1), lambda: None, label="before")
+    batched.post_each(ms(2), [lambda arg: None] * n, "frame", label="eth:lan")
+    for _ in range(n):
+        separate.post_at(ms(2), lambda: None, label="eth:lan")
+    assert batched.pending() == separate.pending() == n + 1
+    assert _depth_max(batched) == _depth_max(separate) == n + 1
+    for sim in (batched, separate):
+        sim.run()
+    assert batched.events_run == separate.events_run == n + 1
+    assert _dispatch_count(batched, "eth:lan") == _dispatch_count(
+        separate, "eth:lan") == n
+    assert batched.pending() == separate.pending() == 0
+
+
+def test_fan_out_depth_tracks_each_receiver_as_it_runs():
+    """A receiver that schedules sees the others still queued, exactly as
+    with one event per receiver."""
+    def run(batched):
+        sim = Simulator()
+
+        def receiver(arg):
+            sim.post_later(ms(1), lambda: None)
+            sim.post_later(ms(1), lambda: None)
+
+        if batched:
+            sim.post_each(ms(1), [receiver] * 4, None)
+        else:
+            for _ in range(4):
+                sim.post_at(ms(1), lambda: receiver(None))
+        sim.run()
+        return _depth_max(sim), sim.events_run
+
+    assert run(batched=True) == run(batched=False) == (8, 12)
+
+
+def test_fan_out_runs_receivers_in_order_with_the_shared_argument():
+    sim = Simulator()
+    seen = []
+    receivers = [lambda arg, index=index: seen.append((index, arg))
+                 for index in range(5)]
+    sim.post_each(ms(3), receivers, "frame")
+    sim.run()
+    assert seen == [(index, "frame") for index in range(5)]
+    assert sim.now == ms(3)
+
+
+def test_fan_out_keeps_its_place_among_same_instant_events():
+    """Events queued before the fan-out run before it, and anything a
+    receiver schedules for the same instant runs after the whole batch."""
+    sim = Simulator()
+    order = []
+    sim.post_at(ms(1), lambda: order.append("earlier"))
+
+    def receiver(index):
+        order.append(f"rx{index}")
+        sim.post_at(ms(1), lambda: order.append(f"scheduled-by-rx{index}"))
+
+    sim.post_each(ms(1), [lambda arg, i=i: receiver(i) for i in range(3)],
+                  None)
+    sim.post_at(ms(1), lambda: order.append("later"))
+    sim.run()
+    assert order == ["earlier", "rx0", "rx1", "rx2", "later",
+                     "scheduled-by-rx0", "scheduled-by-rx1",
+                     "scheduled-by-rx2"]
+
+
+def test_fan_out_to_nobody_queues_nothing():
+    sim = Simulator()
+    sim.post_each(ms(1), [], "frame")
+    assert sim.pending() == 0
+    sim.run()
+    assert sim.events_run == 0
+
+
+def test_fan_out_in_the_past_raises():
+    sim = Simulator()
+    sim.call_at(ms(5), lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.post_each(ms(1), [lambda arg: None], None)
+
+
+def test_max_events_trip_mid_fan_out_loses_no_receiver():
+    sim = Simulator()
+    seen = []
+    sim.post_each(ms(1), [lambda arg, i=i: seen.append(i) for i in range(6)],
+                  None, label="eth:lan")
+    with pytest.raises(SimulationError):
+        sim.run(max_events=4)
+    assert seen == [0, 1, 2, 3]
+    assert sim.events_run == 4
+    assert sim.pending() == 2
+    sim.run()
+    assert seen == list(range(6))
+    assert sim.events_run == 6
+    assert _dispatch_count(sim, "eth:lan") == 6
+    assert sim.pending() == 0
+
+
+def test_max_events_trip_keeps_the_event_queued():
+    sim = Simulator()
+    seen = []
+    for index in range(3):
+        sim.post_at(ms(index), lambda index=index: seen.append(index))
+    with pytest.raises(SimulationError):
+        sim.run(max_events=2)
+    assert seen == [0, 1] and sim.events_run == 2 and sim.pending() == 1
+    sim.run()
+    assert seen == [0, 1, 2] and sim.events_run == 3
+
+
+# ------------------------------------------------------- lazy rng streams
+
+def test_building_hosts_creates_no_rng_stream_until_first_draw():
+    """Per-component jitter streams resolve on first draw, and the first
+    draw is the one an eagerly created stream would have given."""
+    from repro.config import DEFAULT_CONFIG
+    from repro.testbed import build_testbed
+
+    sim = Simulator(seed=11)
+    testbed = build_testbed(sim, DEFAULT_CONFIG,
+                            with_remote_correspondent=False, with_dhcp=False)
+    # Only the media's loss streams exist: no host built one.
+    assert all(name.startswith("link:") for name in sim._rngs)
+    before = set(sim._rngs)
+
+    mobile = testbed.mobile
+    agent = testbed.home_agent
+    draws = {
+        f"udp:{mobile.name}": lambda: mobile.udp._rng.uniform(0.0, 1.0),
+        f"reg-backoff:{mobile.name}":
+            lambda: mobile.registration._backoff_rng.uniform(0.0, 1.0),
+        f"home-agent:{agent.host.name}": lambda: agent._rng.uniform(0.0, 1.0),
+        f"device:{testbed.mh_eth.name}":
+            lambda: testbed.mh_eth._rng.uniform(0.0, 1.0),
+    }
+    for name, draw in draws.items():
+        assert name not in sim._rngs
+        assert draw() == random.Random(f"11/{name}").uniform(0.0, 1.0)
+        assert name in sim._rngs
+    assert set(sim._rngs) == before | set(draws)
+    # The first draw leaves a plain instance attribute behind, so later
+    # draws pay no property or lookup cost.
+    assert vars(mobile.udp)["_rng"] is sim.rng(f"udp:{mobile.name}")
+    assert vars(testbed.mh_eth)["_rng"] is sim.rng(
+        f"device:{testbed.mh_eth.name}")

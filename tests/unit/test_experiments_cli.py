@@ -49,6 +49,17 @@ def test_jobs_output_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_metrics_output_matches_serial_at_jobs_2(capsys):
+    """Worker processes ship their metrics registries and policy-table
+    snapshots home, so the whole --metrics report is jobs-invariant."""
+    assert main(["f6", "--metrics"]) == 0
+    serial = capsys.readouterr().out
+    assert main(["--jobs", "2", "f6", "--metrics"]) == 0
+    parallel = capsys.readouterr().out
+    assert serial.count("[policy table:") > 1
+    assert serial == parallel
+
+
 def test_runner_table_covers_all_documented_ids():
     assert set(RUNNERS) == {"e1", "f6", "f7", "f3", "a1",
                             "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8",

@@ -5,7 +5,7 @@ import pytest
 from repro.config import DEFAULT_CONFIG, LinkTimings
 from repro.net.addressing import ip
 from repro.net.packet import AppData, IPPacket, PROTO_UDP, UDPDatagram
-from repro.net.link import PointToPointLink, RadioChannel
+from repro.net.link import EthernetSegment, PointToPointLink, RadioChannel
 from repro.sim import MBPS, Simulator, ms, us
 
 
@@ -20,6 +20,87 @@ class FakeEndpoint:
 
     def deliver_from_link(self, packet):
         self.received.append(packet)
+
+
+class FakePort:
+    def __init__(self, name, log=None):
+        self.name = name
+        self.received = []
+        self._log = log
+
+    def deliver_frame(self, frame):
+        self.received.append(frame)
+        if self._log is not None:
+            self._log.append(self.name)
+
+
+class TestEthernetSegment:
+    def _segment(self, sim):
+        return EthernetSegment(sim, "lan",
+                               LinkTimings(latency=ms(1), bandwidth_bps=MBPS))
+
+    def _ports(self, segment, n, log=None):
+        ports = [FakePort(f"p{index}", log) for index in range(n)]
+        for port in ports:
+            segment.attach(port)  # type: ignore[arg-type]
+        return ports
+
+    def test_frame_reaches_every_other_port_in_port_order(self):
+        sim = Simulator()
+        segment = self._segment(sim)
+        log = []
+        ports = self._ports(segment, 5, log)
+        frame = make_packet()  # anything with size_bytes rides the wire
+        segment.transmit(frame, ports[2])  # type: ignore[arg-type]
+        sim.run()
+        assert log == ["p0", "p1", "p3", "p4"]
+        assert all(port.received == [frame]
+                   for index, port in enumerate(ports) if index != 2)
+        assert ports[2].received == []
+
+    def test_fan_out_counts_one_event_per_receiver(self):
+        """One frame to N other ports counts N dispatches, N events and a
+        queue high-water of N, exactly as one event per port did."""
+        sim = Simulator()
+        segment = self._segment(sim)
+        ports = self._ports(segment, 9)
+        segment.transmit(make_packet(), ports[0])  # type: ignore[arg-type]
+        assert sim.pending() == 8
+        sim.run()
+        assert sim.events_run == 8
+        assert sim.metrics.get("engine", "dispatched",
+                               label="eth:lan").value == 8
+        assert sim.metrics.gauge("engine", "queue_depth_max").value == 8
+
+    def test_port_detached_after_transmit_still_gets_the_frame(self):
+        sim = Simulator()
+        segment = self._segment(sim)
+        a, b, c = self._ports(segment, 3)
+        frame = make_packet()
+        segment.transmit(frame, a)  # type: ignore[arg-type]
+        segment.detach(b)  # type: ignore[arg-type]
+        late = FakePort("late")
+        segment.attach(late)  # type: ignore[arg-type]
+        sim.run()
+        assert b.received == [frame] and c.received == [frame]
+        assert late.received == []
+        segment.transmit(make_packet(), a)  # type: ignore[arg-type]
+        sim.run()
+        assert len(b.received) == 1
+        assert len(c.received) == 2 and len(late.received) == 1
+
+    def test_unattached_sender_reaches_every_port(self):
+        sim = Simulator()
+        segment = self._segment(sim)
+        ports = self._ports(segment, 2)
+        segment.transmit(make_packet(), FakePort("gone"))  # type: ignore[arg-type]
+        sim.run()
+        assert all(len(port.received) == 1 for port in ports)
+
+    def test_detach_unknown_port_raises(self):
+        segment = self._segment(Simulator())
+        with pytest.raises(ValueError):
+            segment.detach(FakePort("never"))  # type: ignore[arg-type]
 
 
 class TestPointToPoint:
@@ -155,6 +236,20 @@ class TestRadioChannel:
         assert radios[0].received == []
         assert len(radios[1].received) == 1
         assert len(radios[2].received) == 1
+
+    def test_broadcast_counts_one_event_per_receiver(self):
+        sim = Simulator()
+        channel = self._channel(sim)
+        radios = [FakeRadio() for _ in range(4)]
+        for radio in radios:
+            channel.attach(radio)  # type: ignore[arg-type]
+        channel.transmit(make_packet(), ip("255.255.255.255"), radios[1])  # type: ignore[arg-type]
+        channel.detach(radios[3])  # type: ignore[arg-type]
+        sim.run()
+        assert [len(radio.received) for radio in radios] == [1, 0, 1, 1]
+        assert sim.events_run == 3
+        assert sim.metrics.get("engine", "dispatched",
+                               label="radio:air:bcast").value == 3
 
     def test_detach_withdraws_addresses(self):
         sim = Simulator()

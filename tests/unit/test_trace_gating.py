@@ -22,10 +22,10 @@ def test_verbose_categories_are_off_by_default():
 
 def test_enable_opts_verbose_category_back_in():
     sim = Simulator()
-    sim.trace.enable("policy.cache")
-    assert sim.trace.wants("policy.cache")
-    sim.trace.emit("policy.cache", "hit", dst="36.8.0.20")
-    assert sim.trace.select("policy.cache", "hit")[0]["dst"] == "36.8.0.20"
+    sim.trace.enable("engine.debug")
+    assert sim.trace.wants("engine.debug")
+    sim.trace.emit("engine.debug", "hit", dst="36.8.0.20")
+    assert sim.trace.select("engine.debug", "hit")[0]["dst"] == "36.8.0.20"
 
 
 def test_disable_suppresses_any_category():
