@@ -7,7 +7,7 @@ registration and any authentication information." (Section 3.1)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.net.addressing import IPAddress

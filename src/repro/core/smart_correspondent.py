@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.core.auth import RegistrationAuthenticator
-from repro.core.bindings import MobilityBinding, MobilityBindingTable
+from repro.core.bindings import MobilityBindingTable
 from repro.core.registration import (
     CODE_ACCEPTED,
     REGISTRATION_PORT,

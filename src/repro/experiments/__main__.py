@@ -34,9 +34,9 @@ profiles.
 those built in worker processes, whose registries are merged back — and
 prints the combined :mod:`repro.obs` registry after its report:
 link/interface traffic, tunnel encap/decap, TCP retransmits,
-registration latency histograms, and the engine's dispatch counters.
-(Policy-table snapshots are parent-process only; with ``--jobs > 1``
-they cover only trials that ran in-process.)
+registration latency histograms, and the engine's dispatch counters —
+followed by every Mobile Policy Table the run built, whose snapshots
+workers ship home like the registries.
 """
 
 from __future__ import annotations
@@ -73,39 +73,36 @@ from repro.experiments.exp_tcp_chaos import run_tcp_chaos_experiment
 
 RUNNERS = {
     "e1": ("Same-subnet address switch (Section 4)",
-           lambda jobs: run_same_subnet_experiment(jobs=jobs).format_report()),
+           run_same_subnet_experiment),
     "f6": ("Device switching overhead (Figure 6)",
-           lambda jobs: run_device_switch_experiment(jobs=jobs).format_report()),
+           run_device_switch_experiment),
     "f7": ("Registration time-line (Figure 7)",
-           lambda jobs: run_registration_experiment(jobs=jobs).format_report()),
+           run_registration_experiment),
     "f3": ("Routing options (Section 3.2 / Figure 3)",
-           lambda jobs: run_routing_options_experiment(jobs=jobs).format_report()),
+           run_routing_options_experiment),
     "a1": ("Foreign-agent ablation (Section 5.1)",
-           lambda jobs: run_fa_ablation(jobs=jobs).format_report()),
+           run_fa_ablation),
     "x1": ("Smart correspondents: reverse-path routing (extension)",
-           lambda jobs: run_smart_correspondent_experiment(jobs=jobs)
-           .format_report()),
+           run_smart_correspondent_experiment),
     "x2": ("Home-agent scalability (Section 4's claim, extension)",
-           lambda jobs: run_ha_scalability_experiment(jobs=jobs)
-           .format_report()),
+           run_ha_scalability_experiment),
     "x3": ("Auto-switch probe cadence ablation (Section 6, extension)",
-           lambda jobs: run_autoswitch_experiment(jobs=jobs).format_report()),
+           run_autoswitch_experiment),
     "x4": ("Home-agent fleet sweep: 100-1000 hosts, sharded (extension)",
-           lambda jobs: run_ha_fleet_sweep(jobs=jobs).format_report()),
+           run_ha_fleet_sweep),
     "x5": ("Chaos sweep: fault injection and recovery (extension)",
-           lambda jobs: run_chaos_experiment(jobs=jobs).format_report()),
+           run_chaos_experiment),
     "x6": ("TCP congestion control: Tahoe/Reno/CUBIC over mobility (extension)",
-           lambda jobs: run_tcp_cc_experiment(jobs=jobs).format_report()),
+           run_tcp_cc_experiment),
     "x7": ("Fleet scale: 10^3-10^6 aggregate hosts on a consistent-hash "
            "home-agent plane (extension)",
-           lambda jobs: run_fleet_scale_experiment(jobs=jobs).format_report()),
+           run_fleet_scale_experiment),
     "x8": ("Plane chaos: membership churn, partitions and crashes under "
            "live registration load, audited (extension)",
-           lambda jobs: run_plane_chaos_experiment(jobs=jobs)
-           .format_report()),
+           run_plane_chaos_experiment),
     "x9": ("TCP chaos: the x5 fault grid over a windowed RFC 9293 "
            "session (extension)",
-           lambda jobs: run_tcp_chaos_experiment(jobs=jobs).format_report()),
+           run_tcp_chaos_experiment),
 }
 
 
@@ -200,23 +197,23 @@ def _run(argv: list) -> int:
         if args.metrics or args.profile:
             with capture_simulators() as captured, \
                     capture_policy_tables() as tables:
-                report = runner(args.jobs)
-            print(report)
-            if args.metrics:
-                print()
-                print(format_reports((sim.metrics for sim in captured),
-                                     title=f"{name} metrics"))
-                if tables:
-                    print(format_policy_tables(tables))
-            if args.profile:
-                print()
-                print(f"--- {name} engine profile "
-                      f"({len(captured)} simulators) ---")
-                print(json.dumps(
-                    aggregate_profiles([sim.profile() for sim in captured]),
-                    indent=2, sort_keys=True))
+                report = runner(jobs=args.jobs)
         else:
-            print(runner(args.jobs))
+            report = runner(jobs=args.jobs)
+        print(report.format_report())
+        if args.metrics:
+            print()
+            print(format_reports((sim.metrics for sim in captured),
+                                 title=f"{name} metrics"))
+            if tables:
+                print(format_policy_tables(tables))
+        if args.profile:
+            print()
+            print(f"--- {name} engine profile "
+                  f"({len(captured)} simulators) ---")
+            print(json.dumps(
+                aggregate_profiles([sim.profile() for sim in captured]),
+                indent=2, sort_keys=True))
         print()
     return _flush_stdout()
 

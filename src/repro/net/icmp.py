@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from repro.config import Config, HostTimings
 from repro.net.addressing import IPAddress, UNSPECIFIED

@@ -13,8 +13,7 @@ Packets used to be frozen dataclasses; they are now hand-rolled
 ``__slots__`` value classes because construction is the datapath's hottest
 allocation (every hop of every packet builds at least one).  The slotted
 layout skips the per-instance ``__dict__`` and the frozen-dataclass
-``object.__setattr__`` round-trip, roughly halving construction cost
-(``python -m repro.bench`` tracks the ratio against the old dataclasses).
+``object.__setattr__`` round-trip, roughly halving construction cost.
 Treat instances as immutable: nothing in the repository mutates a packet
 after construction, and sharing below relies on that (``decremented()``
 copies, tunnels nest the inner packet by reference).

@@ -1,8 +1,9 @@
 """Smoke tests for every experiment harness (small parameterizations).
 
-The benchmarks run the full-size experiments; these keep the harness code
-itself under fast test, verify determinism, and check that every report
-serializes to plain data and renders to text.
+The full-size default runs are pinned by ``test_report_goldens.py`` and
+checked for paper shape by ``test_paper_shapes.py``; these keep the
+harness code itself under fast test, verify determinism, and check that
+every report serializes to plain data and renders to text.
 """
 
 import json

@@ -1,0 +1,52 @@
+"""Throughput floors for the two fleet paths, in registrations per second.
+
+* x7's aggregate model must keep a 10^5-host fleet cheap: one
+  :class:`~repro.workloads.aggregate.AggregateHostModel` pass over the
+  hosts, no per-registration events.  Its 10^5-host row must process at
+  least :data:`MIN_FLEET_REGS_PER_SEC`; a return to per-host simulation
+  runs ~100x slower and trips it.
+* One full-chaos x8 cell (join, drain, partition and crash under live
+  per-event registration load) must finish with zero plane invariant
+  violations, reproduce itself exactly, and clear
+  :data:`MIN_CHURN_REGS_PER_SEC` real registration exchanges per second;
+  a regression to O(ports) per-packet scans on the hub router trips it.
+
+Both floors leave about an order of magnitude of headroom for slow
+machines.  Rerun identity of the x7 report is pinned by
+``tests/property/test_prop_fleet_scale.py``.
+"""
+
+import time
+
+from repro.experiments.exp_fleet_scale import run_fleet_scale_experiment
+from repro.experiments.exp_plane_chaos import run_plane_chaos_trial
+
+MIN_FLEET_REGS_PER_SEC = 10_000.0
+MIN_CHURN_REGS_PER_SEC = 100.0
+
+
+def test_x7_fleet_row_clears_registration_floor():
+    start = time.perf_counter()
+    report = run_fleet_scale_experiment(fleet_sizes=(100_000,),
+                                        failover_fleet=None)
+    wall_s = time.perf_counter() - start
+    (point,) = report.points
+    assert point.registrations / wall_s >= MIN_FLEET_REGS_PER_SEC
+
+
+class TestAuditedChurnCell:
+    def test_100_host_cell_gates_and_reports(self):
+        def cell() -> dict:
+            return run_plane_chaos_trial(fleet_size=100, n_hosts=100,
+                                         host_offset=0, churn=True,
+                                         partition=True, seed=71)
+
+        start = time.perf_counter()
+        doc = cell()
+        wall_s = time.perf_counter() - start
+        assert doc["violations"] == 0
+        assert doc == cell()
+        assert doc["faults_injected"] == 4
+        assert doc["accepted"] > 0
+        assert doc["takeovers"] > 0
+        assert doc["accepted"] / wall_s >= MIN_CHURN_REGS_PER_SEC

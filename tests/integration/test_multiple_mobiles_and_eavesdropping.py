@@ -12,8 +12,7 @@ the address is reused immediately, and the FIFO free list prevents it.
 from repro.core.mobile_host import MobileHost
 from repro.net.addressing import ip
 from repro.net.interface import EthernetInterface, InterfaceState
-from repro.sim import Simulator, ms, s
-from repro.testbed import build_testbed
+from repro.sim import ms, s
 from repro.workloads import UdpEchoResponder, UdpEchoStream
 
 HOME_1 = ip("36.135.0.10")

@@ -79,6 +79,24 @@ def test_correspondent_never_sees_the_care_of_address(testbed):
         assert not packet.startswith(f"{care_of} ->")
 
 
+def test_hundred_tunneled_echo_round_trips():
+    """A 10 ms echo stream to the visiting mobile host for one second:
+    at least 100 round trips complete through the tunnel."""
+    sim = Simulator(seed=1)
+    testbed = build_testbed(sim, with_remote_correspondent=False,
+                            with_dhcp=False)
+    testbed.visit_dept()
+    sim.run_for(s(1))
+    UdpEchoResponder(testbed.mobile)
+    stream = UdpEchoStream(testbed.correspondent, testbed.addresses.mh_home,
+                           interval=ms(10))
+    stream.start()
+    sim.run_for(ms(10) * 100)
+    stream.stop()
+    sim.run_for(s(1))
+    assert stream.received >= 100
+
+
 def test_remote_correspondent_gets_similar_results(full_testbed):
     """'We received similar results for a correspondent host located on a
     campus network outside the department.'"""

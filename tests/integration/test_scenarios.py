@@ -55,7 +55,6 @@ def test_random_walk_binding_always_tracks(testbed):
     """Soak: after every dwell period, the home agent's binding points at
     wherever the walk put the mobile host."""
     run = random_walk(testbed, moves=6, dwell=s(3))
-    addresses = testbed.addresses
     observations = []
 
     def observe(index):

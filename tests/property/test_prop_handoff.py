@@ -3,8 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.handoff import AddressSwitcher, DeviceSwitcher
-from repro.net.addressing import IPAddress, ip
-from repro.sim import Simulator, ms, s
+from repro.net.addressing import ip
+from repro.sim import Simulator, s
 from repro.testbed import build_testbed
 
 HOME = ip("36.135.0.10")

@@ -10,10 +10,30 @@ repository.  The engine has one scheduler, its ``(time, seq)`` heap, so
 
 import pytest
 
-from repro.bench.datapath_bench import run_scenario
-from repro.sim.units import s
+from repro.config import DEFAULT_CONFIG
+from repro.sim.engine import Simulator
+from repro.sim.units import ms, s
+from repro.testbed.topology import build_testbed
+from repro.workloads.udp_echo import UdpEchoResponder, UdpEchoStream
 
 SEEDS = range(5)
+
+
+def run_scenario(seed: int, duration_ns: int) -> Simulator:
+    """Figure-5 testbed, a 20 ms UDP echo stream from the mobile host to
+    the department correspondent, and a handoff to the department net at
+    2 s (so table updates run under load)."""
+    sim = Simulator(seed=seed)
+    testbed = build_testbed(sim, DEFAULT_CONFIG, with_remote_correspondent=False,
+                            with_dhcp=False)
+    UdpEchoResponder(testbed.correspondent)
+    stream = UdpEchoStream(testbed.mobile, testbed.addresses.ch_dept,
+                           interval=ms(20))
+    stream.start()
+    sim.call_later(s(2), lambda: testbed.visit_dept(), label="handoff")
+    sim.run(until=duration_ns)
+    stream.stop()
+    return sim
 
 
 def observable_state(sim):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.registration import RegistrationRequest
 from repro.core.smart_correspondent import SmartCorrespondent
 from repro.net.addressing import IPAddress, ip
-from repro.net.packet import AppData
 from repro.sim import Simulator, s
 from repro.testbed import build_testbed
 

@@ -4,9 +4,9 @@ Three contracts:
 
 1. The x6 sweep is ``--jobs``-invariant: worker count never changes the
    report, because every cell's randomness is addressed by its own seed.
-2. Reno and CUBIC are deterministic: the same trial at the same seed
-   produces field-identical results on every run (CUBIC's cube root is
-   integer arithmetic, never a float library call).
+2. Tahoe, Reno and CUBIC are deterministic: the same trial at the same
+   seed produces field-identical results on every run (CUBIC's cube root
+   is integer arithmetic, never a float library call).
 3. The default config *is* Tahoe: making ``tcp_congestion_control="tahoe"``
    explicit changes nothing in the existing x1-x5 extension experiments
    byte-for-byte, so the strategy seam is invisible until opted into.
@@ -39,8 +39,8 @@ def test_tcp_cc_report_is_jobs_invariant(seed):
     assert as_plain_data(parallel) == as_plain_data(serial)
 
 
-@pytest.mark.parametrize("cc", ["reno", "cubic"])
-def test_modern_strategies_are_run_to_run_deterministic(cc):
+@pytest.mark.parametrize("cc", ["tahoe", "reno", "cubic"])
+def test_strategies_are_run_to_run_deterministic(cc):
     first = run_tcp_cc_trial(cc, loss_rate=0.25, handoff=True, seed=1)
     second = run_tcp_cc_trial(cc, loss_rate=0.25, handoff=True, seed=1)
     assert first == second

@@ -81,6 +81,20 @@ def test_tcp_chaos_trial_is_run_to_run_deterministic():
     assert first == second
 
 
+def test_windowed_x9_cell_stalls_probes_and_reruns_identically():
+    """x9's (loss 0, flap 7 s) cell at full size: the receiver-limited
+    sender must stall on the closed window, the interface flaps must force
+    persist probes, data must still move, and a same-seed rerun must be
+    field-identical (a lost window update must be survivable, not merely
+    unlikely)."""
+    first = run_tcp_chaos_trial(0.0, flap_period_ns=ms(7000), seed=132)
+    assert first == run_tcp_chaos_trial(0.0, flap_period_ns=ms(7000),
+                                        seed=132)
+    assert first["goodput_kbps"] > 0
+    assert first["zero_window_ms"] > 0
+    assert first["persist_probes"] > 0
+
+
 def test_tcp_chaos_trial_seeds_are_addressed_by_cell_index():
     trials = build_tcp_chaos_trials((0.0, 0.2), (0.0, 7000.0),
                                     seed=40, config=DEFAULT_CONFIG)

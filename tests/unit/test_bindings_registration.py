@@ -12,7 +12,7 @@ from repro.core.registration import (
 )
 from repro.net.addressing import ip
 from repro.net.packet import AppData
-from repro.sim import Simulator, ms, s
+from repro.sim import s
 
 HOME = ip("36.135.0.10")
 CARE_OF = ip("36.8.0.50")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG, Config
-from repro.net.addressing import ip
 from repro.sim import KBPS, Simulator, ms, s
 from repro.sim.units import transmission_delay
 from repro.testbed import Addresses, build_testbed
@@ -68,6 +67,9 @@ class TestTestbed:
                                 with_dhcp=False)
         assert testbed.home_agent_host is not testbed.router
         assert testbed.home_agent.address == testbed.addresses.home_agent_host
+
+    def test_full_build_starts_at_home(self, full_testbed):
+        assert full_testbed.mobile.at_home
 
     def test_remote_network_present_by_default(self, full_testbed):
         assert full_testbed.remote_correspondent is not None

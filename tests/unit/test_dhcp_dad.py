@@ -7,7 +7,7 @@ from repro.net.addressing import ip
 from repro.net.dhcp import DHCPClient, DHCPClientState, DHCPServer
 from repro.net.host import Host
 from repro.net.interface import EthernetInterface, InterfaceState
-from repro.sim import ms, s
+from repro.sim import s
 
 
 @pytest.fixture

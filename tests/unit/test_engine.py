@@ -161,6 +161,15 @@ def test_events_run_counter():
     assert sim.events_run == 7
 
 
+def test_ten_thousand_trivial_events_all_run():
+    sim = Simulator()
+    counter = []
+    for index in range(10_000):
+        sim.call_at(index, lambda: counter.append(None))
+    sim.run()
+    assert len(counter) == 10_000
+
+
 def test_max_events_budget_is_per_call():
     """Regression: the budget used to compare against the lifetime total,
 

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.core.registration import (
-    CODE_ACCEPTED,
     CODE_DENIED_BAD_REQUEST,
     CODE_DENIED_UNKNOWN_HOME,
     REGISTRATION_PORT,
-    RegistrationClient,
-    RegistrationReply,
     RegistrationRequest,
 )
 from repro.net.addressing import ip
@@ -150,7 +147,6 @@ def test_ha_processing_time_matches_figure7(testbed, agent):
 
 def test_negative_lifetime_denied(testbed, agent):
     testbed.visit_dept(register=False)
-    outcomes = []
     # Craft a raw request with a negative lifetime.
     request = RegistrationRequest(HOME, testbed.addresses.mh_dept_care_of,
                                   agent.address, lifetime=-1,

@@ -9,11 +9,10 @@ from repro.net.interface import (
     EthernetInterface,
     InterfaceError,
     InterfaceState,
-    LoopbackInterface,
 )
 from repro.net.link import EthernetSegment
 from repro.net.packet import AppData
-from repro.sim import Simulator, ms
+from repro.sim import ms
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import pytest
 from repro.net.addressing import ip, subnet
 from repro.net.packet import AppData, IPPacket, PROTO_UDP, UDPDatagram
 from repro.net.routing import RouteResult
-from repro.sim import ms
 
 
 def datagram_packet(src, dst, port=9, size=10):

@@ -6,7 +6,7 @@ from repro.config import DEFAULT_CONFIG, LinkTimings
 from repro.net.addressing import ip
 from repro.net.packet import AppData, IPPacket, PROTO_UDP, UDPDatagram
 from repro.net.link import EthernetSegment, PointToPointLink, RadioChannel
-from repro.sim import MBPS, Simulator, ms, us
+from repro.sim import MBPS, Simulator, ms
 
 
 def make_packet(size=100, src="1.1.1.1", dst="2.2.2.2"):

@@ -4,10 +4,9 @@ from repro.core.notify import (
     EventKind,
     LinkProfile,
     NetworkChangeNotifier,
-    NetworkEvent,
     profile_of,
 )
-from repro.sim import Simulator, s
+from repro.sim import s
 
 
 def eth_profile(name="eth0", bandwidth=10_000_000.0, up=True):

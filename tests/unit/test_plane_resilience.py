@@ -25,7 +25,7 @@ from repro.faults import (
     ReplicaDrain,
     ReplicaJoin,
 )
-from repro.sim import Simulator, ms, s
+from repro.sim import Simulator, s
 
 CONFIG = plane_chaos_config()
 

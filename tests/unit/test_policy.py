@@ -1,7 +1,7 @@
 """Unit tests for the Mobile Policy Table and routing modes."""
 
 from repro.core.policy import MobilePolicyTable, RoutingMode
-from repro.net.addressing import Subnet, ip, subnet
+from repro.net.addressing import ip, subnet
 
 
 class TestModes:

@@ -7,7 +7,6 @@ from repro.net.addressing import MACAllocator, ip, subnet
 from repro.net.interface import EthernetInterface
 from repro.net.packet import AppData, IPPacket, PROTO_UDP, UDPDatagram
 from repro.net.router import Router
-from repro.sim import Simulator
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ from repro.config import DEFAULT_CONFIG
 from repro.net.addressing import MACAllocator, ip, subnet
 from repro.net.interface import EthernetInterface, InterfaceState, NetworkInterface
 from repro.net.routing import RouteEntry, RouteResult, RoutingTable
-from repro.sim import Simulator
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 from repro.net.addressing import ip
 from repro.net.packet import AppData
 from repro.net.tcp import DEFAULT_MSS, DEFAULT_WINDOW_BYTES, TCPState
-from repro.sim import ms, s
+from repro.sim import s
 
 from tests.unit.test_tcp import open_session
 

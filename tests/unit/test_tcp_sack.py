@@ -1,7 +1,5 @@
 """Unit tests for SACK: scoreboard, reassembly, and wire behaviour."""
 
-import pytest
-
 from repro.config import DEFAULT_CONFIG
 from repro.net.addressing import ip
 from repro.net.packet import AppData

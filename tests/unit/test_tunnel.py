@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
 from repro.net.addressing import UNSPECIFIED, ip
 from repro.net.packet import (
     AppData,
@@ -10,9 +9,8 @@ from repro.net.packet import (
     PROTO_IPIP,
     PROTO_UDP,
     UDPDatagram,
-    encapsulation_depth,
 )
-from repro.core.tunnel import TunnelError, VirtualInterface, install_tunnel
+from repro.core.tunnel import TunnelError, install_tunnel
 from repro.sim import ms
 
 
