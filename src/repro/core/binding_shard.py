@@ -386,7 +386,7 @@ class BindingShardPlane:
         self.stale_served += 1
         self.sim.metrics.counter("binding_shard", "stale_served").value += 1
         self.sim.trace.emit("binding_shard", "stale_served",
-                            home_address=str(home_address),
+                            home_address=home_address,
                             origin=origin,
                             age_ms=(self.sim.now - updated_at) / 1e6)
         return (care_of, "stale")

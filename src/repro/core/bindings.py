@@ -120,8 +120,8 @@ class MobilityBindingTable:
         self._expiry_events.pop(home_address, None)
         self._sim.trace.emit("binding", "expired",
                              agent=self.owner,
-                             home_address=str(home_address),
-                             care_of=str(binding.care_of_address))
+                             home_address=home_address,
+                             care_of=binding.care_of_address)
         if self.on_expire is not None:
             self.on_expire(binding)
 

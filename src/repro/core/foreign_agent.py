@@ -113,7 +113,7 @@ class ForeignAgentService:
             self._visitors[request.home_address] = visitor
         self.sim.trace.emit("foreign_agent", "relay_request",
                             fa=self.host.name,
-                            home_address=str(request.home_address))
+                            home_address=request.home_address)
         delay = jittered(self._rng, self.config.registration.ha_receive_overhead,
                          self.config.jitter)
         self.sim.call_later(
@@ -137,7 +137,7 @@ class ForeignAgentService:
         elif reply.accepted and reply.lifetime == 0:
             self._drop_visitor(visitor)
         self.sim.trace.emit("foreign_agent", "relay_reply", fa=self.host.name,
-                            home_address=str(home_address), code=reply.code)
+                            home_address=home_address, code=reply.code)
         delay = jittered(self._rng, self.config.registration.ha_send_overhead,
                          self.config.jitter)
         self.sim.call_later(
@@ -187,8 +187,8 @@ class ForeignAgentService:
             visitor.route = self.host.ip.routes.add_host_route(
                 home_address, self.vif)
         self.sim.trace.emit("foreign_agent", "departure", fa=self.host.name,
-                            home_address=str(home_address),
-                            forward_to=str(new_care_of) if new_care_of else None)
+                            home_address=home_address,
+                            forward_to=new_care_of)
         self.sim.call_later(grace,
                             lambda: self._end_grace(home_address),
                             label="fa-grace")
@@ -209,6 +209,6 @@ class ForeignAgentService:
             return None
         self.packets_forwarded_after_departure += 1
         self.sim.trace.emit("foreign_agent", "forwarded_after_departure",
-                            fa=self.host.name, home_address=str(inner.dst),
-                            to=str(visitor.forward_to))
+                            fa=self.host.name, home_address=inner.dst,
+                            to=visitor.forward_to)
         return (self.care_of_address, visitor.forward_to)

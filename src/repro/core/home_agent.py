@@ -166,7 +166,7 @@ class HomeAgentService:
         delay = (jittered(self._rng, timings.ha_receive_overhead, self.config.jitter)
                  + jittered(self._rng, timings.ha_processing_cost, self.config.jitter))
         self.sim.trace.emit("registration", "ha_received", host=self.host.name,
-                            ident=request.identification, source=str(src))
+                            ident=request.identification, source=src)
         self._processing_fifo.schedule(delay,
                                        lambda: self._process(request, src),
                                        label="ha-process")
@@ -231,7 +231,7 @@ class HomeAgentService:
 
             self.sim.trace.emit("registration", "auth_failed",
                                 host=self.host.name,
-                                home_address=str(request.home_address))
+                                home_address=request.home_address)
             return CODE_DENIED_AUTHENTICATION
         return CODE_ACCEPTED
 
@@ -251,8 +251,8 @@ class HomeAgentService:
             self.on_binding_change(request.home_address, binding)
         self.sim.trace.emit("binding", "registered",
                             agent=self.host.name,
-                            home_address=str(request.home_address),
-                            care_of=str(request.care_of_address),
+                            home_address=request.home_address,
+                            care_of=request.care_of_address,
                             lifetime_ms=request.lifetime / 1_000_000)
 
     def _deregister(self, request: RegistrationRequest) -> None:
@@ -264,7 +264,7 @@ class HomeAgentService:
             self.on_binding_change(request.home_address, None)
         self.sim.trace.emit("binding", "deregistered",
                             agent=self.host.name,
-                            home_address=str(request.home_address))
+                            home_address=request.home_address)
 
     # ------------------------------------------------------------- replication
 
@@ -283,8 +283,8 @@ class HomeAgentService:
         self.sim.metrics.counter("home_agent", "bindings_flushed",
                                  host=self.host.name).value += 1
         self.sim.trace.emit("binding", "flushed", agent=self.host.name,
-                            home_address=str(home_address),
-                            care_of=str(binding.care_of_address))
+                            home_address=home_address,
+                            care_of=binding.care_of_address)
         return True
 
     def adopt_binding(self, binding: MobilityBinding) -> bool:
@@ -306,8 +306,8 @@ class HomeAgentService:
         self.sim.metrics.counter("home_agent", "bindings_adopted",
                                  host=self.host.name).value += 1
         self.sim.trace.emit("binding", "adopted", agent=self.host.name,
-                            home_address=str(binding.home_address),
-                            care_of=str(binding.care_of_address))
+                            home_address=binding.home_address,
+                            care_of=binding.care_of_address)
         return True
 
     # --------------------------------------------------------------- intercept

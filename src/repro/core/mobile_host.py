@@ -160,8 +160,7 @@ class MobileHost(Host):
         self.care_of = care_of
         self.active_interface = iface
         self.sim.trace.emit("mobile", "visiting", host=self.name,
-                            care_of=str(care_of),
-                            previous=str(old_care_of) if old_care_of else None)
+                            care_of=care_of, previous=old_care_of)
         self.notifier.attachment_changed(profile_of(iface))
         if register:
             self.register_current(on_registered, on_failed)
@@ -188,7 +187,7 @@ class MobileHost(Host):
         self.care_of = fa_address
         self.active_interface = iface
         self.sim.trace.emit("mobile", "visiting_fa", host=self.name,
-                            foreign_agent=str(fa_address))
+                            foreign_agent=fa_address)
         self.registration.register(
             fa_address,
             on_done=on_registered if on_registered is not None else _ignore_outcome,
@@ -299,7 +298,7 @@ class MobileHost(Host):
             return
         self.renewals_sent += 1
         self.sim.trace.emit("registration", "renewal", host=self.name,
-                            care_of=str(self.care_of))
+                            care_of=self.care_of)
         self.register_current(on_failed=self._renewal_gave_up)
 
     def _renewal_gave_up(self) -> None:
@@ -348,10 +347,8 @@ class MobileHost(Host):
             # the home address), so the IETF baseline sends direct with
             # the home source and lets the FA route it — i.e. the triangle.
             mode = RoutingMode.TRIANGLE
-        trace = self.sim.trace
-        if trace.wants("policy"):
-            trace.emit("policy", "decision", host=self.name,
-                       destination=str(dst), mode=mode.value)
+        self.sim.trace.emit("policy", "decision", host=self.name,
+                            destination=dst, mode=mode.value)
         if mode is RoutingMode.TUNNEL or mode is RoutingMode.ENCAP_DIRECT:
             # Route into the VIF; the endpoint selector picks the outer
             # destination (home agent, or the correspondent itself for the
@@ -408,14 +405,14 @@ class MobileHost(Host):
         def reached(rtt: int) -> None:
             self.policy.record_probe_result(dst, True)
             self.sim.trace.emit("policy", "probe_ok", host=self.name,
-                                destination=str(dst), rtt_ms=rtt / 1_000_000)
+                                destination=dst, rtt_ms=rtt / 1_000_000)
             if on_result is not None:
                 on_result(dst, True)
 
         def timed_out() -> None:
             self.policy.record_probe_result(dst, False)
             self.sim.trace.emit("policy", "probe_failed", host=self.name,
-                                destination=str(dst))
+                                destination=dst)
             if on_result is not None:
                 on_result(dst, False)
 

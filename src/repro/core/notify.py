@@ -146,9 +146,7 @@ class NetworkChangeNotifier:
         """Deliver an event to every matching subscription."""
         event = NetworkEvent(kind=kind, time=self.sim.now, old=old, new=new)
         self.events_published += 1
-        self.sim.trace.emit("notify", kind.value,
-                            old=old.describe() if old else None,
-                            new=new.describe() if new else None)
+        self.sim.trace.emit("notify", kind.value, old=old, new=new)
         for subscription in list(self._subscriptions):
             if subscription.wants(event):
                 subscription.delivered += 1

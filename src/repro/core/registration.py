@@ -245,7 +245,7 @@ class RegistrationClient:
         self.sim.trace.emit("registration", "request_start",
                             host=self.host.name,
                             ident=request.identification,
-                            care_of=str(request.care_of_address))
+                            care_of=request.care_of_address)
         marshal = jittered(self._rng, timings.mh_marshal_cost, self.config.jitter)
         send_cost = jittered(self._rng, timings.mh_send_overhead, self.config.jitter)
         self.sim.call_later(marshal + send_cost,
@@ -285,7 +285,7 @@ class RegistrationClient:
                   else pending.request.home_agent)
         self.sim.trace.emit("registration", "request_sent", host=self.host.name,
                             ident=ident, attempt=pending.transmissions,
-                            target=str(target))
+                            target=target)
         self._socket.sendto(pending.request.wrap(), target, REGISTRATION_PORT,
                             via=via)
         delay = self._retry_delay(pending.transmissions)

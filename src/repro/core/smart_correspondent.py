@@ -91,7 +91,7 @@ class SmartCorrespondent:
             self.updates_rejected += 1
             self.sim.trace.emit("smart_ch", "update_rejected",
                                 host=self.host.name,
-                                home_address=str(update.home_address))
+                                home_address=update.home_address)
             reply = RegistrationReply(code=CODE_UPDATE_DENIED,
                                       home_address=update.home_address,
                                       care_of_address=update.care_of_address,
@@ -103,15 +103,15 @@ class SmartCorrespondent:
             self.bindings.deregister(update.home_address)
             self.sim.trace.emit("smart_ch", "binding_invalidated",
                                 host=self.host.name,
-                                home_address=str(update.home_address))
+                                home_address=update.home_address)
         else:
             self.bindings.register(update.home_address,
                                    update.care_of_address, update.lifetime,
                                    update.identification)
             self.sim.trace.emit("smart_ch", "binding_cached",
                                 host=self.host.name,
-                                home_address=str(update.home_address),
-                                care_of=str(update.care_of_address))
+                                home_address=update.home_address,
+                                care_of=update.care_of_address)
         self.updates_accepted += 1
         reply = RegistrationReply(code=CODE_ACCEPTED,
                                   home_address=update.home_address,

@@ -75,7 +75,7 @@ class VirtualInterface(NetworkInterface):
         if endpoints is None:
             self.packets_dropped_no_endpoint += 1
             self.sim.trace.emit("tunnel", "no_endpoint", interface=self.name,
-                                packet=packet.describe())
+                                packet=packet)
             return
         outer_src, outer_dst = endpoints
         if outer_src.is_unspecified:
@@ -94,7 +94,7 @@ class VirtualInterface(NetworkInterface):
         self._overhead_counter.value += outer.size_bytes - packet.size_bytes
         self.tx_packets += 1
         self.sim.trace.emit("tunnel", "encapsulated", interface=self.name,
-                            outer=outer.describe())
+                            outer=outer)
         cost = jittered(self._rng, self.host.timings.tunnel_cost,
                         self.config.jitter)
         self._fifo.schedule(cost, lambda: self.host.ip.send(outer),
@@ -122,7 +122,7 @@ class IPIPModule:
     def _receive(self, outer: IPPacket, iface: NetworkInterface) -> None:
         inner = outer.inner
         self.sim.trace.emit("tunnel", "decapsulated", host=self.host.name,
-                            inner=inner.describe())
+                            inner=inner)
         self.packets_decapsulated += 1
         self._decap_counter.value += 1
         cost = jittered(self.sim.rng(f"ipip:{self.host.name}"),

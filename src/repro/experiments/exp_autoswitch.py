@@ -60,6 +60,7 @@ class AutoswitchReport:
 
 def _run_point(interval: int, seed: int, config: Config) -> SweepPoint:
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     addresses = testbed.addresses

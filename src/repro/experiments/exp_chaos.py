@@ -135,6 +135,7 @@ def run_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
                              renewal_fraction=0.5,
                              default_lifetime=CHAOS_LIFETIME))
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, chaos_config,
                             with_remote_correspondent=False, with_dhcp=True)
     addresses = testbed.addresses

@@ -118,6 +118,7 @@ class DeviceSwitchReport:
 def _prepare(seed: int, config: Config, case: SwitchCase) -> Testbed:
     """Fresh testbed positioned at the case's starting attachment."""
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     addresses = testbed.addresses

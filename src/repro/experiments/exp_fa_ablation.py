@@ -90,6 +90,7 @@ class FAAblationReport:
 def _run_once_without_fa(seed: int, config: Config) -> int:
     """MosquitoNet: collocated care-of on the radio, cold switch to eth."""
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     addresses = testbed.addresses
@@ -121,6 +122,7 @@ def _run_once_without_fa(seed: int, config: Config) -> int:
 def _run_once_with_fa(seed: int, config: Config) -> tuple:
     """Baseline: attached via the radio FA, which forwards after departure."""
     sim = Simulator(seed=seed)
+    sim.trace.record_only("registration")
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False, with_radio_foreign_agent=True)
     addresses = testbed.addresses

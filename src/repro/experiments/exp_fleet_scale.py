@@ -124,6 +124,7 @@ def run_fleet_scale_trial(fleet_size: int, n_hosts: int, host_offset: int,
                           config: Config = DEFAULT_CONFIG) -> dict:
     """One aggregate shard as a pure trial: (params, seed) -> partials."""
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     ring = HashRing(agent_names(agents), vnodes=RING_VNODES)
     model = AggregateHostModel(sim, "fleet", n_hosts,
                                horizon=HORIZON,

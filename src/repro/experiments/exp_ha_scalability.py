@@ -83,6 +83,7 @@ class HAScalabilityReport:
 
 def _run_fleet(fleet_size: int, seed: int, config: Config) -> FleetResult:
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     addresses = testbed.addresses

@@ -372,6 +372,7 @@ def run_plane_chaos_trial(fleet_size: int, n_hosts: int, host_offset: int,
     """
     trial_config = plane_chaos_config(config)
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     plane, registrants, stats = _build_shard(sim, trial_config, n_hosts,
                                              host_offset)
 

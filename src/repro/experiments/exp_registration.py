@@ -82,6 +82,7 @@ def run_registration_trial(iterations: int, seed: int,
     other experiments' trials.
     """
     sim = Simulator(seed=seed)
+    sim.trace.record_only("registration")
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     addresses = testbed.addresses

@@ -122,6 +122,7 @@ def _measure_mode(mode: RoutingMode, probes: int, seed: int,
     the remote router enforces ingress filtering.
     """
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_dhcp=False)
     addresses = testbed.addresses
     assert testbed.remote_router is not None
@@ -159,6 +160,7 @@ def _encap_overhead(mode: RoutingMode) -> int:
 def _fallback_demo(seed: int, config: Config) -> tuple:
     """Probe-and-fallback: ping fails under TRIANGLE, tunnel recovers."""
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_dhcp=False)
     addresses = testbed.addresses
     assert testbed.remote_router is not None

@@ -90,6 +90,7 @@ def run_same_subnet_trial(index: int, iterations: int, seed: int,
     switch_time = spread_phases(iterations, probe_interval,
                                 base_ns=ms(1500))[index]
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     addresses = testbed.addresses

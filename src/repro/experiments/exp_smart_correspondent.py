@@ -69,6 +69,7 @@ class SmartCorrespondentReport:
 def _measure(seed: int, config: Config, smart: bool,
              probes: int) -> tuple:
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False, separate_home_agent=True)
     correspondent = testbed.correspondent
@@ -94,6 +95,7 @@ def _fallback_lossless(seed: int, config: Config) -> bool:
     """Let the cached binding expire mid-stream; traffic must continue
     (through the home agent) without loss."""
     sim = Simulator(seed=seed)
+    sim.trace.record_only()
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False, separate_home_agent=True)
     smart = SmartCorrespondent(testbed.correspondent)

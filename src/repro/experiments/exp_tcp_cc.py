@@ -170,6 +170,7 @@ def run_tcp_cc_trial(cc: str, loss_rate: float, handoff: bool, seed: int,
     session: dict = {}
 
     def start_session(testbed: Testbed) -> dict:
+        testbed.sim.trace.record_only()
         testbed.visit_dept()
         receiver = TimedTcpReceiver(testbed.mobile)
         sender = TcpBulkSender(testbed.correspondent,
@@ -218,10 +219,6 @@ def run_tcp_cc_trial(cc: str, loss_rate: float, handoff: bool, seed: int,
             recovery_ms = (first - cutover) / 1e6
     metrics = result.sim.metrics
     sender_host = testbed.correspondent.name
-    # Nothing reads this trial's trace, and the simulation graph is cyclic
-    # (freed only by a full GC pass), so drop the records — most of the
-    # trial's memory — now rather than with the graph.
-    result.sim.trace.clear()
     return {
         "cc": cc,
         "loss_rate": loss_rate,

@@ -145,6 +145,7 @@ def run_tcp_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
     session: dict = {}
 
     def start_session(testbed: Testbed) -> dict:
+        testbed.sim.trace.record_only()
         addresses = testbed.addresses
         testbed.visit_dept()
         testbed.connect_radio(register=False)
@@ -206,10 +207,6 @@ def run_tcp_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
     metrics = result.sim.metrics
     sender_host = testbed.correspondent.name
     receiver_conn = receiver.connection
-    # Nothing reads this trial's trace, and the simulation graph is cyclic
-    # (freed only by a full GC pass), so drop the records — most of the
-    # trial's memory — now rather than with the graph.
-    result.sim.trace.clear()
     return {
         "loss_rate": loss_rate,
         "flap_period_ms": flap_period_ns / 1e6,

@@ -2,10 +2,11 @@
 
 Chaos experiments used to eyeball their survival numbers; the
 :class:`PlaneAuditor` turns the binding-shard plane's consistency
-contract into *gating* checks.  It subscribes to the simulator trace
-(:meth:`repro.sim.trace.Trace.subscribe`) and replays plane/home-agent
-records into its own view of who holds which binding, continuously
-verifying three invariants:
+contract into *gating* checks.  It subscribes to the ``binding``,
+``binding_shard`` and ``home_agent`` categories of the simulator trace
+(:meth:`repro.sim.trace.Trace.subscribe`), which delivers them whether
+or not the trial keeps them, and replays those records into its own view
+of who holds which binding, continuously verifying three invariants:
 
 1. **No double ownership** — at no point do two live, reachable replicas
    both hold a binding for the same home address.  (Unreachable replicas
@@ -92,7 +93,8 @@ class PlaneAuditor:
         """Start auditing (idempotent)."""
         if not self._attached:
             self._attached = True
-            self.sim.trace.subscribe(self._on_record)
+            self.sim.trace.subscribe(self._on_record, "binding",
+                                     "binding_shard", "home_agent")
 
     def detach(self) -> None:
         """Stop auditing (the view freezes where it is)."""
@@ -121,8 +123,6 @@ class PlaneAuditor:
 
     def _on_record(self, record: "TraceRecord") -> None:
         category = record.category
-        if category not in ("binding", "binding_shard", "home_agent"):
-            return
         fields = record.fields
         self._window.append((record.time, category, record.event, fields))
         self._expire_pending(record.time)

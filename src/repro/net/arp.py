@@ -146,13 +146,13 @@ class ARPService:
         """Start answering ARP requests for *addr* (home-agent intercept)."""
         self._proxy_for.add(addr)
         self._sim.trace.emit("arp", "proxy_added", interface=self._iface.name,
-                             address=str(addr))
+                             address=addr)
 
     def remove_proxy(self, addr: IPAddress) -> None:
         """Stop answering for *addr* (mobile host returned home)."""
         self._proxy_for.discard(addr)
         self._sim.trace.emit("arp", "proxy_removed", interface=self._iface.name,
-                             address=str(addr))
+                             address=addr)
 
     # ------------------------------------------------------------ resolution
 
@@ -185,7 +185,7 @@ class ARPService:
                              sender_mac=self._iface.mac, target_ip=target)
         self._requests_counter.value += 1
         self._sim.trace.emit("arp", "request", interface=self._iface.name,
-                             target=str(target), attempt=pending.attempts)
+                             target=target, attempt=pending.attempts)
         self._iface.transmit_arp(request, BROADCAST_MAC)
         pending.retry_event = self._sim.call_later(
             self._cfg.arp_retry_interval,
@@ -201,7 +201,7 @@ class ARPService:
             del self._pending[target]
             self._failures_counter.value += 1
             self._sim.trace.emit("arp", "failed", interface=self._iface.name,
-                                 target=str(target), dropped=len(pending.packets))
+                                 target=target, dropped=len(pending.packets))
             for _packet, drop_cb in pending.packets:
                 drop_cb()
             return
@@ -224,7 +224,7 @@ class ARPService:
                              sender_mac=self._iface.mac, target_ip=addr)
         self._gratuitous_counter.value += 1
         self._sim.trace.emit("arp", "gratuitous", interface=self._iface.name,
-                             address=str(addr))
+                             address=addr)
         self._iface.transmit_arp(message, BROADCAST_MAC)
 
     def send_probe(self, addr: IPAddress) -> None:
@@ -235,7 +235,7 @@ class ARPService:
         probe = ARPMessage(op=OP_REQUEST, sender_ip=IPAddress(0),
                            sender_mac=self._iface.mac, target_ip=addr)
         self._sim.trace.emit("arp", "probe", interface=self._iface.name,
-                             address=str(addr))
+                             address=addr)
         self._iface.transmit_arp(probe, BROADCAST_MAC)
 
     # --------------------------------------------------------------- receive

@@ -206,7 +206,7 @@ class DHCPServer:
         self._leases[address] = lease
         self.requests_served += 1
         self.sim.trace.emit("dhcp", "lease_granted", server=self.host.name,
-                            client=message.client_id, address=str(address))
+                            client=message.client_id, address=address)
         ack = DHCPMessage(op=DHCPOp.ACK, xid=message.xid,
                           client_id=message.client_id, your_ip=address,
                           server_id=self.interface.address,
@@ -225,7 +225,7 @@ class DHCPServer:
         # Back of the FIFO: reused only after every other free address.
         self._free.append(address)
         self.sim.trace.emit("dhcp", "lease_released", server=self.host.name,
-                            client=message.client_id, address=str(address))
+                            client=message.client_id, address=address)
 
     def _decline(self, message: DHCPMessage) -> None:
         """A client found the address in use: quarantine it.
@@ -243,7 +243,7 @@ class DHCPServer:
             address=address, client_id="<declined>",
             expires_at=self.sim.now + self.config.dhcp_lease_time)
         self.sim.trace.emit("dhcp", "quarantined", server=self.host.name,
-                            address=str(address))
+                            address=address)
 
     def _reply(self, message: DHCPMessage, unicast_to: IPAddress) -> None:
         # Clients without a configured address can only hear broadcasts.
@@ -406,7 +406,7 @@ class DHCPClient:
             # Someone answered: the address is in use.  Decline and retry.
             self.declines_sent += 1
             self.sim.trace.emit("dhcp", "declined", client=self.client_id,
-                                address=str(message.your_ip))
+                                address=message.your_ip)
             decline = DHCPMessage(op=DHCPOp.DECLINE, xid=self._xid,
                                   client_id=self.client_id,
                                   requested_ip=message.your_ip,
@@ -432,7 +432,7 @@ class DHCPClient:
         self._lease_expires_at = (self.sim.now + message.lease_time
                                   if message.lease_time > 0 else None)
         self.sim.trace.emit("dhcp", "bound", client=self.client_id,
-                            address=str(message.your_ip))
+                            address=message.your_ip)
         self._schedule_renewal(message.lease_time)
         if self._on_bound is not None:
             callback, self._on_bound = self._on_bound, None
@@ -486,7 +486,7 @@ class DHCPClient:
         """The lease lapsed (or was NAKed) without a successful renewal."""
         address = self.lease.address if self.lease is not None else None
         self.sim.trace.emit("dhcp", "lease_lost", client=self.client_id,
-                            address=str(address) if address else None)
+                            address=address)
         self._cancel_renewal()
         self.lease = None
         self._lease_expires_at = None

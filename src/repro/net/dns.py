@@ -162,8 +162,7 @@ class DNSServer:
                                 ttl=update.ttl or self.DEFAULT_TTL)
             self.updates_applied += 1
             self.sim.trace.emit("dns", "updated", name=update.name,
-                                address=str(update.address)
-                                if update.address else None)
+                                address=update.address)
             ack = DNSMessage(op=DNSOp.UPDATE_ACK, ident=update.ident,
                              name=update.name, rcode=DNSRcode.NOERROR)
         self._socket.sendto(ack.wrap(), src, src_port)

@@ -190,7 +190,7 @@ class ICMPService:
         elif message.icmp_type in (TYPE_DEST_UNREACHABLE, TYPE_TIME_EXCEEDED):
             self.sim.trace.emit("icmp", "error_received", host=self.host.name,
                                 icmp_type=message.icmp_type,
-                                body=str(message.body))
+                                body=message.body)
 
     def _answer_echo(self, packet: IPPacket, message: ICMPMessage,
                      iface: "NetworkInterface") -> None:
@@ -213,7 +213,7 @@ class ICMPService:
     def _handle_redirect(self, message: ICMPMessage, iface: "NetworkInterface") -> None:
         self.redirects_received += 1
         self.sim.trace.emit("icmp", "redirect", host=self.host.name,
-                            body=str(message.body))
+                            body=message.body)
         if not self.accept_redirects or not isinstance(message.body, dict):
             return
         destination = message.body.get("destination")

@@ -141,7 +141,7 @@ class NetworkInterface:
             self.host.ip.claim_local(addr)
         self._on_address_added(addr)
         self.sim.trace.emit("device", "address_added", interface=self.name,
-                            address=str(addr))
+                            address=addr)
 
     def remove_address(self, addr: IPAddress) -> None:
         """Remove *addr*; packets for it are no longer accepted."""
@@ -152,7 +152,7 @@ class NetworkInterface:
         self._addresses.remove(addr)
         self._on_address_removed(addr)
         self.sim.trace.emit("device", "address_removed", interface=self.name,
-                            address=str(addr))
+                            address=addr)
 
     def _on_address_added(self, addr: IPAddress) -> None:
         """Technology hook (radio publishes to the channel, etc.)."""
@@ -249,13 +249,13 @@ class NetworkInterface:
         matching the ioctl round-trip on the real system.
         """
         self.sim.trace.emit("device", "configure_start", interface=self.name,
-                            address=str(addr))
+                            address=addr)
 
         def finish() -> None:
             self.subnet = net
             self.add_address(addr, make_primary=make_primary)
             self.sim.trace.emit("device", "configure_done", interface=self.name,
-                                address=str(addr))
+                                address=addr)
             if on_done is not None:
                 on_done()
 
@@ -273,7 +273,7 @@ class NetworkInterface:
         if self.state is not _UP:
             self._count_drop_down()
             self.sim.trace.emit("device", "tx_drop_down", interface=self.name,
-                                packet=packet.describe())
+                                packet=packet)
             return False
         return True
 
@@ -281,7 +281,7 @@ class NetworkInterface:
         if self.state is not _UP:
             self._count_drop_down()
             self.sim.trace.emit("device", "rx_drop_down", interface=self.name,
-                                packet=packet.describe())
+                                packet=packet)
             return
         if self.host is None:
             raise InterfaceError(f"{self.name} is not attached to a host")
@@ -441,7 +441,7 @@ class RadioInterface(NetworkInterface):
         if self.state is not _UP:
             self._count_drop_down()
             self.sim.trace.emit("device", "rx_drop_down", interface=self.name,
-                                packet=packet.describe())
+                                packet=packet)
             return
         deliver_at = self._serial_finish_time(packet.size_bytes, "rx")
         self.sim.post_at(

@@ -170,11 +170,7 @@ class IPStack:
         """
         self.sent += 1
         trace = self.sim.trace
-        if trace.wants("ip"):
-            # Guarded: packet.describe() formats the whole header chain,
-            # which dominates the send path when tracing is off.
-            trace.emit("ip", "send", host=self.host.name,
-                       packet=packet.describe())
+        trace.emit("ip", "send", host=self.host.name, packet=packet)
         if via is not None:
             hop = next_hop if next_hop is not None else self._next_hop_via(packet.dst, via)
             via.send_ip(packet, hop)
@@ -188,9 +184,7 @@ class IPStack:
         if route is None:
             self.dropped_no_route += 1
             self._no_route_counter.value += 1
-            if trace.wants("ip"):
-                trace.emit("ip", "no_route", host=self.host.name,
-                           packet=packet.describe())
+            trace.emit("ip", "no_route", host=self.host.name, packet=packet)
             return False
         route.interface.send_ip(packet, route.next_hop(packet.dst))
         return True
@@ -226,9 +220,8 @@ class IPStack:
     def receive_packet(self, packet: IPPacket, iface: "NetworkInterface") -> None:
         """Entry point for packets arriving from an interface."""
         trace = self.sim.trace
-        if trace.wants("ip"):
-            trace.emit("ip", "receive", host=self.host.name,
-                       interface=iface.name, packet=packet.describe())
+        trace.emit("ip", "receive", host=self.host.name,
+                   interface=iface.name, packet=packet)
         if self.is_local(packet.dst):
             self.deliver(packet, iface)
             return
@@ -236,9 +229,7 @@ class IPStack:
             self._forward(packet, iface)
             return
         self.dropped_not_local += 1
-        if trace.wants("ip"):
-            trace.emit("ip", "drop_not_local", host=self.host.name,
-                       packet=packet.describe())
+        trace.emit("ip", "drop_not_local", host=self.host.name, packet=packet)
 
     def deliver(self, packet: IPPacket, iface: "NetworkInterface") -> None:
         """Demultiplex a locally destined packet to its protocol handler."""
@@ -257,25 +248,19 @@ class IPStack:
         if packet.ttl <= 1:
             self.dropped_ttl += 1
             self._ttl_drop_counter.value += 1
-            if trace.wants("ip"):
-                trace.emit("ip", "ttl_exceeded", host=self.host.name,
-                           packet=packet.describe())
+            trace.emit("ip", "ttl_exceeded", host=self.host.name, packet=packet)
             self.host.icmp.send_time_exceeded(packet)
             return
         if self.forward_filter is not None and not self.forward_filter(packet, in_iface):
             self.dropped_filtered += 1
             self._filtered_counter.value += 1
-            if trace.wants("ip"):
-                trace.emit("ip", "filtered", host=self.host.name,
-                           packet=packet.describe())
+            trace.emit("ip", "filtered", host=self.host.name, packet=packet)
             return
         route = self.ip_rt_route(packet.dst, packet.src)
         if route is None:
             self.dropped_no_route += 1
             self._no_route_counter.value += 1
-            if trace.wants("ip"):
-                trace.emit("ip", "no_route", host=self.host.name,
-                           packet=packet.describe())
+            trace.emit("ip", "no_route", host=self.host.name, packet=packet)
             self.host.icmp.send_dest_unreachable(packet)
             return
         forwarded = packet.decremented()

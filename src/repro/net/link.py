@@ -255,7 +255,7 @@ class RadioChannel(Link):
         target = self._by_address.get(next_hop)
         if target is None or target is sender:
             self.sim.trace.emit("link", "radio_unreachable", link=self.name,
-                                next_hop=str(next_hop))
+                                next_hop=next_hop)
             self.frames_dropped += 1
             self._drop_frames.value += 1
             return

@@ -77,5 +77,5 @@ class Router(Host):
         self.transit_drops += 1
         self._transit_drop_counter.value += 1
         self.sim.trace.emit("router", "transit_drop", router=self.name,
-                            packet=packet.describe())
+                            packet=packet)
         return False

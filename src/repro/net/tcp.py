@@ -637,7 +637,7 @@ class TCPConnection:
         if self._zw_since is None:
             self._zw_since = self.sim.now
         self._persist_backoff = 0
-        self.sim.trace.emit("tcp", "zero_window", conn=self._describe(),
+        self.sim.trace.emit("tcp", "zero_window", conn=self,
                             rwnd=self.peer_rwnd,
                             pending=len(self._send_buffer))
         self._arm_persist()
@@ -699,7 +699,7 @@ class TCPConnection:
             self.persist_probes += 1
             self._service.persist_probes_counter().inc()
             self.sim.trace.emit("tcp", "zero_window_probe",
-                                conn=self._describe(), seq=seq,
+                                conn=self, seq=seq,
                                 attempt=self._persist_backoff + 1)
             if item.fin:
                 self._emit(flags=frozenset({FLAG_FIN, FLAG_ACK}), seq=seq)
@@ -773,7 +773,7 @@ class TCPConnection:
         self._service.rto_counter.value += 1
         self._retransmit_count += 1
         if self._retransmit_count > MAX_RETRANSMITS:
-            self.sim.trace.emit("tcp", "gave_up", conn=self._describe())
+            self.sim.trace.emit("tcp", "gave_up", conn=self)
             if self.on_reset is not None:
                 self.on_reset()
             self._teardown()
@@ -798,7 +798,7 @@ class TCPConnection:
         flight = self.snd_max - self.snd_una
         self.cc.on_timeout(flight, self.sim.now)
         self._set_cc_gauges()
-        self.sim.trace.emit("tcp", "retransmit", conn=self._describe(),
+        self.sim.trace.emit("tcp", "retransmit", conn=self,
                             snd_una=self.snd_una, attempt=self._retransmit_count)
         if self.state == TCPState.SYN_SENT:
             self._emit(flags=frozenset({FLAG_SYN}), seq=self.iss)
@@ -819,9 +819,9 @@ class TCPConnection:
                 # attempt (or ancient duplicate) and must not kill the
                 # connection.
                 self.sim.trace.emit("tcp", "rst_ignored",
-                                    conn=self._describe(), seq=segment.seq)
+                                    conn=self, seq=segment.seq)
                 return
-            self.sim.trace.emit("tcp", "reset_received", conn=self._describe())
+            self.sim.trace.emit("tcp", "reset_received", conn=self)
             if self.on_reset is not None:
                 self.on_reset()
             self._teardown()
@@ -871,7 +871,7 @@ class TCPConnection:
         self._pump()
 
     def _established(self) -> None:
-        self.sim.trace.emit("tcp", "established", conn=self._describe())
+        self.sim.trace.emit("tcp", "established", conn=self)
         if self.on_established is not None:
             callback, self.on_established = self.on_established, None
             callback()
@@ -964,7 +964,7 @@ class TCPConnection:
         self._timing_seq = None  # Karn: the retransmission is never timed
         self.fast_retransmits += 1
         self._service.fast_retransmits_counter().inc()
-        self.sim.trace.emit("tcp", "fast_retransmit", conn=self._describe(),
+        self.sim.trace.emit("tcp", "fast_retransmit", conn=self,
                             snd_una=self.snd_una)
         self._set_cc_gauges()
         self._retransmit_hole()
@@ -1152,7 +1152,8 @@ class TCPConnection:
         if previous != TCPState.CLOSED:
             self._service.forget(self)
 
-    def _describe(self) -> str:
+    def describe(self) -> str:
+        """One-line summary: both endpoints and the state."""
         return (f"{self.local_addr}:{self.local_port}<->"
                 f"{self.remote_addr}:{self.remote_port} {self.state.value}")
 
@@ -1342,5 +1343,5 @@ class TCPService:
         response = IPPacket(packet.dst, packet.src, PROTO_TCP,
                             reset, self.config.default_ttl)
         self.sim.trace.emit("tcp", "reset_sent", host=self.host.name,
-                            segment=segment.describe())
+                            segment=segment)
         self.host.ip.send(response)

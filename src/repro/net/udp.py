@@ -168,7 +168,7 @@ class UDPService:
                 and sock.bound_address != packet.dst):
             self.datagrams_dropped_no_port += 1
             self.sim.trace.emit("udp", "bound_mismatch", host=self.host.name,
-                                port=datagram.dst_port, dst=str(packet.dst))
+                                port=datagram.dst_port, dst=packet.dst)
             return
         delay = jittered(self._rng, self.timings.rx_cost, self.config.jitter)
         self._rx_fifo.post(

@@ -24,7 +24,6 @@ from repro.obs.export import (
     format_reports,
     snapshot_to_json,
     trace_to_jsonl,
-    write_trace_jsonl,
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -54,5 +53,4 @@ __all__ = [
     "format_policy_tables",
     "snapshot_to_json",
     "trace_to_jsonl",
-    "write_trace_jsonl",
 ]

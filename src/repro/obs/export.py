@@ -3,8 +3,8 @@
 Three consumers, three formats:
 
 * **Machines replaying a run** read the trace as JSON Lines
-  (:func:`trace_to_jsonl` / :func:`write_trace_jsonl`) — one record per
-  line, stable field order, greppable.
+  (:func:`trace_to_jsonl`) — one record per line, stable field order,
+  greppable.
 * **Tests and diff tools** read the flat snapshot
   (:func:`snapshot` — just the registry's own ``snapshot()``, re-exported
   here for symmetry) and its canonical serialization
@@ -17,7 +17,7 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, Iterable, List
+from typing import Dict, Iterable, List
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.trace import Trace, TraceRecord
@@ -26,23 +26,14 @@ from repro.sim.trace import Trace, TraceRecord
 # ------------------------------------------------------------------ trace dump
 
 def trace_record_to_dict(record: TraceRecord) -> Dict[str, object]:
-    """One trace record as a JSON-ready dict with stable field order."""
-    out: Dict[str, object] = {
-        "time": record.time,
-        "category": record.category,
-        "event": record.event,
-    }
-    # Field values may be rich objects (IPv4Address, enums); stringify
-    # anything json can't take natively so the dump never raises.
-    fields = {}
-    for key in sorted(record.fields):
-        value = record.fields[key]
-        if isinstance(value, (int, float, str, bool)) or value is None:
-            fields[key] = value
-        else:
-            fields[key] = str(value)
-    out["fields"] = fields
-    return out
+    """One trace record as a JSON-ready dict with stable field order.
+
+    :meth:`~repro.sim.trace.Trace.emit` has already rendered every field
+    to a plain JSON value.
+    """
+    return {"time": record.time, "category": record.category,
+            "event": record.event,
+            "fields": {key: record.fields[key] for key in sorted(record.fields)}}
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -50,16 +41,6 @@ def trace_to_jsonl(trace: Trace) -> str:
     return "".join(json.dumps(trace_record_to_dict(record),
                               separators=(",", ":")) + "\n"
                    for record in trace.records)
-
-
-def write_trace_jsonl(trace: Trace, stream: IO[str]) -> int:
-    """Write the trace to *stream* as JSONL; returns the record count."""
-    count = 0
-    for record in trace.records:
-        stream.write(json.dumps(trace_record_to_dict(record),
-                                separators=(",", ":")) + "\n")
-        count += 1
-    return count
 
 
 # ------------------------------------------------------------------- snapshot

@@ -9,7 +9,7 @@ reconstruct per-stage timings such as Figure 7's registration time-line.
 """
 
 from repro.sim.engine import Event, Simulator, Time
-from repro.sim.trace import VERBOSE_CATEGORIES, Trace, TraceRecord
+from repro.sim.trace import Trace, TraceRecord
 from repro.sim.units import (
     KBPS,
     MBPS,
@@ -31,7 +31,6 @@ __all__ = [
     "Time",
     "Trace",
     "TraceRecord",
-    "VERBOSE_CATEGORIES",
     "NANOSECOND",
     "MICROSECOND",
     "MILLISECOND",

@@ -135,24 +135,16 @@ class Simulator:
     seed:
         Master seed.  Every named RNG stream is derived from it, so a
         simulation is fully determined by ``(seed, component behaviour)``.
-    trace:
-        Optional pre-built :class:`Trace`; a fresh one is created otherwise.
-    metrics:
-        Optional pre-built :class:`MetricsRegistry`; a fresh one is created
-        otherwise.  Passing a shared registry lets cooperating simulations
-        aggregate, at the cost of label discipline being on the caller.
     """
 
-    def __init__(self, seed: int = 0, trace: Optional[Trace] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now: Time = 0
         self._seq: int = 0
         self._heap: List[tuple] = []
         self._seed = seed
         self._rngs: Dict[str, random.Random] = {}
-        self.trace: Trace = trace if trace is not None else Trace(self)
-        self.metrics: MetricsRegistry = (
-            metrics if metrics is not None else MetricsRegistry())
+        self.trace = Trace(self)
+        self.metrics = MetricsRegistry()
         self._running = False
         self._events_run = 0
         # O(1) accounting of live and cancelled-but-still-queued events, so

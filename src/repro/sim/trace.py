@@ -10,18 +10,19 @@ The trace is append-only and deliberately dumb: no aggregation, no I/O.
 Keeping measurement outside the protocol code mirrors the paper's method of
 instrumenting the kernel with timestamps and post-processing off-line.
 
-Recording is gated per category so the hot path can stay lazy: call sites
-that would pay string formatting just to build a record first ask
-:meth:`Trace.wants`, and categories in :data:`VERBOSE_CATEGORIES` are off
-by default (debug firehoses nobody post-processes).  All pre-existing
-categories default to on, so harnesses see exactly the records they always
-did; benchmarks and soak runs disable categories wholesale with
-:meth:`Trace.disable` to measure (and avoid) the recording overhead.
+Recording is demand-driven.  A trace keeps every category until someone
+calls :meth:`Trace.record_only` with the categories it will read (possibly
+none); live consumers :meth:`Trace.subscribe` to the categories they read
+and receive them whether or not they are kept.  Call sites pass raw field
+values (a packet, an address, a TCP connection) and :meth:`Trace.emit`
+renders them only when the record is kept or delivered, so an emit
+nobody reads costs a call and a set lookup.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterator,
+                    List, Optional)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -32,10 +33,11 @@ class TraceRecord:
 
     ``category`` is a coarse stream name (``"ip"``, ``"registration"``,
     ``"handoff"`` ...), ``event`` the specific occurrence within it, and
-    ``fields`` free-form structured data.
+    ``fields`` free-form structured data, already rendered to plain values.
 
     A ``__slots__`` value class rather than a dataclass: one is allocated
-    per emitted record, which makes construction part of the datapath.
+    per kept or delivered record, which makes construction part of the
+    datapath.
     """
 
     __slots__ = ("time", "category", "event", "fields")
@@ -65,10 +67,10 @@ class TraceRecord:
                 f"event={self.event!r}, fields={self.fields!r})")
 
 
-#: Categories that are *off* unless a consumer opts in: per-event debug
-#: firehoses whose records no experiment harness reads.  Everything else
-#: records by default, exactly as before the fast path existed.
-VERBOSE_CATEGORIES = frozenset({"engine.debug"})
+#: Field types a record holds as they are.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+Subscriber = Callable[[TraceRecord], None]
 
 
 class Trace:
@@ -77,52 +79,63 @@ class Trace:
     def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
         self._records: List[TraceRecord] = []
-        self.enabled = True
-        self._disabled_categories = set(VERBOSE_CATEGORIES)
-        self._subscribers: List[Any] = []
+        #: Categories kept; ``None`` keeps every category.
+        self._kept: Optional[FrozenSet[str]] = None
+        self._subscribers: Dict[str, List[Subscriber]] = {}
 
-    def wants(self, category: str) -> bool:
-        """True if a record in *category* would actually be kept.
+    def record_only(self, *categories: str) -> None:
+        """Keep only records in *categories* (none: keep nothing).
 
-        Hot call sites check this *before* formatting record fields
-        (``packet.describe()``, ``str(addr)``), so a disabled category
-        costs one set lookup instead of string building.
+        Each experiment trial declares what it reads; without a call the
+        trace keeps everything.  Records already kept outside *categories*
+        (a testbed's build emits a few) are dropped.  Subscribers are
+        unaffected.
         """
-        return self.enabled and category not in self._disabled_categories
+        kept = self._kept = frozenset(categories)
+        self._records = [record for record in self._records
+                         if record.category in kept]
 
-    def enable(self, *categories: str) -> None:
-        """Opt categories (back) in — including the verbose ones."""
-        self._disabled_categories.difference_update(categories)
+    def subscribe(self, callback: Subscriber, *categories: str) -> None:
+        """Deliver every future record in *categories* to *callback*.
 
-    def disable(self, *categories: str) -> None:
-        """Stop recording the given categories (benchmarks, soak runs)."""
-        self._disabled_categories.update(categories)
-
-    def subscribe(self, callback: Any) -> None:
-        """Deliver every future record to *callback* as it is emitted.
-
-        Callbacks run synchronously inside :meth:`emit`, in subscription
-        order.  With no subscribers the emit path pays a single truthiness
-        check, so runs that never subscribe stay byte-identical and
-        un-slowed.
+        Delivery does not depend on :meth:`record_only`: a subscriber sees
+        its categories whether or not they are kept.  Callbacks run
+        synchronously inside :meth:`emit`, in subscription order.
         """
-        self._subscribers.append(callback)
+        if not categories:
+            raise TypeError("subscribe() needs at least one category")
+        for category in categories:
+            self._subscribers.setdefault(category, []).append(callback)
 
-    def unsubscribe(self, callback: Any) -> None:
+    def unsubscribe(self, callback: Subscriber) -> None:
         """Stop delivering records to *callback* (missing is a no-op)."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
+        for category, callbacks in list(self._subscribers.items()):
+            if callback in callbacks:
+                callbacks.remove(callback)
+                if not callbacks:
+                    del self._subscribers[category]
 
     def emit(self, category: str, event: str, **fields: Any) -> None:
-        """Record *event* in *category* at the current virtual time."""
-        if not self.enabled or category in self._disabled_categories:
+        """Record *event* in *category* at the current virtual time.
+
+        Only if the record is kept or some subscriber reads *category* are
+        its fields rendered: plain values stay as they are, an object with
+        a ``describe()`` method (packet, segment, connection) goes through
+        it, anything else (an address) through ``str()``.
+        """
+        kept = self._kept is None or category in self._kept
+        callbacks = self._subscribers.get(category)
+        if not kept and callbacks is None:
             return
+        for key, value in fields.items():
+            if type(value) not in _PLAIN:
+                describe = getattr(value, "describe", None)
+                fields[key] = describe() if describe is not None else str(value)
         record = TraceRecord(self._sim.now, category, event, fields)
-        self._records.append(record)
-        if self._subscribers:
-            for callback in self._subscribers:
+        if kept:
+            self._records.append(record)
+        if callbacks is not None:
+            for callback in callbacks:
                 callback(record)
 
     @property
@@ -161,15 +174,8 @@ class Trace:
             out.append(record)
         return out
 
-    def last(self, category: str, event: str) -> Optional[TraceRecord]:
-        """Most recent record matching ``(category, event)``, if any."""
-        for record in reversed(self._records):
-            if record.category == category and record.event == event:
-                return record
-        return None
-
     def clear(self) -> None:
-        """Drop all records (harnesses call this between iterations)."""
+        """Drop all records (tests call this between phases)."""
         self._records.clear()
 
 

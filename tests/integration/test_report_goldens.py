@@ -1,16 +1,22 @@
 """Experiment reports and one run's metrics must match committed digests.
 
-Three kinds of golden, all sha256 digests in ``report_goldens.json``:
+Four kinds of golden, all sha256 digests in ``report_goldens.json``:
 
 * the extension experiments (x1-x6: UDP probes, registration storms,
   sharded fleets, fault injection, TCP congestion control over handoffs)
   at a shrunk parameterization and seeds 0-2 (``x4/1``);
-* the fast paper experiments, x1-x3 and x9 at their default seed,
+* the fast paper experiments, x1-x6 and x9 at their default seed,
   exactly as ``python -m repro.experiments <id>`` prints them
   (``e1/default``);
 * the full ``metrics.snapshot()`` of one 20-host x4 shard
   (``x4-shard/metrics``), which pins every engine dispatch count and the
-  queue high-water exactly, not only through report text.
+  queue high-water exactly, not only through report text;
+* the typed record stream of one record-everything Figure-5 testbed run
+  (``trace-stream/commute``): DHCP, then the office-radio-home commute
+  under a TCP transfer.  Each record contributes its time, category,
+  event and every field's name, type name and value, so a packet or
+  address object leaking into a field where a string belongs fails here
+  even if it would print the same.
 
 A change that moves any of these fails this test.  Each default-seed
 report is built once per test run by :func:`default_report`; the paper
@@ -23,8 +29,10 @@ the commit why they moved::
 
 import functools
 import hashlib
+import itertools
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -38,8 +46,14 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import RUNNERS
 from repro.experiments.exp_ha_scalability import run_fleet_trial
+from repro.net import tcp
+from repro.net.addressing import ip
 from repro.obs import capture_simulators
 from repro.parallel import spawn_seed
+from repro.sim import Simulator, ms, s
+from repro.testbed import build_testbed
+from repro.testbed.scenarios import commute
+from repro.workloads import TcpBulkReceiver, TcpBulkSender
 
 GOLDEN_PATH = Path(__file__).with_name("report_goldens.json")
 
@@ -60,7 +74,8 @@ EXPERIMENTS = [
 ]
 
 #: Ids whose full default run takes a couple of seconds at most.
-DEFAULT_SEED_IDS = ("e1", "f6", "f7", "f3", "a1", "x1", "x2", "x3", "x9")
+DEFAULT_SEED_IDS = ("e1", "f6", "f7", "f3", "a1", "x1", "x2", "x3", "x4",
+                    "x5", "x6", "x9")
 
 
 def _sha256(text: str) -> str:
@@ -87,6 +102,49 @@ def x4_shard_metrics_digest() -> str:
     return _sha256(json.dumps(sim.metrics.snapshot(), sort_keys=True))
 
 
+def commute_trace() -> Simulator:
+    """A default (record-everything) testbed run that emits the ip,
+    device, tunnel, arp, dhcp, registration, handoff, policy and tcp
+    categories: DHCP on the department net, then the commute while the
+    correspondent streams to the mobile host over TCP.
+
+    TCP draws initial sequence numbers from one process-wide counter, so
+    the run gets a fresh counter: its records must not depend on how many
+    connections earlier runs in the process opened.
+    """
+    with mock.patch.object(tcp, "_initial_seq", itertools.count(1000, 64000)):
+        sim = Simulator(seed=2026)
+        testbed = build_testbed(sim, with_remote_correspondent=False)
+        testbed.move_mh_cable(testbed.dept_segment)
+        testbed.mh_eth.remove_address(testbed.addresses.mh_home)
+        testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
+        testbed.mh_eth.subnet = testbed.addresses.dept_net
+        testbed.mh_dhcp.acquire(on_bound=lambda lease: None)
+        sim.run_for(s(1))
+        TcpBulkReceiver(testbed.mobile)
+        sender = TcpBulkSender(testbed.correspondent, ip("36.135.0.10"),
+                               interval=ms(200))
+        sender.start()
+        commute(testbed)
+        sim.run_for(s(12))
+        sender.finish()
+        sim.run_for(s(5))
+    return sim
+
+
+def typed_stream_digest(trace) -> str:
+    """sha256 over every record's time, category, event and sorted
+    ``(field, type name, value)`` triples."""
+    digest = hashlib.sha256()
+    for record in trace:
+        fields = tuple((key, type(value).__name__, value)
+                       for key, value in sorted(record.fields.items()))
+        digest.update(repr((record.time, record.category, record.event,
+                            fields)).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def golden_digests() -> dict:
     """Every digest this module checks, keyed as in the golden file."""
     digests = {f"{name}/{seed}": _sha256(runner(seed).format_report())
@@ -94,6 +152,8 @@ def golden_digests() -> dict:
     digests.update({f"{name}/default": default_report_digest(name)
                     for name in DEFAULT_SEED_IDS})
     digests["x4-shard/metrics"] = x4_shard_metrics_digest()
+    digests["trace-stream/commute"] = typed_stream_digest(
+        commute_trace().trace)
     return digests
 
 
@@ -105,8 +165,11 @@ def _golden(key: str) -> str:
                          ids=[name for name, _ in EXPERIMENTS])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_report_matches_golden(name, runner, seed):
-    report = runner(seed).format_report()
+    with capture_simulators() as sims:
+        report = runner(seed).format_report()
     assert _sha256(report) == _golden(f"{name}/{seed}")
+    # Nothing reads these trials' traces: they declare, and keep, nothing.
+    assert sims and all(len(sim.trace) == 0 for sim in sims)
 
 
 @pytest.mark.parametrize("name", DEFAULT_SEED_IDS)
@@ -114,5 +177,22 @@ def test_default_seed_report_matches_golden(name):
     assert default_report_digest(name) == _golden(f"{name}/default")
 
 
+@pytest.mark.parametrize("name", ["f7", "a1"])
+def test_registration_readers_keep_only_registration_records(name):
+    """f7 and a1 read the registration trace and declare only that."""
+    with capture_simulators() as sims:
+        RUNNERS[name][1](jobs=1)
+    kept = {record.category for sim in sims for record in sim.trace}
+    assert kept == {"registration"}
+
+
 def test_x4_shard_metrics_snapshot_matches_golden():
     assert x4_shard_metrics_digest() == _golden("x4-shard/metrics")
+
+
+def test_typed_record_stream_matches_golden():
+    sim = commute_trace()
+    emitted = {record.category for record in sim.trace}
+    assert {"ip", "device", "tunnel", "arp", "dhcp", "registration",
+            "handoff", "policy", "tcp"} <= emitted
+    assert typed_stream_digest(sim.trace) == _golden("trace-stream/commute")

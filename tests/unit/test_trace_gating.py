@@ -1,60 +1,127 @@
-"""Unit tests for lazy trace recording (category gating)."""
+"""Unit tests for demand-driven trace recording.
 
-from repro.sim import Simulator, VERBOSE_CATEGORIES
+A trace keeps every category until :meth:`Trace.record_only` names the
+ones a consumer reads; subscribers receive their categories regardless;
+fields are rendered only for records that are kept or delivered.
+"""
+
+import pytest
+
+from repro.sim import Simulator
 from repro.sim.trace import TraceRecord
+
+
+class Counting:
+    """A field value that counts how often it is rendered."""
+
+    def __init__(self, text: str, describes: bool) -> None:
+        self.text = text
+        self.calls = 0
+        if describes:
+            self.describe = self._describe
+
+    def _describe(self) -> str:
+        self.calls += 1
+        return self.text
+
+    def __str__(self) -> str:
+        self.calls += 1
+        return self.text
 
 
 def test_ordinary_categories_record_by_default():
     sim = Simulator()
-    assert sim.trace.wants("ip")
-    assert sim.trace.wants("registration")
     sim.trace.emit("ip", "send", host="a")
-    assert len(sim.trace) == 1
-
-
-def test_verbose_categories_are_off_by_default():
-    sim = Simulator()
-    for category in VERBOSE_CATEGORIES:
-        assert not sim.trace.wants(category)
-        sim.trace.emit(category, "noise")
-    assert len(sim.trace) == 0
-
-
-def test_enable_opts_verbose_category_back_in():
-    sim = Simulator()
-    sim.trace.enable("engine.debug")
-    assert sim.trace.wants("engine.debug")
-    sim.trace.emit("engine.debug", "hit", dst="36.8.0.20")
-    assert sim.trace.select("engine.debug", "hit")[0]["dst"] == "36.8.0.20"
+    sim.trace.emit("registration", "request_sent", host="a")
+    assert len(sim.trace) == 2
 
 
 def test_disable_suppresses_any_category():
     sim = Simulator()
-    sim.trace.disable("ip")
-    assert not sim.trace.wants("ip")
+    sim.trace.record_only("handoff")
     sim.trace.emit("ip", "send")
     assert len(sim.trace) == 0
-    sim.trace.enable("ip")
+    sim.trace.record_only("handoff", "ip")
     sim.trace.emit("ip", "send")
     assert len(sim.trace) == 1
 
 
-def test_global_enabled_flag_overrides_everything():
+def test_record_only_with_no_category_records_nothing():
     sim = Simulator()
-    sim.trace.enabled = False
-    assert not sim.trace.wants("ip")
+    sim.trace.record_only()
     sim.trace.emit("ip", "send")
+    sim.trace.emit("registration", "ha_reply")
     assert len(sim.trace) == 0
 
 
+def test_record_only_drops_records_outside_its_categories():
+    sim = Simulator()
+    sim.trace.emit("device", "address_added", interface="eth0")
+    sim.trace.emit("registration", "request_sent", ident=1)
+    sim.trace.record_only("registration")
+    assert [record.category for record in sim.trace] == ["registration"]
+
+
 def test_gated_datapath_emits_nothing_when_disabled(testbed):
-    """The IP datapath goes quiet (and pays nothing) when 'ip' is off."""
+    """The IP datapath records nothing when 'ip' is not declared, and the
+    declared categories are untouched."""
     trace = testbed.sim.trace
-    trace.disable("ip")
+    trace.record_only("device")
+    testbed.visit_dept()
     testbed.settle(duration=1_000_000_000)
     assert trace.select("ip") == []
-    # Other categories are untouched by disabling "ip".
-    assert trace.wants("handoff")
+    assert trace.select("device")
+
+
+def test_subscriber_gets_its_categories_even_when_not_kept():
+    sim = Simulator()
+    sim.trace.record_only()
+    seen = []
+    sim.trace.subscribe(seen.append, "binding", "home_agent")
+    sim.trace.emit("binding", "registered", agent="ha0")
+    sim.trace.emit("ip", "send", host="a")
+    sim.trace.emit("home_agent", "crash", host="ha0")
+    sim.trace.emit("registration", "ha_reply", host="ha0")
+    assert [(r.category, r.event) for r in seen] == [
+        ("binding", "registered"), ("home_agent", "crash")]
+    assert len(sim.trace) == 0
+    sim.trace.unsubscribe(seen.append)
+    sim.trace.emit("binding", "expired", agent="ha0")
+    assert len(seen) == 2
+
+
+def test_subscribe_needs_a_category():
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        sim.trace.subscribe(lambda record: None)
+
+
+def test_unread_emit_never_renders_its_fields():
+    sim = Simulator()
+    sim.trace.record_only("registration")
+    sim.trace.subscribe(lambda record: None, "binding")
+    packet = Counting("36.8.0.20->36.135.0.10", describes=True)
+    address = Counting("36.8.0.20", describes=False)
+    sim.trace.emit("ip", "send", packet=packet, address=address)
+    assert packet.calls == 0 and address.calls == 0
+
+
+def test_kept_or_delivered_emit_renders_each_field_once():
+    sim = Simulator()
+    sim.trace.record_only("registration")
+    delivered = []
+    sim.trace.subscribe(delivered.append, "binding")
+    packet = Counting("36.8.0.20->36.135.0.10", describes=True)
+    address = Counting("36.8.0.20", describes=False)
+    sim.trace.emit("registration", "request_sent", packet=packet,
+                   target=address, ident=7, ok=True, cost=1.5, note=None)
+    sim.trace.emit("binding", "registered", care_of=address)
+    (kept,) = sim.trace.select("registration")
+    assert kept.fields == {"packet": "36.8.0.20->36.135.0.10",
+                           "target": "36.8.0.20", "ident": 7, "ok": True,
+                           "cost": 1.5, "note": None}
+    assert delivered[0]["care_of"] == "36.8.0.20"
+    assert packet.calls == 1 and address.calls == 2
 
 
 def test_trace_record_mapping_interface():

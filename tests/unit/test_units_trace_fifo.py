@@ -47,18 +47,16 @@ class TestTrace:
         # A missing field never matches.
         assert sim.trace.select("cat", "ev", missing="x") == []
 
-    def test_last_and_clear(self):
+    def test_clear(self):
         sim = Simulator()
         sim.trace.emit("cat", "ev", n=1)
         sim.trace.emit("cat", "ev", n=2)
-        assert sim.trace.last("cat", "ev")["n"] == 2
-        assert sim.trace.last("cat", "nothing") is None
         sim.trace.clear()
         assert len(sim.trace) == 0
 
     def test_disabled_trace_records_nothing(self):
         sim = Simulator()
-        sim.trace.enabled = False
+        sim.trace.record_only()
         sim.trace.emit("cat", "ev")
         assert len(sim.trace) == 0
 
