@@ -11,7 +11,8 @@ itself with its own gratuitous ARP.
 Each Ethernet interface owns one :class:`ARPService`; the service resolves
 next-hop IPs to MACs, queues packets while resolution is in flight, and
 answers requests both for the interface's own addresses and for any
-published proxy entries.
+published proxy entries.  The cache, the pending resolutions and the proxy
+set are keyed by the address's integer ``value``, as ``IPStack._local`` is.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ class ARPMessage:
         """Wire size (fixed for IPv4-over-Ethernet ARP)."""
         return ARP_MESSAGE_BYTES
 
-    @property
-    def is_gratuitous(self) -> bool:
-        """A gratuitous ARP announces ``sender_ip`` by targeting itself."""
-        return self.sender_ip == self.target_ip
-
 
 class _CacheEntry:
     __slots__ = ("mac", "expires_at")
@@ -75,10 +71,10 @@ class ARPService:
 
     def __init__(self, interface: "EthernetInterface") -> None:
         self._iface = interface
-        self._cache: Dict[IPAddress, _CacheEntry] = {}
+        self._cache: Dict[int, _CacheEntry] = {}
         #: Addresses we answer requests for on behalf of someone else.
-        self._proxy_for: Set[IPAddress] = set()
-        self._pending: Dict[IPAddress, _PendingResolution] = {}
+        self._proxy_for: Set[int] = set()
+        self._pending: Dict[int, _PendingResolution] = {}
         metrics = interface.sim.metrics
         self._requests_counter = metrics.counter("arp", "requests",
                                                  iface=interface.name)
@@ -101,56 +97,60 @@ class ARPService:
 
     def lookup(self, addr: IPAddress) -> Optional[MACAddress]:
         """Return the cached MAC for *addr* if fresh, else None."""
-        entry = self._cache.get(addr)
+        entry = self._cache.get(addr.value)
         if entry is None:
             return None
         if entry.expires_at <= self._sim.now:
-            del self._cache[addr]
+            del self._cache[addr.value]
             self._evictions_counter.value += 1
             return None
         return entry.mac
 
     def proxy_entries(self) -> Set[IPAddress]:
         """Addresses currently proxied (exposed for tests/monitoring)."""
-        return set(self._proxy_for)
+        return {IPAddress(value) for value in self._proxy_for}
 
     # ----------------------------------------------------------- cache edits
 
     def learn(self, addr: IPAddress, mac: MACAddress, create: bool = True) -> None:
-        """Install or refresh a cache entry.
+        """Refresh the entry for *addr*, or create it when *create* is set.
 
-        ``create=False`` is the gratuitous-ARP rule: only update entries
-        that already exist, never create new ones.
+        ``create=False`` only updates an entry that already exists: the
+        rule for a gratuitous ARP and for a bystander that overhears a
+        request aimed at someone else.  Any packets queued for *addr* go
+        out once it is known.
         """
-        expires_at = self._sim.now + self._cfg.arp_timeout
-        entry = self._cache.get(addr)
-        if entry is not None:
-            entry.mac = mac
-            entry.expires_at = expires_at
-        elif create:
-            self._cache[addr] = _CacheEntry(mac, expires_at)
+        key = addr.value
+        entry = self._cache.get(key)
+        if entry is None:
+            if not create:
+                return
+            self._cache[key] = _CacheEntry(
+                mac, self._sim.now + self._cfg.arp_timeout)
         else:
-            return
-        self._release_pending(addr, mac)
+            entry.mac = mac
+            entry.expires_at = self._sim.now + self._cfg.arp_timeout
+        if self._pending:
+            self._release_pending(key, mac)
 
     def flush(self, addr: Optional[IPAddress] = None) -> None:
         """Drop one entry, or the whole cache when *addr* is None."""
         if addr is None:
             self._cache.clear()
         else:
-            self._cache.pop(addr, None)
+            self._cache.pop(addr.value, None)
 
     # ------------------------------------------------------------- proxy ARP
 
     def add_proxy(self, addr: IPAddress) -> None:
         """Start answering ARP requests for *addr* (home-agent intercept)."""
-        self._proxy_for.add(addr)
+        self._proxy_for.add(addr.value)
         self._sim.trace.emit("arp", "proxy_added", interface=self._iface.name,
                              address=addr)
 
     def remove_proxy(self, addr: IPAddress) -> None:
         """Stop answering for *addr* (mobile host returned home)."""
-        self._proxy_for.discard(addr)
+        self._proxy_for.discard(addr.value)
         self._sim.trace.emit("arp", "proxy_removed", interface=self._iface.name,
                              address=addr)
 
@@ -169,13 +169,13 @@ class ARPService:
             self._iface.transmit_ip_frame(packet, mac)
             return
         drop_cb = on_drop if on_drop is not None else _noop
-        pending = self._pending.get(next_hop)
+        pending = self._pending.get(next_hop.value)
         if pending is not None:
             pending.packets.append((packet, drop_cb))
             return
         pending = _PendingResolution(packets=[(packet, drop_cb)], attempts=0,
                                      retry_event=None)
-        self._pending[next_hop] = pending
+        self._pending[next_hop.value] = pending
         self._send_request(next_hop, pending)
 
     def _send_request(self, target: IPAddress, pending: _PendingResolution) -> None:
@@ -194,11 +194,11 @@ class ARPService:
         )
 
     def _retry(self, target: IPAddress) -> None:
-        pending = self._pending.get(target)
+        pending = self._pending.get(target.value)
         if pending is None:
             return
         if pending.attempts >= self._cfg.arp_max_attempts:
-            del self._pending[target]
+            del self._pending[target.value]
             self._failures_counter.value += 1
             self._sim.trace.emit("arp", "failed", interface=self._iface.name,
                                  target=target, dropped=len(pending.packets))
@@ -207,8 +207,8 @@ class ARPService:
             return
         self._send_request(target, pending)
 
-    def _release_pending(self, addr: IPAddress, mac: MACAddress) -> None:
-        pending = self._pending.pop(addr, None)
+    def _release_pending(self, key: int, mac: MACAddress) -> None:
+        pending = self._pending.pop(key, None)
         if pending is None:
             return
         if pending.retry_event is not None:
@@ -241,28 +241,34 @@ class ARPService:
     # --------------------------------------------------------------- receive
 
     def handle(self, message: ARPMessage) -> None:
-        """Process a received ARP message."""
-        if message.is_gratuitous:
-            # Gratuitous ARP only voids/updates stale entries; it never
-            # creates one (Section 3.1's "void any stale ARP cache entries").
-            self.learn(message.sender_ip, message.sender_mac, create=False)
+        """Process a received ARP message by RFC 826's merge rule.
+
+        Every receiver refreshes an entry it already holds for the sender,
+        but only the target of a request (an owner of the address, or its
+        proxy) creates one; a reply's receiver is its target.  A gratuitous
+        ARP (sender and target address equal) only voids or updates stale
+        entries and is never answered (Section 3.1's "void any stale ARP
+        cache entries").  A probe from 0.0.0.0 teaches no one.
+        """
+        sender_ip = message.sender_ip
+        sender = sender_ip.value
+        if sender == message.target_ip.value:
+            self.learn(sender_ip, message.sender_mac, create=False)
             return
-        # Opportunistically learn the sender (standard ARP behaviour).
-        if not message.sender_ip.is_unspecified:
-            self.learn(message.sender_ip, message.sender_mac)
-        if message.op != OP_REQUEST:
-            return
-        if self._answers_for(message.target_ip):
+        request = message.op == OP_REQUEST
+        target_me = request and self._answers_for(message.target_ip)
+        if sender:
+            self.learn(sender_ip, message.sender_mac,
+                       create=target_me or not request)
+        if target_me:
             reply = ARPMessage(op=OP_REPLY, sender_ip=message.target_ip,
                                sender_mac=self._iface.mac,
-                               target_ip=message.sender_ip,
+                               target_ip=sender_ip,
                                target_mac=message.sender_mac)
             self._iface.transmit_arp(reply, message.sender_mac)
 
     def _answers_for(self, addr: IPAddress) -> bool:
-        if addr in self._proxy_for:
-            return True
-        return self._iface.owns_address(addr)
+        return addr.value in self._proxy_for or self._iface.owns_address(addr)
 
 
 def _noop() -> None:

@@ -48,7 +48,6 @@ Out of scope: urgent data, window scaling (windows are byte counts, not
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -181,8 +180,6 @@ class TCPState(enum.Enum):
 #: Key identifying one connection: (local port, remote addr, remote port).
 ConnKey = Tuple[int, IPAddress, int]
 
-_initial_seq = itertools.count(1000, 64000)
-
 #: Retransmission limits (defaults; ``Config.tcp_min_rto``/``tcp_max_rto``
 #: override per simulation).
 MIN_RTO = ms(400)
@@ -284,7 +281,7 @@ class TCPConnection:
         config = service.config
 
         # Send side.
-        self.iss = next(_initial_seq)
+        self.iss = next(self.sim.tcp_iss)
         self.snd_una = self.iss          # oldest unacknowledged
         self.snd_nxt = self.iss          # next to (re)send
         self.snd_max = self.iss          # highest ever sent (for rewinds)

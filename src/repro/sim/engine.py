@@ -44,6 +44,7 @@ Performance notes (the engine is the hottest loop in the repository):
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import time as _wallclock
@@ -145,6 +146,10 @@ class Simulator:
         self._rngs: Dict[str, random.Random] = {}
         self.trace = Trace(self)
         self.metrics = MetricsRegistry()
+        #: TCP initial sequence numbers, one counter per simulation, so a
+        #: run's segments do not depend on what earlier runs in the
+        #: process opened.
+        self.tcp_iss = itertools.count(1000, 64000)
         self._running = False
         self._events_run = 0
         # O(1) accounting of live and cancelled-but-still-queued events, so

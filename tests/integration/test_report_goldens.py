@@ -1,6 +1,6 @@
 """Experiment reports and one run's metrics must match committed digests.
 
-Four kinds of golden, all sha256 digests in ``report_goldens.json``:
+Five kinds of golden, all sha256 digests in ``report_goldens.json``:
 
 * the extension experiments (x1-x6: UDP probes, registration storms,
   sharded fleets, fault injection, TCP congestion control over handoffs)
@@ -8,6 +8,9 @@ Four kinds of golden, all sha256 digests in ``report_goldens.json``:
 * the fast paper experiments, x1-x6 and x9 at their default seed,
   exactly as ``python -m repro.experiments <id>`` prints them
   (``e1/default``);
+* x8's audited plane-chaos grid cut to one 24-host fleet in two
+  12-host shards (``x8/small``), which pins its shared-Ethernet
+  segments through the report;
 * the full ``metrics.snapshot()`` of one 20-host x4 shard
   (``x4-shard/metrics``), which pins every engine dispatch count and the
   queue high-water exactly, not only through report text;
@@ -20,19 +23,21 @@ Four kinds of golden, all sha256 digests in ``report_goldens.json``:
 
 A change that moves any of these fails this test.  Each default-seed
 report is built once per test run by :func:`default_report`; the paper
-shape tests in ``test_paper_shapes.py`` read the same objects.  If a
-change is intended, regenerate the digests from the repo root and say in
-the commit why they moved::
+shape tests in ``test_paper_shapes.py`` read the same objects.
 
-    PYTHONPATH=src python -c "import json; from tests.integration.test_report_goldens import golden_digests; print(json.dumps(golden_digests(), indent=2, sort_keys=True))" > tests/integration/report_goldens.json
+Run from the repo root, the module compares every digest with the file,
+prints the keys that differ and exits 1 on any mismatch; ``--write``
+rewrites the file instead.  Rewrite it only for an intended change, and
+say in the commit why the digests moved::
+
+    PYTHONPATH=src python -m tests.integration.test_report_goldens [--write]
 """
 
 import functools
 import hashlib
-import itertools
 import json
+import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -46,7 +51,7 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import RUNNERS
 from repro.experiments.exp_ha_scalability import run_fleet_trial
-from repro.net import tcp
+from repro.experiments.exp_plane_chaos import run_plane_chaos_experiment
 from repro.net.addressing import ip
 from repro.obs import capture_simulators
 from repro.parallel import spawn_seed
@@ -94,6 +99,12 @@ def default_report_digest(name: str) -> str:
     return _sha256(default_report(name).format_report())
 
 
+def x8_small_digest() -> str:
+    """x8's grid at one 24-host fleet size, two 12-host shards per cell."""
+    return _sha256(run_plane_chaos_experiment(
+        fleet_sizes=(24,), seed=71, shard_hosts=12).format_report())
+
+
 def x4_shard_metrics_digest() -> str:
     """The first shard of x4's default sweep, cut to 20 hosts."""
     with capture_simulators() as sims:
@@ -107,28 +118,23 @@ def commute_trace() -> Simulator:
     device, tunnel, arp, dhcp, registration, handoff, policy and tcp
     categories: DHCP on the department net, then the commute while the
     correspondent streams to the mobile host over TCP.
-
-    TCP draws initial sequence numbers from one process-wide counter, so
-    the run gets a fresh counter: its records must not depend on how many
-    connections earlier runs in the process opened.
     """
-    with mock.patch.object(tcp, "_initial_seq", itertools.count(1000, 64000)):
-        sim = Simulator(seed=2026)
-        testbed = build_testbed(sim, with_remote_correspondent=False)
-        testbed.move_mh_cable(testbed.dept_segment)
-        testbed.mh_eth.remove_address(testbed.addresses.mh_home)
-        testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
-        testbed.mh_eth.subnet = testbed.addresses.dept_net
-        testbed.mh_dhcp.acquire(on_bound=lambda lease: None)
-        sim.run_for(s(1))
-        TcpBulkReceiver(testbed.mobile)
-        sender = TcpBulkSender(testbed.correspondent, ip("36.135.0.10"),
-                               interval=ms(200))
-        sender.start()
-        commute(testbed)
-        sim.run_for(s(12))
-        sender.finish()
-        sim.run_for(s(5))
+    sim = Simulator(seed=2026)
+    testbed = build_testbed(sim, with_remote_correspondent=False)
+    testbed.move_mh_cable(testbed.dept_segment)
+    testbed.mh_eth.remove_address(testbed.addresses.mh_home)
+    testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
+    testbed.mh_eth.subnet = testbed.addresses.dept_net
+    testbed.mh_dhcp.acquire(on_bound=lambda lease: None)
+    sim.run_for(s(1))
+    TcpBulkReceiver(testbed.mobile)
+    sender = TcpBulkSender(testbed.correspondent, ip("36.135.0.10"),
+                           interval=ms(200))
+    sender.start()
+    commute(testbed)
+    sim.run_for(s(12))
+    sender.finish()
+    sim.run_for(s(5))
     return sim
 
 
@@ -151,6 +157,7 @@ def golden_digests() -> dict:
                for name, runner in EXPERIMENTS for seed in (0, 1, 2)}
     digests.update({f"{name}/default": default_report_digest(name)
                     for name in DEFAULT_SEED_IDS})
+    digests["x8/small"] = x8_small_digest()
     digests["x4-shard/metrics"] = x4_shard_metrics_digest()
     digests["trace-stream/commute"] = typed_stream_digest(
         commute_trace().trace)
@@ -186,6 +193,10 @@ def test_registration_readers_keep_only_registration_records(name):
     assert kept == {"registration"}
 
 
+def test_x8_small_grid_report_matches_golden():
+    assert x8_small_digest() == _golden("x8/small")
+
+
 def test_x4_shard_metrics_snapshot_matches_golden():
     assert x4_shard_metrics_digest() == _golden("x4-shard/metrics")
 
@@ -196,3 +207,22 @@ def test_typed_record_stream_matches_golden():
     assert {"ip", "device", "tunnel", "arp", "dhcp", "registration",
             "handoff", "policy", "tcp"} <= emitted
     assert typed_stream_digest(sim.trace) == _golden("trace-stream/commute")
+
+
+def main(argv) -> int:
+    """Compare every digest with the golden file (``--write``: rewrite it)."""
+    digests = golden_digests()
+    if "--write" in argv:
+        GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True)
+                               + "\n")
+        return 0
+    golden = json.loads(GOLDEN_PATH.read_text())
+    moved = sorted(key for key in digests.keys() | golden.keys()
+                   if digests.get(key) != golden.get(key))
+    for key in moved:
+        print(key)
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

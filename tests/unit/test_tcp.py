@@ -9,7 +9,8 @@ from repro.net.tcp import (
     TCPError,
     TCPState,
 )
-from repro.sim import ms, s
+from repro.sim import Simulator, ms, s
+from tests.conftest import Lan
 
 
 def open_session(lan, on_server_data=None):
@@ -35,6 +36,18 @@ class TestHandshake:
         assert established == ["client"]
         assert client.state == TCPState.ESTABLISHED
         assert server["conn"].state == TCPState.ESTABLISHED
+
+    def test_iss_does_not_depend_on_earlier_simulators(self):
+        """Each simulation draws initial sequence numbers from its own
+        counter, so earlier runs in the process cannot shift them."""
+        def first_iss(earlier_connections):
+            busy = Lan(Simulator(seed=1))
+            for _ in range(earlier_connections):
+                busy.a.tcp.connect(ip("10.0.0.2"), 23)
+            lan = Lan(Simulator(seed=1))
+            return lan.a.tcp.connect(ip("10.0.0.2"), 23).iss
+
+        assert first_iss(0) == first_iss(5) == 1000
 
     def test_connect_without_route_raises(self, lan):
         with pytest.raises(TCPError):
