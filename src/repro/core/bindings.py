@@ -89,7 +89,7 @@ class MobilityBindingTable:
         self._bindings[home_address] = binding
         self._expiry_events[home_address] = self._sim.call_later(
             lifetime, lambda: self._expire(home_address),
-            label=f"binding-expiry:{home_address}",
+            label="binding-expiry",
         )
         return binding
 

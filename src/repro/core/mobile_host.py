@@ -53,6 +53,12 @@ class Location(enum.Enum):
     FOREIGN_WITH_FA = "foreign-fa"    # via a foreign agent (baseline mode)
 
 
+#: The route hook compares against these aliases: reading a member off the
+#: Enum class costs ~10x a global load on CPython 3.11.
+_HOME = Location.HOME
+_FOREIGN_WITH_FA = Location.FOREIGN_WITH_FA
+
+
 class MobileHost(Host):
     """A host that can move between networks without dropping connections."""
 
@@ -334,14 +340,16 @@ class MobileHost(Host):
                       default: Callable[[IPAddress, IPAddress], Optional[RouteResult]]
                       ) -> Optional[RouteResult]:
         """The paper's modified ``ip_rt_route()`` (Figure 4's decision tree)."""
-        if self.at_home:
+        location = self.location
+        if location is _HOME:
             return None  # plain routing; mobility machinery is idle
-        if not src_hint.is_unspecified and src_hint != self.home_address:
+        hint = src_hint.value
+        if hint and hint != self.home_address.value:
             # "Outside the scope of mobile IP": the application bound the
             # source itself (local role / mobile-aware software).
             return None
         mode = self.policy.lookup(dst)
-        if self.location == Location.FOREIGN_WITH_FA and mode.encapsulates:
+        if location is _FOREIGN_WITH_FA and mode.encapsulates:
             # With a foreign agent the mobile host has no collocated
             # address to source an outer header from (its only address is
             # the home address), so the IETF baseline sends direct with

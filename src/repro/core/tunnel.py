@@ -24,6 +24,8 @@ the VIF.
 
 from __future__ import annotations
 
+import random
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.config import Config, DEFAULT_CONFIG
@@ -97,8 +99,8 @@ class VirtualInterface(NetworkInterface):
                             outer=outer)
         cost = jittered(self._rng, self.host.timings.tunnel_cost,
                         self.config.jitter)
-        self._fifo.schedule(cost, lambda: self.host.ip.send(outer),
-                            label=f"vif-encap:{self.name}")
+        self._fifo.post(cost, lambda: self.host.ip.send(outer),
+                        label="vif-encap")
 
 
 class IPIPModule:
@@ -119,14 +121,19 @@ class IPIPModule:
             "tunnel", "decapsulated", host=host.name)
         host.ip.register_protocol(PROTO_IPIP, self._receive)
 
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Decapsulation-cost jitter stream, created on first draw."""
+        return self.sim.rng(f"ipip:{self.host.name}")
+
     def _receive(self, outer: IPPacket, iface: NetworkInterface) -> None:
         inner = outer.inner
         self.sim.trace.emit("tunnel", "decapsulated", host=self.host.name,
                             inner=inner)
         self.packets_decapsulated += 1
         self._decap_counter.value += 1
-        cost = jittered(self.sim.rng(f"ipip:{self.host.name}"),
-                        self.host.timings.tunnel_cost, self.host.config.jitter)
+        cost = jittered(self._rng, self.host.timings.tunnel_cost,
+                        self.host.config.jitter)
         # Re-inject: the inner packet "takes the reverse of the dotted path
         # shown in Figure 4" — it re-enters IP as if freshly received.  It
         # re-enters via the loopback, not the physical interface: the inner
@@ -136,7 +143,7 @@ class IPIPModule:
         self._fifo.post(
             cost,
             lambda: self._reinject(inner),
-            label=f"ipip-decap:{self.host.name}")
+            label="ipip-decap")
 
     def _reinject(self, inner: IPPacket) -> None:
         self.host.ip.receive_packet(inner, self.host.loopback)

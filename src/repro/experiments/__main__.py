@@ -24,11 +24,11 @@ addressed by trial, not by worker).  ``--jobs 0`` uses one worker per
 CPU.
 
 ``--profile`` prints an aggregated :meth:`Simulator.profile` after each
-experiment's report: dispatch counts by label, queue high-water mark,
-simulated-vs-wall throughput.
-Like ``--metrics`` it sees simulators built in this process; with
-``--jobs > 1`` the trials that ran in workers contribute reports but not
-profiles.
+experiment's report: dispatch counts by label kind, queue high-water
+mark, simulated-vs-wall throughput.  Like ``--metrics`` it covers the
+simulators built in worker processes too, whose profiles are shipped
+home, so everything but the wall-clock figures is the same at any
+``--jobs``.
 
 ``--metrics`` captures every simulator an experiment builds — including
 those built in worker processes, whose registries are merged back — and
@@ -46,6 +46,7 @@ import json
 import sys
 
 from repro.obs import (
+    CapturedMetrics,
     capture_policy_tables,
     capture_simulators,
     format_policy_tables,
@@ -129,12 +130,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def aggregate_profiles(profiles: list) -> dict:
-    """Fold per-simulator :meth:`Simulator.profile` dicts into one view.
+def aggregate_profiles(captured: list) -> dict:
+    """Fold the profiles of a capture bucket's simulators into one view.
 
-    Monotonic quantities (events, wall time, dispatch counts) sum; the
-    queue high-water is the max across simulators.
+    A simulator built in this process is asked for its
+    :meth:`Simulator.profile`; a worker's :class:`CapturedMetrics` brings
+    the profiles of the simulators its trial built.  Monotonic quantities
+    (events, wall time, dispatch counts) sum; the queue high-water is the
+    max across simulators.
     """
+    profiles: list = []
+    for entry in captured:
+        if isinstance(entry, CapturedMetrics):
+            profiles.extend(entry.profiles)
+        else:
+            profiles.append(entry.profile())
     total: dict = {
         "simulators": len(profiles),
         "events_run": 0,
@@ -209,11 +219,10 @@ def _run(argv: list) -> int:
                 print(format_policy_tables(tables))
         if args.profile:
             print()
+            profile = aggregate_profiles(captured)
             print(f"--- {name} engine profile "
-                  f"({len(captured)} simulators) ---")
-            print(json.dumps(
-                aggregate_profiles([sim.profile() for sim in captured]),
-                indent=2, sort_keys=True))
+                  f"({profile['simulators']} simulators) ---")
+            print(json.dumps(profile, indent=2, sort_keys=True))
         print()
     return _flush_stdout()
 

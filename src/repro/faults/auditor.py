@@ -32,7 +32,9 @@ its contract.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set,
+                    Tuple)
 
 from repro.config import Config
 
@@ -62,6 +64,10 @@ class AuditViolation(AssertionError):
             f"{lines}\n  trace window:\n{trail}")
 
 
+#: A replay step: ``handler(time, fields)``.
+_Handler = Callable[[int, dict], None]
+
+
 class PlaneAuditor:
     """Continuously audit a :class:`BindingShardPlane` via its trace."""
 
@@ -81,11 +87,31 @@ class PlaneAuditor:
         self._partitioned: Set[str] = set(plane.partitioned_agents())
         #: Re-win deadlines for disturbed addresses: str(home) -> time.
         self._pending: Dict[str, int] = {}
+        #: ``(deadline, home)`` for every deadline ever armed, earliest
+        #: first.  An entry whose deadline is no longer ``_pending[home]``
+        #: (re-won, or replaced by an earlier one) is stale and skipped
+        #: when it surfaces.
+        self._deadlines: List[Tuple[int, str]] = []
         self._takeover_records = 0
         self._takeover_base = plane.takeovers
         self._host_to_replica: Dict[str, str] = {}
         self._map_hosts()
         self._attached = False
+        #: (category, event) -> handler, for the records the replay reads.
+        self._handlers: Dict[Tuple[str, str], _Handler] = {
+            ("binding", "registered"): self._binding_won,
+            ("binding", "adopted"): self._binding_won,
+            ("binding", "deregistered"): self._binding_lost,
+            ("binding", "expired"): self._binding_lost,
+            ("binding", "flushed"): self._binding_lost,
+            ("home_agent", "crash"): self._on_home_agent_crash,
+            ("home_agent", "recovered"): self._on_home_agent_recovered,
+            ("binding_shard", "takeover"): self._on_binding_shard_takeover,
+            ("binding_shard", "partition"): self._on_binding_shard_partition,
+            ("binding_shard", "healed"): self._on_binding_shard_healed,
+            ("binding_shard", "join"): self._on_binding_shard_join,
+            ("binding_shard", "drain"): self._on_binding_shard_drain,
+        }
 
     # -------------------------------------------------------------- lifecycle
 
@@ -122,21 +148,19 @@ class PlaneAuditor:
     # ------------------------------------------------------------- the replay
 
     def _on_record(self, record: "TraceRecord") -> None:
+        time = record.time
         category = record.category
+        event = record.event
         fields = record.fields
-        self._window.append((record.time, category, record.event, fields))
-        self._expire_pending(record.time)
-        handler = getattr(self, f"_on_{category}_{record.event}", None)
+        self._window.append((time, category, event, fields))
+        deadlines = self._deadlines
+        if deadlines and deadlines[0][0] < time:
+            self._expire_pending(time)
+        handler = self._handlers.get((category, event))
         if handler is not None:
-            handler(record.time, fields)
+            handler(time, fields)
 
-    # --- binding table movements
-
-    def _on_binding_registered(self, time: int, fields: dict) -> None:
-        self._binding_won(time, fields)
-
-    def _on_binding_adopted(self, time: int, fields: dict) -> None:
-        self._binding_won(time, fields)
+    # --- binding table movements: won (registered, adopted) ...
 
     def _binding_won(self, time: int, fields: dict) -> None:
         name = self._replica_of(fields.get("agent", ""))
@@ -148,7 +172,9 @@ class PlaneAuditor:
         # in-flight request does not make the binding servable.
         if self._reachable(name):
             self._pending.pop(home, None)
-        holders = self._holdings.setdefault(home, set())
+        holders = self._holdings.get(home)
+        if holders is None:
+            holders = self._holdings[home] = set()
         holders.add(name)
         others = [other for other in holders
                   if other != name and self._reachable(other)]
@@ -157,16 +183,9 @@ class PlaneAuditor:
                 f"home address {home} double-owned: registered at {name} "
                 f"while live replica(s) {sorted(others)} still hold it")
 
-    def _on_binding_deregistered(self, time: int, fields: dict) -> None:
-        self._binding_lost(fields)
+    # --- ... and lost (deregistered, expired, flushed)
 
-    def _on_binding_expired(self, time: int, fields: dict) -> None:
-        self._binding_lost(fields)
-
-    def _on_binding_flushed(self, time: int, fields: dict) -> None:
-        self._binding_lost(fields)
-
-    def _binding_lost(self, fields: dict) -> None:
+    def _binding_lost(self, time: int, fields: dict) -> None:
         name = self._replica_of(fields.get("agent", ""))
         if name is None:
             return
@@ -265,12 +284,19 @@ class PlaneAuditor:
         existing = self._pending.get(home)
         if existing is None or deadline < existing:
             self._pending[home] = deadline
+            heappush(self._deadlines, (deadline, home))
 
     def _expire_pending(self, now: int) -> None:
-        expired = [home for home, deadline in self._pending.items()
-                   if deadline < now]
-        for home in sorted(expired):
-            deadline = self._pending.pop(home)
+        """Report every deadline before *now*, in address order."""
+        deadlines = self._deadlines
+        pending = self._pending
+        expired = []
+        while deadlines and deadlines[0][0] < now:
+            deadline, home = heappop(deadlines)
+            if pending.get(home) == deadline:
+                del pending[home]
+                expired.append((home, deadline))
+        for home, deadline in sorted(expired):
             self._violation(
                 f"binding for {home} not re-won by its convergence "
                 f"deadline t={deadline / 1e9:.6f}s "

@@ -100,7 +100,7 @@ class ARPService:
         entry = self._cache.get(addr.value)
         if entry is None:
             return None
-        if entry.expires_at <= self._sim.now:
+        if entry.expires_at <= self._iface.sim.now:
             del self._cache[addr.value]
             self._evictions_counter.value += 1
             return None
@@ -190,7 +190,7 @@ class ARPService:
         pending.retry_event = self._sim.call_later(
             self._cfg.arp_retry_interval,
             lambda: self._retry(target),
-            label=f"arp-retry:{target}",
+            label="arp-retry",
         )
 
     def _retry(self, target: IPAddress) -> None:

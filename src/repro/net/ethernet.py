@@ -7,7 +7,6 @@ Frames carry either an IPv4 packet or an ARP message across an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from repro.net.addressing import MACAddress
@@ -24,22 +23,43 @@ FRAME_OVERHEAD_BYTES = 18
 MIN_PAYLOAD_BYTES = 46
 
 
-@dataclass(frozen=True)
 class EthernetFrame:
-    """One frame on an Ethernet segment."""
+    """One frame on an Ethernet segment.
 
-    src: MACAddress
-    dst: MACAddress
-    ethertype: int
-    payload: Union[IPPacket, ARPMessage]
+    A ``__slots__`` value class, like the packets it carries: one is built
+    for every frame sent, and its wire size (header, FCS and padding) is
+    computed once here.  Treat instances as immutable.
+    """
 
-    @property
-    def size_bytes(self) -> int:
-        """Wire size including header, FCS and padding."""
-        payload_size = max(self.payload.size_bytes, MIN_PAYLOAD_BYTES)
-        return FRAME_OVERHEAD_BYTES + payload_size
+    __slots__ = ("src", "dst", "ethertype", "payload", "size_bytes")
+
+    def __init__(self, src: MACAddress, dst: MACAddress, ethertype: int,
+                 payload: Union[IPPacket, ARPMessage]) -> None:
+        self.src = src
+        self.dst = dst
+        self.ethertype = ethertype
+        self.payload = payload
+        payload_size = payload.size_bytes
+        if payload_size < MIN_PAYLOAD_BYTES:
+            payload_size = MIN_PAYLOAD_BYTES
+        self.size_bytes = FRAME_OVERHEAD_BYTES + payload_size
 
     def describe(self) -> str:
         """One-line human-readable summary."""
         kind = "IPv4" if self.ethertype == ETHERTYPE_IPV4 else "ARP"
         return f"[{self.src} -> {self.dst} {kind} {self.size_bytes}B]"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EthernetFrame):
+            return NotImplemented
+        return (self.src == other.src and self.dst == other.dst
+                and self.ethertype == other.ethertype
+                and self.payload == other.payload)
+
+    def __hash__(self) -> int:
+        return hash((EthernetFrame, self.src, self.dst, self.ethertype,
+                     self.payload))
+
+    def __repr__(self) -> str:
+        return (f"EthernetFrame(src={self.src!r}, dst={self.dst!r}, "
+                f"ethertype={self.ethertype:#06x}, payload={self.payload!r})")

@@ -117,7 +117,7 @@ class ICMPService:
             if pending is not None:
                 pending.on_timeout()
 
-        event = self.sim.call_later(timeout, timed_out, label=f"ping-timeout:{dst}")
+        event = self.sim.call_later(timeout, timed_out, label="ping-timeout")
         self._pending[key] = _PendingPing(on_reply=on_reply, on_timeout=on_timeout,
                                           sent_at=self.sim.now, timeout_event=event)
         self._send(dst, message, src)
@@ -139,7 +139,7 @@ class ICMPService:
                           payload=message, ttl=self.config.default_ttl)
         delay = jittered(self._rng, self.timings.tx_cost, self.config.jitter)
         self._tx_fifo.post(delay, lambda: self.host.ip.send(packet),
-                           label=f"icmp-tx:{self.host.name}")
+                           label="icmp-tx")
 
     # ----------------------------------------------------------------- errors
 
@@ -177,7 +177,7 @@ class ICMPService:
         assert isinstance(message, ICMPMessage)
         delay = jittered(self._rng, self.timings.rx_cost, self.config.jitter)
         self._rx_fifo.post(delay, lambda: self._process(packet, message, iface),
-                           label=f"icmp-rx:{self.host.name}")
+                           label="icmp-rx")
 
     def _process(self, packet: IPPacket, message: ICMPMessage,
                  iface: "NetworkInterface") -> None:

@@ -110,7 +110,11 @@ class NetworkInterface:
 
     def owns_address(self, addr: IPAddress) -> bool:
         """True if *addr* is configured on this interface."""
-        return addr in self._addresses
+        value = addr.value
+        for owned in self._addresses:
+            if owned.value == value:
+                return True
+        return False
 
     @property
     def subnet(self) -> Optional[Subnet]:
@@ -195,7 +199,7 @@ class NetworkInterface:
                 on_done()
 
         self.sim.call_later(self._jittered(self.device.up_delay), finish,
-                            label=f"ifup:{self.name}")
+                            label="ifup")
 
     def bring_down(self, on_done: Callback = None) -> None:
         """``ifconfig down``: stop sending/receiving after the down-delay."""
@@ -217,7 +221,7 @@ class NetworkInterface:
                 on_done()
 
         self.sim.call_later(self._jittered(self.device.down_delay), finish,
-                            label=f"ifdown:{self.name}")
+                            label="ifdown")
 
     def flap(self, down_for: Time, on_restored: Callback = None) -> None:
         """Force the device down, then bring it back after *down_for* ns.
@@ -237,7 +241,7 @@ class NetworkInterface:
 
         def downed() -> None:
             self.sim.call_later(down_for, restore,
-                                label=f"flap-restore:{self.name}")
+                                label="flap-restore")
 
         self.bring_down(downed)
 
@@ -260,7 +264,7 @@ class NetworkInterface:
                 on_done()
 
         self.sim.call_later(self._jittered(self.device.configure_delay), finish,
-                            label=f"ifconfig:{self.name}")
+                            label="ifconfig")
 
     # ------------------------------------------------------------------ I/O
 
@@ -330,8 +334,10 @@ class EthernetInterface(NetworkInterface):
                                 interface=self.name)
             return
         self._count_tx()
-        if next_hop.is_limited_broadcast or (
-            self.subnet is not None and next_hop == self.subnet.broadcast
+        hop = next_hop.value
+        subnet = self._subnet
+        if hop == 0xFFFFFFFF or (
+            subnet is not None and hop == subnet.broadcast.value
         ):
             self.transmit_ip_frame(packet, broadcast=True)
             return
@@ -357,22 +363,20 @@ class EthernetInterface(NetworkInterface):
                               payload=message)
         self.segment.transmit(frame, self)
 
-    def deliver_frame(self, frame: object) -> None:
+    def deliver_frame(self, frame: EthernetFrame) -> None:
         """Receive one frame from the segment."""
-        assert isinstance(frame, EthernetFrame)
         if self.state is not _UP:
             self._count_drop_down()
             return
         dst = frame.dst.value
         if dst != self.mac.value and dst != _BROADCAST_MAC_VALUE:
             return  # not for us; NIC filter discards silently
-        if frame.ethertype == ETHERTYPE_ARP:
-            assert isinstance(frame.payload, ARPMessage)
-            self.arp.handle(frame.payload)
+        ethertype = frame.ethertype
+        if ethertype == ETHERTYPE_ARP:
+            self.arp.handle(frame.payload)  # type: ignore[arg-type]
             return
-        if frame.ethertype == ETHERTYPE_IPV4:
-            assert isinstance(frame.payload, IPPacket)
-            self._deliver_to_host(frame.payload)
+        if ethertype == ETHERTYPE_IPV4:
+            self._deliver_to_host(frame.payload)  # type: ignore[arg-type]
 
 
 class RadioInterface(NetworkInterface):
@@ -427,7 +431,7 @@ class RadioInterface(NetworkInterface):
         self.sim.post_at(
             deliver_at,
             lambda: self._radio_transmit(packet, next_hop),
-            label=f"serial-tx:{self.name}",
+            label="serial-tx",
         )
 
     def _radio_transmit(self, packet: IPPacket, next_hop: IPAddress) -> None:
@@ -447,7 +451,7 @@ class RadioInterface(NetworkInterface):
         self.sim.post_at(
             deliver_at,
             lambda: self._deliver_to_host(packet),
-            label=f"serial-rx:{self.name}",
+            label="serial-rx",
         )
 
 
@@ -493,4 +497,4 @@ class LoopbackInterface(NetworkInterface):
             return
         self._count_tx()
         self.sim.post_later(0, lambda: self._deliver_to_host(packet),
-                            label=f"lo:{self.name}")
+                            label="lo")

@@ -178,7 +178,7 @@ class IPStack:
         if self.is_local(packet.dst):
             # Local destinations loop straight back up the stack.
             self.sim.post_later(0, lambda: self.deliver(packet, self.host.loopback),
-                                label=f"ip-local:{self.host.name}")
+                                label="ip-local")
             return True
         route = self.ip_rt_route(packet.dst, packet.src)
         if route is None:
@@ -275,5 +275,5 @@ class IPStack:
         self._forward_fifo.post(
             delay,
             lambda: out_iface.send_ip(forwarded, hop),
-            label=f"fwd:{self.host.name}",
+            label="fwd",
         )

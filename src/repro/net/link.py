@@ -20,7 +20,8 @@ with an independent loss probability drawn from a dedicated RNG stream.
 
 from __future__ import annotations
 
-import sys
+import random
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.config import LinkTimings
@@ -52,7 +53,6 @@ class Link:
         self.frames_sent = 0
         self.frames_dropped = 0
         self.bytes_sent = 0
-        self._rng = sim.rng(f"link:{name}")
         #: Fault-injection hook, consulted before the link's own loss
         #: model; return True to drop the frame.  None (the default) costs
         #: nothing and consumes no randomness.
@@ -64,6 +64,11 @@ class Link:
         self._drop_frames = sim.metrics.counter("link", "dropped_frames",
                                                 link=name)
 
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Loss-model stream, created on first draw."""
+        return self.sim.rng(f"link:{self.name}")
+
     def _count_tx(self, size_bytes: int) -> None:
         """Account one frame entering the medium (kept in sync with the
         legacy ``frames_sent``/``bytes_sent`` attributes)."""
@@ -74,11 +79,14 @@ class Link:
 
     def _delivery_time(self, size_bytes: int, key: object = None) -> int:
         """Absolute delivery time, honouring the transmitter's queue."""
-        start = max(self.sim.now, self._busy_until.get(key, 0))
-        finish = start + transmission_delay(size_bytes,
-                                            self.timings.bandwidth_bps)
-        self._busy_until[key] = finish
-        return finish + self.timings.latency
+        busy_until = self._busy_until
+        now = self.sim.now
+        busy = busy_until.get(key, 0)
+        timings = self.timings
+        finish = (busy if busy > now else now) + transmission_delay(
+            size_bytes, timings.bandwidth_bps)
+        busy_until[key] = finish
+        return finish + timings.latency
 
     def queue_depth_ns(self, key: object = None) -> int:
         """How far the transmitter is backed up (0 = idle)."""
@@ -126,7 +134,6 @@ class EthernetSegment(Link):
         self._ports: List["EthernetInterface"] = []
         #: Each port's ``deliver_frame``, in step with ``_ports``.
         self._receivers: List[Callable[["EthernetFrame"], None]] = []
-        self._label = sys.intern(f"eth:{name}")
 
     def attach(self, interface: "EthernetInterface") -> None:
         """Connect an interface to the shared medium."""
@@ -149,13 +156,14 @@ class EthernetSegment(Link):
         rather than simulating CSMA/CD collisions).  The ports attached
         now receive the frame, even if one is unplugged before it lands.
         """
-        self._count_tx(frame.size_bytes)
+        size_bytes = frame.size_bytes
+        self._count_tx(size_bytes)
         if self._drops():
             return
-        deliver_at = self._delivery_time(frame.size_bytes)
+        deliver_at = self._delivery_time(size_bytes)
         self.sim.post_each(deliver_at,
                            _all_but(self._receivers, self._ports, sender),
-                           frame, self._label)
+                           frame, "eth")
 
 
 class PointToPointLink(Link):
@@ -169,7 +177,6 @@ class PointToPointLink(Link):
     def __init__(self, sim: Simulator, name: str, timings: LinkTimings) -> None:
         super().__init__(sim, name, timings)
         self._endpoints: List[object] = []
-        self._label = sys.intern(f"p2p:{name}")
 
     def connect(self, endpoint: object) -> None:
         """Register one of the two endpoints."""
@@ -179,21 +186,22 @@ class PointToPointLink(Link):
 
     def transmit(self, packet: IPPacket, sender: object) -> None:
         """Carry *packet* to the far endpoint."""
-        if sender not in self._endpoints:
+        endpoints = self._endpoints
+        if sender not in endpoints:
             raise ValueError(f"{sender!r} is not an endpoint of {self.name}")
-        self._count_tx(packet.size_bytes)
+        size_bytes = packet.size_bytes
+        self._count_tx(size_bytes)
         if self._drops():
             return
-        peers = [endpoint for endpoint in self._endpoints if endpoint is not sender]
-        if not peers:
-            return
-        peer = peers[0]
+        peer = endpoints[-1] if endpoints[0] is sender else endpoints[0]
+        if peer is sender:
+            return  # no far end connected
         # Full duplex: each direction has its own transmitter queue.
-        deliver_at = self._delivery_time(packet.size_bytes, key=id(sender))
+        deliver_at = self._delivery_time(size_bytes, key=id(sender))
         self.sim.post_at(
             deliver_at,
             lambda: peer.deliver_from_link(packet),  # type: ignore[attr-defined]
-            label=self._label,
+            "p2p",
         )
 
 
@@ -212,8 +220,6 @@ class RadioChannel(Link):
         #: Each radio's ``deliver_from_radio``, in step with ``_radios``.
         self._receivers: List[Callable[[IPPacket], None]] = []
         self._by_address: Dict[IPAddress, "RadioInterface"] = {}
-        self._label = sys.intern(f"radio:{name}")
-        self._broadcast_label = sys.intern(f"radio:{name}:bcast")
 
     def attach(self, interface: "RadioInterface") -> None:
         """Register a radio on the channel."""
@@ -250,7 +256,7 @@ class RadioChannel(Link):
         if next_hop.is_limited_broadcast:
             self.sim.post_each(deliver_at,
                                _all_but(self._receivers, self._radios, sender),
-                               packet, self._broadcast_label)
+                               packet, "radio-bcast")
             return
         target = self._by_address.get(next_hop)
         if target is None or target is sender:
@@ -262,5 +268,5 @@ class RadioChannel(Link):
         self.sim.post_at(
             deliver_at,
             lambda: target.deliver_from_radio(packet),
-            label=self._label,
+            "radio",
         )

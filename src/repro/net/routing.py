@@ -49,17 +49,38 @@ class RouteEntry:
         return f"<Route {self.destination}{via} dev {self.interface.name} metric {self.metric}>"
 
 
-@dataclass(frozen=True)
 class RouteResult:
-    """What ``ip_rt_route()`` hands back to IP/TCP: iface, source, gateway."""
+    """What ``ip_rt_route()`` hands back to IP/TCP: iface, source, gateway.
 
-    interface: "NetworkInterface"
-    source: IPAddress
-    gateway: Optional[IPAddress] = None
+    A ``__slots__`` value class: every routed packet builds one.  Treat
+    instances as immutable.
+    """
+
+    __slots__ = ("interface", "source", "gateway")
+
+    def __init__(self, interface: "NetworkInterface", source: IPAddress,
+                 gateway: Optional[IPAddress] = None) -> None:
+        self.interface = interface
+        self.source = source
+        self.gateway = gateway
 
     def next_hop(self, dst: IPAddress) -> IPAddress:
         """The link-layer target: the gateway if any, else the destination."""
         return self.gateway if self.gateway is not None else dst
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RouteResult):
+            return NotImplemented
+        return (self.interface == other.interface
+                and self.source == other.source
+                and self.gateway == other.gateway)
+
+    def __hash__(self) -> int:
+        return hash((RouteResult, self.interface, self.source, self.gateway))
+
+    def __repr__(self) -> str:
+        return (f"RouteResult(interface={self.interface!r}, "
+                f"source={self.source!r}, gateway={self.gateway!r})")
 
 
 class RoutingTable:

@@ -653,7 +653,7 @@ class TCPConnection:
                     self._rto_est.current() << self._persist_backoff)
         self._persist_event = self.sim.call_later(
             delay, self._on_persist_timeout,
-            label=f"tcp-persist:{self.local_port}")
+            label="tcp-persist")
 
     def _cancel_persist(self) -> None:
         if self._persist_event is not None:
@@ -720,7 +720,7 @@ class TCPConnection:
         self._service.delayed_acks_counter().inc()
         self._delack_event = self.sim.call_later(
             self._delack_timeout, self._on_delack_timeout,
-            label=f"tcp-delack:{self.local_port}")
+            label="tcp-delack")
 
     def _on_delack_timeout(self) -> None:
         self._delack_event = None
@@ -746,7 +746,7 @@ class TCPConnection:
         self._cancel_retransmit()
         self._retransmit_event = self.sim.call_later(
             self._rto_est.current(), self._on_retransmit_timeout,
-            label=f"tcp-rto:{self.local_port}",
+            label="tcp-rto",
         )
 
     def _cancel_retransmit(self) -> None:
@@ -1116,7 +1116,7 @@ class TCPConnection:
             self._timewait_event.cancel()
         self._timewait_event = self.sim.call_later(
             TIME_WAIT_DELAY, self._on_time_wait_expired,
-            label=f"tcp-timewait:{self.local_port}")
+            label="tcp-timewait")
 
     def _on_time_wait_expired(self) -> None:
         self._timewait_event = None
@@ -1297,14 +1297,14 @@ class TCPService:
                           PROTO_TCP, segment, self.config.default_ttl)
         delay = jittered(self._rng, self.timings.tx_cost, self.config.jitter)
         self._tx_fifo.post(delay, lambda: self.host.ip.send(packet),
-                           label=f"tcp-tx:{self.host.name}")
+                           label="tcp-tx")
 
     def _receive(self, packet: IPPacket, iface: "NetworkInterface") -> None:
         segment = packet.payload
         assert isinstance(segment, TCPSegment)
         delay = jittered(self._rng, self.timings.rx_cost, self.config.jitter)
         self._rx_fifo.post(delay, lambda: self._demux(packet, segment),
-                           label=f"tcp-rx:{self.host.name}")
+                           label="tcp-rx")
 
     def _demux(self, packet: IPPacket, segment: TCPSegment) -> None:
         key = (segment.dst_port, packet.src, segment.src_port)

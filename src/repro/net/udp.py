@@ -150,7 +150,7 @@ class UDPService:
                           ttl if ttl is not None else self.config.default_ttl)
         delay = jittered(self._rng, self.timings.tx_cost, self.config.jitter)
         self._tx_fifo.post(delay, lambda: self.host.ip.send(packet, via=via),
-                           label=f"udp-tx:{self.host.name}")
+                           label="udp-tx")
 
     # --------------------------------------------------------------- receive
 
@@ -175,5 +175,5 @@ class UDPService:
             delay,
             lambda: sock._deliver(datagram.payload, packet.src,
                                   datagram.src_port, packet.dst),
-            label=f"udp-rx:{self.host.name}",
+            label="udp-rx",
         )

@@ -52,25 +52,29 @@ def capture_active() -> bool:
 
 
 class CapturedMetrics:
-    """A stand-in for a Simulator that only carries a metrics registry.
+    """A stand-in for the simulators one worker trial built.
 
     Worker processes cannot append their simulators to the parent's
-    capture buckets, so the parallel runner ships each worker's merged
-    :class:`~repro.obs.metrics.MetricsRegistry` home and wraps it in one
-    of these; consumers that iterate a capture bucket reading
-    ``.metrics`` (the ``--metrics`` report path) see no difference.
+    capture buckets, so the parallel runner ships each trial's merged
+    :class:`~repro.obs.metrics.MetricsRegistry` home, with the
+    :meth:`~repro.sim.engine.Simulator.profile` of every simulator it
+    built, and wraps them in one of these; consumers that iterate a
+    capture bucket reading ``.metrics`` (the ``--metrics`` report path)
+    see no difference, and ``--profile`` reads ``profiles``.
     """
 
-    __slots__ = ("metrics",)
+    __slots__ = ("metrics", "profiles")
 
-    def __init__(self, metrics) -> None:
+    def __init__(self, metrics, profiles=()) -> None:
         self.metrics = metrics
+        self.profiles = profiles
 
 
-def note_metrics_registry(registry) -> None:
-    """Feed a worker-produced registry into every active capture."""
+def note_metrics_registry(registry, profiles=()) -> None:
+    """Feed a worker-produced registry (and the profiles of the
+    simulators behind it) into every active capture."""
     if _active:
-        carrier = CapturedMetrics(registry)
+        carrier = CapturedMetrics(registry, profiles)
         for bucket in _active:
             bucket.append(carrier)
 

@@ -11,9 +11,9 @@ one of two interchangeable paths:
 * ``jobs=N`` — a ``multiprocessing.Pool`` of N workers.  Each worker
   resolves the function path, runs the trial inside its own metrics and
   policy-table captures, and ships back ``(result, merged
-  MetricsRegistry, policy-table snapshots)``; the parent feeds both into
-  any active captures, in submission order, so ``--metrics`` reports are
-  complete either way.
+  MetricsRegistry, simulator profiles, policy-table snapshots)``; the
+  parent feeds them into any active captures, in submission order, so
+  ``--metrics`` and ``--profile`` reports are complete either way.
 
 The function-path indirection (rather than pickling callables) is what
 makes the pool spawn-safe: the child only needs to import the module,
@@ -78,19 +78,21 @@ def _run_payload(payload: _Payload):
     """Execute one trial in a worker process.
 
     Module-level so the pool can pickle it by reference under ``spawn``.
-    Returns ``(result, registry, policy snapshots)``: the merged metrics
-    of every simulator the trial built and the snapshot of every Mobile
-    Policy Table it built, collected only when the parent asked (a
-    capture block was active at submit time), else ``None`` for both.
+    Returns ``(result, registry, profiles, policy snapshots)``: the merged
+    metrics and the engine profile of every simulator the trial built and
+    the snapshot of every Mobile Policy Table it built, collected only
+    when the parent asked (a capture block was active at submit time),
+    else ``None`` for all three.
     """
     func_ref, params, collect = payload
     func = resolve_trial(func_ref)
     if not collect:
-        return func(**params), None, None
+        return func(**params), None, None, None
     with capture_simulators() as sims, capture_policy_tables() as tables:
         result = func(**params)
     registry = MetricsRegistry.merged(sim.metrics for sim in sims)
-    return result, registry, [table.snapshot() for table in tables]
+    return (result, registry, [sim.profile() for sim in sims],
+            [table.snapshot() for table in tables])
 
 
 def effective_jobs(jobs: Optional[int]) -> int:
@@ -123,9 +125,9 @@ class ParallelRunner:
         """Execute *trials*, returning their results in order.
 
         ``collect_metrics=None`` (the default) collects worker-side
-        metrics registries and policy-table snapshots exactly when a
-        parent capture block is active, so ``--metrics`` works
-        transparently; pass True/False to force.  What is collected is
+        metrics registries, engine profiles and policy-table snapshots
+        exactly when a parent capture block is active, so ``--metrics``
+        and ``--profile`` work transparently; pass True/False to force.  What is collected is
         fed to the active captures (or discarded when none is active).
         """
         trial_list = list(trials)
@@ -137,10 +139,10 @@ class ParallelRunner:
         if outcomes is None:  # pool unavailable: degrade, don't fail
             return self._run_serial(trial_list)
         results: List[Any] = []
-        for result, registry, policies in outcomes:
+        for result, registry, profiles, policies in outcomes:
             results.append(result)
             if registry is not None:
-                note_metrics_registry(registry)
+                note_metrics_registry(registry, profiles)
                 note_policy_snapshots(policies)
         return results
 

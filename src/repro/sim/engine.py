@@ -26,10 +26,13 @@ Performance notes (the engine is the hottest loop in the repository):
   the slotted layout roughly halves its construction cost.
 * The queue is a plain heap of ``(time, seq, event)`` tuples: heap
   comparisons stop at the unique ``(time, seq)`` ints and run in C.
-* Dispatch labels are interned at scheduling time; the run loop counts
-  them into a plain ``dict`` and flushes into the metrics registry only
-  when a run ends (or :meth:`profile` is called), so the per-event cost
-  is one dict hit instead of a registry lookup.
+* Dispatch labels are constant kinds (``udp-tx``, ``eth``, ``tcp-rto``
+  ...), string literals at every call site, so scheduling builds no
+  string per event and the label series stay bounded however many hosts
+  run; the instance lives in the trace records the handlers emit.  The
+  run loop counts labels into a plain ``dict`` and flushes into the
+  metrics registry only when a run ends (or :meth:`profile` is called),
+  so the per-event cost is one dict hit instead of a registry lookup.
 * A frame on a shared medium reaches every other port at the same
   instant.  :meth:`Simulator.post_each` queues such a fan-out as **one**
   heap entry whose receivers the run loop calls in turn, with one shared
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 import time as _wallclock
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
@@ -58,8 +60,6 @@ from repro.sim.units import SECOND
 
 #: Simulated time: an integer count of nanoseconds since simulation start.
 Time = int
-
-_intern = sys.intern
 
 
 class SimulationError(RuntimeError):
@@ -212,10 +212,13 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(when, seq, callback, _intern(label))
+        event = Event(when, seq, callback, label)
         event._owner = self
         heappush(self._heap, (when, seq, event))
-        self._bump_live()
+        live = self._live + 1
+        self._live = live
+        if live > self._depth_hw:
+            self._raise_depth(live)
         return event
 
     def call_later(self, delay: Time, callback: Callable[[], None], label: str = "") -> Event:
@@ -238,9 +241,11 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(when, seq, callback, _intern(label))
-        heappush(self._heap, (when, seq, event))
-        self._bump_live()
+        heappush(self._heap, (when, seq, Event(when, seq, callback, label)))
+        live = self._live + 1
+        self._live = live
+        if live > self._depth_hw:
+            self._raise_depth(live)
 
     def post_later(self, delay: Time, callback: Callable[[], None], label: str = "") -> None:
         """Schedule *callback* *delay* nanoseconds from now, fire-and-forget."""
@@ -268,17 +273,18 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap,
-                 (when, seq, _FanOut(when, seq, receivers, arg, _intern(label))))
-        self._bump_live(count)
-
-    def _bump_live(self, count: int = 1) -> None:
+                 (when, seq, _FanOut(when, seq, receivers, arg, label)))
         live = self._live + count
         self._live = live
         if live > self._depth_hw:
-            self._depth_hw = live
-            gauge = self._queue_depth_gauge
-            if live > gauge.value:
-                gauge.value = live
+            self._raise_depth(live)
+
+    def _raise_depth(self, live: int) -> None:
+        """A new queue high-water mark of *live* events."""
+        self._depth_hw = live
+        gauge = self._queue_depth_gauge
+        if live > gauge.value:
+            gauge.value = live
 
     def _note_cancelled(self) -> None:
         """A queued event was cancelled; it no longer counts as live."""

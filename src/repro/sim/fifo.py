@@ -27,20 +27,24 @@ class FifoDelay:
     def schedule(self, delay: int, callback: Callable[[], None],
                  label: str = "") -> "Event":
         """Run *callback* after *delay* of service time, in FIFO order."""
-        start = max(self._sim.now, self._busy_until)
-        finish = start + max(delay, 0)
+        sim = self._sim
+        now = sim._now
+        busy = self._busy_until
+        finish = (busy if busy > now else now) + (delay if delay > 0 else 0)
         self._busy_until = finish
-        return self._sim.call_at(finish, callback, label)
+        return sim.call_at(finish, callback, label)
 
     def post(self, delay: int, callback: Callable[[], None],
              label: str = "") -> None:
         """Like :meth:`schedule`, but fire-and-forget: no cancellation
         handle is returned.  Use it whenever the ``schedule`` return value
         would be discarded."""
-        start = max(self._sim.now, self._busy_until)
-        finish = start + max(delay, 0)
+        sim = self._sim
+        now = sim._now
+        busy = self._busy_until
+        finish = (busy if busy > now else now) + (delay if delay > 0 else 0)
         self._busy_until = finish
-        self._sim.post_at(finish, callback, label)
+        sim.post_at(finish, callback, label)
 
     @property
     def backlog(self) -> int:

@@ -10,12 +10,15 @@ def jittered(rng: random.Random, base: int, fraction: float) -> int:
 
     A zero fraction (or zero base) returns *base* untouched without
     consuming randomness, so disabling jitter does not shift RNG streams.
+    The factor is ``random.uniform(low, high)`` written out, so the draw
+    and its value are the same; a *fraction* of at most 1 keeps the
+    result non-negative.
     """
     if fraction <= 0.0 or base == 0:
         return base
     low = 1.0 - fraction
     high = 1.0 + fraction
-    return max(0, int(round(base * rng.uniform(low, high))))
+    return round(base * (low + (high - low) * rng.random()))
 
 
 def bernoulli(rng: random.Random, probability: float) -> bool:

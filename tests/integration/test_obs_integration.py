@@ -2,7 +2,12 @@
 metrics trail — tunnel traffic, a registration latency histogram, and
 engine dispatch counts — without disturbing the simulation itself."""
 
+import re
+
 from repro import Simulator, ms, s
+from repro.experiments.exp_ha_scalability import run_fleet_trial
+from repro.obs import capture_simulators
+from repro.parallel import spawn_seed
 from repro.testbed import build_testbed
 from repro.workloads.udp_echo import UdpEchoResponder, UdpEchoStream
 
@@ -53,3 +58,38 @@ def test_snapshot_values_are_plain_numbers():
     sim, _ = _visit_dept_run(seed=2)
     for key, value in sim.metrics.snapshot().items():
         assert isinstance(value, (int, float)), (key, value)
+
+
+def _x4_shard_series(fleet_size):
+    """(dispatch labels, instance names) of one x4 shard's registry.
+
+    The instance names are every host, interface and link name the
+    registry's other series are labelled with.
+    """
+    with capture_simulators() as sims:
+        run_fleet_trial(fleet_size=fleet_size, seed=spawn_seed(97, 0, 0))
+    (sim,) = sims
+    labels, names = set(), set()
+    for key in sim.metrics.snapshot():
+        for name, value in re.findall(r"(\w+)=([^,}]+)", key):
+            if name == "label" and key.startswith("engine/dispatched"):
+                labels.add(value)
+            elif name in ("host", "iface", "link"):
+                names.add(value)
+    return labels, names
+
+
+def test_dispatch_labels_are_kinds_independent_of_fleet_size():
+    """Engine dispatch series are bounded: the label is the kind of work,
+    never the host, interface, link or address it ran for, so doubling
+    the fleet adds no series."""
+    labels_20, names_20 = _x4_shard_series(20)
+    labels_40, names_40 = _x4_shard_series(40)
+    assert labels_20 == labels_40
+    assert len(names_40) > len(names_20) > 20
+    for label in labels_40:
+        assert not re.search(r"\d+\.\d+\.\d+\.\d+", label), label
+        for name in names_40:
+            assert not re.search(
+                rf"(?<![\w.-]){re.escape(name)}(?![\w.-])", label), (
+                    label, name)

@@ -1,5 +1,7 @@
 """Unit tests for the experiments command-line runner."""
 
+import json
+
 from repro.experiments.__main__ import RUNNERS, main
 
 
@@ -58,6 +60,28 @@ def test_metrics_output_matches_serial_at_jobs_2(capsys):
     parallel = capsys.readouterr().out
     assert serial.count("[policy table:") > 1
     assert serial == parallel
+
+
+def _profile_of(out: str) -> dict:
+    """The JSON object printed after the ``engine profile`` banner."""
+    _, banner, rest = out.partition(" engine profile ")
+    assert banner, out
+    body = rest[rest.index("{"):]
+    return json.loads(body[:body.index("\n}") + 2])
+
+
+def test_profile_covers_worker_simulators_at_jobs_2(capsys):
+    """Workers ship each simulator's profile home, so everything but the
+    wall-clock figures matches the serial run."""
+    assert main(["x4", "--profile"]) == 0
+    serial = _profile_of(capsys.readouterr().out)
+    assert main(["--jobs", "2", "x4", "--profile"]) == 0
+    parallel = _profile_of(capsys.readouterr().out)
+    keys = ("simulators", "events_run", "queue_depth_max",
+            "dispatched_by_label")
+    assert serial["simulators"] == 19
+    assert ({key: parallel[key] for key in keys}
+            == {key: serial[key] for key in keys})
 
 
 def test_runner_table_covers_all_documented_ids():

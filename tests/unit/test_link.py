@@ -69,7 +69,7 @@ class TestEthernetSegment:
         sim.run()
         assert sim.events_run == 8
         assert sim.metrics.get("engine", "dispatched",
-                               label="eth:lan").value == 8
+                               label="eth").value == 8
         assert sim.metrics.gauge("engine", "queue_depth_max").value == 8
 
     def test_port_detached_after_transmit_still_gets_the_frame(self):
@@ -249,7 +249,7 @@ class TestRadioChannel:
         assert [len(radio.received) for radio in radios] == [1, 0, 1, 1]
         assert sim.events_run == 3
         assert sim.metrics.get("engine", "dispatched",
-                               label="radio:air:bcast").value == 3
+                               label="radio-bcast").value == 3
 
     def test_detach_withdraws_addresses(self):
         sim = Simulator()

@@ -25,7 +25,7 @@ from repro.faults import (
     ReplicaDrain,
     ReplicaJoin,
 )
-from repro.sim import Simulator, s
+from repro.sim import Simulator, ms, s
 
 CONFIG = plane_chaos_config()
 
@@ -286,3 +286,70 @@ class TestPlaneAuditor:
         sim.trace.emit("binding", "registered", agent="ha1",
                        home_address=home, care_of="36.192.0.6")
         assert auditor.finish(raise_on_violation=False) == []
+
+
+class TestAuditorDeadlines:
+    """The convergence deadlines sit in a heap with lazy deletion; these
+    pin what it must keep from the scan it replaced."""
+
+    DEADLINE = CONFIG.fleet.convergence_deadline
+
+    def setup_method(self):
+        self.sim, self.plane, _, _ = build_shard()
+        self.auditor = PlaneAuditor(self.plane)
+        self.auditor.attach()
+        self.home = str(home_address_of(0))
+
+    def at(self, time, event="tick", **fields):
+        """Advance the clock to *time* and emit one audited record."""
+        self.sim.run(until=time)
+        self.sim.trace.emit("binding", event, **fields)
+
+    def missed(self, home, deadline):
+        return (f"binding for {home} not re-won by its convergence "
+                f"deadline t={deadline / 1e9:.6f}s "
+                f"(deadline {self.DEADLINE / 1e6:.0f} ms)")
+
+    def crash(self, time, replica):
+        self.sim.run(until=time)
+        self.sim.trace.emit("home_agent", "crash", host=replica)
+
+    def test_missed_deadline_is_reported_once(self):
+        holder = self.plane.owners(self.home)[0]
+        self.at(0, "registered", agent=holder, home_address=self.home)
+        self.crash(0, holder)
+        for step in range(1, 4):
+            self.at(self.DEADLINE + step * ms(10))
+        assert self.auditor.violations == [self.missed(self.home,
+                                                       self.DEADLINE)]
+        assert self.auditor.finish(raise_on_violation=False) == [
+            self.missed(self.home, self.DEADLINE)]
+
+    def test_stale_deadline_of_a_rewon_address_never_fires(self):
+        holder, backup = self.plane.owners(self.home)[:2]
+        self.at(0, "registered", agent=holder, home_address=self.home)
+        self.crash(0, holder)
+        self.at(self.DEADLINE // 4, "registered", agent=backup,
+                home_address=self.home)
+        # Disturbed again: only the new, later deadline may fire.
+        self.crash(self.DEADLINE // 2, backup)
+        self.at(self.DEADLINE + ms(10))
+        assert self.auditor.violations == []
+        rearmed = self.DEADLINE // 2 + self.DEADLINE
+        self.at(rearmed + ms(10))
+        assert self.auditor.violations == [self.missed(self.home, rearmed)]
+
+    def test_earlier_deadline_wins(self):
+        other = str(home_address_of(1))
+        # home: a later disturbance first, then an earlier one.
+        self.auditor._disturb(self.home, self.DEADLINE)
+        self.auditor._disturb(self.home, 0)
+        # other: an earlier disturbance first, then a later one.
+        self.auditor._disturb(other, 0)
+        self.auditor._disturb(other, self.DEADLINE)
+        self.at(self.DEADLINE + ms(10))
+        assert self.auditor.violations == sorted(
+            [self.missed(self.home, self.DEADLINE),
+             self.missed(other, self.DEADLINE)])
+        self.at(2 * self.DEADLINE + ms(10))
+        assert len(self.auditor.violations) == 2
