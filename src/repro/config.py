@@ -98,11 +98,6 @@ class RegistrationTimings:
     max_transmissions: int
     #: Default binding lifetime requested by the MH, ns.
     default_lifetime: int
-    #: Growth factor applied to the retransmit interval after each
-    #: unanswered transmission (RFC 2002-style exponential backoff).
-    #: The *first* retransmission always waits exactly
-    #: ``retransmit_interval``; 1.0 restores the legacy fixed cadence.
-    backoff_multiplier: float = 2.0
     #: Ceiling on the backed-off retransmit interval, ns.
     backoff_cap: int = ms(8000)
     #: Fractional deterministic jitter (uniform +/-) on backed-off
@@ -151,20 +146,6 @@ class FleetTimings:
     #: from an M/D/1 waiting time, which diverges at rho = 1; beyond the
     #: cap the model reports saturation rather than infinities.
     utilization_cap: float = 0.95
-    #: Bounded-staleness degraded mode: while an address's provisioned
-    #: replicas are unreachable, any reachable plane member may answer
-    #: data-plane lookups from the plane's replicated (possibly stale)
-    #: binding.  Off by default — lookups simply miss during takeover,
-    #: exactly the pre-existing behaviour.
-    stale_serve: bool = False
-    #: Hard staleness cap, ns: a replicated binding older than this is
-    #: never served stale (the consistency bound of the degraded mode).
-    stale_serve_cap: int = ms(30_000)
-    #: Deadline, ns, within which every binding disturbed by a fault
-    #: (crash, partition, membership change) must be re-won at a live
-    #: reachable replica.  The :class:`repro.faults.auditor.PlaneAuditor`
-    #: raises when a binding misses it.
-    convergence_deadline: int = ms(8_000)
     #: Base delay, ns, before a host re-resolves its responsible replica
     #: and re-registers after a terminal registration failure.
     reregister_delay: int = ms(1_500)
@@ -172,20 +153,6 @@ class FleetTimings:
     #: host from a splitmix64 stream keyed by global host index, so a
     #: replica crash never synchronizes a fleet-wide retry storm.
     reregister_jitter: float = 0.5
-
-
-@dataclass(frozen=True)
-class AutoswitchTimings:
-    """Probe cadence and hysteresis for automatic network selection."""
-
-    #: Interval between reachability probes of each candidate, ns.
-    probe_interval: int
-    #: How long to wait for a probe reply before counting a failure, ns.
-    probe_timeout: int
-    #: Consecutive successes before a candidate becomes eligible.
-    up_threshold: int
-    #: Consecutive failures before a candidate becomes ineligible.
-    down_threshold: int
 
 
 @dataclass(frozen=True)
@@ -287,16 +254,6 @@ class Config:
     # ---------------------------------------------------------------- fleet
     fleet: FleetTimings = field(default_factory=FleetTimings)
 
-    # ----------------------------------------------------------- autoswitch
-    autoswitch: AutoswitchTimings = field(
-        default_factory=lambda: AutoswitchTimings(
-            probe_interval=ms(500),
-            probe_timeout=ms(400),
-            up_threshold=2,
-            down_threshold=2,
-        )
-    )
-
     # ----------------------------------------------------------------- misc
     #: Fractional jitter applied to software costs (uniform +/- jitter).
     jitter: float = 0.06
@@ -324,9 +281,6 @@ class Config:
     #: sender retransmits holes from a scoreboard.  Off by default (the
     #: seed's go-back-N behaviour).
     tcp_sack: bool = False
-    #: RFC 6298 retransmission-timeout bounds, nanoseconds.
-    tcp_min_rto: int = ms(400)
-    tcp_max_rto: int = ms(16_000)
     #: RFC 9293 receiver flow control: every segment advertises the free
     #: space left in the receive buffer (``wnd``), the sender limits its
     #: flight to ``min(cwnd, peer rwnd)``, and a closed window is probed
@@ -340,16 +294,10 @@ class Config:
     #: meaningful with ``tcp_flow_control``.
     tcp_recv_buffer: int = 4096
     #: RFC 9293 3.8.6.3 delayed ACKs: pure data ACKs are held until a
-    #: second segment arrives or the timeout below fires.  Out-of-order
-    #: segments, FIN, and window updates still ACK immediately.  Off by
-    #: default (the seed ACKed every segment).
+    #: second segment arrives or ``repro.net.tcp.DELAYED_ACK_TIMEOUT``
+    #: fires.  Out-of-order segments, FIN, and window updates still ACK
+    #: immediately.  Off by default (the seed ACKed every segment).
     tcp_delayed_ack: bool = False
-    #: Delayed-ACK flush timeout, nanoseconds (RFC caps it at 500 ms).
-    tcp_delayed_ack_timeout: int = ms(200)
-    #: Nagle's algorithm (RFC 9293 3.7.4): at most one sub-MSS segment of
-    #: fresh data in flight at a time.  Off by default — the seed streams
-    #: small writes immediately, and the legacy reports depend on it.
-    tcp_nagle: bool = False
 
     def with_overrides(self, **kwargs: object) -> "Config":
         """Return a copy with some fields replaced (experiments use this)."""

@@ -80,10 +80,6 @@ class RegistrationAuthenticator:
         """Remove the shared secret; the host becomes unauthenticated-open."""
         self._principals.pop(home_address, None)
 
-    def requires_authentication(self, home_address: IPAddress) -> bool:
-        """True if a key is provisioned for *home_address*."""
-        return home_address in self._principals
-
     def verify(self, request: RegistrationRequest) -> bool:
         """True if the request is authentic and fresh.
 

@@ -14,10 +14,10 @@ the reproduction already has:
   the link's bandwidth);
 * the manager probes every *up* candidate's gateway with ICMP echoes on a
   fixed interval, from the candidate's own address (local-role traffic);
-* a candidate becomes *eligible* after ``up_threshold`` consecutive probe
-  successes and *ineligible* after ``down_threshold`` consecutive failures
-  — classic hysteresis, so one lost radio packet doesn't bounce the host
-  between networks;
+* a candidate becomes *eligible* after :data:`UP_THRESHOLD` consecutive
+  probe successes and *ineligible* after :data:`DOWN_THRESHOLD`
+  consecutive failures — classic hysteresis, so one lost radio packet
+  doesn't bounce the host between networks;
 * whenever the best eligible candidate differs from the current
   attachment, the manager performs a **hot switch** (both interfaces are
   up by construction — this is exactly the paper's "sufficient warning"
@@ -43,11 +43,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.mobile_host import MobileHost
     from repro.net.interface import NetworkInterface
 
-#: Default probe cadence and hysteresis.
+#: Default probe cadence: interval between probes of each candidate, and
+#: how long to wait for a reply before counting a failure.
 DEFAULT_PROBE_INTERVAL = ms(500)
-DEFAULT_UP_THRESHOLD = 2
-DEFAULT_DOWN_THRESHOLD = 2
 DEFAULT_PROBE_TIMEOUT = ms(400)
+#: Hysteresis: consecutive successes before a candidate becomes eligible,
+#: consecutive failures before it becomes ineligible.
+UP_THRESHOLD = 2
+DOWN_THRESHOLD = 2
 
 
 @dataclass
@@ -81,21 +84,12 @@ class ConnectivityManager:
     """Probe candidates, apply hysteresis, switch to the best network."""
 
     def __init__(self, mobile: "MobileHost", *,
-                 probe_interval: Optional[int] = None,
-                 probe_timeout: Optional[int] = None,
-                 up_threshold: Optional[int] = None,
-                 down_threshold: Optional[int] = None) -> None:
-        defaults = mobile.config.autoswitch
+                 probe_interval: int = DEFAULT_PROBE_INTERVAL,
+                 probe_timeout: int = DEFAULT_PROBE_TIMEOUT) -> None:
         self.mobile = mobile
         self.sim = mobile.sim
-        self.probe_interval = probe_interval if probe_interval is not None \
-            else defaults.probe_interval
-        self.probe_timeout = probe_timeout if probe_timeout is not None \
-            else defaults.probe_timeout
-        self.up_threshold = up_threshold if up_threshold is not None \
-            else defaults.up_threshold
-        self.down_threshold = down_threshold if down_threshold is not None \
-            else defaults.down_threshold
+        self.probe_interval = probe_interval
+        self.probe_timeout = probe_timeout
         self.options: List[AttachmentOption] = []
         self.switcher = DeviceSwitcher(mobile)
         self.running = False
@@ -172,11 +166,11 @@ class ConnectivityManager:
                               timeout=self.probe_timeout, data_bytes=8)
 
     def _apply_hysteresis(self, option: AttachmentOption) -> None:
-        if not option.eligible and option.consecutive_successes >= self.up_threshold:
+        if not option.eligible and option.consecutive_successes >= UP_THRESHOLD:
             option.eligible = True
             self.sim.trace.emit("connmgr", "eligible", option=option.name)
             self._reconsider()
-        elif option.eligible and option.consecutive_failures >= self.down_threshold:
+        elif option.eligible and option.consecutive_failures >= DOWN_THRESHOLD:
             option.eligible = False
             self.sim.trace.emit("connmgr", "ineligible", option=option.name)
             self._reconsider()
@@ -215,7 +209,7 @@ class ConnectivityManager:
     def _demote(self, option: AttachmentOption) -> None:
         """Strip an option's eligibility after a failed switch or flap.
 
-        It must re-earn ``up_threshold`` consecutive probe successes, so
+        It must re-earn :data:`UP_THRESHOLD` consecutive probe successes, so
         a recovered network promotes itself back without operator help.
         """
         option.eligible = False

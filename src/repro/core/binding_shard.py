@@ -43,7 +43,7 @@ from typing import (
     Tuple,
 )
 
-from repro.config import Config, DEFAULT_CONFIG
+from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.home_agent import HomeAgentService
@@ -59,6 +59,9 @@ DEFAULT_VNODES = 64
 #: How many distinct successor replicas serve (are provisioned for) each
 #: home address.
 DEFAULT_REPLICATION = 2
+#: Bounded-staleness cap, ns: a replicated binding older than this is
+#: never served stale (the consistency bound of the degraded mode).
+STALE_SERVE_CAP = ms(30_000)
 
 
 def stable_hash64(key: str) -> int:
@@ -239,14 +242,13 @@ class BindingShardPlane:
                  agents: Mapping[str, "HomeAgentService"], *,
                  replication: int = DEFAULT_REPLICATION,
                  vnodes: int = DEFAULT_VNODES,
-                 spares: Optional[Mapping[str, "HomeAgentService"]] = None,
-                 config: Config = DEFAULT_CONFIG) -> None:
+                 spares: Optional[Mapping[str, "HomeAgentService"]] = None
+                 ) -> None:
         if not agents:
             raise ValueError("a binding-shard plane needs at least one agent")
         if replication <= 0:
             raise ValueError(f"replication must be positive, got {replication}")
         self.sim = sim
-        self.config = config
         self.agents: Dict[str, "HomeAgentService"] = dict(agents)
         #: Standby replicas a :class:`~repro.faults.plan.ReplicaJoin` (or a
         #: direct :meth:`add_replica`) can promote into the plane by name.
@@ -363,25 +365,20 @@ class BindingShardPlane:
         Returns ``(care_of, source)`` where ``source`` is
         ``"authoritative"`` (the responsible replica's live binding) or
         ``"stale"`` (the bounded-staleness degraded mode: the replicated
-        copy, served because the authoritative lookup missed while
-        :attr:`~repro.config.FleetTimings.stale_serve` is enabled and the
-        copy is younger than
-        :attr:`~repro.config.FleetTimings.stale_serve_cap`).  ``None``
-        when nobody can answer.
+        copy, served because the authoritative lookup missed and the copy
+        is younger than :data:`STALE_SERVE_CAP`).  ``None`` when nobody
+        can answer.
         """
         agent = self.agent_for(home_address)
         if agent is not None and hasattr(agent, "bindings"):
             binding = agent.bindings.get(home_address)
             if binding is not None:
                 return (binding.care_of_address, "authoritative")
-        fleet = self.config.fleet
-        if not fleet.stale_serve:
-            return None
         record = self._replicated.get(str(home_address))
         if record is None:
             return None
         care_of, updated_at, origin = record
-        if self.sim.now - updated_at > fleet.stale_serve_cap:
+        if self.sim.now - updated_at > STALE_SERVE_CAP:
             return None
         self.stale_served += 1
         self.sim.metrics.counter("binding_shard", "stale_served").value += 1

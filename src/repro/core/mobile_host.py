@@ -65,20 +65,16 @@ class MobileHost(Host):
     def __init__(self, sim: Simulator, name: str, home_address: IPAddress,
                  home_subnet: Subnet, home_agent: IPAddress,
                  *,
-                 config: Optional[Config] = None,
-                 default_mode: Optional[RoutingMode] = None) -> None:
+                 config: Optional[Config] = None) -> None:
         if config is None:
             config = DEFAULT_CONFIG
-        if default_mode is None:
-            default_mode = RoutingMode.TUNNEL
         super().__init__(sim, name, config, timings=config.mobile_host)
         self.home_address = home_address
         self.home_subnet = home_subnet
         self.home_agent = home_agent
         self.vif: VirtualInterface = install_tunnel(self, name="vif")
         self.vif.endpoint_selector = self._select_endpoints
-        self.policy = MobilePolicyTable(default_mode=default_mode,
-                                        metrics=sim.metrics, owner=name)
+        self.policy = MobilePolicyTable(metrics=sim.metrics, owner=name)
         self.registration = RegistrationClient(self, home_address, home_agent)
         self.ip.route_hook = self._mobile_route
 
@@ -324,10 +320,6 @@ class MobileHost(Host):
     def add_smart_correspondent(self, address: IPAddress) -> None:
         """Start sending binding updates to a mobile-aware correspondent."""
         self.smart_correspondents.add(address)
-
-    def remove_smart_correspondent(self, address: IPAddress) -> None:
-        """Stop sending binding updates to *address*."""
-        self.smart_correspondents.discard(address)
 
     # ----------------------------------------------------------------- routing
 

@@ -171,11 +171,6 @@ class NetworkChangeNotifier:
         old = self._last_profile
         self.publish(EventKind.CONNECTIVITY_LOST, old, None)
 
-    def connectivity_restored(self, profile: LinkProfile) -> None:
-        """Publish CONNECTIVITY_RESTORED with the new profile."""
-        self._last_profile = profile
-        self.publish(EventKind.CONNECTIVITY_RESTORED, None, profile)
-
 
 def profile_of(iface: "NetworkInterface") -> LinkProfile:
     """Build a :class:`LinkProfile` from an interface's physical truth."""

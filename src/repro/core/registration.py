@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: UDP port home agents listen on (IETF mobile IP registration port).
 REGISTRATION_PORT = 434
+#: Growth factor of the retransmit interval after each unanswered
+#: transmission (RFC 2002-style exponential backoff).
+BACKOFF_MULTIPLIER = 2
 
 #: Reply codes (subset of the IETF draft's).
 CODE_ACCEPTED = 0
@@ -171,15 +174,6 @@ class RegistrationClient:
         the marshal/send cost sequence."""
         return self.sim.rng(f"reg-backoff:{self.host.name}")
 
-    def rebind_source(self, source: IPAddress) -> None:
-        """Pin the registration socket's source address.
-
-        Registration traffic must reach the home agent even before mobile
-        routing is set up, so the socket binds explicitly (it is
-        deliberately mobile-aware software in the paper's taxonomy).
-        """
-        self._socket.bound_address = source
-
     # ----------------------------------------------------------------- sending
 
     def register(self, care_of_address: IPAddress,
@@ -258,14 +252,14 @@ class RegistrationClient:
 
         Capped exponential backoff: the first retransmission waits exactly
         ``retransmit_interval`` (so clean runs are unchanged), each further
-        one multiplies by ``backoff_multiplier`` up to ``backoff_cap``.
+        one multiplies by :data:`BACKOFF_MULTIPLIER` up to ``backoff_cap``.
         """
         timings = self.config.registration
         delay = timings.retransmit_interval
         for _ in range(max(0, transmissions - 1)):
             if delay >= timings.backoff_cap:
                 break
-            delay = int(delay * timings.backoff_multiplier)
+            delay *= BACKOFF_MULTIPLIER
         delay = min(delay, timings.backoff_cap)
         if timings.backoff_jitter > 0.0:
             delay = jittered(self._backoff_rng, delay, timings.backoff_jitter)

@@ -94,7 +94,7 @@ class VirtualInterface(NetworkInterface):
         self.packets_encapsulated += 1
         self._encap_counter.value += 1
         self._overhead_counter.value += outer.size_bytes - packet.size_bytes
-        self.tx_packets += 1
+        self._count_tx()
         self.sim.trace.emit("tunnel", "encapsulated", interface=self.name,
                             outer=outer)
         cost = jittered(self._rng, self.host.timings.tunnel_cost,

@@ -11,19 +11,19 @@ measures, for an Ethernet-cable-pull with a hot radio standing by:
 * detection + switch time,
 * probe overhead (probes per second of simulated time).
 
-The hysteresis depth is part of the product ``interval x down_threshold``,
+The hysteresis depth is part of the product ``interval x DOWN_THRESHOLD``,
 so the sweep exposes the real trade-off curve the paper wanted to study.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.autoswitch import AttachmentOption, ConnectivityManager
 from repro.experiments.harness import format_table
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import build_testbed
@@ -134,12 +134,10 @@ def merge_autoswitch_trials(results: List[dict]) -> AutoswitchReport:
 def run_autoswitch_experiment(intervals_ms=DEFAULT_INTERVALS_MS,
                               seed: int = 71,
                               config: Config = DEFAULT_CONFIG,
-                              jobs: int = 1,
-                              runner: Optional[ParallelRunner] = None
-                              ) -> AutoswitchReport:
+                              jobs: int = 1) -> AutoswitchReport:
     """Sweep the probe cadence; each point is an independent trial."""
     trials = build_autoswitch_trials(intervals_ms, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_autoswitch_trials(results)
 
 

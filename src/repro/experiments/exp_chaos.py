@@ -31,7 +31,7 @@ the trial's own simulator seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.autoswitch import AttachmentOption, ConnectivityManager
@@ -45,7 +45,7 @@ from repro.faults import (
     InterfaceFlap,
     ReplyDropWindow,
 )
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import build_testbed
@@ -216,12 +216,10 @@ def run_chaos_experiment(loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
                          flap_periods_ms: Sequence[float] = DEFAULT_FLAP_PERIODS_MS,
                          seed: int = 97,
                          config: Config = DEFAULT_CONFIG,
-                         jobs: int = 1,
-                         runner: Optional[ParallelRunner] = None
-                         ) -> ChaosReport:
+                         jobs: int = 1) -> ChaosReport:
     """Sweep loss intensity x flap cadence; each cell is one trial."""
     trials = build_chaos_trials(loss_rates, flap_periods_ms, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_chaos_trials(results)
 
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import DeviceSwitcher, SwitchTimeline
 from repro.experiments.harness import format_histogram, histogram
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import Testbed, build_testbed
@@ -227,16 +227,14 @@ def merge_device_switch_trials(results: List[dict],
 def run_device_switch_experiment(iterations: int = PAPER_ITERATIONS,
                                  seed: int = 23,
                                  config: Config = DEFAULT_CONFIG,
-                                 jobs: int = 1,
-                                 runner: Optional[ParallelRunner] = None
-                                 ) -> DeviceSwitchReport:
+                                 jobs: int = 1) -> DeviceSwitchReport:
     """Reproduce Figure 6: 4 cases x *iterations*, loss histograms.
 
     Every (case, iteration) cell is an independent trial, so ``jobs=N``
     shards all ``4 * iterations`` of them across workers.
     """
     trials = build_device_switch_trials(iterations, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_device_switch_trials(results, iterations)
 
 

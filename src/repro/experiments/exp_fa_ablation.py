@@ -31,12 +31,12 @@ everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import DeviceSwitcher, SwitchTimeline
 from repro.experiments.harness import format_histogram, histogram
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import build_testbed
@@ -213,16 +213,14 @@ def merge_fa_ablation_trials(results: List[dict],
 
 def run_fa_ablation(iterations: int = 10, seed: int = 47,
                     config: Config = DEFAULT_CONFIG,
-                    jobs: int = 1,
-                    runner: Optional[ParallelRunner] = None
-                    ) -> FAAblationReport:
+                    jobs: int = 1) -> FAAblationReport:
     """Run both configurations *iterations* times and compare loss.
 
     Every run is an independent trial (2 x *iterations* of them), so
     ``jobs=N`` shards the whole comparison across workers.
     """
     trials = build_fa_ablation_trials(iterations, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_fa_ablation_trials(results, iterations)
 
 

@@ -32,14 +32,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.binding_shard import HashRing
-from repro.experiments.harness import (
-    LatencyHistogram,
-    Stats,
-    format_table,
-    merge_stats,
-)
+from repro.experiments.harness import format_table
 from repro.parallel import (
-    ParallelRunner,
     Trial,
     balanced_shards,
     run_trials,
@@ -47,6 +41,7 @@ from repro.parallel import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.units import s
+from repro.stats import LatencyHistogram, Stats, merge_stats
 from repro.workloads.aggregate import AggregateHostModel
 
 #: The sweep: three orders of magnitude past the x4 per-host ceiling.
@@ -228,13 +223,11 @@ def run_fleet_scale_experiment(fleet_sizes: Sequence[int] = DEFAULT_FLEET_SIZES,
                                shard_hosts: int = AGGREGATE_SHARD_HOSTS,
                                failover_fleet: Optional[int] =
                                DEFAULT_FAILOVER_FLEET,
-                               jobs: int = 1,
-                               runner: Optional[ParallelRunner] = None
-                               ) -> FleetScaleReport:
+                               jobs: int = 1) -> FleetScaleReport:
     """The full sweep; ``jobs=N`` shards the big fleets across workers."""
     trials = build_fleet_scale_trials(fleet_sizes, seed, config,
                                       shard_hosts, failover_fleet)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_fleet_scale_trials(results, fleet_sizes, shard_hosts,
                                     failover_fleet)
 

@@ -26,20 +26,14 @@ Two harnesses share the fleet machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.mobile_host import MobileHost
 from repro.core.registration import RegistrationOutcome
-from repro.experiments.harness import (
-    Stats,
-    format_table,
-    merge_stats,
-    summarize_ms,
-)
+from repro.experiments.harness import format_table
 from repro.net.interface import EthernetInterface, InterfaceState
 from repro.parallel import (
-    ParallelRunner,
     Trial,
     balanced_shards,
     run_trials,
@@ -47,6 +41,7 @@ from repro.parallel import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
+from repro.stats import Stats, merge_stats, summarize_ms
 from repro.testbed import build_testbed
 
 DEFAULT_FLEET_SIZES = (1, 5, 10, 25, 50)
@@ -167,12 +162,10 @@ def merge_ha_scalability_trials(results: List[dict]) -> HAScalabilityReport:
 def run_ha_scalability_experiment(fleet_sizes=DEFAULT_FLEET_SIZES,
                                   seed: int = 83,
                                   config: Config = DEFAULT_CONFIG,
-                                  jobs: int = 1,
-                                  runner: Optional[ParallelRunner] = None
-                                  ) -> HAScalabilityReport:
+                                  jobs: int = 1) -> HAScalabilityReport:
     """The original sweep: one simulation per fleet size."""
     trials = build_ha_scalability_trials(fleet_sizes, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_ha_scalability_trials(results)
 
 
@@ -250,9 +243,7 @@ def merge_ha_fleet_sweep_trials(results: List[dict], fleet_sizes,
 def run_ha_fleet_sweep(fleet_sizes=LARGE_FLEET_SIZES, seed: int = 97,
                        config: Config = DEFAULT_CONFIG,
                        shard_hosts: int = DEFAULT_SHARD_HOSTS,
-                       jobs: int = 1,
-                       runner: Optional[ParallelRunner] = None
-                       ) -> HAFleetSweepReport:
+                       jobs: int = 1) -> HAFleetSweepReport:
     """The production-scale extension: 100-1000 hosts per fleet.
 
     Each shard is an independent simulation of a replica home agent
@@ -261,7 +252,7 @@ def run_ha_fleet_sweep(fleet_sizes=LARGE_FLEET_SIZES, seed: int = 97,
     """
     trials = build_ha_fleet_sweep_trials(fleet_sizes, seed, config,
                                          shard_hosts)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_ha_fleet_sweep_trials(results, fleet_sizes, shard_hosts)
 
 

@@ -48,12 +48,7 @@ from repro.config import Config, DEFAULT_CONFIG, LinkTimings
 from repro.core.binding_shard import BindingShardPlane, HashRing
 from repro.core.home_agent import HomeAgentService
 from repro.core.registration import RegistrationClient, RegistrationOutcome
-from repro.experiments.harness import (
-    LatencyHistogram,
-    Stats,
-    format_table,
-    merge_stats,
-)
+from repro.experiments.harness import format_table
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -75,7 +70,6 @@ from repro.net.interface import EthernetInterface, PointToPointInterface
 from repro.net.link import EthernetSegment, PointToPointLink
 from repro.net.router import Router
 from repro.parallel import (
-    ParallelRunner,
     Trial,
     balanced_shards,
     run_trials,
@@ -83,7 +77,7 @@ from repro.parallel import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.units import MBPS, ms, s, us
-from repro.stats import Welford
+from repro.stats import LatencyHistogram, Stats, Welford, merge_stats
 from repro.workloads.aggregate import (
     _SplitMix,
     calibrated_fleet_timings,
@@ -141,11 +135,11 @@ def plane_chaos_config(config: Config = DEFAULT_CONFIG) -> Config:
     """The x8 timing profile layered over *config*.
 
     Short lifetimes and a tightened retransmit schedule keep recovery
-    well inside :attr:`~repro.config.FleetTimings.convergence_deadline`
-    (a host that loses a request mid-partition must give up, back off
-    and re-resolve before the auditor's deadline expires); the fleet
-    knobs enable stale-serve and calibrate the M/D/1 model's arrival
-    interval to the actual renewal cadence.
+    well inside :data:`~repro.faults.auditor.CONVERGENCE_DEADLINE` (a
+    host that loses a request mid-partition must give up, back off and
+    re-resolve before the auditor's deadline expires); the fleet timing
+    calibrates the M/D/1 model's arrival interval to the actual renewal
+    cadence.
     """
     return config.with_overrides(
         registration=replace(config.registration,
@@ -156,10 +150,8 @@ def plane_chaos_config(config: Config = DEFAULT_CONFIG) -> Config:
                              backoff_cap=ms(2000),
                              backoff_jitter=0.25),
         fleet=replace(config.fleet,
-                      stale_serve=True,
                       mean_registration_interval=int(
-                          LIFETIME * RENEWAL_FRACTION),
-                      convergence_deadline=s(8)),
+                          LIFETIME * RENEWAL_FRACTION)),
     )
 
 
@@ -297,8 +289,7 @@ def _build_shard(sim: Simulator, config: Config, n_hosts: int,
 
     plane = BindingShardPlane(
         sim, {name: agents[name] for name in BASE_AGENTS},
-        replication=REPLICATION, spares={SPARE_AGENT: agents[SPARE_AGENT]},
-        config=config)
+        replication=REPLICATION, spares={SPARE_AGENT: agents[SPARE_AGENT]})
 
     registrants: List[_Registrant] = []
     stats: Dict[str, object] = {
@@ -563,12 +554,10 @@ def run_plane_chaos_experiment(fleet_sizes: Sequence[int] =
                                seed: int = 71,
                                config: Config = DEFAULT_CONFIG,
                                shard_hosts: int = SHARD_HOSTS,
-                               jobs: int = 1,
-                               runner: Optional[ParallelRunner] = None
-                               ) -> PlaneChaosReport:
+                               jobs: int = 1) -> PlaneChaosReport:
     """The audited chaos grid; ``jobs=N`` shards cells across workers."""
     trials = build_plane_chaos_trials(fleet_sizes, seed, config, shard_hosts)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_plane_chaos_trials(results, fleet_sizes, config, shard_hosts)
 
 

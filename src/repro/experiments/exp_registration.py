@@ -20,7 +20,7 @@ and standard deviation exactly like the figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import (
@@ -31,10 +31,11 @@ from repro.core.handoff import (
     AddressSwitcher,
     SwitchTimeline,
 )
-from repro.experiments.harness import Stats, format_table, summarize_ms
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.experiments.harness import format_table
+from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms
+from repro.stats import Stats, summarize_ms
 from repro.testbed import build_testbed
 
 #: Paper values, milliseconds (for EXPERIMENTS.md comparisons).
@@ -141,9 +142,7 @@ def merge_registration_trials(results: List[dict],
 
 def run_registration_experiment(iterations: int = 10, seed: int = 7,
                                 config: Config = DEFAULT_CONFIG,
-                                jobs: int = 1,
-                                runner: Optional[ParallelRunner] = None
-                                ) -> RegistrationReport:
+                                jobs: int = 1) -> RegistrationReport:
     """Reproduce Figure 7.
 
     One testbed; the mobile host flips between two care-of addresses on
@@ -152,7 +151,7 @@ def run_registration_experiment(iterations: int = 10, seed: int = 7,
     the paper instrumented the home agent itself.
     """
     trials = build_registration_trials(iterations, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_registration_trials(results, iterations)
 
 

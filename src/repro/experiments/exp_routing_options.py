@@ -20,15 +20,16 @@ its router.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.policy import RoutingMode
-from repro.experiments.harness import Stats, format_table, summarize_ms
+from repro.experiments.harness import format_table
 from repro.net.packet import IP_HEADER_BYTES
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
+from repro.stats import Stats, summarize_ms
 from repro.testbed import build_testbed
 from repro.workloads import UdpEchoResponder, UdpEchoStream
 
@@ -236,16 +237,14 @@ def merge_routing_options_trials(results: List[dict],
 
 def run_routing_options_experiment(probes: int = 20, seed: int = 31,
                                    config: Config = DEFAULT_CONFIG,
-                                   jobs: int = 1,
-                                   runner: Optional[ParallelRunner] = None
-                                   ) -> RoutingOptionsReport:
+                                   jobs: int = 1) -> RoutingOptionsReport:
     """Measure all four routing modes plus the dynamic fallback.
 
     The 13 measurements (4 modes x 3 scenarios + fallback demo) are
     independent trials sharded across workers by ``jobs=N``.
     """
     trials = build_routing_options_trials(probes, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_routing_options_trials(results, probes)
 
 

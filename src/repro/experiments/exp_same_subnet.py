@@ -19,12 +19,12 @@ same sampling for free from real-world scheduling noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import AddressSwitcher, SwitchTimeline
 from repro.experiments.harness import format_histogram, histogram, spread_phases
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms
 from repro.testbed import build_testbed
@@ -141,9 +141,7 @@ def merge_same_subnet_trials(results: List[dict], iterations: int,
 def run_same_subnet_experiment(iterations: int = 20, seed: int = 11,
                                probe_interval: int = ms(10),
                                config: Config = DEFAULT_CONFIG,
-                               jobs: int = 1,
-                               runner: Optional[ParallelRunner] = None
-                               ) -> SameSubnetReport:
+                               jobs: int = 1) -> SameSubnetReport:
     """Reproduce the twenty-iteration same-subnet switch measurement.
 
     Each iteration uses a fresh testbed (independent runs, like the
@@ -153,7 +151,7 @@ def run_same_subnet_experiment(iterations: int = 20, seed: int = 11,
     workers with byte-identical results.
     """
     trials = build_same_subnet_trials(iterations, seed, probe_interval, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_same_subnet_trials(results, iterations, probe_interval)
 
 

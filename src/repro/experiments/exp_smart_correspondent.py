@@ -20,14 +20,15 @@ traffic falls back to the basic protocol without loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.smart_correspondent import SmartCorrespondent
-from repro.experiments.harness import Stats, format_table, summarize_ms
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.experiments.harness import format_table
+from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
+from repro.stats import Stats, summarize_ms
 from repro.testbed import build_testbed
 from repro.workloads import UdpEchoResponder, UdpEchoStream
 
@@ -162,12 +163,10 @@ def merge_smart_correspondent_trials(results: List[dict],
 
 def run_smart_correspondent_experiment(probes: int = 30, seed: int = 67,
                                        config: Config = DEFAULT_CONFIG,
-                                       jobs: int = 1,
-                                       runner: Optional[ParallelRunner] = None
-                                       ) -> SmartCorrespondentReport:
+                                       jobs: int = 1) -> SmartCorrespondentReport:
     """Compare plain vs smart correspondents (three parallel trials)."""
     trials = build_smart_correspondent_trials(probes, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_smart_correspondent_trials(results, probes)
 
 

@@ -37,7 +37,7 @@ from repro.faults import FaultPlan, GilbertElliottPhase
 from repro.net.host import Host
 from repro.net.packet import AppData
 from repro.net.tcp import TCPConnection
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.parallel import Trial, run_trials
 from repro.sim.units import ms, s
 from repro.testbed.topology import Testbed
 from repro.workloads.tcp_session import SESSION_PORT, TcpBulkSender
@@ -117,10 +117,6 @@ class CwndSampler:
     @property
     def cwnd_max(self) -> int:
         return max(self.samples) if self.samples else 0
-
-    @property
-    def cwnd_final(self) -> int:
-        return self.samples[-1] if self.samples else 0
 
 
 @dataclass
@@ -265,12 +261,10 @@ def run_tcp_cc_experiment(ccs: Sequence[str] = DEFAULT_CCS,
                           handoffs: Sequence[bool] = DEFAULT_HANDOFFS,
                           seed: int = 113,
                           config: Config = DEFAULT_CONFIG,
-                          jobs: int = 1,
-                          runner: Optional[ParallelRunner] = None
-                          ) -> TcpCcReport:
+                          jobs: int = 1) -> TcpCcReport:
     """Sweep cc × loss × handoff; each cell is one trial."""
     trials = build_tcp_cc_trials(ccs, loss_rates, handoffs, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_tcp_cc_trials(results)
 
 

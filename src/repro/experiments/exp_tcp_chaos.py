@@ -47,7 +47,7 @@ from repro.experiments.harness import format_table
 from repro.faults import FaultInjector
 from repro.net.host import Host
 from repro.net.packet import AppData
-from repro.parallel import ParallelRunner, Trial, run_trials
+from repro.parallel import Trial, run_trials
 from repro.sim.units import ms, s
 from repro.testbed.topology import Testbed
 from repro.workloads.tcp_session import TcpBulkSender, TcpDrainReceiver
@@ -253,11 +253,10 @@ def run_tcp_chaos_experiment(
         flap_periods_ms: Sequence[float] = DEFAULT_FLAP_PERIODS_MS,
         seed: int = 131,
         config: Config = DEFAULT_CONFIG,
-        jobs: int = 1,
-        runner: Optional[ParallelRunner] = None) -> TcpChaosReport:
+        jobs: int = 1) -> TcpChaosReport:
     """Sweep loss intensity x flap cadence; each cell is one trial."""
     trials = build_tcp_chaos_trials(loss_rates, flap_periods_ms, seed, config)
-    results = run_trials(trials, jobs=jobs, runner=runner)
+    results = run_trials(trials, jobs=jobs)
     return merge_tcp_chaos_trials(results)
 
 

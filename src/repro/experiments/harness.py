@@ -1,10 +1,8 @@
-"""Shared experiment machinery: statistics, tables, serialization.
+"""Shared experiment machinery: histograms, tables, serialization.
 
-The statistics core (Welford accumulators, mergeable :class:`Stats`,
-quantile histograms) lives in :mod:`repro.stats` so lower layers — the
-aggregate workload models, the parallel runner — can use it without
-importing the experiment package; this module re-exports it unchanged
-for the experiment harnesses and existing callers.
+The statistics core (Welford accumulators, mergeable ``Stats``, quantile
+histograms) lives in :mod:`repro.stats`, below every layer that merges
+partial summaries.
 """
 
 from __future__ import annotations
@@ -12,16 +10,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 from typing import Any, Dict, Iterable, List, Sequence
-
-from repro.stats import (  # noqa: F401  (re-exported public API)
-    LatencyHistogram,
-    Stats,
-    Welford,
-    merge_histograms,
-    merge_stats,
-    summarize,
-    summarize_ms,
-)
 
 
 def histogram(values: Iterable[int]) -> Dict[int, int]:

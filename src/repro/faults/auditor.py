@@ -14,7 +14,7 @@ of who holds which binding, continuously verifying three invariants:
    be reconciled by the time the partition heals.)
 2. **Bounded convergence** — every binding disturbed by a fault (crash,
    partition, membership change) is re-won at a reachable replica within
-   :attr:`~repro.config.FleetTimings.convergence_deadline`.
+   :data:`CONVERGENCE_DEADLINE`.
 3. **Takeover consistency** — every takeover the plane counts coincides
    with its primary actually being unreachable, and the plane's
    ``takeovers`` total matches the takeover records observed.
@@ -36,7 +36,7 @@ from heapq import heappop, heappush
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set,
                     Tuple)
 
-from repro.config import Config
+from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.binding_shard import BindingShardPlane
@@ -64,6 +64,12 @@ class AuditViolation(AssertionError):
             f"{lines}\n  trace window:\n{trail}")
 
 
+#: Time, ns, within which every binding disturbed by a fault must be
+#: re-won at a live reachable replica.
+CONVERGENCE_DEADLINE = ms(8_000)
+#: Trace records an :class:`AuditViolation` carries as its window.
+WINDOW = 64
+
 #: A replay step: ``handler(time, fields)``.
 _Handler = Callable[[int, dict], None]
 
@@ -71,15 +77,11 @@ _Handler = Callable[[int, dict], None]
 class PlaneAuditor:
     """Continuously audit a :class:`BindingShardPlane` via its trace."""
 
-    def __init__(self, plane: "BindingShardPlane", *,
-                 config: Optional[Config] = None,
-                 window: int = 64) -> None:
+    def __init__(self, plane: "BindingShardPlane") -> None:
         self.plane = plane
         self.sim = plane.sim
-        self.config = config if config is not None else plane.config
-        self.deadline = self.config.fleet.convergence_deadline
         self.violations: List[str] = []
-        self._window: Deque[Tuple[int, str, str, dict]] = deque(maxlen=window)
+        self._window: Deque[Tuple[int, str, str, dict]] = deque(maxlen=WINDOW)
         #: Who holds a binding for each address: str(home) -> {replica}.
         self._holdings: Dict[str, Set[str]] = {}
         self._members: Set[str] = set(plane.agents)
@@ -280,7 +282,7 @@ class PlaneAuditor:
 
     def _disturb(self, home: str, time: int) -> None:
         """Arm (or keep the earlier of) a re-win deadline for *home*."""
-        deadline = time + self.deadline
+        deadline = time + CONVERGENCE_DEADLINE
         existing = self._pending.get(home)
         if existing is None or deadline < existing:
             self._pending[home] = deadline
@@ -300,7 +302,7 @@ class PlaneAuditor:
             self._violation(
                 f"binding for {home} not re-won by its convergence "
                 f"deadline t={deadline / 1e9:.6f}s "
-                f"(deadline {self.deadline / 1e6:.0f} ms)")
+                f"(deadline {CONVERGENCE_DEADLINE / 1e6:.0f} ms)")
 
     def _violation(self, message: str) -> None:
         self.violations.append(message)

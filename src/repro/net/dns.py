@@ -28,7 +28,6 @@ from repro.sim.units import ms, s
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
-    from repro.net.interface import NetworkInterface
 
 DNS_PORT = 53
 #: Approximate wire size of a small DNS message.
@@ -218,13 +217,6 @@ class DNSResolver:
                                 retry_event=None, name=key)
         self._pending[ident] = pending
         self._transmit(ident)
-
-    def flush_cache(self, name: Optional[str] = None) -> None:
-        """Drop one cached name, or everything."""
-        if name is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(name.lower().rstrip("."), None)
 
     # ------------------------------------------------------------------ guts
 

@@ -73,7 +73,6 @@ class NetworkInterface:
         self.tx_packets = 0
         self.rx_packets = 0
         self.dropped_down = 0
-        self.dropped_no_route = 0
         self._tx_counter = sim.metrics.counter("iface", "tx_packets",
                                                iface=name)
         self._rx_counter = sim.metrics.counter("iface", "rx_packets",

@@ -103,13 +103,6 @@ class IPStack:
             raise ValueError(f"protocol {protocol} already registered on {self.host.name}")
         self._handlers[protocol] = handler
 
-    def local_addresses(self) -> set:
-        """Every address any of this host's interfaces currently owns."""
-        owned = set()
-        for iface in self.host.interfaces:
-            owned.update(iface.addresses)
-        return owned
-
     def claim_local(self, addr: IPAddress) -> None:
         """Count one more interface owning *addr* (or broadcasting on it)."""
         local = self._local

@@ -88,10 +88,6 @@ class Link:
         busy_until[key] = finish
         return finish + timings.latency
 
-    def queue_depth_ns(self, key: object = None) -> int:
-        """How far the transmitter is backed up (0 = idle)."""
-        return max(0, self._busy_until.get(key, 0) - self.sim.now)
-
     def _drops(self) -> bool:
         hook = self.fault_hook
         if hook is None and self.timings.loss_rate <= 0:

@@ -14,7 +14,7 @@ This implementation covers what the reproduction needs:
 * RFC 6298 retransmission timeout: SRTT/RTTVAR estimation
   (:class:`RtoEstimator`), Karn's algorithm (retransmitted segments are
   never timed, on any path), exponential backoff that resets on a fresh
-  RTT sample, min/max bounds from ``Config.tcp_min_rto``/``tcp_max_rto``;
+  RTT sample, bounded by :data:`MIN_RTO` and :data:`MAX_RTO`;
 * pluggable congestion control (:mod:`repro.net.congestion`): the seed's
   Tahoe variant (slow start + congestion avoidance, timeout collapse —
   the byte-identical default), Reno (RFC 5681 fast retransmit/fast
@@ -32,11 +32,8 @@ This implementation covers what the reproduction needs:
   an exponentially backed-off persist timer rather than retransmitted
   into (zero-window probes never count against ``MAX_RETRANSMITS``);
 * delayed ACKs (RFC 9293 3.8.6.3, ``Config.tcp_delayed_ack``):
-  every-second-segment or timeout, with immediate ACKs for out-of-order
-  data, FIN, and window updates;
-* Nagle's algorithm (RFC 9293 3.7.4, ``Config.tcp_nagle``): at most one
-  sub-MSS segment of fresh data outstanding (payloads are indivisible
-  application objects here, so small writes are delayed, not coalesced);
+  every-second-segment or :data:`DELAYED_ACK_TIMEOUT`, with immediate
+  ACKs for out-of-order data, FIN, and window updates;
 * simultaneous close (FIN_WAIT_1 -> CLOSING -> TIME_WAIT), TIME_WAIT
   re-ACK + 2MSL restart on a retransmitted FIN, and in-window RST
   validation.
@@ -180,12 +177,13 @@ class TCPState(enum.Enum):
 #: Key identifying one connection: (local port, remote addr, remote port).
 ConnKey = Tuple[int, IPAddress, int]
 
-#: Retransmission limits (defaults; ``Config.tcp_min_rto``/``tcp_max_rto``
-#: override per simulation).
+#: Retransmission-timeout bounds and retry limit.
 MIN_RTO = ms(400)
 MAX_RTO = ms(16_000)
 MAX_RETRANSMITS = 12
 TIME_WAIT_DELAY = ms(2000)
+#: Delayed-ACK flush timeout (RFC 9293 caps it at 500 ms).
+DELAYED_ACK_TIMEOUT = ms(200)
 #: Fixed in-flight window (segments' worth of bytes).
 DEFAULT_WINDOW_BYTES = 4096
 #: Maximum payload bytes per segment.
@@ -316,13 +314,9 @@ class TCPConnection:
 
         # Delayed ACKs (RFC 9293 3.8.6.3).
         self._delack = config.tcp_delayed_ack
-        self._delack_timeout = config.tcp_delayed_ack_timeout
         self._delack_pending = 0         # in-order data segments unACKed
         self._delack_event: Optional[Event] = None
         self.delayed_acks = 0
-
-        # Nagle (RFC 9293 3.7.4).
-        self._nagle = config.tcp_nagle
 
         # Congestion control: a pluggable strategy.  With flow control on
         # the peer's advertised window replaces the fixed clamp, so the
@@ -347,8 +341,7 @@ class TCPConnection:
             ReassemblyBuffer() if config.tcp_sack else None)
 
         # RTT estimation / RTO (RFC 6298), nanoseconds.
-        self._rto_est = RtoEstimator(min_rto=config.tcp_min_rto,
-                                     max_rto=config.tcp_max_rto)
+        self._rto_est = RtoEstimator()
         self._timing_seq: Optional[int] = None   # Karn: seq whose RTT we time
         self._timing_sent_at = 0
         self._retransmit_event: Optional[Event] = None
@@ -530,12 +523,6 @@ class TCPConnection:
                 self.snd_nxt = max(self.snd_nxt, end)
                 continue
             fresh = end > self.snd_max
-            if (self._nagle and fresh and not item.fin
-                    and item.data.size_bytes < DEFAULT_MSS
-                    and self.snd_nxt > self.snd_una):
-                # Nagle: hold fresh sub-MSS data while anything is
-                # unacknowledged (one small segment in flight at a time).
-                break
             if item.fin:
                 self._emit(flags=frozenset({FLAG_FIN, FLAG_ACK}), seq=seq)
             else:
@@ -719,7 +706,7 @@ class TCPConnection:
         self.delayed_acks += 1
         self._service.delayed_acks_counter().inc()
         self._delack_event = self.sim.call_later(
-            self._delack_timeout, self._on_delack_timeout,
+            DELAYED_ACK_TIMEOUT, self._on_delack_timeout,
             label="tcp-delack")
 
     def _on_delack_timeout(self) -> None:

@@ -31,12 +31,7 @@ from repro.parallel.runner import (
     resolve_trial,
     run_trials,
 )
-from repro.parallel.seeds import (
-    balanced_shards,
-    shard_slices,
-    spawn_seed,
-    trial_seeds,
-)
+from repro.parallel.seeds import balanced_shards, spawn_seed
 
 __all__ = [
     "ParallelRunner",
@@ -44,7 +39,5 @@ __all__ = [
     "resolve_trial",
     "run_trials",
     "spawn_seed",
-    "trial_seeds",
-    "shard_slices",
     "balanced_shards",
 ]

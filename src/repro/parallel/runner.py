@@ -120,22 +120,18 @@ class ParallelRunner:
         self.jobs = effective_jobs(jobs)
         self.start_method = start_method
 
-    def run(self, trials: Iterable[Trial],
-            collect_metrics: Optional[bool] = None) -> List[Any]:
+    def run(self, trials: Iterable[Trial]) -> List[Any]:
         """Execute *trials*, returning their results in order.
 
-        ``collect_metrics=None`` (the default) collects worker-side
-        metrics registries, engine profiles and policy-table snapshots
-        exactly when a parent capture block is active, so ``--metrics``
-        and ``--profile`` work transparently; pass True/False to force.  What is collected is
-        fed to the active captures (or discarded when none is active).
+        Worker-side metrics registries, engine profiles and policy-table
+        snapshots are collected exactly when a parent capture block is
+        active, so ``--metrics`` and ``--profile`` work transparently;
+        what is collected is fed to the active captures.
         """
         trial_list = list(trials)
-        if collect_metrics is None:
-            collect_metrics = capture_active()
         if self.jobs <= 1 or len(trial_list) <= 1:
             return self._run_serial(trial_list)
-        outcomes = self._run_pool(trial_list, collect_metrics)
+        outcomes = self._run_pool(trial_list, capture_active())
         if outcomes is None:  # pool unavailable: degrade, don't fail
             return self._run_serial(trial_list)
         results: List[Any] = []
@@ -173,14 +169,11 @@ class ParallelRunner:
             return None
 
 
-def run_trials(trials: Iterable[Trial], jobs: int = 1,
-               runner: Optional[ParallelRunner] = None,
-               collect_metrics: Optional[bool] = None) -> List[Any]:
-    """Convenience wrapper: run *trials* with *runner* or a fresh one.
+def run_trials(trials: Iterable[Trial], jobs: int = 1) -> List[Any]:
+    """Convenience wrapper: run *trials* on a fresh :class:`ParallelRunner`.
 
     Every ``run_*_experiment(jobs=...)`` entry point funnels through
     here, so the serial and parallel paths share one code path up to the
     pool itself.
     """
-    active = runner if runner is not None else ParallelRunner(jobs=jobs)
-    return active.run(trials, collect_metrics=collect_metrics)
+    return ParallelRunner(jobs=jobs).run(trials)

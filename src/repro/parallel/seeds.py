@@ -1,4 +1,4 @@
-"""Deterministic seed derivation and shard partitioning.
+"""Deterministic seed derivation and shard sizing.
 
 The determinism contract for parallel runs rests on one rule: **a
 trial's seed depends only on the experiment's base seed and the trial's
@@ -9,14 +9,11 @@ hard to break.
 :func:`spawn_seed` derives child seeds by hashing an index path
 (``spawn_seed(base, fleet_index, shard_index)``), giving well-separated
 streams even when base seeds are small consecutive integers.
-:func:`trial_seeds` is the simple arithmetic form the pre-parallel
-experiments already used (``seed + index * stride``), kept so their
-reports stay byte-identical to the serial originals.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64 constants (Steele, Lea & Flood: "Fast Splittable PRNGs").
@@ -46,37 +43,6 @@ def spawn_seed(base_seed: int, *path: int) -> int:
     return value & (_MASK64 >> 1)
 
 
-def trial_seeds(base_seed: int, count: int, stride: int = 1) -> List[int]:
-    """The legacy arithmetic seed sequence ``base + index * stride``.
-
-    This is what the serial experiments always did; the builders keep
-    using it so refactored reports match the originals byte for byte.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return [base_seed + index * stride for index in range(count)]
-
-
-def shard_slices(n_items: int, shards: int) -> List[slice]:
-    """Contiguous, balanced, order-preserving slices of ``range(n_items)``.
-
-    The first ``n_items % shards`` shards get one extra item.  Useful for
-    chunking an ordered trial list; concatenating the slices in order
-    always reproduces the original sequence.
-    """
-    if shards <= 0:
-        raise ValueError(f"shards must be positive, got {shards}")
-    shards = min(shards, max(n_items, 1))
-    base, extra = divmod(n_items, shards)
-    out: List[slice] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        out.append(slice(start, start + size))
-        start += size
-    return out
-
-
 def balanced_shards(total: int, shard_capacity: int) -> List[int]:
     """Split *total* items into near-equal shard sizes of at most
     *shard_capacity* each.
@@ -92,8 +58,3 @@ def balanced_shards(total: int, shard_capacity: int) -> List[int]:
     shards = -(-total // shard_capacity)  # ceil
     base, extra = divmod(total, shards)
     return [base + (1 if index < extra else 0) for index in range(shards)]
-
-
-def partition(items: Sequence, shards: int) -> List[List]:
-    """Materialized :func:`shard_slices` partition of *items*."""
-    return [list(items[piece]) for piece in shard_slices(len(items), shards)]

@@ -47,11 +47,6 @@ def from_seconds(value: float) -> int:
     return s(value)
 
 
-def ns_to_us(value: int) -> float:
-    """Convert nanoseconds to (float) microseconds."""
-    return value / MICROSECOND
-
-
 def ns_to_ms(value: int) -> float:
     """Convert nanoseconds to (float) milliseconds."""
     return value / MILLISECOND

@@ -3,8 +3,7 @@
 This is the numeric foundation of every sharded experiment.  It lives at
 the package root — below :mod:`repro.experiments`, :mod:`repro.workloads`
 and :mod:`repro.parallel` alike — so that any layer can produce or merge
-partial summaries without import cycles.  :mod:`repro.experiments.harness`
-re-exports everything here for backward compatibility.
+partial summaries without import cycles.
 
 Two summary kinds compose a shard's partial result:
 

@@ -38,11 +38,6 @@ class ScenarioRun:
     switch_timelines: List[SwitchTimeline] = field(default_factory=list)
 
     @property
-    def total_switch_time(self) -> int:
-        """Sum of all recorded switch durations, ns."""
-        return sum(timeline.total for timeline in self.switch_timelines)
-
-    @property
     def all_switches_succeeded(self) -> bool:
         """True if every recorded switch completed."""
         return all(timeline.success for timeline in self.switch_timelines)

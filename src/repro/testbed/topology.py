@@ -28,7 +28,6 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.core.foreign_agent import ForeignAgentService
 from repro.core.home_agent import HomeAgentService
 from repro.core.mobile_host import MobileHost
-from repro.core.policy import RoutingMode
 from repro.core.registration import RegistrationOutcome
 from repro.net.addressing import IPAddress, MACAllocator, Subnet, ip, subnet
 from repro.net.dhcp import DHCPClient, DHCPServer
@@ -212,8 +211,7 @@ def build_testbed(sim: Simulator, config: Config = DEFAULT_CONFIG,
                   with_remote_correspondent: bool = True,
                   with_dhcp: bool = True,
                   with_foreign_agent: bool = False,
-                  with_radio_foreign_agent: bool = False,
-                  mh_default_mode: RoutingMode = RoutingMode.TUNNEL) -> Testbed:
+                  with_radio_foreign_agent: bool = False) -> Testbed:
     """Construct Figure 5's test-bed.
 
     Parameters
@@ -229,9 +227,6 @@ def build_testbed(sim: Simulator, config: Config = DEFAULT_CONFIG,
         for its Ethernet interface.
     with_foreign_agent:
         Also run an IETF-style foreign agent on net 36.8 (baseline mode).
-    mh_default_mode:
-        The mobile host's default Mobile Policy Table mode (the paper's
-        basic protocol tunnels; experiments flip to the triangle route).
     """
     a = addresses if addresses is not None else Addresses()
     macs = MACAllocator()
@@ -272,8 +267,7 @@ def build_testbed(sim: Simulator, config: Config = DEFAULT_CONFIG,
     # ---------------------------------------------------------- the mobile host
     mobile = MobileHost(sim, "mh", home_address=a.mh_home,
                         home_subnet=a.home_net,
-                        home_agent=home_agent.address, config=config,
-                        default_mode=mh_default_mode)
+                        home_agent=home_agent.address, config=config)
     mh_eth = EthernetInterface(sim, "eth0.mh", macs.allocate(), config)
     mh_radio = RadioInterface(sim, "strip0.mh", config)
     mobile.add_interface(mh_eth)

@@ -44,17 +44,13 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from repro.config import Config, DEFAULT_CONFIG, FleetTimings
-from repro.parallel.seeds import spawn_seed
+from repro.parallel.seeds import _GOLDEN, _MASK64, _MIX1, _MIX2, spawn_seed
 from repro.stats import LatencyHistogram, Stats, Welford
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.binding_shard import HashRing
     from repro.sim.engine import Simulator
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 1.0 / (1 << 53)
 
 
@@ -248,32 +244,12 @@ class AggregateHostModel:
     # ------------------------------------------------------------------ load
 
     def mean_wait_by_agent(self) -> Dict[Optional[str], float]:
-        """M/D/1 mean queueing delay (ns) at each live replica.
-
-        Utilization of a replica is (hosts it effectively owns) x
-        (service time / mean registration interval); the waiting time of
-        an M/D/1 queue is ``rho * S / (2 (1 - rho))``.  Utilization is
-        capped (:attr:`~repro.config.FleetTimings.utilization_cap`) so an
-        overloaded plane reports a deep-but-finite tail; capped replicas
-        are counted in :attr:`saturated_agents`.
-        """
-        fleet = self.config.fleet
-        interval = float(fleet.mean_registration_interval)
-        service = float(self.service_ns)
-        waits: Dict[Optional[str], float] = {}
-        if self.ring is None:
-            shares: Dict[Optional[str], float] = {None: 1.0}
-        else:
-            shares = dict(self.ring.effective_ownership(self.failed_agents))
-        self.saturated_agents = 0
-        for agent, share in shares.items():
-            if self.ring is not None and agent in self.failed_agents:
-                continue
-            rho = self.fleet_hosts * share * service / interval
-            if rho >= fleet.utilization_cap:
-                rho = fleet.utilization_cap
-                self.saturated_agents += 1
-            waits[agent] = rho * service / (2.0 * (1.0 - rho))
+        """M/D/1 mean queueing delay (ns) at each live replica
+        (:func:`agent_mean_waits`); capped replicas are counted in
+        :attr:`saturated_agents`."""
+        waits, self.saturated_agents = agent_mean_waits(
+            self.config, self.service_ns, self.fleet_hosts, self.ring,
+            self.failed_agents)
         return waits
 
     # ------------------------------------------------------------------- run

@@ -74,12 +74,11 @@ class TcpDrainReceiver(TcpBulkReceiver):
         self.drain_bytes = drain_bytes
         self.drain_interval = drain_interval
         self.drained_bytes = 0
-        self._drain_event: Optional[Event] = None
 
     def _on_connection(self, conn: TCPConnection) -> None:
         super()._on_connection(conn)
         conn.auto_consume = False
-        self._drain_event = self.host.sim.call_later(
+        self.host.sim.call_later(
             self.drain_interval, self._drain, label="tcp-drain")
 
     def _drain(self) -> None:
@@ -89,13 +88,8 @@ class TcpDrainReceiver(TcpBulkReceiver):
             conn.consume(take)
             self.drained_bytes += take
         if not self.closed:
-            self._drain_event = self.host.sim.call_later(
+            self.host.sim.call_later(
                 self.drain_interval, self._drain, label="tcp-drain")
-
-    def stop_draining(self) -> None:
-        if self._drain_event is not None:
-            self._drain_event.cancel()
-            self._drain_event = None
 
 
 class TcpBulkSender:

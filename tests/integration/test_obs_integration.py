@@ -44,6 +44,20 @@ def test_visit_dept_produces_tunnel_and_registration_metrics():
     assert snap["engine/queue_depth_max"] > 0
 
 
+def test_vif_tx_packets_counts_every_encapsulation():
+    sim, testbed = _visit_dept_run()
+    snap = sim.metrics.snapshot()
+    vifs = [key[len("tunnel/encapsulated{iface="):-1] for key in snap
+            if key.startswith("tunnel/encapsulated{iface=vif.")]
+    assert sorted(vifs) == ["vif.ha.router", "vif.mh"]
+    for vif in vifs:
+        encapsulated = snap[f"tunnel/encapsulated{{iface={vif}}}"]
+        assert encapsulated > 0
+        assert snap[f"iface/tx_packets{{iface={vif}}}"] == encapsulated
+    assert testbed.home_agent.vif.tx_packets == \
+        testbed.home_agent.vif.packets_encapsulated
+
+
 def test_metrics_reading_does_not_change_behavior():
     sim_a, _ = _visit_dept_run(seed=11)
     sim_b, _ = _visit_dept_run(seed=11)

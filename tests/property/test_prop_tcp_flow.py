@@ -33,9 +33,7 @@ from repro.workloads.tcp_session import TcpBulkSender, TcpDrainReceiver
 
 #: Every flow-control knob spelled out at its default value.
 FLOW_OFF_CONFIG = DEFAULT_CONFIG.with_overrides(
-    tcp_flow_control=False, tcp_recv_buffer=4096,
-    tcp_delayed_ack=False, tcp_delayed_ack_timeout=ms(200),
-    tcp_nagle=False)
+    tcp_flow_control=False, tcp_recv_buffer=4096, tcp_delayed_ack=False)
 #: Reduced x9 grid: the clean cell and the fast-flap cell.
 GRID = dict(loss_rates=(0.2,), flap_periods_ms=(0.0, 7000.0))
 

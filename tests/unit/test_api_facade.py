@@ -3,7 +3,13 @@
 import pytest
 
 from repro import DEFAULT_CONFIG, Scenario, Simulator, s
-from repro.core.autoswitch import ConnectivityManager
+from repro.core.autoswitch import (
+    DEFAULT_PROBE_INTERVAL,
+    DEFAULT_PROBE_TIMEOUT,
+    DOWN_THRESHOLD,
+    UP_THRESHOLD,
+    ConnectivityManager,
+)
 from repro.core.mobile_host import MobileHost
 from repro.net.addressing import IPAddress, Subnet
 from repro.sim.units import ms
@@ -141,8 +147,6 @@ def test_connectivity_manager_defaults_come_from_config():
     home, subnet, agent = _home_pieces(sim)
     mh = MobileHost(sim, "mh", home, subnet, agent)
     manager = ConnectivityManager(mh)
-    timings = DEFAULT_CONFIG.autoswitch
-    assert manager.probe_interval == timings.probe_interval
-    assert manager.probe_timeout == timings.probe_timeout
-    assert manager.up_threshold == timings.up_threshold
-    assert manager.down_threshold == timings.down_threshold
+    assert manager.probe_interval == DEFAULT_PROBE_INTERVAL == ms(500)
+    assert manager.probe_timeout == DEFAULT_PROBE_TIMEOUT == ms(400)
+    assert UP_THRESHOLD == DOWN_THRESHOLD == 2

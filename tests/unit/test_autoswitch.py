@@ -88,7 +88,7 @@ def test_switches_back_when_better_network_returns(managed):
 
 
 def test_hysteresis_tolerates_single_probe_loss(managed):
-    """One lost probe must not trigger a switch (down_threshold=2)."""
+    """One lost probe must not trigger a switch (DOWN_THRESHOLD=2)."""
     testbed, manager = managed
     manager.probe_timeout = ms(600)
     manager.start()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bindings import MobilityBindingTable
 from repro.core.registration import (
+    BACKOFF_MULTIPLIER,
     CODE_ACCEPTED,
     REGISTRATION_PORT,
     RegistrationClient,
@@ -162,7 +163,7 @@ class TestClientRetransmission:
         delay = timings.retransmit_interval
         for _ in gaps:
             expected.append(min(delay, timings.backoff_cap))
-            delay = int(delay * timings.backoff_multiplier)
+            delay *= BACKOFF_MULTIPLIER
         assert gaps == expected
 
     def test_give_up_fires_terminal_hook(self, lan):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.net.addressing import ip, subnet
+from repro.net.addressing import ip
 from repro.net.dhcp import DHCPClient, DHCPServer
 from repro.net.host import Host
 from repro.net.interface import EthernetInterface, InterfaceState

@@ -3,17 +3,13 @@
 import pytest
 
 from repro.experiments.harness import (
-    Stats,
-    Welford,
     format_histogram,
     format_table,
     histogram,
-    merge_stats,
     spread_phases,
-    summarize,
-    summarize_ms,
 )
 from repro.sim import ms
+from repro.stats import Stats, Welford, merge_stats, summarize, summarize_ms
 
 
 class TestSummarize:

@@ -9,7 +9,7 @@ from repro.core.registration import (
     RegistrationRequest,
 )
 from repro.net.addressing import ip
-from repro.sim import ms, s
+from repro.sim import s
 
 HOME = ip("36.135.0.10")
 

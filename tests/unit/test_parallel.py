@@ -10,12 +10,9 @@ from repro.parallel import (
     balanced_shards,
     resolve_trial,
     run_trials,
-    shard_slices,
     spawn_seed,
-    trial_seeds,
 )
 from repro.parallel.runner import effective_jobs
-from repro.parallel.seeds import partition
 
 ECHO = "repro.parallel.selftest:echo_trial"
 SIM = "repro.parallel.selftest:seeded_sim_trial"
@@ -36,24 +33,6 @@ class TestSeeds:
         assert all(spawn_seed(seed, index) >= 0
                    for seed in (0, 1, 2**63) for index in range(4))
 
-    def test_trial_seeds_match_legacy_arithmetic(self):
-        assert trial_seeds(11, 4) == [11, 12, 13, 14]
-        assert trial_seeds(23, 3, stride=131) == [23, 154, 285]
-        assert trial_seeds(5, 0) == []
-        with pytest.raises(ValueError):
-            trial_seeds(5, -1)
-
-    def test_shard_slices_cover_in_order(self):
-        items = list(range(10))
-        pieces = shard_slices(len(items), 3)
-        assert [len(items[piece]) for piece in pieces] == [4, 3, 3]
-        assert [value for piece in pieces for value in items[piece]] == items
-
-    def test_shard_slices_more_shards_than_items(self):
-        assert len(shard_slices(2, 8)) == 2
-        with pytest.raises(ValueError):
-            shard_slices(4, 0)
-
     def test_balanced_shards_respect_capacity(self):
         assert balanced_shards(250, 100) == [84, 83, 83]
         assert balanced_shards(100, 100) == [100]
@@ -61,9 +40,6 @@ class TestSeeds:
         assert sum(balanced_shards(1000, 100)) == 1000
         with pytest.raises(ValueError):
             balanced_shards(10, 0)
-
-    def test_partition_materializes_slices(self):
-        assert partition([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
 
 
 class TestResolveTrial:
@@ -94,13 +70,13 @@ class TestEffectiveJobs:
 class TestRunner:
     def trials(self, count=6):
         return [Trial(SIM, dict(seed=seed, timers=4))
-                for seed in trial_seeds(17, count)]
+                for seed in range(17, 17 + count)]
 
     def test_serial_matches_direct_calls(self):
         results = run_trials(self.trials(), jobs=1)
         func = resolve_trial(SIM)
         assert results == [func(seed=seed, timers=4)
-                           for seed in trial_seeds(17, 6)]
+                           for seed in range(17, 23)]
 
     def test_parallel_matches_serial_in_order(self):
         serial = run_trials(self.trials(), jobs=1)
@@ -151,4 +127,4 @@ class TestMetricsCollection:
 
     def trials(self):
         return [Trial(SIM, dict(seed=seed, timers=4))
-                for seed in trial_seeds(29, 3)]
+                for seed in range(29, 32)]

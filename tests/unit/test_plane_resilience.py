@@ -5,11 +5,9 @@ router hub, live :class:`RegistrationClient` traffic) at tiny scale, so
 every behaviour tested here is the one the chaos experiment gates on.
 """
 
-from dataclasses import replace
-
 import pytest
 
-from repro.core.binding_shard import BindingShardPlane
+from repro.core.binding_shard import STALE_SERVE_CAP, BindingShardPlane
 from repro.experiments.exp_plane_chaos import (
     _build_shard,
     home_address_of,
@@ -25,14 +23,15 @@ from repro.faults import (
     ReplicaDrain,
     ReplicaJoin,
 )
+from repro.faults.auditor import CONVERGENCE_DEADLINE
 from repro.sim import Simulator, ms, s
 
 CONFIG = plane_chaos_config()
 
 
-def build_shard(n_hosts=6, seed=42, config=CONFIG):
+def build_shard(n_hosts=6, seed=42):
     sim = Simulator(seed=seed)
-    plane, registrants, stats = _build_shard(sim, config, n_hosts, 0)
+    plane, registrants, stats = _build_shard(sim, CONFIG, n_hosts, 0)
     return sim, plane, registrants, stats
 
 
@@ -173,17 +172,8 @@ class TestBoundedStaleness:
         self.all_partitioned(plane, duration=s(600))
         home = home_address_of(0)
         assert plane.lookup_binding(home)[1] == "stale"
-        sim.run_for(CONFIG.fleet.stale_serve_cap + s(1))
+        sim.run_for(STALE_SERVE_CAP + s(1))
         assert plane.lookup_binding(home) is None
-
-    def test_stale_serve_is_opt_in(self):
-        config = replace(CONFIG, fleet=replace(CONFIG.fleet,
-                                               stale_serve=False))
-        sim, plane, registrants, _ = build_shard(n_hosts=2, config=config)
-        start_traffic(sim, registrants)
-        self.all_partitioned(plane)
-        assert plane.lookup_binding(home_address_of(0)) is None
-        assert plane.stale_served == 0
 
 
 class TestTakeoverAccounting:
@@ -262,7 +252,7 @@ class TestPlaneAuditor:
                        home_address=str(home), care_of="36.192.0.2")
         plane.crash(holder, down_for=s(1))
         # Nobody re-wins the binding: the deadline must fire at finish.
-        sim.run_for(CONFIG.fleet.convergence_deadline + s(1))
+        sim.run_for(CONVERGENCE_DEADLINE + s(1))
         with pytest.raises(AuditViolation, match="not re-won"):
             auditor.finish()
         assert auditor.finish(raise_on_violation=False)
@@ -292,7 +282,7 @@ class TestAuditorDeadlines:
     """The convergence deadlines sit in a heap with lazy deletion; these
     pin what it must keep from the scan it replaced."""
 
-    DEADLINE = CONFIG.fleet.convergence_deadline
+    DEADLINE = CONVERGENCE_DEADLINE
 
     def setup_method(self):
         self.sim, self.plane, _, _ = build_shard()

@@ -1,4 +1,4 @@
-"""RFC 9293 flow control, delayed ACKs, Nagle — and the close-path fixes.
+"""RFC 9293 flow control, delayed ACKs — and the close-path fixes.
 
 Two families:
 
@@ -6,10 +6,10 @@ Two families:
   flow-control work (simultaneous close via CLOSING, TIME_WAIT re-ACK of
   a retransmitted FIN with 2MSL restart, out-of-window RST rejection) —
   these run on the *default* config, because the fixes are unconditional.
-* Behavior tests for the new ``tcp_flow_control`` / ``tcp_delayed_ack``
-  / ``tcp_nagle`` knobs: advertised-window enforcement, zero-window
-  stall + persist-probe recovery, consume-driven window updates, ACK
-  coalescing, and small-segment holdback.
+* Behavior tests for the ``tcp_flow_control`` / ``tcp_delayed_ack``
+  knobs: advertised-window enforcement, zero-window stall +
+  persist-probe recovery, consume-driven window updates, ACK coalescing,
+  and small writes streaming without holdback.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.net.addressing import ip
 from repro.net.packet import AppData
 from repro.net.tcp import (
     DEFAULT_WINDOW_BYTES,
+    DELAYED_ACK_TIMEOUT,
     FLAG_ACK,
     FLAG_FIN,
     FLAG_RST,
@@ -286,7 +287,7 @@ class TestDelayedAck:
         client.send(AppData("only", 100))
         net.run(50)  # < delack timeout: no ACK yet
         assert client.snd_una < client.snd_max
-        net.run(ms(DEFAULT_CONFIG.tcp_delayed_ack_timeout) / ms(1) + 200)
+        net.run(DELAYED_ACK_TIMEOUT / ms(1) + 200)
         assert client.snd_una == client.snd_max
         assert server["conn"].delayed_acks == 1
 
@@ -302,24 +303,7 @@ class TestDelayedAck:
 
 
 class TestNagle:
-    def test_small_writes_held_until_ack(self):
-        net = lan_with(tcp_nagle=True)
-        client, _server = open_session(net)
-        net.run(500)
-        for i in range(5):
-            client.send(AppData(i, 50))
-        # Only the first sub-MSS segment may be in flight unACKed.
-        assert client.snd_max - client.snd_una == 50
-        net.run(3000)
-        assert client.bytes_sent == 250  # everything drains eventually
-
-    def test_mss_sized_writes_not_held(self):
-        net = lan_with(tcp_nagle=True)
-        client, _server = open_session(net)
-        net.run(500)
-        client.send(AppData("a", 512))
-        client.send(AppData("b", 512))
-        assert client.snd_max - client.snd_una == 1024
+    """The stack has no Nagle holdback: small writes stream at once."""
 
     def test_default_off_sends_immediately(self, lan):
         client, _server = open_session(lan)

@@ -2,7 +2,7 @@
 
 from repro.net.addressing import ip
 from repro.net.packet import AppData
-from repro.net.tcp import RtoEstimator
+from repro.net.tcp import MAX_RTO, MIN_RTO, RtoEstimator
 from repro.sim import ms
 
 
@@ -123,5 +123,5 @@ class TestKarn:
 
     def test_config_bounds_flow_into_the_estimator(self, lan):
         client, _ = established_pair(lan)
-        assert client._rto_est.min_rto == lan.config.tcp_min_rto
-        assert client._rto_est.max_rto == lan.config.tcp_max_rto
+        assert client._rto_est.min_rto == MIN_RTO
+        assert client._rto_est.max_rto == MAX_RTO
