@@ -53,6 +53,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class HomeAgentService:
     """Mobility service for one home subnet, attached to an existing host."""
 
+    #: Statistics reported as counters (``MetricsRegistry.register``).
+    _METRIC_FIELDS = (
+        ("home_agent", "requests_received", (), "requests_received"),
+        ("home_agent", "registrations_accepted", (), "registrations_accepted"),
+        ("home_agent", "deregistrations", (), "deregistrations"),
+        ("home_agent", "requests_denied", (), "requests_denied"),
+        ("home_agent", "bindings_expired", (), "bindings_expired"),
+    )
+
     def __init__(self, host: "Host", home_interface: "EthernetInterface") -> None:
         self.host = host
         self.sim = host.sim
@@ -99,17 +108,7 @@ class HomeAgentService:
         self.restarts = 0
         self.bindings_expired = 0
         self.replies_dropped = 0
-        metrics = host.sim.metrics
-        self._received_counter = metrics.counter(
-            "home_agent", "requests_received", host=host.name)
-        self._accepted_counter = metrics.counter(
-            "home_agent", "registrations_accepted", host=host.name)
-        self._deregistered_counter = metrics.counter(
-            "home_agent", "deregistrations", host=host.name)
-        self._denied_counter = metrics.counter(
-            "home_agent", "requests_denied", host=host.name)
-        self._expired_counter = metrics.counter(
-            "home_agent", "bindings_expired", host=host.name)
+        host.sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
     @cached_property
     def _rng(self) -> random.Random:
@@ -161,7 +160,6 @@ class HomeAgentService:
                                 ident=request.identification)
             return
         self.requests_received += 1
-        self._received_counter.value += 1
         timings = self.config.registration
         delay = (jittered(self._rng, timings.ha_receive_overhead, self.config.jitter)
                  + jittered(self._rng, timings.ha_processing_cost, self.config.jitter))
@@ -180,7 +178,6 @@ class HomeAgentService:
                 self._register(request)
         else:
             self.requests_denied += 1
-            self._denied_counter.value += 1
         lifetime = 0 if request.is_deregistration else request.lifetime
         reply = RegistrationReply(code=code,
                                   home_address=request.home_address,
@@ -243,7 +240,6 @@ class HomeAgentService:
                                          request.authenticator)
         self._install_intercept(request.home_address)
         self.registrations_accepted += 1
-        self._accepted_counter.value += 1
         # The replication hook fires before the trace record, so a plane
         # superseding other replicas' copies emits their "flushed" records
         # ahead of this "registered" one — auditors see a consistent order.
@@ -259,7 +255,6 @@ class HomeAgentService:
         self.bindings.deregister(request.home_address)
         self._remove_intercept(request.home_address)
         self.deregistrations += 1
-        self._deregistered_counter.value += 1
         if self.on_binding_change is not None:
             self.on_binding_change(request.home_address, None)
         self.sim.trace.emit("binding", "deregistered",
@@ -329,7 +324,6 @@ class HomeAgentService:
     def _binding_expired(self, binding: MobilityBinding) -> None:
         self._remove_intercept(binding.home_address)
         self.bindings_expired += 1
-        self._expired_counter.value += 1
 
     # ------------------------------------------------------------------ faults
 

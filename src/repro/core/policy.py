@@ -86,6 +86,15 @@ class MobilePolicyTable:
     tables unchanged and merely add our Mobile Policy Table for IP's use."
     """
 
+    #: Statistics reported as counters (``MetricsRegistry.register``): the
+    #: lookups per mode and result, and the probe fallbacks.
+    _METRIC_FIELDS = tuple(
+        ("policy", "lookups", (("mode", mode.value), ("result", result)),
+         (counts, mode))
+        for mode in RoutingMode
+        for result, counts in (("hit", "_hits"), ("miss", "_misses"))
+    ) + (("policy", "probe_fallbacks", (), "probe_fallbacks"),)
+
     def __init__(self, *,
                  default_mode: Optional[RoutingMode] = None,
                  metrics: Optional[MetricsRegistry] = None,
@@ -100,18 +109,13 @@ class MobilePolicyTable:
         self._index: Dict[int, Dict[int, PolicyEntry]] = {}
         #: The keys of ``_index``, longest first.
         self._lengths: List[int] = []
-        # A table built without a registry (bare tables in tests) records
-        # into a private one, keeping the lookup path branch-free.
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._owner = owner
-        self._lookup_counters = {
-            (mode, result): self._metrics.counter(
-                "policy", "lookups", host=owner, mode=mode.value,
-                result=result)
-            for mode in RoutingMode for result in ("hit", "miss")
-        }
-        self._probe_fallback_counter = self._metrics.counter(
-            "policy", "probe_fallbacks", host=owner)
+        # Statistics: lookups by mode, and probe fallbacks.
+        self._hits: Dict[RoutingMode, int] = dict.fromkeys(RoutingMode, 0)
+        self._misses: Dict[RoutingMode, int] = dict.fromkeys(RoutingMode, 0)
+        self.probe_fallbacks = 0
+        if metrics is not None:
+            metrics.register(self, self._METRIC_FIELDS, host=owner)
         note_policy_table(self)
 
     def __len__(self) -> int:
@@ -166,10 +170,10 @@ class MobilePolicyTable:
         entry = self.lookup_entry(dst)
         if entry is not None:
             mode = entry.mode
-            self._lookup_counters[(mode, "hit")].value += 1
+            self._hits[mode] += 1
         else:
             mode = self.default_mode
-            self._lookup_counters[(mode, "miss")].value += 1
+            self._misses[mode] += 1
         return mode
 
     # --------------------------------------------------------- dynamic updates
@@ -183,7 +187,7 @@ class MobilePolicyTable:
         """
         entry = self.lookup_entry(dst)
         if not reachable:
-            self._probe_fallback_counter.value += 1
+            self.probe_fallbacks += 1
             self.set_policy(dst, RoutingMode.TUNNEL, origin="probe")
             return
         if entry is not None and entry.origin == "probe" \

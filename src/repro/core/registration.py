@@ -129,6 +129,13 @@ class _PendingRegistration:
 class RegistrationClient:
     """Mobile-host side of the registration protocol."""
 
+    #: Statistics reported as counters (``MetricsRegistry.register``).
+    _METRIC_FIELDS = (
+        ("registration", "attempts", (), "attempts"),
+        ("registration", "retries", (), "retries"),
+        ("registration", "failures", (), "failures"),
+    )
+
     def __init__(self, host: "Host", home_address: IPAddress,
                  home_agent: IPAddress) -> None:
         # Per-instance, not a class attribute: a process-wide counter would
@@ -153,13 +160,11 @@ class RegistrationClient:
                                      ).on_datagram(self._on_datagram)
         self.registrations_sent = 0
         self.replies_received = 0
+        self.attempts = 0
+        self.retries = 0
+        self.failures = 0
         metrics = self.sim.metrics
-        self._attempts_counter = metrics.counter("registration", "attempts",
-                                                 host=host.name)
-        self._retries_counter = metrics.counter("registration", "retries",
-                                                host=host.name)
-        self._failures_counter = metrics.counter("registration", "failures",
-                                                 host=host.name)
+        metrics.register(self, self._METRIC_FIELDS, host=host.name)
         self._latency_histogram = metrics.histogram(
             "registration", "latency_ms", host=host.name)
 
@@ -235,7 +240,7 @@ class RegistrationClient:
                                        transmissions=0, retry_event=None,
                                        via=via, destination=destination)
         self._pending[request.identification] = pending
-        self._attempts_counter.value += 1
+        self.attempts += 1
         self.sim.trace.emit("registration", "request_start",
                             host=self.host.name,
                             ident=request.identification,
@@ -274,7 +279,7 @@ class RegistrationClient:
         pending.transmissions += 1
         self.registrations_sent += 1
         if pending.transmissions > 1:
-            self._retries_counter.value += 1
+            self.retries += 1
         target = (destination if destination is not None
                   else pending.request.home_agent)
         self.sim.trace.emit("registration", "request_sent", host=self.host.name,
@@ -300,7 +305,7 @@ class RegistrationClient:
         pending = self._pending.pop(ident, None)
         if pending is None:
             return
-        self._failures_counter.value += 1
+        self.failures += 1
         self.sim.trace.emit("registration", "failed", host=self.host.name,
                             ident=ident, attempts=pending.transmissions)
         pending.on_fail()

@@ -52,6 +52,13 @@ class TunnelError(RuntimeError):
 class VirtualInterface(NetworkInterface):
     """The paper's ``vif``: an interface that encapsulates instead of sends."""
 
+    #: The interface's statistics plus the tunnel's, registered by
+    #: ``NetworkInterface.__init__``.
+    _METRIC_FIELDS = NetworkInterface._METRIC_FIELDS + (
+        ("tunnel", "encapsulated", (), "packets_encapsulated"),
+        ("tunnel", "overhead_bytes", (), "overhead_bytes"),
+    )
+
     def __init__(self, sim: Simulator, name: str, *,
                  config: Optional[Config] = None) -> None:
         if config is None:
@@ -62,10 +69,7 @@ class VirtualInterface(NetworkInterface):
         self._fifo = FifoDelay(sim)
         self.packets_encapsulated = 0
         self.packets_dropped_no_endpoint = 0
-        self._encap_counter = sim.metrics.counter("tunnel", "encapsulated",
-                                                  iface=name)
-        self._overhead_counter = sim.metrics.counter(
-            "tunnel", "overhead_bytes", iface=name)
+        self.overhead_bytes = 0
 
     def send_ip(self, packet: IPPacket, next_hop: IPAddress) -> None:
         """Encapsulate *packet* and hand the result back to IP."""
@@ -92,9 +96,8 @@ class VirtualInterface(NetworkInterface):
             raise TunnelError(f"{self.name}: double encapsulation of "
                               f"{packet.describe()}")
         self.packets_encapsulated += 1
-        self._encap_counter.value += 1
-        self._overhead_counter.value += outer.size_bytes - packet.size_bytes
-        self._count_tx()
+        self.overhead_bytes += outer.size_bytes - packet.size_bytes
+        self.tx_packets += 1
         self.sim.trace.emit("tunnel", "encapsulated", interface=self.name,
                             outer=outer)
         cost = jittered(self._rng, self.host.timings.tunnel_cost,
@@ -112,13 +115,15 @@ class IPIPModule:
     before forwarding them to correspondents).
     """
 
+    #: Statistics reported as counters (``MetricsRegistry.register``).
+    _METRIC_FIELDS = (("tunnel", "decapsulated", (), "packets_decapsulated"),)
+
     def __init__(self, host: "Host") -> None:
         self.host = host
         self.sim = host.sim
         self._fifo = FifoDelay(host.sim)
         self.packets_decapsulated = 0
-        self._decap_counter = host.sim.metrics.counter(
-            "tunnel", "decapsulated", host=host.name)
+        host.sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
         host.ip.register_protocol(PROTO_IPIP, self._receive)
 
     @cached_property
@@ -131,7 +136,6 @@ class IPIPModule:
         self.sim.trace.emit("tunnel", "decapsulated", host=self.host.name,
                             inner=inner)
         self.packets_decapsulated += 1
-        self._decap_counter.value += 1
         cost = jittered(self._rng, self.host.timings.tunnel_cost,
                         self.host.config.jitter)
         # Re-inject: the inner packet "takes the reverse of the dotted path

@@ -172,8 +172,9 @@ def run_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
     sent = stream.sent
     delivered_pct = (100.0 * stream.received / sent) if sent else 0.0
     survived = stream.received_count(since=HORIZON - SURVIVAL_WINDOW) > 0
-    retries = sim.metrics.counter("registration", "retries",
-                                  host=testbed.mobile.name).value
+    retries = sim.metrics.get("registration", "retries",
+                              host=testbed.mobile.name)
+    assert retries is not None
     return {
         "loss_rate": loss_rate,
         "flap_period_ms": flap_period_ns / 1e6,
@@ -182,7 +183,7 @@ def run_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
         "longest_outage_ms": stream.longest_outage() * ECHO_INTERVAL / 1e6,
         "survived": survived,
         "renewals": testbed.mobile.renewals_sent,
-        "reg_retries": retries,
+        "reg_retries": retries.value,
         "bindings_expired": testbed.home_agent.bindings_expired,
         "faults_injected": injector.total_injected(),
     }

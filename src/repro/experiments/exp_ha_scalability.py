@@ -25,6 +25,7 @@ Two harnesses share the fleet machinery:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -128,8 +129,16 @@ def run_fleet_trial(fleet_size: int, seed: int,
     Returns the accepted count plus the latency summary as plain data —
     shards ship their partial ``Stats``, not raw samples, and the merge
     step combines them exactly (Welford partial merge).
+
+    A fleet is one large cyclic object graph (hosts, their stacks and the
+    simulator refer to each other), which only a full collection frees.
+    A sweep runs fleet after fleet in one process, and the interpreter's
+    own cadence (one full collection per ~70k container allocations)
+    lets several dead fleets pile up, so each trial collects once its
+    fleet has run.  See docs/PERFORMANCE.md for the cost.
     """
     result = _run_fleet(fleet_size, seed, config)
+    gc.collect()
     return {"fleet_size": result.fleet_size,
             "accepted": result.accepted,
             "latency": {"count": result.latency.count,

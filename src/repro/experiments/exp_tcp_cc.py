@@ -215,17 +215,18 @@ def run_tcp_cc_trial(cc: str, loss_rate: float, handoff: bool, seed: int,
             recovery_ms = (first - cutover) / 1e6
     metrics = result.sim.metrics
     sender_host = testbed.correspondent.name
+    retransmits = metrics.get("tcp", "retransmits", host=sender_host)
+    rtos = metrics.get("tcp", "rto_expirations", host=sender_host)
+    assert retransmits is not None and rtos is not None
     return {
         "cc": cc,
         "loss_rate": loss_rate,
         "handoff": handoff,
         "chunks_sent": sender.sent_chunks,
         "goodput_kbps": goodput_kbps,
-        "retransmits": metrics.counter("tcp", "retransmits",
-                                       host=sender_host).value,
+        "retransmits": retransmits.value,
         "fast_retransmits": sender.connection.fast_retransmits,
-        "rto_expirations": metrics.counter("tcp", "rto_expirations",
-                                           host=sender_host).value,
+        "rto_expirations": rtos.value,
         "cwnd_max": sampler.cwnd_max,
         "recovery_ms": recovery_ms,
     }

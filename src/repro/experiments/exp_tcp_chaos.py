@@ -206,6 +206,9 @@ def run_tcp_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
     survived = receiver.received_after(HORIZON - SURVIVAL_WINDOW) > 0
     metrics = result.sim.metrics
     sender_host = testbed.correspondent.name
+    retransmits = metrics.get("tcp", "retransmits", host=sender_host)
+    rtos = metrics.get("tcp", "rto_expirations", host=sender_host)
+    assert retransmits is not None and rtos is not None
     receiver_conn = receiver.connection
     return {
         "loss_rate": loss_rate,
@@ -215,10 +218,8 @@ def run_tcp_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
         "persist_probes": sender_conn.persist_probes,
         "delayed_acks": (receiver_conn.delayed_acks
                          if receiver_conn is not None else 0),
-        "retransmits": metrics.counter("tcp", "retransmits",
-                                       host=sender_host).value,
-        "rto_expirations": metrics.counter("tcp", "rto_expirations",
-                                           host=sender_host).value,
+        "retransmits": retransmits.value,
+        "rto_expirations": rtos.value,
         "recovery_ms": recovery_ms,
         "survived": survived,
     }

@@ -69,21 +69,27 @@ class _PendingResolution:
 class ARPService:
     """Per-interface ARP machinery (cache, resolution, proxy, gratuitous)."""
 
+    #: Statistics reported as counters (``MetricsRegistry.register``).
+    _METRIC_FIELDS = (
+        ("arp", "requests", (), "requests"),
+        ("arp", "gratuitous", (), "gratuitous"),
+        ("arp", "cache_evictions", (), "cache_evictions"),
+        ("arp", "resolution_failures", (), "resolution_failures"),
+    )
+
     def __init__(self, interface: "EthernetInterface") -> None:
         self._iface = interface
         self._cache: Dict[int, _CacheEntry] = {}
         #: Addresses we answer requests for on behalf of someone else.
         self._proxy_for: Set[int] = set()
         self._pending: Dict[int, _PendingResolution] = {}
-        metrics = interface.sim.metrics
-        self._requests_counter = metrics.counter("arp", "requests",
-                                                 iface=interface.name)
-        self._gratuitous_counter = metrics.counter("arp", "gratuitous",
-                                                   iface=interface.name)
-        self._evictions_counter = metrics.counter("arp", "cache_evictions",
-                                                  iface=interface.name)
-        self._failures_counter = metrics.counter("arp", "resolution_failures",
-                                                 iface=interface.name)
+        # Statistics.
+        self.requests = 0
+        self.gratuitous = 0
+        self.cache_evictions = 0
+        self.resolution_failures = 0
+        interface.sim.metrics.register(self, self._METRIC_FIELDS,
+                                       iface=interface.name)
 
     # ------------------------------------------------------------ inspection
 
@@ -102,7 +108,7 @@ class ARPService:
             return None
         if entry.expires_at <= self._iface.sim.now:
             del self._cache[addr.value]
-            self._evictions_counter.value += 1
+            self.cache_evictions += 1
             return None
         return entry.mac
 
@@ -183,7 +189,7 @@ class ARPService:
         sender_ip = self._iface.address if self._iface.address is not None else IPAddress(0)
         request = ARPMessage(op=OP_REQUEST, sender_ip=sender_ip,
                              sender_mac=self._iface.mac, target_ip=target)
-        self._requests_counter.value += 1
+        self.requests += 1
         self._sim.trace.emit("arp", "request", interface=self._iface.name,
                              target=target, attempt=pending.attempts)
         self._iface.transmit_arp(request, BROADCAST_MAC)
@@ -199,7 +205,7 @@ class ARPService:
             return
         if pending.attempts >= self._cfg.arp_max_attempts:
             del self._pending[target.value]
-            self._failures_counter.value += 1
+            self.resolution_failures += 1
             self._sim.trace.emit("arp", "failed", interface=self._iface.name,
                                  target=target, dropped=len(pending.packets))
             for _packet, drop_cb in pending.packets:
@@ -222,7 +228,7 @@ class ARPService:
         """Broadcast a gratuitous ARP announcing *addr* at our MAC."""
         message = ARPMessage(op=OP_REQUEST, sender_ip=addr,
                              sender_mac=self._iface.mac, target_ip=addr)
-        self._gratuitous_counter.value += 1
+        self.gratuitous += 1
         self._sim.trace.emit("arp", "gratuitous", interface=self._iface.name,
                              address=addr)
         self._iface.transmit_arp(message, BROADCAST_MAC)

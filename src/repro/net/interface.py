@@ -58,6 +58,13 @@ Callback = Optional[Callable[[], None]]
 class NetworkInterface:
     """Base class: state machine, address list, statistics."""
 
+    #: Statistics reported as counters (``MetricsRegistry.register``).
+    _METRIC_FIELDS = (
+        ("iface", "tx_packets", (), "tx_packets"),
+        ("iface", "rx_packets", (), "rx_packets"),
+        ("iface", "dropped_packets", (), "dropped_down"),
+    )
+
     def __init__(self, sim: Simulator, name: str, device: DeviceTimings,
                  config: Config) -> None:
         self.sim = sim
@@ -73,27 +80,12 @@ class NetworkInterface:
         self.tx_packets = 0
         self.rx_packets = 0
         self.dropped_down = 0
-        self._tx_counter = sim.metrics.counter("iface", "tx_packets",
-                                               iface=name)
-        self._rx_counter = sim.metrics.counter("iface", "rx_packets",
-                                               iface=name)
-        self._drop_counter = sim.metrics.counter("iface", "dropped_packets",
-                                                 iface=name)
+        sim.metrics.register(self, self._METRIC_FIELDS, iface=name)
 
     @cached_property
     def _rng(self) -> random.Random:
         """Device-delay jitter stream, created on first draw."""
         return self.sim.rng(f"device:{self.name}")
-
-    def _count_tx(self) -> None:
-        """Account one packet handed to the medium (mirrors ``tx_packets``)."""
-        self.tx_packets += 1
-        self._tx_counter.value += 1
-
-    def _count_drop_down(self) -> None:
-        """Account one packet lost because the device was not UP."""
-        self.dropped_down += 1
-        self._drop_counter.value += 1
 
     # ------------------------------------------------------------- addresses
 
@@ -274,7 +266,7 @@ class NetworkInterface:
     def _guard_send(self, packet: IPPacket) -> bool:
         """Common send-side checks; returns True if the packet may go out."""
         if self.state is not _UP:
-            self._count_drop_down()
+            self.dropped_down += 1
             self.sim.trace.emit("device", "tx_drop_down", interface=self.name,
                                 packet=packet)
             return False
@@ -282,14 +274,13 @@ class NetworkInterface:
 
     def _deliver_to_host(self, packet: IPPacket) -> None:
         if self.state is not _UP:
-            self._count_drop_down()
+            self.dropped_down += 1
             self.sim.trace.emit("device", "rx_drop_down", interface=self.name,
                                 packet=packet)
             return
         if self.host is None:
             raise InterfaceError(f"{self.name} is not attached to a host")
         self.rx_packets += 1
-        self._rx_counter.value += 1
         self.host.ip.receive_packet(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -328,11 +319,11 @@ class EthernetInterface(NetworkInterface):
         if self.segment is None:
             # The cable is unplugged: packets fall on the floor, exactly
             # as on real hardware.
-            self._count_drop_down()
+            self.dropped_down += 1
             self.sim.trace.emit("device", "tx_drop_unplugged",
                                 interface=self.name)
             return
-        self._count_tx()
+        self.tx_packets += 1
         hop = next_hop.value
         subnet = self._subnet
         if hop == 0xFFFFFFFF or (
@@ -346,7 +337,7 @@ class EthernetInterface(NetworkInterface):
                           broadcast: bool = False) -> None:
         """Frame *packet* and put it on the segment (post-ARP path)."""
         if self.segment is None or self.state is not _UP:
-            self._count_drop_down()
+            self.dropped_down += 1
             return
         dst = BROADCAST_MAC if broadcast else mac
         assert dst is not None
@@ -365,7 +356,7 @@ class EthernetInterface(NetworkInterface):
     def deliver_frame(self, frame: EthernetFrame) -> None:
         """Receive one frame from the segment."""
         if self.state is not _UP:
-            self._count_drop_down()
+            self.dropped_down += 1
             return
         dst = frame.dst.value
         if dst != self.mac.value and dst != _BROADCAST_MAC_VALUE:
@@ -425,7 +416,7 @@ class RadioInterface(NetworkInterface):
             return
         if self.channel is None:
             raise InterfaceError(f"{self.name} has no channel")
-        self._count_tx()
+        self.tx_packets += 1
         deliver_at = self._serial_finish_time(packet.size_bytes, "tx")
         self.sim.post_at(
             deliver_at,
@@ -435,14 +426,14 @@ class RadioInterface(NetworkInterface):
 
     def _radio_transmit(self, packet: IPPacket, next_hop: IPAddress) -> None:
         if self.channel is None or self.state is not _UP:
-            self._count_drop_down()
+            self.dropped_down += 1
             return
         self.channel.transmit(packet, next_hop, self)
 
     def deliver_from_radio(self, packet: IPPacket) -> None:
         """Packet arrived over the air; haul it across the serial line."""
         if self.state is not _UP:
-            self._count_drop_down()
+            self.dropped_down += 1
             self.sim.trace.emit("device", "rx_drop_down", interface=self.name,
                                 packet=packet)
             return
@@ -475,7 +466,7 @@ class PointToPointInterface(NetworkInterface):
             return
         if self.link is None:
             raise InterfaceError(f"{self.name} has no link")
-        self._count_tx()
+        self.tx_packets += 1
         self.link.transmit(packet, self)
 
     def deliver_from_link(self, packet: IPPacket) -> None:
@@ -494,6 +485,6 @@ class LoopbackInterface(NetworkInterface):
         """Bounce the packet straight back to this host."""
         if not self._guard_send(packet):
             return
-        self._count_tx()
+        self.tx_packets += 1
         self.sim.post_later(0, lambda: self._deliver_to_host(packet),
                             label="lo")

@@ -54,6 +54,14 @@ class RouteHook(Protocol):
 class IPStack:
     """Per-host IP: send, receive, deliver, forward."""
 
+    #: Statistics reported as counters (``MetricsRegistry.register``).
+    _METRIC_FIELDS = (
+        ("ip", "forwards", (), "forwarded"),
+        ("ip", "ttl_drops", (), "dropped_ttl"),
+        ("ip", "no_route_drops", (), "dropped_no_route"),
+        ("ip", "filtered_drops", (), "dropped_filtered"),
+    )
+
     def __init__(self, sim: Simulator, host: "Host", config: Config,
                  timings: HostTimings) -> None:
         self.sim = sim
@@ -80,15 +88,7 @@ class IPStack:
         self.dropped_filtered = 0
         self.dropped_ttl = 0
         self.dropped_not_local = 0
-        metrics = sim.metrics
-        self._forwarded_counter = metrics.counter("ip", "forwards",
-                                                  host=host.name)
-        self._ttl_drop_counter = metrics.counter("ip", "ttl_drops",
-                                                 host=host.name)
-        self._no_route_counter = metrics.counter("ip", "no_route_drops",
-                                                 host=host.name)
-        self._filtered_counter = metrics.counter("ip", "filtered_drops",
-                                                 host=host.name)
+        sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
     @cached_property
     def _rng(self) -> random.Random:
@@ -176,7 +176,6 @@ class IPStack:
         route = self.ip_rt_route(packet.dst, packet.src)
         if route is None:
             self.dropped_no_route += 1
-            self._no_route_counter.value += 1
             trace.emit("ip", "no_route", host=self.host.name, packet=packet)
             return False
         route.interface.send_ip(packet, route.next_hop(packet.dst))
@@ -240,25 +239,21 @@ class IPStack:
         trace = self.sim.trace
         if packet.ttl <= 1:
             self.dropped_ttl += 1
-            self._ttl_drop_counter.value += 1
             trace.emit("ip", "ttl_exceeded", host=self.host.name, packet=packet)
             self.host.icmp.send_time_exceeded(packet)
             return
         if self.forward_filter is not None and not self.forward_filter(packet, in_iface):
             self.dropped_filtered += 1
-            self._filtered_counter.value += 1
             trace.emit("ip", "filtered", host=self.host.name, packet=packet)
             return
         route = self.ip_rt_route(packet.dst, packet.src)
         if route is None:
             self.dropped_no_route += 1
-            self._no_route_counter.value += 1
             trace.emit("ip", "no_route", host=self.host.name, packet=packet)
             self.host.icmp.send_dest_unreachable(packet)
             return
         forwarded = packet.decremented()
         self.forwarded += 1
-        self._forwarded_counter.value += 1
         delay = jittered(self._rng, self.timings.forward_cost, self.config.jitter)
         out_iface = route.interface
         hop = route.next_hop(forwarded.dst)

@@ -46,6 +46,13 @@ class Link:
     both unphysical and fatal to TCP's in-order delivery.
     """
 
+    #: Statistics reported as counters (``MetricsRegistry.register``).
+    _METRIC_FIELDS = (
+        ("link", "tx_frames", (), "frames_sent"),
+        ("link", "tx_bytes", (), "bytes_sent"),
+        ("link", "dropped_frames", (), "frames_dropped"),
+    )
+
     def __init__(self, sim: Simulator, name: str, timings: LinkTimings) -> None:
         self.sim = sim
         self.name = name
@@ -59,23 +66,12 @@ class Link:
         self.fault_hook: Optional[Callable[[], bool]] = None
         #: Per-transmitter busy-until times; key None = the shared medium.
         self._busy_until: Dict[object, int] = {}
-        self._tx_frames = sim.metrics.counter("link", "tx_frames", link=name)
-        self._tx_bytes = sim.metrics.counter("link", "tx_bytes", link=name)
-        self._drop_frames = sim.metrics.counter("link", "dropped_frames",
-                                                link=name)
+        sim.metrics.register(self, self._METRIC_FIELDS, link=name)
 
     @cached_property
     def _rng(self) -> random.Random:
         """Loss-model stream, created on first draw."""
         return self.sim.rng(f"link:{self.name}")
-
-    def _count_tx(self, size_bytes: int) -> None:
-        """Account one frame entering the medium (kept in sync with the
-        legacy ``frames_sent``/``bytes_sent`` attributes)."""
-        self.frames_sent += 1
-        self.bytes_sent += size_bytes
-        self._tx_frames.value += 1
-        self._tx_bytes.value += size_bytes
 
     def _delivery_time(self, size_bytes: int, key: object = None) -> int:
         """Absolute delivery time, honouring the transmitter's queue."""
@@ -97,12 +93,10 @@ class Link:
             return False
         if hook is not None and hook():
             self.frames_dropped += 1
-            self._drop_frames.value += 1
             self.sim.trace.emit("link", "fault_drop", link=self.name)
             return True
         if bernoulli(self._rng, self.timings.loss_rate):
             self.frames_dropped += 1
-            self._drop_frames.value += 1
             self.sim.trace.emit("link", "drop", link=self.name)
             return True
         return False
@@ -153,7 +147,8 @@ class EthernetSegment(Link):
         now receive the frame, even if one is unplugged before it lands.
         """
         size_bytes = frame.size_bytes
-        self._count_tx(size_bytes)
+        self.frames_sent += 1
+        self.bytes_sent += size_bytes
         if self._drops():
             return
         deliver_at = self._delivery_time(size_bytes)
@@ -186,7 +181,8 @@ class PointToPointLink(Link):
         if sender not in endpoints:
             raise ValueError(f"{sender!r} is not an endpoint of {self.name}")
         size_bytes = packet.size_bytes
-        self._count_tx(size_bytes)
+        self.frames_sent += 1
+        self.bytes_sent += size_bytes
         if self._drops():
             return
         peer = endpoints[-1] if endpoints[0] is sender else endpoints[0]
@@ -244,7 +240,8 @@ class RadioChannel(Link):
     def transmit(self, packet: IPPacket, next_hop: IPAddress,
                  sender: "RadioInterface") -> None:
         """Radiate *packet* toward the radio owning *next_hop*."""
-        self._count_tx(packet.size_bytes)
+        self.frames_sent += 1
+        self.bytes_sent += packet.size_bytes
         if self._drops():
             return
         # One shared air interface: all radios serialize behind each other.
@@ -259,7 +256,6 @@ class RadioChannel(Link):
             self.sim.trace.emit("link", "radio_unreachable", link=self.name,
                                 next_hop=next_hop)
             self.frames_dropped += 1
-            self._drop_frames.value += 1
             return
         self.sim.post_at(
             deliver_at,

@@ -23,6 +23,9 @@ from repro.net.packet import IPPacket
 class Router(Host):
     """An IP forwarder with an optional ingress (transit) filter."""
 
+    #: Statistics reported as counters (``MetricsRegistry.register``).
+    _METRIC_FIELDS = (("router", "transit_drops", (), "transit_drops"),)
+
     def __init__(self, sim, name: str, config: Config = DEFAULT_CONFIG,
                  timings: Optional[HostTimings] = None) -> None:
         super().__init__(sim, name, config,
@@ -31,8 +34,7 @@ class Router(Host):
         self._transit_filter = False
         self._filter_exempt: Set[Subnet] = set()
         self.transit_drops = 0
-        self._transit_drop_counter = sim.metrics.counter(
-            "router", "transit_drops", host=name)
+        sim.metrics.register(self, self._METRIC_FIELDS, host=name)
 
     # ---------------------------------------------------------------- filter
 
@@ -75,7 +77,6 @@ class Router(Host):
         if any(packet.dst in net for net in local):
             return True
         self.transit_drops += 1
-        self._transit_drop_counter.value += 1
         self.sim.trace.emit("router", "transit_drop", router=self.name,
                             packet=packet)
         return False

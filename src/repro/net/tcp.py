@@ -754,7 +754,7 @@ class TCPConnection:
             self.snd_nxt = self.snd_una
             self._enter_persist()
             return
-        self._service.rto_counter.value += 1
+        self._service.rto_expirations += 1
         self._retransmit_count += 1
         if self._retransmit_count > MAX_RETRANSMITS:
             self.sim.trace.emit("tcp", "gave_up", conn=self)
@@ -763,7 +763,7 @@ class TCPConnection:
             self._teardown()
             return
         self.segments_retransmitted += 1
-        self._service.retransmits_counter.value += 1
+        self._service.retransmits += 1
         self._rto_est.back_off()
         self._timing_seq = None  # Karn's rule
         if self._in_recovery:
@@ -870,7 +870,7 @@ class TCPConnection:
         if ack <= self.snd_una or ack > self.snd_max:
             if ack == self.snd_una and self.snd_max > self.snd_una:
                 # An ACK that advances nothing while data is in flight.
-                self._service.dup_ack_counter.value += 1
+                self._service.dup_acks += 1
                 if (self.cc.supports_fast_retransmit
                         and self._probe_seq is None
                         and segment.payload.size_bytes == 0
@@ -976,7 +976,7 @@ class TCPConnection:
                     and self._scoreboard.is_sacked(seq, end)):
                 continue  # never resend what the receiver reported holding
             self.segments_retransmitted += 1
-            self._service.retransmits_counter.value += 1
+            self._service.retransmits += 1
             if self._scoreboard is not None:
                 self._service.sack_retransmits_counter().inc()
             if item.fin:
@@ -1167,6 +1167,14 @@ class TCPService:
 
     EPHEMERAL_START = 33000
 
+    #: Statistics reported as counters (``MetricsRegistry.register``), so
+    #: every TCP host reports these even when zero.
+    _METRIC_FIELDS = (
+        ("tcp", "retransmits", (), "retransmits"),
+        ("tcp", "rto_expirations", (), "rto_expirations"),
+        ("tcp", "dup_acks", (), "dup_acks"),
+    )
+
     def __init__(self, sim: Simulator, host: "Host", config: Config,
                  timings: HostTimings) -> None:
         self.sim = sim
@@ -1179,13 +1187,11 @@ class TCPService:
         self._listeners: Dict[int, TCPListener] = {}
         self._next_ephemeral = self.EPHEMERAL_START
         host.ip.register_protocol(PROTO_TCP, self._receive)
-        # Created eagerly so every TCP host reports these even when zero.
-        self.retransmits_counter = sim.metrics.counter(
-            "tcp", "retransmits", host=host.name)
-        self.rto_counter = sim.metrics.counter(
-            "tcp", "rto_expirations", host=host.name)
-        self.dup_ack_counter = sim.metrics.counter(
-            "tcp", "dup_acks", host=host.name)
+        # Statistics, summed over the host's connections.
+        self.retransmits = 0
+        self.rto_expirations = 0
+        self.dup_acks = 0
+        sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
     @cached_property
     def _rng(self) -> random.Random:

@@ -14,6 +14,13 @@ Design rules (they keep runs reproducible):
   with nobody reading the metrics behaves byte-for-byte like one without.
 * Metrics are keyed by ``component/name`` plus a sorted label dict, so
   two components (or two interfaces of one component) never collide.
+* A component that always reports a fact keeps it as one plain int
+  attribute and registers once, in ``__init__``, with its label set and
+  a class-level field table (:meth:`MetricsRegistry.register`).  The
+  registry reads those ints only when something reads the registry, so
+  building a component builds no metric objects, and its hot path bumps
+  one int.  Facts that only some runs produce use get-or-create handles
+  (:meth:`MetricsRegistry.counter`), created on first use.
 * :meth:`MetricsRegistry.snapshot` is a flat dict with deterministically
   ordered keys: two runs with the same seed serialize identically.
 * The registry is owned by the :class:`~repro.sim.engine.Simulator`
@@ -30,8 +37,17 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+#: A sorted label set, e.g. ``(("host", "mh"), ("mode", "tunnel"))``.
+Labels = Tuple[Tuple[str, str], ...]
+
 #: A metric's identity: (component, name, sorted label items).
-MetricKey = Tuple[str, str, Tuple[Tuple[str, str], ...]]
+MetricKey = Tuple[str, str, Labels]
+
+#: One pulled counter of a component class: ``(component, name, extra
+#: labels, attribute)``.  The extra labels join the owner's label set;
+#: ``attribute`` names the int the registry reads, or is an
+#: ``(attribute, key)`` pair for an int kept in a dict.
+Field = Tuple[str, str, Labels, object]
 
 #: Default bucket upper edges for latency histograms, in milliseconds.
 DEFAULT_LATENCY_BUCKETS_MS: Tuple[float, ...] = (
@@ -102,9 +118,9 @@ class Counter(Metric):
     __slots__ = ("value",)
 
     def __init__(self, component: str, name: str,
-                 labels: Tuple[Tuple[str, str], ...]) -> None:
+                 labels: Tuple[Tuple[str, str], ...], value: int = 0) -> None:
         super().__init__(component, name, labels)
-        self.value: int = 0
+        self.value: int = value
 
     def inc(self, amount: int = 1) -> None:
         """Add *amount* (must be non-negative: counters only go up)."""
@@ -242,23 +258,53 @@ class Histogram(Metric):
 class MetricsRegistry:
     """All metrics of one simulation, keyed by ``component/name`` + labels.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: calling them
-    twice with the same identity returns the same object, so components
-    can resolve their metrics eagerly in ``__init__`` (which also makes
-    zero-valued metrics visible in reports) or lazily at the hot site.
+    Two ways in:
+
+    * :meth:`register` -- a component reports plain int attributes it
+      keeps anyway.  It calls it once in ``__init__`` with its label set
+      and a class-level :data:`Field` table; the registry keeps only
+      ``(owner, labels)`` and reads the ints when it is read.  Every
+      registered field is reported, zero-valued ones included.
+    * ``counter``/``gauge``/``histogram`` -- get-or-create handles:
+      calling them twice with the same identity returns the same object.
+      For facts that only some runs produce, touched on first use.
+
+    Every read (:meth:`snapshot`, iteration, :meth:`get`, :meth:`find`,
+    :meth:`merge_from`) builds plain :class:`Counter` objects for the
+    registered fields it matches, and only those.  Identities that
+    collide sum, as get-or-create shares one object: two owners, or an
+    owner and a handle.  A field that collides with a gauge or a
+    histogram raises :class:`TypeError`.
     """
 
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Metric] = {}
+        #: ``id(fields)`` -> (fields, [(owner, labels), ...]): the owners
+        #: registered with each field table, in registration order.
+        self._owners: Dict[int, Tuple[Tuple[Field, ...],
+                                      List[Tuple[object, Labels]]]] = {}
         #: One shared tuple per distinct label set.  A host's or an
-        #: interface's label set recurs across dozens of its metrics, and
-        #: a fleet builds tens of thousands of metrics, so sharing them
+        #: interface's label set recurs across its components and
+        #: metrics, and a fleet builds thousands of them, so sharing them
         #: keeps set-up from allocating (and the collector from tracing)
         #: a fresh copy for each.
-        self._label_sets: Dict[Tuple[Tuple[str, str], ...],
-                               Tuple[Tuple[str, str], ...]] = {}
+        self._label_sets: Dict[Labels, Labels] = {}
 
     # ---------------------------------------------------------------- factories
+
+    def register(self, owner: object, fields: Tuple[Field, ...],
+                 **labels: object) -> None:
+        """Report each of *owner*'s :data:`Field` ints as a counter.
+
+        *fields* should be a class-level constant: owners sharing one
+        table are kept together, and the registry holds it as given.
+        """
+        label_set = _labels_key(labels)
+        label_set = self._label_sets.setdefault(label_set, label_set)
+        entry = self._owners.get(id(fields))
+        if entry is None:
+            entry = self._owners[id(fields)] = (fields, [])
+        entry[1].append((owner, label_set))
 
     def counter(self, component: str, name: str, **labels: object) -> Counter:
         """Get or create the counter ``component/name{labels}``."""
@@ -306,22 +352,66 @@ class MetricsRegistry:
 
     # --------------------------------------------------------------- inspection
 
+    def _view(self, component: Optional[str] = None,
+              name: Optional[str] = None,
+              labels: Optional[Labels] = None) -> Dict[MetricKey, Metric]:
+        """Every metric matching the filter (None matches anything), with
+        registered fields read now into fresh counters."""
+        view = {key: metric for key, metric in self._metrics.items()
+                if (component is None or key[0] == component)
+                and (name is None or key[1] == name)
+                and (labels is None or key[2] == labels)}
+        merged_sets: Dict[Tuple[Labels, Labels], Labels] = {}
+        for fields, owners in self._owners.values():
+            for field_component, field_name, extra, attr in fields:
+                if (component is not None and field_component != component) \
+                        or (name is not None and field_name != name):
+                    continue
+                attr, item = (attr, None) if type(attr) is str else attr
+                for owner, owner_labels in owners:
+                    full = owner_labels
+                    if extra:
+                        full = merged_sets.get((owner_labels, extra))
+                        if full is None:
+                            full = merged_sets[(owner_labels, extra)] = \
+                                tuple(sorted(owner_labels + extra))
+                    if labels is not None and full != labels:
+                        continue
+                    value = getattr(owner, attr)
+                    if item is not None:
+                        value = value[item]
+                    key = (field_component, field_name, full)
+                    metric = view.get(key)
+                    if metric is None:
+                        view[key] = Counter(field_component, field_name,
+                                            full, value)
+                    elif not isinstance(metric, Counter):
+                        raise TypeError(f"{format_key(*key)} is a "
+                                        f"{metric.kind}, not a counter")
+                    elif metric is self._metrics.get(key):
+                        # Sum into a copy: a read never moves a handle.
+                        view[key] = Counter(field_component, field_name,
+                                            full, metric.value + value)
+                    else:
+                        metric.value += value
+        return view
+
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._view())
 
     def __iter__(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
+        return iter(self._view().values())
 
     def get(self, component: str, name: str, **labels: object) -> Optional[Metric]:
         """The metric with this exact identity, or None."""
-        return self._metrics.get((component, name, _labels_key(labels)))
+        label_set = _labels_key(labels)
+        return self._view(component, name, label_set).get(
+            (component, name, label_set))
 
     def find(self, component: Optional[str] = None,
              name: Optional[str] = None) -> List[Metric]:
         """Every metric matching the given component and/or name."""
-        return [metric for metric in self._metrics.values()
-                if (component is None or metric.component == component)
-                and (name is None or metric.name == name)]
+        return list(self._view(component, name).values())
 
     def snapshot(self) -> Dict[str, object]:
         """A flat, deterministically ordered ``{key: value}`` dict.
@@ -331,15 +421,19 @@ class MetricsRegistry:
         sorted, so two runs with the same seed serialize byte-identically.
         """
         items: List[Tuple[str, object]] = []
-        for metric in self._metrics.values():
+        for metric in self._view().values():
             items.extend(metric.snapshot_items())
         return dict(sorted(items))
 
     # ------------------------------------------------------------------ merging
 
     def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (summing counters, etc.)."""
-        for key, metric in other._metrics.items():
+        """Fold another registry into this one (summing counters, etc.).
+
+        Only plain metrics land here: *other*'s registered fields arrive
+        as counters holding their current values, not as owners.
+        """
+        for key, metric in other._view().items():
             mine = self._metrics.get(key)
             if mine is None:
                 if isinstance(metric, Histogram):
@@ -353,7 +447,11 @@ class MetricsRegistry:
 
     @classmethod
     def merged(cls, registries: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
-        """A fresh registry combining *registries* (for multi-sim reports)."""
+        """A fresh registry combining *registries* (for multi-sim reports).
+
+        It holds no owners, so it references no component and pickles as
+        just its metrics.
+        """
         out = cls()
         for registry in registries:
             out.merge_from(registry)

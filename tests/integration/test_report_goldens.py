@@ -14,6 +14,9 @@ Five kinds of golden, all sha256 digests in ``report_goldens.json``:
 * the full ``metrics.snapshot()`` of one 20-host x4 shard
   (``x4-shard/metrics``), which pins every engine dispatch count and the
   queue high-water exactly, not only through report text;
+* the ``--metrics`` text of e1, f6 and x6 at their default seed
+  (``e1/metrics``): every counter the CLI prints, zero-valued ones
+  included, across TCP, tunnel, handoff and policy-miss traffic;
 * the typed record stream of one record-everything Figure-5 testbed run
   (``trace-stream/commute``): DHCP, then the office-radio-home commute
   under a TCP transfer.  Each record contributes its time, category,
@@ -53,7 +56,7 @@ from repro.experiments.__main__ import RUNNERS
 from repro.experiments.exp_ha_scalability import run_fleet_trial
 from repro.experiments.exp_plane_chaos import run_plane_chaos_experiment
 from repro.net.addressing import ip
-from repro.obs import capture_simulators
+from repro.obs import capture_simulators, format_reports
 from repro.parallel import spawn_seed
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
@@ -82,21 +85,41 @@ EXPERIMENTS = [
 DEFAULT_SEED_IDS = ("e1", "f6", "f7", "f3", "a1", "x1", "x2", "x3", "x4",
                     "x5", "x6", "x9")
 
+#: Default-seed ids whose ``--metrics`` text is pinned as well.
+METRICS_IDS = ("e1", "f6", "x6")
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @functools.lru_cache(maxsize=None)
+def _default_run(name: str):
+    """``(report, --metrics text)`` of one default run; the text is None
+    for ids outside :data:`METRICS_IDS`."""
+    if name not in METRICS_IDS:
+        return RUNNERS[name][1](jobs=1), None
+    with capture_simulators() as sims:
+        report = RUNNERS[name][1](jobs=1)
+    return report, format_reports((sim.metrics for sim in sims),
+                                  title=f"{name} metrics")
+
+
 def default_report(name: str):
     """The report ``python -m repro.experiments <name>`` prints, as an
     object; built once per test run and shared, so callers must not
     mutate it."""
-    return RUNNERS[name][1](jobs=1)
+    return _default_run(name)[0]
 
 
 def default_report_digest(name: str) -> str:
     return _sha256(default_report(name).format_report())
+
+
+def default_metrics_digest(name: str) -> str:
+    """The metrics block ``python -m repro.experiments <name> --metrics``
+    prints after the report."""
+    return _sha256(_default_run(name)[1])
 
 
 def x8_small_digest() -> str:
@@ -157,6 +180,8 @@ def golden_digests() -> dict:
                for name, runner in EXPERIMENTS for seed in (0, 1, 2)}
     digests.update({f"{name}/default": default_report_digest(name)
                     for name in DEFAULT_SEED_IDS})
+    digests.update({f"{name}/metrics": default_metrics_digest(name)
+                    for name in METRICS_IDS})
     digests["x8/small"] = x8_small_digest()
     digests["x4-shard/metrics"] = x4_shard_metrics_digest()
     digests["trace-stream/commute"] = typed_stream_digest(
@@ -182,6 +207,11 @@ def test_report_matches_golden(name, runner, seed):
 @pytest.mark.parametrize("name", DEFAULT_SEED_IDS)
 def test_default_seed_report_matches_golden(name):
     assert default_report_digest(name) == _golden(f"{name}/default")
+
+
+@pytest.mark.parametrize("name", METRICS_IDS)
+def test_default_seed_metrics_match_golden(name):
+    assert default_metrics_digest(name) == _golden(f"{name}/metrics")
 
 
 @pytest.mark.parametrize("name", ["f7", "a1"])

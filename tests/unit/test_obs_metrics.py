@@ -1,6 +1,7 @@
 """Unit tests for the repro.obs metrics registry and exporters."""
 
 import json
+import pickle
 
 import pytest
 
@@ -36,6 +37,86 @@ def test_kind_mismatch_raises():
         registry.gauge("ip", "forwards")
     with pytest.raises(TypeError):
         registry.histogram("ip", "forwards")
+
+
+# ------------------------------------------------------------ pulled counters
+
+class Slots:
+    """A component that keeps its facts as plain ints."""
+
+    FIELDS = (("link", "tx_frames", (), "sent"),
+              ("link", "drops", (("cause", "loss"),), ("drops", "loss")))
+
+    def __init__(self, registry, name, sent=0):
+        self.sent = sent
+        self.drops = {"loss": 0}
+        registry.register(self, self.FIELDS, link=name)
+
+
+def test_zero_slot_is_reported():
+    registry = MetricsRegistry()
+    Slots(registry, "net-a")
+    snap = registry.snapshot()
+    assert snap["link/tx_frames{link=net-a}"] == 0
+    assert snap["link/drops{cause=loss,link=net-a}"] == 0
+    assert "tx_frames{link=net-a}" in format_report(registry)
+
+
+def test_owners_with_one_identity_sum():
+    registry = MetricsRegistry()
+    Slots(registry, "net-a", sent=2)
+    Slots(registry, "net-a", sent=3)
+    assert registry.snapshot()["link/tx_frames{link=net-a}"] == 5
+    assert len(registry) == 2
+
+
+def test_owner_and_handle_sum_without_moving_the_handle():
+    registry = MetricsRegistry()
+    Slots(registry, "net-a", sent=2)
+    handle = registry.counter("link", "tx_frames", link="net-a")
+    handle.inc(4)
+    assert registry.get("link", "tx_frames", link="net-a").value == 6
+    assert registry.snapshot()["link/tx_frames{link=net-a}"] == 6
+    assert handle.value == 4
+
+
+def test_pulled_counter_clashing_with_a_gauge_raises():
+    registry = MetricsRegistry()
+    Slots(registry, "net-a")
+    registry.gauge("link", "tx_frames", link="net-a")
+    with pytest.raises(TypeError):
+        registry.snapshot()
+    with pytest.raises(TypeError):
+        registry.get("link", "tx_frames", link="net-a")
+
+
+def test_get_and_find_read_the_current_int():
+    registry = MetricsRegistry()
+    owner = Slots(registry, "net-a")
+    Slots(registry, "net-b")
+    owner.sent = 7
+    owner.drops["loss"] = 1
+    assert registry.get("link", "tx_frames", link="net-a").value == 7
+    assert registry.get("link", "drops", link="net-a", cause="loss").value == 1
+    assert registry.get("link", "tx_frames", link="net-c") is None
+    found = registry.find("link", "tx_frames")
+    assert sorted((m.key, m.value) for m in found) == [
+        ("link/tx_frames{link=net-a}", 7), ("link/tx_frames{link=net-b}", 0)]
+    owner.sent += 1
+    assert registry.get("link", "tx_frames", link="net-a").value == 8
+    assert registry.find("link", "tx_frames")[0].value == 8
+
+
+def test_merged_registry_pickles_without_owners():
+    sim = Simulator(seed=5)
+    testbed = build_testbed(sim)
+    testbed.visit_dept()
+    sim.run_for(s(2))
+    merged = MetricsRegistry.merged([sim.metrics])
+    assert not merged._owners
+    restored = pickle.loads(pickle.dumps(merged))
+    assert restored.snapshot() == sim.metrics.snapshot()
+    assert restored.snapshot()["registration/attempts{host=mh}"] > 0
 
 
 # --------------------------------------------------------------------- gauges

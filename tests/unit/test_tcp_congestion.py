@@ -205,6 +205,5 @@ class TestConnectionIntegration:
         assert got == list(range(6))
         assert len(dropped) == 1
         assert client.fast_retransmits == 1
-        rtos = lan.sim.metrics.counter("tcp", "rto_expirations",
-                                       host="a").value
-        assert rtos == 0
+        rtos = lan.sim.metrics.get("tcp", "rto_expirations", host="a")
+        assert rtos is not None and rtos.value == 0

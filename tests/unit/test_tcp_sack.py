@@ -187,9 +187,8 @@ class TestSackWireBehaviour:
         assert got == list(range(6))
         assert client.fast_retransmits == 1  # one recovery episode
         assert client.segments_retransmitted == 2  # one per hole
-        rtos = lan.sim.metrics.counter("tcp", "rto_expirations",
-                                       host="a").value
-        assert rtos == 0
+        rtos = lan.sim.metrics.get("tcp", "rto_expirations", host="a")
+        assert rtos is not None and rtos.value == 0
 
     def test_rto_clears_scoreboard_for_reneging_safety(self):
         lan = sack_lan(seed=13)
