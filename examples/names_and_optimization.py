@@ -12,9 +12,11 @@ Two pieces the paper names but ships separately come together here:
   straight to the care-of address, cutting the home agent out of the
   data path entirely.
 
-The home agent also keeps the DNS zone current via authenticated dynamic
-updates (a "where is the mobile host *right now*" record for debugging —
-applications never need it, which is the point).
+The home agent also keeps the DNS zone current via dynamic updates, which
+the server accepts only from source addresses it was provisioned to trust
+(no cryptographic authentication).  The record is a "where is the mobile
+host *right now*" entry for debugging — applications never need it,
+which is the point.
 
 Run:  python examples/names_and_optimization.py
 """
@@ -78,8 +80,9 @@ def main() -> None:
     print(f"  packets the home agent carried in phase 3: "
           f"{testbed.home_agent.vif.packets_encapsulated - ha_before}")
 
-    print("\n4. The home agent records the location in DNS (authenticated "
-          "dynamic update)")
+    print("\n4. The home agent records the location in DNS (dynamic "
+          "update, accepted because its source address is a provisioned "
+          "updater)")
     acks = []
     send_dynamic_update(testbed.home_agent_host, addresses.home_agent_host,
                         "mh-care-of.mosquitonet.stanford.edu",

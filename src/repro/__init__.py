@@ -11,7 +11,7 @@ The package splits the way the paper does:
 * :mod:`repro.core` — the contribution: mobile host, home agent, VIF and
   IP-in-IP tunneling, the Mobile Policy Table, handoff engines, plus the
   foreign-agent baseline and the implemented extensions (smart
-  correspondents, authentication, auto-switching, notifications).
+  correspondents, auto-switching, notifications).
 * :mod:`repro.obs` — observability: the metrics registry every simulator
   owns (``sim.metrics``), engine profiling, exporters.
 * :mod:`repro.testbed` — the paper's Figure-5 environment, pre-wired.

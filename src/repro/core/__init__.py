@@ -18,10 +18,6 @@ The package mirrors Section 3's decomposition:
   the paper deliberately leaves out (§2, §5.1 ablations).
 """
 
-from repro.core.auth import (
-    AuthenticatedRegistrationSigner,
-    RegistrationAuthenticator,
-)
 from repro.core.autoswitch import AttachmentOption, ConnectivityManager
 from repro.core.binding_shard import BindingShardPlane, HashRing
 from repro.core.bindings import MobilityBinding, MobilityBindingTable
@@ -64,8 +60,6 @@ __all__ = [
     "CODE_ACCEPTED",
     "IPIPModule",
     "VirtualInterface",
-    "RegistrationAuthenticator",
-    "AuthenticatedRegistrationSigner",
     "SmartCorrespondent",
     "NetworkChangeNotifier",
     "NetworkEvent",

@@ -101,12 +101,6 @@ class HashRing:
         """Member names, sorted (stable regardless of insertion order)."""
         return sorted(self._nodes)
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._nodes
-
     def add(self, name: str) -> None:
         """Add a replica: ``vnodes`` points join the ring, the rest stay."""
         if name in self._nodes:

@@ -3,6 +3,8 @@
 "It adds a *mobility binding* to an internal table to record the mobile
 host's care-of address and other information such as the lifetime of the
 registration and any authentication information." (Section 3.1)
+MosquitoNet does "not yet implement any special security measures" (§2),
+so a binding here records no authentication data.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ class MobilityBinding:
     registered_at: int
     expires_at: int
     identification: int = 0
-    #: Placeholder for the authentication data the paper says bindings
-    #: record; MosquitoNet (like this reproduction) does not yet verify it.
-    authenticator: Optional[bytes] = None
 
     def is_active(self, now: int) -> bool:
         """True while the binding's lifetime has not lapsed."""
@@ -75,8 +74,7 @@ class MobilityBindingTable:
                 if binding.is_active(now)]
 
     def register(self, home_address: IPAddress, care_of_address: IPAddress,
-                 lifetime: int, identification: int = 0,
-                 authenticator: Optional[bytes] = None) -> MobilityBinding:
+                 lifetime: int, identification: int = 0) -> MobilityBinding:
         """Insert or replace the binding for *home_address*."""
         self._cancel_expiry(home_address)
         now = self._sim.now
@@ -84,8 +82,7 @@ class MobilityBindingTable:
                                   care_of_address=care_of_address,
                                   lifetime=lifetime, registered_at=now,
                                   expires_at=now + lifetime,
-                                  identification=identification,
-                                  authenticator=authenticator)
+                                  identification=identification)
         self._bindings[home_address] = binding
         self._expiry_events[home_address] = self._sim.call_later(
             lifetime, lambda: self._expire(home_address),

@@ -74,9 +74,6 @@ class HomeAgentService:
                                              on_expire=self._binding_expired,
                                              owner=host.name)
         self._served: Set[IPAddress] = set()
-        #: Optional registration authentication (Section 5.1's ask); when
-        #: set, provisioned mobile hosts must present valid MACs.
-        self.authenticator = None
         #: Fault-injection hook: return False to drop an outgoing reply
         #: (simulating a lost registration reply).
         self.reply_filter: Optional[Callable[[RegistrationReply], bool]] = None
@@ -223,21 +220,13 @@ class HomeAgentService:
             return CODE_DENIED_BAD_REQUEST
         if request.lifetime < 0:
             return CODE_DENIED_BAD_REQUEST
-        if self.authenticator is not None and not self.authenticator.verify(request):
-            from repro.core.auth import CODE_DENIED_AUTHENTICATION
-
-            self.sim.trace.emit("registration", "auth_failed",
-                                host=self.host.name,
-                                home_address=request.home_address)
-            return CODE_DENIED_AUTHENTICATION
         return CODE_ACCEPTED
 
     def _register(self, request: RegistrationRequest) -> None:
         binding = self.bindings.register(request.home_address,
                                          request.care_of_address,
                                          request.lifetime,
-                                         request.identification,
-                                         request.authenticator)
+                                         request.identification)
         self._install_intercept(request.home_address)
         self.registrations_accepted += 1
         # The replication hook fires before the trace record, so a plane
@@ -295,8 +284,7 @@ class HomeAgentService:
             return False
         self.serve(binding.home_address)
         self.bindings.register(binding.home_address, binding.care_of_address,
-                               remaining, binding.identification,
-                               binding.authenticator)
+                               remaining, binding.identification)
         self._install_intercept(binding.home_address)
         self.sim.metrics.counter("home_agent", "bindings_adopted",
                                  host=self.host.name).value += 1

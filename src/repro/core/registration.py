@@ -6,8 +6,9 @@ message to its home agent to notify it of the new care-of address."
 mobile-IP registration port the paper's implementation follows):
 
 * :class:`RegistrationRequest` — home address, care-of address, requested
-  lifetime, an identification number for replay matching, and an (unused,
-  as in the paper) authentication extension.
+  lifetime and an identification number that matches replies to requests
+  (no authentication extension: the paper does "not yet implement any
+  special security measures").
 * :class:`RegistrationReply` — accept/deny code plus the granted lifetime.
 
 A request whose care-of address equals the home address (equivalently,
@@ -60,9 +61,6 @@ class RegistrationRequest:
     home_agent: IPAddress
     lifetime: int
     identification: int
-    #: Authentication extension placeholder (Section 2: "we do not yet
-    #: implement any special security measures").
-    authenticator: Optional[bytes] = None
 
     @property
     def is_deregistration(self) -> bool:

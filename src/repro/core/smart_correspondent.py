@@ -12,7 +12,7 @@ deferred optimization:
 * the mobile host sends its ordinary registration message to smart
   correspondents as a **binding update** (Section 5.1 already anticipates
   "the registration of the temporary care-of address with the home agent
-  *and with smart correspondent hosts*", including its authentication);
+  *and with smart correspondent hosts*");
 * the smart correspondent keeps a binding cache and acknowledges updates,
   so the mobile host's existing retransmission machinery applies;
 * a route hook + VIF on the correspondent tunnels packets for a cached
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.core.auth import RegistrationAuthenticator
 from repro.core.bindings import MobilityBindingTable
 from repro.core.registration import (
     CODE_ACCEPTED,
@@ -42,9 +41,6 @@ from repro.net.routing import RouteResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
-
-#: Denial code for unauthenticated binding updates (mirrors the HA's).
-CODE_UPDATE_DENIED = 131
 
 
 class SmartCorrespondent:
@@ -61,8 +57,6 @@ class SmartCorrespondent:
         self.vif: VirtualInterface = install_tunnel(host, name="vif.sc")
         self.vif.endpoint_selector = self._select_endpoints
         self.bindings = MobilityBindingTable(host.sim)
-        #: Optional authentication, same machinery as the home agent's.
-        self.authenticator: Optional[RegistrationAuthenticator] = None
         if host.ip.route_hook is not None:
             raise ValueError(f"{host.name} already has a route hook")
         host.ip.route_hook = self._route_hook
@@ -70,7 +64,6 @@ class SmartCorrespondent:
                                      ).on_datagram(self._on_datagram)
         # Statistics.
         self.updates_accepted = 0
-        self.updates_rejected = 0
         self.packets_optimized = 0
 
     # -------------------------------------------------------------- inspection
@@ -86,18 +79,6 @@ class SmartCorrespondent:
                      dst: IPAddress) -> None:
         update = data.content
         if not isinstance(update, RegistrationRequest):
-            return
-        if self.authenticator is not None and not self.authenticator.verify(update):
-            self.updates_rejected += 1
-            self.sim.trace.emit("smart_ch", "update_rejected",
-                                host=self.host.name,
-                                home_address=update.home_address)
-            reply = RegistrationReply(code=CODE_UPDATE_DENIED,
-                                      home_address=update.home_address,
-                                      care_of_address=update.care_of_address,
-                                      lifetime=0,
-                                      identification=update.identification)
-            self._socket.sendto(reply.wrap(), src, src_port)
             return
         if update.is_deregistration:
             self.bindings.deregister(update.home_address)

@@ -139,7 +139,3 @@ def run_autoswitch_experiment(intervals_ms=DEFAULT_INTERVALS_MS,
     trials = build_autoswitch_trials(intervals_ms, seed, config)
     results = run_trials(trials, jobs=jobs)
     return merge_autoswitch_trials(results)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_autoswitch_experiment().format_report())

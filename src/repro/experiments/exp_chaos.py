@@ -222,7 +222,3 @@ def run_chaos_experiment(loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     trials = build_chaos_trials(loss_rates, flap_periods_ms, seed, config)
     results = run_trials(trials, jobs=jobs)
     return merge_chaos_trials(results)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_chaos_experiment().format_report())

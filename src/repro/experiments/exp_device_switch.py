@@ -236,7 +236,3 @@ def run_device_switch_experiment(iterations: int = PAPER_ITERATIONS,
     trials = build_device_switch_trials(iterations, seed, config)
     results = run_trials(trials, jobs=jobs)
     return merge_device_switch_trials(results, iterations)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_device_switch_experiment().format_report())

@@ -222,7 +222,3 @@ def run_fa_ablation(iterations: int = 10, seed: int = 47,
     trials = build_fa_ablation_trials(iterations, seed, config)
     results = run_trials(trials, jobs=jobs)
     return merge_fa_ablation_trials(results, iterations)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fa_ablation().format_report())

@@ -230,7 +230,3 @@ def run_fleet_scale_experiment(fleet_sizes: Sequence[int] = DEFAULT_FLEET_SIZES,
     results = run_trials(trials, jobs=jobs)
     return merge_fleet_scale_trials(results, fleet_sizes, shard_hosts,
                                     failover_fleet)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fleet_scale_experiment().format_report())

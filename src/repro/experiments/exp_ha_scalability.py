@@ -263,7 +263,3 @@ def run_ha_fleet_sweep(fleet_sizes=LARGE_FLEET_SIZES, seed: int = 97,
                                          shard_hosts)
     results = run_trials(trials, jobs=jobs)
     return merge_ha_fleet_sweep_trials(results, fleet_sizes, shard_hosts)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_ha_scalability_experiment().format_report())

@@ -559,7 +559,3 @@ def run_plane_chaos_experiment(fleet_sizes: Sequence[int] =
     trials = build_plane_chaos_trials(fleet_sizes, seed, config, shard_hosts)
     results = run_trials(trials, jobs=jobs)
     return merge_plane_chaos_trials(results, fleet_sizes, config, shard_hosts)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_plane_chaos_experiment().format_report())

@@ -166,7 +166,3 @@ def _ha_processing_times(sim: Simulator, idents: List[int]) -> List[int]:
         if ident in received and ident in replied:
             out.append(replied[ident] - received[ident])
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_registration_experiment().format_report())

@@ -246,7 +246,3 @@ def run_routing_options_experiment(probes: int = 20, seed: int = 31,
     trials = build_routing_options_trials(probes, seed, config)
     results = run_trials(trials, jobs=jobs)
     return merge_routing_options_trials(results, probes)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_routing_options_experiment().format_report())

@@ -169,17 +169,6 @@ class ProbeSweepReport:
     iterations_per_point: int
     points: List[tuple] = field(default_factory=list)  # (interval_ms, mean)
 
-    def format_report(self) -> str:
-        """Render the interval-vs-loss table."""
-        from repro.experiments.harness import format_table
-
-        rows = [(f"{interval:g}", f"{mean:.2f}")
-                for interval, mean in self.points]
-        table = format_table(("probe interval ms", "mean packets lost"),
-                             rows)
-        return ("Loss-window sweep: same-subnet switch vs probe spacing\n"
-                + table)
-
     def estimated_window_ms(self) -> float:
         """The implied loss window: mean loss x spacing, averaged."""
         estimates = [mean * interval for interval, mean in self.points
@@ -203,9 +192,3 @@ def run_probe_interval_sweep(intervals_ms=(2, 5, 10, 20),
         mean_loss = sum(sub.losses) / len(sub.losses)
         report.points.append((float(interval_ms), mean_loss))
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_same_subnet_experiment().format_report())
-    print()
-    print(run_probe_interval_sweep().format_report())

@@ -168,7 +168,3 @@ def run_smart_correspondent_experiment(probes: int = 30, seed: int = 67,
     trials = build_smart_correspondent_trials(probes, seed, config)
     results = run_trials(trials, jobs=jobs)
     return merge_smart_correspondent_trials(results, probes)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_smart_correspondent_experiment().format_report())

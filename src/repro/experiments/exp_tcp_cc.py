@@ -267,7 +267,3 @@ def run_tcp_cc_experiment(ccs: Sequence[str] = DEFAULT_CCS,
     trials = build_tcp_cc_trials(ccs, loss_rates, handoffs, seed, config)
     results = run_trials(trials, jobs=jobs)
     return merge_tcp_cc_trials(results)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_tcp_cc_experiment().format_report())

@@ -259,7 +259,3 @@ def run_tcp_chaos_experiment(
     trials = build_tcp_chaos_trials(loss_rates, flap_periods_ms, seed, config)
     results = run_trials(trials, jobs=jobs)
     return merge_tcp_chaos_trials(results)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_tcp_chaos_experiment().format_report())

@@ -124,12 +124,6 @@ class PlaneAuditor:
             self.sim.trace.subscribe(self._on_record, "binding",
                                      "binding_shard", "home_agent")
 
-    def detach(self) -> None:
-        """Stop auditing (the view freezes where it is)."""
-        if self._attached:
-            self._attached = False
-            self.sim.trace.unsubscribe(self._on_record)
-
     def finish(self, raise_on_violation: bool = True) -> List[str]:
         """End-of-run checks; optionally raise :class:`AuditViolation`.
 

@@ -58,11 +58,6 @@ class IPAddress:
         """True for 127.0.0.0/8."""
         return (self.value >> 24) == 127
 
-    @property
-    def is_multicast(self) -> bool:
-        """True for 224.0.0.0/4."""
-        return (self.value >> 28) == 0xE
-
     def __str__(self) -> str:
         value = self.value
         return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
@@ -125,11 +120,6 @@ class Subnet:
         if not len_text.isdigit():
             raise AddressError(f"bad prefix length in {text!r}")
         return cls(IPAddress.parse(addr_text), int(len_text))
-
-    @property
-    def netmask(self) -> IPAddress:
-        """The prefix as a dotted-quad mask."""
-        return IPAddress(self.mask)
 
     @cached_property
     def broadcast(self) -> IPAddress:

@@ -44,22 +44,6 @@ class EthernetFrame:
             payload_size = MIN_PAYLOAD_BYTES
         self.size_bytes = FRAME_OVERHEAD_BYTES + payload_size
 
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        kind = "IPv4" if self.ethertype == ETHERTYPE_IPV4 else "ARP"
-        return f"[{self.src} -> {self.dst} {kind} {self.size_bytes}B]"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EthernetFrame):
-            return NotImplemented
-        return (self.src == other.src and self.dst == other.dst
-                and self.ethertype == other.ethertype
-                and self.payload == other.payload)
-
-    def __hash__(self) -> int:
-        return hash((EthernetFrame, self.src, self.dst, self.ethertype,
-                     self.payload))
-
     def __repr__(self) -> str:
         return (f"EthernetFrame(src={self.src!r}, dst={self.dst!r}, "
                 f"ethertype={self.ethertype:#06x}, payload={self.payload!r})")

@@ -16,7 +16,8 @@ layout skips the per-instance ``__dict__`` and the frozen-dataclass
 ``object.__setattr__`` round-trip, roughly halving construction cost.
 Treat instances as immutable: nothing in the repository mutates a packet
 after construction, and sharing below relies on that (``decremented()``
-copies, tunnels nest the inner packet by reference).
+copies, tunnels nest the inner packet by reference).  Packets compare by
+identity; nothing compares two of them by value.
 
 ``size_bytes`` is computed once at construction and stored in a slot —
 the "cached header encode".  Packets are immutable, so the walk down the
@@ -80,15 +81,6 @@ class AppData:
         self.content = content
         self.size_bytes = size_bytes
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AppData):
-            return NotImplemented
-        return (self.content == other.content
-                and self.size_bytes == other.size_bytes)
-
-    def __hash__(self) -> int:
-        return hash((AppData, self.content, self.size_bytes))
-
     def __repr__(self) -> str:
         return f"AppData(content={self.content!r}, size_bytes={self.size_bytes})"
 
@@ -112,16 +104,6 @@ class UDPDatagram:
         self.dst_port = dst_port
         self.payload = payload if payload is not None else AppData()
         self.size_bytes = UDP_HEADER_BYTES + self.payload.size_bytes
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UDPDatagram):
-            return NotImplemented
-        return (self.src_port == other.src_port
-                and self.dst_port == other.dst_port
-                and self.payload == other.payload)
-
-    def __hash__(self) -> int:
-        return hash((UDPDatagram, self.src_port, self.dst_port, self.payload))
 
     def __repr__(self) -> str:
         return (f"UDPDatagram(src_port={self.src_port}, "
@@ -177,18 +159,6 @@ class IPPacket:
         if self.is_tunneled and isinstance(self.payload, IPPacket):
             return f"{base} [{self.payload.describe()}]"
         return base
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IPPacket):
-            return NotImplemented
-        return (self.src == other.src and self.dst == other.dst
-                and self.protocol == other.protocol
-                and self.payload == other.payload
-                and self.ttl == other.ttl and self.ident == other.ident)
-
-    def __hash__(self) -> int:
-        return hash((IPPacket, self.src, self.dst, self.protocol,
-                     self.payload, self.ttl, self.ident))
 
     def __repr__(self) -> str:
         return (f"IPPacket(src={self.src!r}, dst={self.dst!r}, "

@@ -31,7 +31,6 @@ class Router(Host):
         super().__init__(sim, name, config,
                          timings if timings is not None else config.server_host)
         self.ip.forwarding = True
-        self._transit_filter = False
         self._filter_exempt: Set[Subnet] = set()
         self.transit_drops = 0
         sim.metrics.register(self, self._METRIC_FIELDS, host=name)
@@ -47,19 +46,12 @@ class Router(Host):
         variant of the triangle route *does* pass such filters: its outer
         source is the mobile host's valid local care-of address.
         """
-        self._transit_filter = True
         self._filter_exempt = set(exempt or [])
         self.ip.forward_filter = self._check_transit
 
     def disable_transit_filter(self) -> None:
         """Stop filtering; forward everything routable."""
-        self._transit_filter = False
         self.ip.forward_filter = None
-
-    @property
-    def transit_filter_enabled(self) -> bool:
-        """Whether ingress filtering is active."""
-        return self._transit_filter
 
     def _local_subnets(self) -> List[Subnet]:
         return [iface.subnet for iface in self.interfaces

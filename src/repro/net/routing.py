@@ -68,16 +68,6 @@ class RouteResult:
         """The link-layer target: the gateway if any, else the destination."""
         return self.gateway if self.gateway is not None else dst
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RouteResult):
-            return NotImplemented
-        return (self.interface == other.interface
-                and self.source == other.source
-                and self.gateway == other.gateway)
-
-    def __hash__(self) -> int:
-        return hash((RouteResult, self.interface, self.source, self.gateway))
-
     def __repr__(self) -> str:
         return (f"RouteResult(interface={self.interface!r}, "
                 f"source={self.source!r}, gateway={self.gateway!r})")

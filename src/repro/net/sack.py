@@ -131,9 +131,6 @@ class ReassemblyBuffer:
     def __bool__(self) -> bool:
         return bool(self._segments)
 
-    def __len__(self) -> int:
-        return len(self._segments)
-
     def store(self, seq: int, segment: object) -> None:
         """Keep one out-of-order segment (first copy wins)."""
         self._segments.setdefault(seq, segment)

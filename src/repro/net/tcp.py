@@ -115,22 +115,6 @@ class TCPSegment:
             size += SACK_OPTION_BASE_BYTES + SACK_BLOCK_BYTES * len(sack)
         self.size_bytes = size
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TCPSegment):
-            return NotImplemented
-        return (self.src_port == other.src_port
-                and self.dst_port == other.dst_port
-                and self.seq == other.seq and self.ack == other.ack
-                and self.flags == other.flags
-                and self.payload == other.payload
-                and self.sack == other.sack
-                and self.wnd == other.wnd)
-
-    def __hash__(self) -> int:
-        return hash((TCPSegment, self.src_port, self.dst_port, self.seq,
-                     self.ack, self.flags, self.payload, self.sack,
-                     self.wnd))
-
     def __repr__(self) -> str:
         return (f"TCPSegment(src_port={self.src_port}, "
                 f"dst_port={self.dst_port}, seq={self.seq}, ack={self.ack}, "
@@ -373,32 +357,16 @@ class TCPConnection:
         """The congestion window, owned by the strategy."""
         return self.cc.cwnd
 
-    @cwnd.setter
-    def cwnd(self, value: int) -> None:
-        self.cc.cwnd = value
-
     @property
     def ssthresh(self) -> int:
         """The slow-start threshold, owned by the strategy."""
         return self.cc.ssthresh
-
-    @ssthresh.setter
-    def ssthresh(self, value: int) -> None:
-        self.cc.ssthresh = value
 
     # Estimator internals, exposed read-only for tests and experiments.
 
     @property
     def _srtt(self) -> Optional[int]:
         return self._rto_est.srtt
-
-    @property
-    def _rttvar(self) -> int:
-        return self._rto_est.rttvar
-
-    @property
-    def _rto(self) -> int:
-        return self._rto_est.rto
 
     @property
     def _rto_backoff(self) -> int:

@@ -45,11 +45,6 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 # ------------------------------------------------------------------- snapshot
 
-def snapshot(registry: MetricsRegistry) -> Dict[str, object]:
-    """The registry's flat, deterministically ordered snapshot dict."""
-    return registry.snapshot()
-
-
 def snapshot_to_json(registry: MetricsRegistry) -> str:
     """Canonical JSON serialization — byte-identical for same-seed runs."""
     return json.dumps(registry.snapshot(), sort_keys=True,

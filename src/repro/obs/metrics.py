@@ -157,10 +157,6 @@ class Gauge(Metric):
         if value > self.value:
             self.value = value
 
-    def inc(self, amount: float = 1) -> None:
-        """Adjust the gauge by *amount* (may be negative)."""
-        self.value += amount
-
     def dec(self, amount: float = 1) -> None:
         """Decrease the gauge by *amount*."""
         self.value -= amount

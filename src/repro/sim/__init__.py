@@ -17,7 +17,6 @@ from repro.sim.units import (
     MILLISECOND,
     NANOSECOND,
     SECOND,
-    from_seconds,
     ms,
     ns_to_ms,
     ns_to_s,
@@ -42,5 +41,4 @@ __all__ = [
     "s",
     "ns_to_ms",
     "ns_to_s",
-    "from_seconds",
 ]

@@ -107,14 +107,6 @@ class Trace:
         for category in categories:
             self._subscribers.setdefault(category, []).append(callback)
 
-    def unsubscribe(self, callback: Subscriber) -> None:
-        """Stop delivering records to *callback* (missing is a no-op)."""
-        for category, callbacks in list(self._subscribers.items()):
-            if callback in callbacks:
-                callbacks.remove(callback)
-                if not callbacks:
-                    del self._subscribers[category]
-
     def emit(self, category: str, event: str, **fields: Any) -> None:
         """Record *event* in *category* at the current virtual time.
 

@@ -22,11 +22,6 @@ KBPS = 1_000
 MBPS = 1_000_000
 
 
-def ns(value: float) -> int:
-    """Return *value* nanoseconds as a time quantity."""
-    return int(round(value))
-
-
 def us(value: float) -> int:
     """Return *value* microseconds in nanoseconds."""
     return int(round(value * MICROSECOND))
@@ -40,11 +35,6 @@ def ms(value: float) -> int:
 def s(value: float) -> int:
     """Return *value* seconds in nanoseconds."""
     return int(round(value * SECOND))
-
-
-def from_seconds(value: float) -> int:
-    """Alias of :func:`s` for call sites where the word reads better."""
-    return s(value)
 
 
 def ns_to_ms(value: int) -> float:

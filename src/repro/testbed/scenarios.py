@@ -1,9 +1,8 @@
 """Canned movement scenarios over the Figure-5 testbed.
 
-The paper's narrative movements, packaged as schedulable scripts so tests,
-benchmarks and downstream users can replay them: the daily commute (office
-Ethernet -> radio on the move -> home), the conference visit (foreign
-Ethernet via DHCP), and a configurable random walk for soak testing.
+The paper's narrative movements, packaged as schedulable scripts so tests
+can replay them: the daily commute (office Ethernet -> radio on the move ->
+home) and a configurable random walk for soak testing.
 
 A scenario is a list of timed steps; :func:`play` schedules them on the
 simulator and returns a :class:`ScenarioRun` that records what happened.
@@ -92,33 +91,6 @@ def commute(testbed: Testbed,
              action=leave_office),
         Step(at=office_dwell + transit_dwell, label="arrive home",
              action=arrive_home),
-    ])
-
-
-# --------------------------------------------------------- conference visit
-
-def conference_visit(testbed: Testbed, dwell: int = s(5)) -> ScenarioRun:
-    """Visit a foreign administrative domain (net 36.40) and return.
-
-    Requires a testbed built with the remote network.  Exercises exactly
-    the situation the no-foreign-agent design targets: a network that
-    offers nothing but an address.
-    """
-    if testbed.remote_segment is None:
-        raise ValueError("testbed was built without the remote network")
-    addresses = testbed.addresses
-
-    def arrive(tb: Testbed, run: ScenarioRun) -> None:
-        tb.visit_remote()
-
-    def go_home(tb: Testbed, run: ScenarioRun) -> None:
-        tb.move_mh_cable(tb.home_segment)
-        tb.mobile.stop_visiting(tb.mh_eth)
-        tb.mobile.come_home(tb.mh_eth, gateway=addresses.router_home)
-
-    return play(testbed, "conference", [
-        Step(at=0, label="arrive at the conference", action=arrive),
-        Step(at=dwell, label="fly home", action=go_home),
     ])
 
 

@@ -200,10 +200,6 @@ class Testbed:
                                        on_registered=on_registered)
         return a.mh_radio
 
-    def settle(self, duration: int) -> None:
-        """Run the simulator forward (topology warm-up, ARP, registration)."""
-        self.sim.run_for(duration)
-
 
 def build_testbed(sim: Simulator, config: Config = DEFAULT_CONFIG,
                   addresses: Optional[Addresses] = None,

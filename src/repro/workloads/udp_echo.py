@@ -44,10 +44,6 @@ class UdpEchoResponder:
         self.echoed += 1
         self._socket.sendto(data, src, src_port)
 
-    def close(self) -> None:
-        """Release the echo port."""
-        self._socket.close()
-
 
 @dataclass
 class EchoRecord:

@@ -1,6 +1,6 @@
 """Experiment reports and one run's metrics must match committed digests.
 
-Five kinds of golden, all sha256 digests in ``report_goldens.json``:
+Seven kinds of golden, all sha256 digests in ``report_goldens.json``:
 
 * the extension experiments (x1-x6: UDP probes, registration storms,
   sharded fleets, fault injection, TCP congestion control over handoffs)
@@ -8,6 +8,8 @@ Five kinds of golden, all sha256 digests in ``report_goldens.json``:
 * the fast paper experiments, x1-x6 and x9 at their default seed,
   exactly as ``python -m repro.experiments <id>`` prints them
   (``e1/default``);
+* x7's aggregate fleet-scale sweep cut to its two smallest fleet sizes
+  plus the default 100k-host failover row (``x7/reduced``);
 * x8's audited plane-chaos grid cut to one 24-host fleet in two
   12-host shards (``x8/small``), which pins its shared-Ethernet
   segments through the report;
@@ -53,6 +55,7 @@ from repro.experiments import (
     run_tcp_cc_experiment,
 )
 from repro.experiments.__main__ import RUNNERS
+from repro.experiments.exp_fleet_scale import run_fleet_scale_experiment
 from repro.experiments.exp_ha_scalability import run_fleet_trial
 from repro.experiments.exp_plane_chaos import run_plane_chaos_experiment
 from repro.net.addressing import ip
@@ -128,6 +131,13 @@ def x8_small_digest() -> str:
         fleet_sizes=(24,), seed=71, shard_hosts=12).format_report())
 
 
+def x7_reduced_digest() -> str:
+    """x7's aggregate-model sweep at its two smallest fleet sizes plus the
+    default 100k-host failover row, at its default seed."""
+    return _sha256(run_fleet_scale_experiment(
+        fleet_sizes=(1_000, 10_000)).format_report())
+
+
 def x4_shard_metrics_digest() -> str:
     """The first shard of x4's default sweep, cut to 20 hosts."""
     with capture_simulators() as sims:
@@ -183,6 +193,7 @@ def golden_digests() -> dict:
     digests.update({f"{name}/metrics": default_metrics_digest(name)
                     for name in METRICS_IDS})
     digests["x8/small"] = x8_small_digest()
+    digests["x7/reduced"] = x7_reduced_digest()
     digests["x4-shard/metrics"] = x4_shard_metrics_digest()
     digests["trace-stream/commute"] = typed_stream_digest(
         commute_trace().trace)
@@ -225,6 +236,10 @@ def test_registration_readers_keep_only_registration_records(name):
 
 def test_x8_small_grid_report_matches_golden():
     assert x8_small_digest() == _golden("x8/small")
+
+
+def test_x7_reduced_report_matches_golden():
+    assert x7_reduced_digest() == _golden("x7/reduced")
 
 
 def test_x4_shard_metrics_snapshot_matches_golden():

@@ -3,7 +3,7 @@
 from repro.net.addressing import ip
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
-from repro.testbed.scenarios import commute, conference_visit, random_walk
+from repro.testbed.scenarios import commute, random_walk
 from repro.workloads import UdpEchoResponder, UdpEchoStream
 
 HOME = ip("36.135.0.10")
@@ -35,20 +35,6 @@ def test_commute_scenario_end_to_end(testbed):
     # switch's bring-up window plus at most a couple of moving-day gaps).
     assert stream.lost_count() <= 8
     assert stream.received >= stream.sent * 0.75
-
-
-def test_conference_scenario(full_testbed):
-    testbed = full_testbed
-    stream = streaming(testbed)
-    run = conference_visit(testbed, dwell=s(5))
-    testbed.sim.run_for(s(9))
-    stream.stop()
-    testbed.sim.run_for(s(2))
-    assert run.steps_executed == ["arrive at the conference", "fly home"]
-    assert testbed.mobile.at_home
-    # While at the conference, traffic was tunneled across the backbone.
-    assert testbed.home_agent.vif.packets_encapsulated > 0
-    assert stream.received >= stream.sent * 0.8
 
 
 def test_random_walk_binding_always_tracks(testbed):

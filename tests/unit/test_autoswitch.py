@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.autoswitch import AttachmentOption, ConnectivityManager
+from repro.core.autoswitch import (
+    UP_THRESHOLD,
+    AttachmentOption,
+    ConnectivityManager,
+)
 from repro.net.addressing import ip
 from repro.sim import ms, s
 from repro.workloads import UdpEchoResponder, UdpEchoStream
@@ -139,3 +143,74 @@ def test_unknown_option_name_raises(managed):
     _testbed, manager = managed
     with pytest.raises(KeyError):
         manager.option("token-ring")
+
+
+def _connmgr_events(testbed, event):
+    return [record.fields["option"]
+            for record in testbed.sim.trace.select("connmgr", event)]
+
+
+def test_candidate_down_at_decision_is_demoted_then_promoted(managed):
+    """The preferred candidate's interface dies between its last good
+    probe and the switch decision: the manager demotes it instead of
+    hot-switching onto a dead device, stays on the next preference, and
+    promotes the candidate again once it re-earns UP_THRESHOLD probe
+    successes."""
+    testbed, manager = managed
+    manager.probe_timeout = ms(600)
+    manager.start()
+    testbed.sim.run_for(s(3))
+    ethernet, radio = manager.option("ethernet"), manager.option("radio")
+    assert ethernet.eligible and radio.eligible
+    assert manager.current_option() is ethernet
+    radio.score = 1e12  # the radio is now the preferred network
+    testbed.mh_radio.bring_down()
+    manager._reconsider()
+    assert not radio.eligible
+    assert radio.consecutive_successes == 0
+    assert _connmgr_events(testbed, "demoted") == ["radio"]
+    assert manager.current_option() is ethernet
+    assert manager.switches_performed == 0
+    testbed.sim.run_for(s(1))
+    testbed.mh_radio.bring_up()
+    testbed.sim.run_for(s(4))
+    assert radio.eligible
+    assert radio.consecutive_successes >= UP_THRESHOLD
+    assert _connmgr_events(testbed, "eligible").count("radio") == 2
+    assert manager.current_option() is radio
+    assert manager.switches_performed == 1
+    assert manager.failed_switches == 0
+
+
+def test_failed_switch_demotes_and_falls_back(managed):
+    """A hot switch whose registration is never answered fails: the
+    candidate is demoted, the manager switches to the next preference,
+    and the candidate is promoted (and switched to) again after
+    UP_THRESHOLD probe successes."""
+    testbed, manager = managed
+    manager.probe_timeout = ms(600)
+    ethernet, radio = manager.option("ethernet"), manager.option("radio")
+    radio.score = 1e12
+    home_agent = testbed.home_agent
+    home_agent.reply_filter = lambda reply: False  # every reply is lost
+    outcomes = []
+
+    def on_switch(timeline):
+        outcomes.append(timeline.success)
+        home_agent.reply_filter = None
+
+    manager.on_switch = on_switch
+    manager.start()
+    testbed.sim.run_for(s(40))
+    assert manager.failed_switches == 1
+    assert _connmgr_events(testbed, "demoted") == ["radio"]
+    # Demoted radio falls back to ethernet, the next preference; radio
+    # re-earns eligibility and wins once more.
+    assert outcomes == [False, True, True]
+    assert _connmgr_events(testbed, "switching") == [
+        "radio", "ethernet", "radio"]
+    assert _connmgr_events(testbed, "eligible").count("radio") == 2
+    assert radio.eligible and ethernet.eligible
+    assert manager.current_option() is radio
+    assert testbed.home_agent.current_care_of(HOME) == \
+        testbed.addresses.mh_radio

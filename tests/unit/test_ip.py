@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net.addressing import ip, subnet
-from repro.net.packet import AppData, IPPacket, PROTO_UDP, UDPDatagram
+from repro.net.icmp import ICMPMessage, TYPE_DEST_UNREACHABLE, TYPE_ECHO_REQUEST
+from repro.net.packet import AppData, IPPacket, PROTO_ICMP, PROTO_UDP, UDPDatagram
 from repro.net.routing import RouteResult
 
 
@@ -81,6 +82,32 @@ def test_ttl_expiry_drops_and_reports(lan):
     assert lan.b.ip.dropped_ttl == 1
     # The sender hears about it via ICMP time exceeded.
     assert lan.sim.trace.select("icmp", "error_received", host="a")
+
+
+def test_forwarding_without_route_drops_and_reports(lan):
+    lan.b.ip.forwarding = True
+    lan.b.ip.receive_packet(datagram_packet("10.0.0.1", "99.0.0.1"),
+                            lan.b.interfaces[1])
+    lan.run()
+    assert lan.b.ip.dropped_no_route == 1
+    assert lan.b.ip.forwarded == 0
+    # The sender hears about it via ICMP destination unreachable.
+    errors = lan.sim.trace.select("icmp", "error_received", host="a")
+    assert [record.fields["icmp_type"] for record in errors] == \
+        [TYPE_DEST_UNREACHABLE]
+
+
+def test_forwarded_icmp_without_route_gets_no_error(lan):
+    """No ICMP error about an ICMP packet, even one dropped in transit."""
+    lan.b.ip.forwarding = True
+    echo = ICMPMessage(icmp_type=TYPE_ECHO_REQUEST, ident=1, data_bytes=8)
+    packet = IPPacket(src=ip("10.0.0.1"), dst=ip("99.0.0.1"),
+                      protocol=PROTO_ICMP, payload=echo)
+    lan.b.ip.receive_packet(packet, lan.b.interfaces[1])
+    lan.run()
+    assert lan.b.ip.dropped_no_route == 1
+    assert lan.b.ip.sent == 0
+    assert not lan.sim.trace.select("icmp", "error_received")
 
 
 def test_forward_filter_blocks(lan):

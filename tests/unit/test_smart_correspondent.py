@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.auth import RegistrationAuthenticator, AuthenticatedRegistrationSigner
 from repro.core.smart_correspondent import SmartCorrespondent
 from repro.net.addressing import ip
 from repro.sim import Simulator, ms, s
@@ -109,23 +108,6 @@ def test_cache_expires_with_binding_lifetime(smart_testbed):
     assert smart.cached_care_of(HOME) is not None
     testbed.sim.run_for(s(4))
     assert smart.cached_care_of(HOME) is None
-
-
-def test_unauthenticated_updates_rejected_when_keys_required(smart_testbed):
-    testbed, smart = smart_testbed
-    key = b"ch secret"
-    verifier = RegistrationAuthenticator()
-    verifier.provision(HOME, key)
-    smart.authenticator = verifier
-    testbed.visit_dept()  # MH has no signer: update must be rejected
-    testbed.sim.run_for(s(2))
-    assert smart.cached_care_of(HOME) is None
-    assert smart.updates_rejected >= 1
-    # With a signer installed, the next update is accepted.
-    AuthenticatedRegistrationSigner(key).install(testbed.mobile.registration)
-    testbed.mobile.register_current()
-    testbed.sim.run_for(s(2))
-    assert smart.cached_care_of(HOME) == testbed.addresses.mh_dept_care_of
 
 
 def test_second_route_hook_rejected(smart_testbed):

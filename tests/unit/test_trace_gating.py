@@ -68,7 +68,7 @@ def test_gated_datapath_emits_nothing_when_disabled(testbed):
     trace = testbed.sim.trace
     trace.record_only("device")
     testbed.visit_dept()
-    testbed.settle(duration=1_000_000_000)
+    testbed.sim.run_for(1_000_000_000)
     assert trace.select("ip") == []
     assert trace.select("device")
 
@@ -85,9 +85,6 @@ def test_subscriber_gets_its_categories_even_when_not_kept():
     assert [(r.category, r.event) for r in seen] == [
         ("binding", "registered"), ("home_agent", "crash")]
     assert len(sim.trace) == 0
-    sim.trace.unsubscribe(seen.append)
-    sim.trace.emit("binding", "expired", agent="ha0")
-    assert len(seen) == 2
 
 
 def test_subscribe_needs_a_category():
