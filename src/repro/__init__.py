@@ -18,23 +18,21 @@ The package splits the way the paper does:
 * :mod:`repro.workloads` — the measurement traffic.
 * :mod:`repro.experiments` — one harness per table/figure
   (``python -m repro.experiments``; add ``--metrics`` for counters).
-* :mod:`repro.api` — the :class:`Scenario` builder facade, re-exported
-  here so the sixty-second tour needs one import.
 
-Sixty-second tour::
+Sixty-second tour: build a simulator and the testbed, move the mobile
+host, run, and ask the home agent where it is::
 
-    from repro import Scenario, s
+    from repro import Simulator, build_testbed, s
+    from repro.obs import format_report
 
-    result = (Scenario(seed=42)
-              .with_testbed()
-              .with_step(0, lambda tb: tb.visit_dept())
-              .run(duration=s(5)))
-    print(result.testbed.home_agent.current_care_of(
-        result.testbed.addresses.mh_home))
-    print(result.report())
+    sim = Simulator(seed=42)
+    testbed = build_testbed(sim)
+    testbed.visit_dept()
+    sim.run_for(s(5))
+    print(testbed.home_agent.current_care_of(testbed.addresses.mh_home))
+    print(format_report(sim.metrics))
 """
 
-from repro.api import RunResult, Scenario
 from repro.config import DEFAULT_CONFIG, Config
 from repro.core.home_agent import HomeAgentService
 from repro.faults import (
@@ -54,9 +52,6 @@ from repro.sim.engine import Simulator
 from repro.sim.units import ms, s, us
 from repro.testbed.topology import Testbed, build_testbed
 
-#: Alias: the paper calls the service simply "the home agent".
-HomeAgent = HomeAgentService
-
 __version__ = "1.1.0"
 
 __all__ = [
@@ -67,7 +62,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "GilbertElliottPhase",
-    "HomeAgent",
     "HomeAgentRestart",
     "InterfaceFlap",
     "LossBurst",
@@ -75,8 +69,6 @@ __all__ = [
     "HomeAgentService",
     "MobileHost",
     "RoutingMode",
-    "RunResult",
-    "Scenario",
     "Simulator",
     "Testbed",
     "build_testbed",

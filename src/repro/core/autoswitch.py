@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 from repro.core.handoff import DeviceSwitcher, SwitchTimeline
 from repro.core.notify import profile_of
 from repro.net.addressing import IPAddress, Subnet
-from repro.sim.engine import Event
 from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,7 +96,6 @@ class ConnectivityManager:
         self.failed_switches = 0
         self.on_switch: Optional[Callable[[SwitchTimeline], None]] = None
         self._switching = False
-        self._tick_event: Optional[Event] = None
 
     # ------------------------------------------------------------ provisioning
 
@@ -122,18 +120,9 @@ class ConnectivityManager:
         self.running = True
         self._tick()
 
-    def stop(self) -> None:
-        """Halt probing (the current attachment is left as-is)."""
-        self.running = False
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
-
     # ------------------------------------------------------------------ probing
 
     def _tick(self) -> None:
-        if not self.running:
-            return
         for option in self.options:
             if option.interface.is_up:
                 self._probe(option)
@@ -142,8 +131,8 @@ class ConnectivityManager:
                 option.consecutive_successes = 0
                 option.consecutive_failures += 1
                 self._apply_hysteresis(option)
-        self._tick_event = self.sim.call_later(self.probe_interval, self._tick,
-                                               label="connmgr-tick")
+        self.sim.call_later(self.probe_interval, self._tick,
+                            label="connmgr-tick")
 
     def _probe(self, option: AttachmentOption) -> None:
         option.probes_sent += 1

@@ -7,17 +7,18 @@ mobility).  This module shards the binding plane the way a production
 deployment would:
 
 * :class:`HashRing` — a classic consistent-hash ring over replica
-  *names*.  Every replica contributes ``vnodes`` virtual points placed by
-  a **seed-free** hash (BLAKE2b, never Python's per-process randomized
-  ``hash()``), so two processes — or two machines — that build a ring
-  from the same names agree on every placement without coordination.
-  Adding or removing a replica moves only the keys adjacent to its
-  points (~1/n of the space).
+  *names*.  Every replica contributes ``DEFAULT_VNODES`` virtual points
+  placed by a **seed-free** hash (BLAKE2b, never Python's per-process
+  randomized ``hash()``), so two processes — or two machines — that build
+  a ring from the same names agree on every placement without
+  coordination.  Adding or removing a replica moves only the keys
+  adjacent to its points (~1/n of the space).
 * :class:`BindingShardPlane` — wires the ring to live
   :class:`~repro.core.home_agent.HomeAgentService` replicas.  A home
-  address is *served* by its ``replication`` ring successors, so when the
-  primary :meth:`~repro.core.home_agent.HomeAgentService.crash`\\ es (the
-  PR-4 restart machinery, reachable from a fault plan via
+  address is *served* by its ``DEFAULT_REPLICATION`` ring successors,
+  so when the primary
+  :meth:`~repro.core.home_agent.HomeAgentService.crash`\\ es (the
+  restart machinery, reachable from a fault plan via
   :class:`~repro.faults.plan.HomeAgentRestart`'s ``agent`` field) lookups
   fail over to the next live replica — takeover without re-registration.
 
@@ -80,14 +81,10 @@ class HashRing:
     """Consistent hashing over replica names with virtual nodes.
 
     Deterministic by construction: placements depend only on the member
-    names and ``vnodes``, never on insertion order, process, or seed.
+    names, never on insertion order, process, or seed.
     """
 
-    def __init__(self, nodes: Iterable[str] = (), *,
-                 vnodes: int = DEFAULT_VNODES) -> None:
-        if vnodes <= 0:
-            raise ValueError(f"vnodes must be positive, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, nodes: Iterable[str] = ()) -> None:
         self._points: List[int] = []
         self._owners: List[str] = []
         self._nodes: Dict[str, List[int]] = {}
@@ -102,11 +99,11 @@ class HashRing:
         return sorted(self._nodes)
 
     def add(self, name: str) -> None:
-        """Add a replica: ``vnodes`` points join the ring, the rest stay."""
+        """Add a replica: ``DEFAULT_VNODES`` points join, the rest stay."""
         if name in self._nodes:
             raise ValueError(f"ring already contains {name!r}")
         points = []
-        for index in range(self.vnodes):
+        for index in range(DEFAULT_VNODES):
             point = stable_hash64(f"{name}#{index}")
             position = bisect_right(self._points, point)
             # A full 64-bit collision between different names is beyond
@@ -222,7 +219,7 @@ class BindingShardPlane:
     ``agents`` maps replica names to :class:`HomeAgentService` instances
     (anything exposing ``serve``/``crash``/``is_down`` works, which keeps
     the plane testable without a full topology).  A home address is
-    provisioned on its ``replication`` ring successors so a crashed
+    provisioned on its ``DEFAULT_REPLICATION`` ring successors so a crashed
     primary's bindings can be re-won at a live replica without waiting
     for it to come back.
 
@@ -234,14 +231,10 @@ class BindingShardPlane:
 
     def __init__(self, sim: "Simulator",
                  agents: Mapping[str, "HomeAgentService"], *,
-                 replication: int = DEFAULT_REPLICATION,
-                 vnodes: int = DEFAULT_VNODES,
                  spares: Optional[Mapping[str, "HomeAgentService"]] = None
                  ) -> None:
         if not agents:
             raise ValueError("a binding-shard plane needs at least one agent")
-        if replication <= 0:
-            raise ValueError(f"replication must be positive, got {replication}")
         self.sim = sim
         self.agents: Dict[str, "HomeAgentService"] = dict(agents)
         #: Standby replicas a :class:`~repro.faults.plan.ReplicaJoin` (or a
@@ -250,9 +243,8 @@ class BindingShardPlane:
         overlap = set(self.agents) & set(self.spares)
         if overlap:
             raise ValueError(f"agents also listed as spares: {sorted(overlap)}")
-        self._requested_replication = replication
-        self.replication = min(replication, len(self.agents))
-        self.ring = HashRing(self.agents, vnodes=vnodes)
+        self.replication = min(DEFAULT_REPLICATION, len(self.agents))
+        self.ring = HashRing(self.agents)
         self.takeovers = 0
         self.stale_served = 0
         self._provisioned: Dict[str, set] = {}
@@ -439,7 +431,7 @@ class BindingShardPlane:
         self.spares.pop(name, None)
         self.agents[name] = agent
         self.ring.add(name)
-        self.replication = min(self._requested_replication, len(self.agents))
+        self.replication = min(DEFAULT_REPLICATION, len(self.agents))
         self._install_sync(name, agent)
         self._reprovision()
         self.sim.metrics.counter("binding_shard", "joins").value += 1
@@ -473,7 +465,7 @@ class BindingShardPlane:
         self._partitioned.discard(name)
         if hasattr(agent, "partitioned"):
             agent.partitioned = False
-        self.replication = min(self._requested_replication, len(self.agents))
+        self.replication = min(DEFAULT_REPLICATION, len(self.agents))
         provisioned = self._provisioned.pop(name, set())
         self._reprovision()
         moved = 0

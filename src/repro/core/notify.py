@@ -91,17 +91,10 @@ class Subscription:
     callback: Callable[[NetworkEvent], None]
     kinds: Optional[frozenset]           # None = everything
     min_bandwidth_change: float          # fraction; 0.0 = any
-    active: bool = True
     delivered: int = 0
-
-    def cancel(self) -> None:
-        """Stop delivering events to this subscription."""
-        self.active = False
 
     def wants(self, event: NetworkEvent) -> bool:
         """True if *event* passes this subscription's filters."""
-        if not self.active:
-            return False
         if self.kinds is not None and event.kind not in self.kinds:
             return False
         if (self.min_bandwidth_change > 0.0

@@ -48,7 +48,7 @@ from repro.faults import (
 from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
-from repro.testbed import build_testbed
+from repro.testbed import Testbed, build_testbed
 from repro.workloads import UdpEchoResponder, UdpEchoStream
 
 #: Sweep grid: Gilbert-Elliott burst intensity x Ethernet flap cadence.
@@ -127,22 +127,17 @@ def _build_plan(loss_rate: float, flap_period_ns: int,
     return FaultPlan.of(*events)
 
 
-def run_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
-                    config: Config = DEFAULT_CONFIG) -> dict:
-    """One chaos run as a pure trial: (params, seed) -> plain data."""
-    chaos_config = config.with_overrides(
+def _chaos_config(config: Config) -> Config:
+    """*config* with the short binding lifetime and half-life renewals."""
+    return config.with_overrides(
         registration=replace(config.registration,
                              renewal_fraction=0.5,
                              default_lifetime=CHAOS_LIFETIME))
-    sim = Simulator(seed=seed)
-    sim.trace.record_only()
-    testbed = build_testbed(sim, chaos_config,
-                            with_remote_correspondent=False, with_dhcp=True)
-    addresses = testbed.addresses
-    testbed.visit_dept()
-    testbed.connect_radio(register=False)
-    sim.run_for(WARMUP)
 
+
+def _start_manager(testbed: Testbed) -> None:
+    """Start auto-switching between the Ethernet and the radio."""
+    addresses = testbed.addresses
     manager = ConnectivityManager(testbed.mobile)
     manager.add_option(AttachmentOption(
         name="ethernet", interface=testbed.mh_eth,
@@ -153,6 +148,21 @@ def run_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
         care_of=addresses.mh_radio, subnet=addresses.radio_net,
         gateway=addresses.router_radio, score=1.0))
     manager.start()
+
+
+def run_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
+                    config: Config = DEFAULT_CONFIG) -> dict:
+    """One chaos run as a pure trial: (params, seed) -> plain data."""
+    sim = Simulator(seed=seed)
+    sim.trace.record_only()
+    testbed = build_testbed(sim, _chaos_config(config),
+                            with_remote_correspondent=False, with_dhcp=True)
+    addresses = testbed.addresses
+    testbed.visit_dept()
+    testbed.connect_radio(register=False)
+    sim.run_for(WARMUP)
+
+    _start_manager(testbed)
 
     UdpEchoResponder(testbed.mobile)
     stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,

@@ -56,8 +56,6 @@ DEFAULT_FAILOVER_FLEET = 100_000
 HOSTS_PER_AGENT = 50_000
 #: Smallest plane: even a 10^3-host fleet runs the sharded architecture.
 MIN_AGENTS = 4
-#: Ring geometry (64 virtual nodes per replica bounds imbalance ~±20%).
-RING_VNODES = 64
 
 HORIZON = s(30)
 
@@ -120,7 +118,7 @@ def run_fleet_scale_trial(fleet_size: int, n_hosts: int, host_offset: int,
     """One aggregate shard as a pure trial: (params, seed) -> partials."""
     sim = Simulator(seed=seed)
     sim.trace.record_only()
-    ring = HashRing(agent_names(agents), vnodes=RING_VNODES)
+    ring = HashRing(agent_names(agents))
     model = AggregateHostModel(sim, "fleet", n_hosts,
                                horizon=HORIZON,
                                fleet_hosts=fleet_size,

@@ -91,7 +91,6 @@ SHARD_HOSTS = 1_250
 #: Base replicas of each shard's plane, plus one standby for the join.
 BASE_AGENTS = ("ha0", "ha1", "ha2", "ha3")
 SPARE_AGENT = "ha4"
-REPLICATION = 2
 
 #: The home subnet: a /16 so 10^4 global host indices fit one prefix.
 HOME_NET = subnet("36.135.0.0/16")
@@ -289,7 +288,7 @@ def _build_shard(sim: Simulator, config: Config, n_hosts: int,
 
     plane = BindingShardPlane(
         sim, {name: agents[name] for name in BASE_AGENTS},
-        replication=REPLICATION, spares={SPARE_AGENT: agents[SPARE_AGENT]})
+        spares={SPARE_AGENT: agents[SPARE_AGENT]})
 
     registrants: List[_Registrant] = []
     stats: Dict[str, object] = {

@@ -19,28 +19,25 @@ long after the handoff the first data arrived at the new attachment
 
 Every cell is one :class:`~repro.parallel.Trial` whose simulator seed is
 derived from the cell index, so reports are byte-identical at any
-``--jobs`` value.  The trial itself is built through the
-:class:`~repro.api.Scenario` facade — ``with_config`` selects the
-transport, ``with_faults`` arms the loss phase, ``with_step`` performs
-the handoff — making x6 the reference user of the redesigned API.
+``--jobs`` value.  The trial builds its run directly: the config
+selects the transport, a :class:`~repro.faults.FaultInjector` arms the
+loss phase, and two scheduled calls perform the handoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.api import Scenario
 from repro.config import Config, DEFAULT_CONFIG
 from repro.experiments.harness import format_table
-from repro.faults import FaultPlan, GilbertElliottPhase
-from repro.net.host import Host
-from repro.net.packet import AppData
+from repro.faults import FaultInjector, FaultPlan, GilbertElliottPhase
 from repro.net.tcp import TCPConnection
 from repro.parallel import Trial, run_trials
+from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
-from repro.testbed.topology import Testbed
-from repro.workloads.tcp_session import SESSION_PORT, TcpBulkSender
+from repro.testbed import build_testbed
+from repro.workloads.tcp_session import TcpBulkReceiver, TcpBulkSender
 
 #: Sweep grid.
 DEFAULT_CCS = ("tahoe", "reno", "cubic")
@@ -67,34 +64,6 @@ UNPLUG_AFTER = ms(300)
 HORIZON = s(20)
 DRAIN = s(4)
 CWND_SAMPLE_INTERVAL = ms(100)
-
-
-class TimedTcpReceiver:
-    """Mobile-host side: accepts the session, timestamps every arrival."""
-
-    def __init__(self, host: Host, port: int = SESSION_PORT) -> None:
-        self.host = host
-        self.sim = host.sim
-        self.bytes_total = 0
-        #: (sim time ns, payload bytes) per application delivery.
-        self.arrivals: List[Tuple[int, int]] = []
-        self.connection: Optional[TCPConnection] = None
-        self._listener = host.tcp.listen(port, self._on_connection)
-
-    def _on_connection(self, conn: TCPConnection) -> None:
-        self.connection = conn
-        conn.on_data = self._on_data
-
-    def _on_data(self, data: AppData) -> None:
-        self.bytes_total += data.size_bytes
-        self.arrivals.append((self.sim.now, data.size_bytes))
-
-    def first_arrival_after(self, when: int) -> Optional[int]:
-        """Timestamp of the first delivery at or after *when*, or None."""
-        for at, _ in self.arrivals:
-            if at >= when:
-                return at
-        return None
 
 
 class CwndSampler:
@@ -163,47 +132,32 @@ class TcpCcReport:
 def run_tcp_cc_trial(cc: str, loss_rate: float, handoff: bool, seed: int,
                      config: Config = DEFAULT_CONFIG) -> dict:
     """One sweep cell as a pure trial: (params, seed) -> plain data."""
-    session: dict = {}
-
-    def start_session(testbed: Testbed) -> dict:
-        testbed.sim.trace.record_only()
-        testbed.visit_dept()
-        receiver = TimedTcpReceiver(testbed.mobile)
-        sender = TcpBulkSender(testbed.correspondent,
-                               testbed.addresses.mh_home,
-                               interval=SEND_INTERVAL,
-                               chunk_bytes=CHUNK_BYTES)
-        sender.start()
-        sampler = CwndSampler(sender.connection)
-        testbed.sim.call_later(HORIZON, sender.stop, label="tcp-cc-stop")
-        session.update(receiver=receiver, sender=sender, sampler=sampler)
-        return session
-
-    scenario = (Scenario(seed=seed, config=config)
-                # Tahoe is measured as the seed shipped it: no SACK.  The
-                # modern stacks get the full treatment.
-                .with_config(tcp_congestion_control=cc,
-                             tcp_sack=(cc != "tahoe"))
-                .with_testbed(with_remote_correspondent=False)
-                .with_workload(start_session, name="session"))
+    # Tahoe is measured as the seed shipped it: no SACK.  The modern
+    # stacks get the full treatment.
+    config = config.with_overrides(tcp_congestion_control=cc,
+                                   tcp_sack=(cc != "tahoe"))
+    sim = Simulator(seed=seed)
+    testbed = build_testbed(sim, config, with_remote_correspondent=False)
+    sim.trace.record_only()
+    testbed.visit_dept()
+    receiver = TcpBulkReceiver(testbed.mobile)
+    sender = TcpBulkSender(testbed.correspondent, testbed.addresses.mh_home,
+                           interval=SEND_INTERVAL, chunk_bytes=CHUNK_BYTES)
+    sender.start()
+    sampler = CwndSampler(sender.connection)
+    sim.call_later(HORIZON, sender.stop, label="tcp-cc-stop")
     if loss_rate > 0.0:
-        scenario.with_faults(FaultPlan.of(GilbertElliottPhase(
+        FaultInjector.for_testbed(testbed, FaultPlan.of(GilbertElliottPhase(
             at=LOSS_AT, link=DEPT_LINK, duration=LOSS_DURATION,
             p_good_bad=loss_rate, p_bad_good=0.3,
-            loss_good=0.0, loss_bad=0.85)))
+            loss_good=0.0, loss_bad=0.85))).arm()
     if handoff:
-        scenario.with_step(HANDOFF_AT,
-                           lambda tb: tb.connect_radio(register=True),
-                           label="handoff-radio-up")
-        scenario.with_step(HANDOFF_AT + UNPLUG_AFTER,
-                           lambda tb: tb.unplug_ethernet(),
-                           label="handoff-unplug-eth")
-    result = scenario.run(duration=HORIZON + DRAIN)
+        sim.call_at(HANDOFF_AT, lambda: testbed.connect_radio(register=True),
+                    label="handoff-radio-up")
+        sim.call_at(HANDOFF_AT + UNPLUG_AFTER, testbed.unplug_ethernet,
+                    label="handoff-unplug-eth")
+    sim.run_for(HORIZON + DRAIN)
 
-    testbed = result.testbed
-    receiver = session["receiver"]
-    sender = session["sender"]
-    sampler = session["sampler"]
     goodput_kbps = receiver.bytes_total * 8 / (HORIZON / 1e9) / 1e3
     recovery_ms = -1.0
     if handoff:
@@ -213,7 +167,7 @@ def run_tcp_cc_trial(cc: str, loss_rate: float, handoff: bool, seed: int,
         first = receiver.first_arrival_after(cutover)
         if first is not None:
             recovery_ms = (first - cutover) / 1e6
-    metrics = result.sim.metrics
+    metrics = sim.metrics
     sender_host = testbed.correspondent.name
     retransmits = metrics.get("tcp", "retransmits", host=sender_host)
     rtos = metrics.get("tcp", "rto_expirations", host=sender_host)

@@ -21,35 +21,34 @@ whether data was still flowing in the final five seconds.
 
 Each cell is one :class:`~repro.parallel.Trial` (seed = base + cell
 index), so reports are byte-identical at any ``--jobs`` value.  The cell
-itself is built through the :class:`~repro.api.Scenario` facade with the
-new ``tcp_*`` knobs via ``with_config``; the fault schedule is imported
-from x5 so the two experiments stay in lockstep.
+builds its run the way x5 does, with the ``tcp_*`` knobs on top of x5's
+config; the fault schedule, the registration config and the
+Ethernet + radio auto-switcher are imported from x5 so the two
+experiments stay in lockstep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
-from repro.api import Scenario
 from repro.config import Config, DEFAULT_CONFIG
-from repro.core.autoswitch import AttachmentOption, ConnectivityManager
 from repro.experiments.exp_chaos import (
-    CHAOS_LIFETIME,
     DEFAULT_FLAP_PERIODS_MS,
     DEFAULT_LOSS_RATES,
     HORIZON,
     SURVIVAL_WINDOW,
     WARMUP,
     _build_plan,
+    _chaos_config,
+    _start_manager,
 )
 from repro.experiments.harness import format_table
 from repro.faults import FaultInjector
-from repro.net.host import Host
-from repro.net.packet import AppData
 from repro.parallel import Trial, run_trials
+from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
-from repro.testbed.topology import Testbed
+from repro.testbed import build_testbed
 from repro.workloads.tcp_session import TcpBulkSender, TcpDrainReceiver
 
 #: Offered load: one 256-byte chunk every 20 ms (~100 kbit/s).
@@ -67,33 +66,6 @@ TRANSPORT_CC = "reno"
 #: measured from there.
 HA_RESTART_AT = s(14)
 DRAIN_TAIL = s(3)
-
-
-class WindowedReceiver(TcpDrainReceiver):
-    """Drain-rate receiver that also timestamps every app delivery."""
-
-    def __init__(self, host: Host, drain_bytes: int = DRAIN_BYTES,
-                 drain_interval: int = DRAIN_INTERVAL) -> None:
-        super().__init__(host, drain_bytes, drain_interval)
-        self.bytes_total = 0
-        #: (sim time ns, payload bytes) per application delivery.
-        self.arrivals: List[Tuple[int, int]] = []
-
-    def _on_data(self, data: AppData) -> None:
-        super()._on_data(data)
-        self.bytes_total += data.size_bytes
-        self.arrivals.append((self.host.sim.now, data.size_bytes))
-
-    def first_arrival_after(self, when: int) -> Optional[int]:
-        """Timestamp of the first delivery at or after *when*, or None."""
-        for at, _ in self.arrivals:
-            if at >= when:
-                return at
-        return None
-
-    def received_after(self, since: int) -> int:
-        """Deliveries at or after *since* (the survival check)."""
-        return sum(1 for at, _ in self.arrivals if at >= since)
 
 
 @dataclass
@@ -142,60 +114,41 @@ class TcpChaosReport:
 def run_tcp_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
                         config: Config = DEFAULT_CONFIG) -> dict:
     """One grid cell as a pure trial: (params, seed) -> plain data."""
-    session: dict = {}
+    config = _chaos_config(config).with_overrides(
+        tcp_flow_control=True,
+        tcp_recv_buffer=RECV_BUFFER,
+        tcp_delayed_ack=True,
+        tcp_sack=True,
+        tcp_congestion_control=TRANSPORT_CC)
+    sim = Simulator(seed=seed)
+    testbed = build_testbed(sim, config,
+                            with_remote_correspondent=False, with_dhcp=True)
+    sim.trace.record_only()
+    testbed.visit_dept()
+    testbed.connect_radio(register=False)
+    receiver: Optional[TcpDrainReceiver] = None
+    sender: Optional[TcpBulkSender] = None
 
-    def start_session(testbed: Testbed) -> dict:
-        testbed.sim.trace.record_only()
-        addresses = testbed.addresses
-        testbed.visit_dept()
-        testbed.connect_radio(register=False)
+    def start_session() -> None:
+        nonlocal receiver, sender
+        _start_manager(testbed)
+        receiver = TcpDrainReceiver(testbed.mobile, DRAIN_BYTES,
+                                    DRAIN_INTERVAL)
+        sender = TcpBulkSender(testbed.correspondent,
+                               testbed.addresses.mh_home,
+                               interval=SEND_INTERVAL,
+                               chunk_bytes=CHUNK_BYTES)
+        sender.start()
+        sim.call_later(HORIZON - WARMUP, sender.stop, label="tcp-chaos-stop")
 
-        def after_warmup() -> None:
-            manager = ConnectivityManager(testbed.mobile)
-            manager.add_option(AttachmentOption(
-                name="ethernet", interface=testbed.mh_eth,
-                care_of=addresses.mh_dept_care_of, subnet=addresses.dept_net,
-                gateway=addresses.router_dept))
-            manager.add_option(AttachmentOption(
-                name="radio", interface=testbed.mh_radio,
-                care_of=addresses.mh_radio, subnet=addresses.radio_net,
-                gateway=addresses.router_radio, score=1.0))
-            manager.start()
-            receiver = WindowedReceiver(testbed.mobile)
-            sender = TcpBulkSender(testbed.correspondent, addresses.mh_home,
-                                   interval=SEND_INTERVAL,
-                                   chunk_bytes=CHUNK_BYTES)
-            sender.start()
-            testbed.sim.call_later(HORIZON - WARMUP, sender.stop,
-                                   label="tcp-chaos-stop")
-            session.update(receiver=receiver, sender=sender, manager=manager)
+    sim.call_at(WARMUP, start_session, label="tcp-chaos-start")
+    plan = _build_plan(loss_rate, flap_period_ns,
+                       dept_link=testbed.dept_segment.name,
+                       eth_interface=testbed.mh_eth.name)
+    FaultInjector.for_testbed(testbed, plan).arm()
+    sim.run_for(HORIZON + DRAIN_TAIL)
 
-        testbed.sim.call_at(WARMUP, after_warmup, label="tcp-chaos-start")
-        plan = _build_plan(loss_rate, flap_period_ns,
-                           dept_link=testbed.dept_segment.name,
-                           eth_interface=testbed.mh_eth.name)
-        injector = FaultInjector.for_testbed(testbed, plan)
-        injector.arm()
-        session["injector"] = injector
-        return session
-
-    reg_config = config.with_overrides(
-        registration=replace(config.registration,
-                             renewal_fraction=0.5,
-                             default_lifetime=CHAOS_LIFETIME))
-    scenario = (Scenario(seed=seed, config=reg_config)
-                .with_config(tcp_flow_control=True,
-                             tcp_recv_buffer=RECV_BUFFER,
-                             tcp_delayed_ack=True,
-                             tcp_sack=True,
-                             tcp_congestion_control=TRANSPORT_CC)
-                .with_testbed(with_remote_correspondent=False, with_dhcp=True)
-                .with_workload(start_session, name="session"))
-    result = scenario.run(duration=HORIZON + DRAIN_TAIL)
-
-    testbed = result.testbed
-    receiver: WindowedReceiver = session["receiver"]
-    sender: TcpBulkSender = session["sender"]
+    assert receiver is not None and sender is not None
     sender_conn = sender.connection
     stream_time = HORIZON - WARMUP
     goodput_kbps = receiver.bytes_total * 8 / (stream_time / 1e9) / 1e3
@@ -204,7 +157,7 @@ def run_tcp_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
     if first is not None:
         recovery_ms = (first - HA_RESTART_AT) / 1e6
     survived = receiver.received_after(HORIZON - SURVIVAL_WINDOW) > 0
-    metrics = result.sim.metrics
+    metrics = sim.metrics
     sender_host = testbed.correspondent.name
     retransmits = metrics.get("tcp", "retransmits", host=sender_host)
     rtos = metrics.get("tcp", "rto_expirations", host=sender_host)

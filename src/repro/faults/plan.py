@@ -176,16 +176,3 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.events)
-
-    def describe(self) -> str:
-        """One line per event, for logs and reports."""
-        if not self.events:
-            return "(no faults)"
-        lines = []
-        for event in self.events:
-            fields = {name: value for name, value in vars(event).items()
-                      if name != "at"}
-            detail = ", ".join(f"{name}={value}"
-                               for name, value in fields.items())
-            lines.append(f"  t={event.at / 1e9:.3f}s {event.kind}: {detail}")
-        return "\n".join(lines)

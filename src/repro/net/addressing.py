@@ -8,15 +8,14 @@ reuses the paper's actual numbering: Stanford's class-B net 36, subnetted as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
-from typing import Iterator, Union
+from functools import cached_property
+from typing import Union
 
 
 class AddressError(ValueError):
     """Raised for malformed addresses or prefixes."""
 
 
-@total_ordering
 @dataclass(frozen=True)
 class IPAddress:
     """An IPv4 address stored as a 32-bit unsigned integer."""
@@ -64,11 +63,6 @@ class IPAddress:
 
     def __repr__(self) -> str:
         return f"IPAddress({str(self)!r})"
-
-    def __lt__(self, other: "IPAddress") -> bool:
-        if not isinstance(other, IPAddress):
-            return NotImplemented
-        return self.value < other.value
 
 
 #: The unspecified ("any" / "let the stack choose") source address.
@@ -138,11 +132,6 @@ class Subnet:
             raise AddressError(f"host index {index} outside {self}")
         return candidate
 
-    def hosts(self) -> Iterator[IPAddress]:
-        """Iterate over usable host addresses (network/broadcast excluded)."""
-        for value in range(self.network.value + 1, self.broadcast.value):
-            yield IPAddress(value)
-
     def __str__(self) -> str:
         return f"{self.network}/{self.prefix_len}"
 
@@ -166,28 +155,6 @@ class MACAddress:
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 0xFFFFFFFFFFFF:
             raise AddressError(f"MAC address out of range: {self.value:#x}")
-
-    @classmethod
-    def parse(cls, text: str) -> "MACAddress":
-        """Parse colon-separated hex, e.g. ``"02:00:00:00:00:01"``."""
-        parts = text.strip().split(":")
-        if len(parts) != 6:
-            raise AddressError(f"not a MAC address: {text!r}")
-        value = 0
-        for part in parts:
-            try:
-                byte = int(part, 16)
-            except ValueError as exc:
-                raise AddressError(f"bad byte in {text!r}") from exc
-            if byte > 255:
-                raise AddressError(f"bad byte in {text!r}")
-            value = (value << 8) | byte
-        return cls(value)
-
-    @property
-    def is_broadcast(self) -> bool:
-        """True for ff:ff:ff:ff:ff:ff."""
-        return self.value == 0xFFFFFFFFFFFF
 
     def __str__(self) -> str:
         return ":".join(

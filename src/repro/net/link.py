@@ -220,15 +220,6 @@ class RadioChannel(Link):
         self._radios.append(interface)
         self._receivers.append(interface.deliver_from_radio)
 
-    def detach(self, interface: "RadioInterface") -> None:
-        """Remove a radio and withdraw its published addresses."""
-        index = self._radios.index(interface)
-        del self._radios[index]
-        del self._receivers[index]
-        stale = [addr for addr, iface in self._by_address.items() if iface is interface]
-        for addr in stale:
-            del self._by_address[addr]
-
     def publish(self, address: IPAddress, interface: "RadioInterface") -> None:
         """Record that *address* is reachable at *interface*'s radio."""
         self._by_address[address] = interface

@@ -172,11 +172,6 @@ def encapsulate(inner: IPPacket, outer_src: IPAddress, outer_dst: IPAddress,
     return IPPacket(outer_src, outer_dst, PROTO_IPIP, inner, ttl)
 
 
-def decapsulate(outer: IPPacket) -> IPPacket:
-    """Strip the outer header of an IP-in-IP packet, returning the inner."""
-    return outer.inner
-
-
 def encapsulation_depth(packet: IPPacket) -> int:
     """Number of nested IP-in-IP layers (0 for a plain packet).
 

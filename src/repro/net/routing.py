@@ -186,7 +186,3 @@ class RoutingTable:
             if best is not None:
                 return best
         return None
-
-    def entries_for(self, interface: "NetworkInterface") -> List[RouteEntry]:
-        """Every entry using *interface*."""
-        return [entry for entry in self._entries if entry.interface is interface]

@@ -152,15 +152,6 @@ class Gauge(Metric):
         """Overwrite the gauge."""
         self.value = value
 
-    def set_max(self, value: float) -> None:
-        """Raise the gauge to *value* if it is higher (high-water mark)."""
-        if value > self.value:
-            self.value = value
-
-    def dec(self, amount: float = 1) -> None:
-        """Decrease the gauge by *amount*."""
-        self.value -= amount
-
     def snapshot_items(self) -> List[Tuple[str, object]]:
         return [(self.key, self.value)]
 

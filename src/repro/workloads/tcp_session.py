@@ -12,7 +12,7 @@ the mobile host's end is the home address.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.net.addressing import IPAddress
 from repro.net.host import Host
@@ -33,6 +33,9 @@ class TcpBulkReceiver:
         self.host = host
         self.port = port
         self.received_chunks: List[int] = []
+        self.bytes_total = 0
+        #: (sim time ns, payload bytes) per application delivery.
+        self.arrivals: List[Tuple[int, int]] = []
         self.connection: Optional[TCPConnection] = None
         self.closed = False
         self._listener = host.tcp.listen(port, self._on_connection)
@@ -46,9 +49,22 @@ class TcpBulkReceiver:
         content = data.content
         if isinstance(content, tuple) and content[0] == "chunk":
             self.received_chunks.append(content[1])
+        self.bytes_total += data.size_bytes
+        self.arrivals.append((self.host.sim.now, data.size_bytes))
 
     def _on_close(self) -> None:
         self.closed = True
+
+    def first_arrival_after(self, when: int) -> Optional[int]:
+        """Timestamp of the first delivery at or after *when*, or None."""
+        for at, _ in self.arrivals:
+            if at >= when:
+                return at
+        return None
+
+    def received_after(self, since: int) -> int:
+        """Deliveries at or after *since* (a survival check)."""
+        return sum(1 for at, _ in self.arrivals if at >= since)
 
     @property
     def in_order(self) -> bool:

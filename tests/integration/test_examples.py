@@ -23,3 +23,15 @@ def test_example_runs_clean(example):
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "examples must narrate what they show"
     assert "Traceback" not in result.stderr
+
+
+def test_readme_quickstart_block_runs():
+    """The README's "Quickstart (API)" code block runs and prints the
+    mobile host's care-of address on the department net."""
+    readme = (EXAMPLES_DIR.parent / "README.md").read_text()
+    section = readme.split("## Quickstart (API)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    result = subprocess.run([sys.executable, "-c", block],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "36.8.0.50" in result.stdout.splitlines()

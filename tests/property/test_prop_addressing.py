@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.net.addressing import IPAddress, MACAddress, Subnet
+from repro.net.addressing import IPAddress, Subnet
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF).map(IPAddress)
 prefix_lengths = st.integers(min_value=0, max_value=32)
@@ -11,11 +11,6 @@ prefix_lengths = st.integers(min_value=0, max_value=32)
 @given(addresses)
 def test_parse_str_roundtrip(addr):
     assert IPAddress.parse(str(addr)) == addr
-
-
-@given(st.integers(min_value=0, max_value=0xFFFFFFFFFFFF).map(MACAddress))
-def test_mac_parse_str_roundtrip(mac):
-    assert MACAddress.parse(str(mac)) == mac
 
 
 @given(addresses, prefix_lengths)

@@ -9,7 +9,6 @@ from repro.net.packet import (
     IPPacket,
     PROTO_UDP,
     UDPDatagram,
-    decapsulate,
     encapsulate,
     encapsulation_depth,
 )
@@ -31,7 +30,7 @@ def packets(draw):
 @given(packets(), addresses, addresses)
 def test_encap_decap_roundtrip(inner, outer_src, outer_dst):
     outer = encapsulate(inner, outer_src, outer_dst)
-    assert decapsulate(outer) is inner
+    assert outer.inner is inner
     assert outer.src == outer_src and outer.dst == outer_dst
 
 

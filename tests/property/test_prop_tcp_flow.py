@@ -15,7 +15,6 @@ Three contracts:
    the connection forever.
 """
 
-from repro.api import Scenario
 from repro.config import DEFAULT_CONFIG
 from repro.experiments.harness import as_plain_data
 from repro.experiments import (
@@ -28,7 +27,9 @@ from repro.experiments.exp_tcp_chaos import (
     run_tcp_chaos_experiment,
     run_tcp_chaos_trial,
 )
+from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
+from repro.testbed import build_testbed
 from repro.workloads.tcp_session import TcpBulkSender, TcpDrainReceiver
 
 #: Every flow-control knob spelled out at its default value.
@@ -40,7 +41,7 @@ GRID = dict(loss_rates=(0.2,), flap_periods_ms=(0.0, 7000.0))
 
 # --------------------------------------------------- default == knobs off
 # Reduced parameters keep the suite fast; the config plumbing exercised
-# (Scenario -> Config -> TCPConnection gating) is the same as the full
+# (Config -> TCPConnection gating) is the same as the full
 # experiments'.
 
 def test_x1_smart_correspondent_default_is_flow_control_off():
@@ -107,51 +108,34 @@ def test_zero_window_stall_recovers_across_mid_transfer_handoff():
     the backlog must arrive complete and in order afterwards."""
     config = DEFAULT_CONFIG.with_overrides(tcp_flow_control=True,
                                            tcp_recv_buffer=1024)
-    session: dict = {}
-
-    def start_session(testbed):
-        testbed.visit_dept()
-        # drain_bytes=0: the application reads nothing until told to.
-        receiver = TcpDrainReceiver(testbed.mobile, drain_bytes=0,
-                                    drain_interval=s(100))
-        sender = TcpBulkSender(testbed.correspondent,
-                               testbed.addresses.mh_home,
-                               interval=ms(100), chunk_bytes=256)
-        sender.start()
-        session.update(receiver=receiver, sender=sender)
-        return session
-
-    def stop_sending(testbed):
-        session["sender"].stop()
-
-    def handoff(testbed):
-        conn = session["sender"].connection
-        session["stalled_at_handoff"] = conn._persist_event is not None
-        testbed.connect_radio(register=True)
-
-    def resume_app(testbed):
-        conn = session["receiver"].connection
-        session["probes_during_stall"] = (
-            session["sender"].connection.persist_probes)
-        conn.auto_consume = True
-        conn.consume(conn.rcv_buffered)
-
-    (Scenario(seed=9, config=config)
-     .with_testbed(with_remote_correspondent=False, with_dhcp=True)
-     .with_workload(start_session, name="session")
-     .with_step(s(2), stop_sending)
-     .with_step(s(3), handoff)
-     .with_step(s(8), resume_app)
-     .run(duration=s(20)))
-
-    sender: TcpBulkSender = session["sender"]
-    receiver: TcpDrainReceiver = session["receiver"]
+    sim = Simulator(seed=9)
+    testbed = build_testbed(sim, config, with_remote_correspondent=False,
+                            with_dhcp=True)
+    testbed.visit_dept()
+    # drain_bytes=0: the application reads nothing until told to.
+    receiver = TcpDrainReceiver(testbed.mobile, drain_bytes=0,
+                                drain_interval=s(100))
+    sender = TcpBulkSender(testbed.correspondent, testbed.addresses.mh_home,
+                           interval=ms(100), chunk_bytes=256)
+    sender.start()
     conn = sender.connection
+    sim.run_for(s(2))
+    sender.stop()
+    sim.run_for(s(1))
+    stalled_at_handoff = conn._persist_event is not None
+    testbed.connect_radio(register=True)
+    sim.run_for(s(5))
+    probes_during_stall = conn.persist_probes
+    receiver_conn = receiver.connection
+    receiver_conn.auto_consume = True
+    receiver_conn.consume(receiver_conn.rcv_buffered)
+    sim.run_for(s(12))
+
     # The window really was closed when the handoff hit...
-    assert session["stalled_at_handoff"]
+    assert stalled_at_handoff
     # ...probes kept firing across the move (not silenced by it)...
-    assert session["probes_during_stall"] > 0
-    assert conn.persist_probes >= session["probes_during_stall"]
+    assert probes_during_stall > 0
+    assert conn.persist_probes >= probes_during_stall
     assert conn.zero_window_ns > 0
     # ...and once the app drained, every queued chunk came through.
     assert not sender.reset

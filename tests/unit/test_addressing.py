@@ -3,12 +3,10 @@
 import pytest
 
 from repro.net.addressing import (
-    BROADCAST_MAC,
     LIMITED_BROADCAST,
     UNSPECIFIED,
     AddressError,
     IPAddress,
-    MACAddress,
     MACAllocator,
     Subnet,
     ip,
@@ -39,9 +37,8 @@ class TestIPAddress:
         assert ip("127.0.0.1").is_loopback
         assert not ip("36.8.0.1").is_loopback
 
-    def test_ordering_and_hashing(self):
+    def test_hashing(self):
         a, b = ip("10.0.0.1"), ip("10.0.0.2")
-        assert a < b
         assert len({a, b, ip("10.0.0.1")}) == 2
 
     def test_ip_coercion_helper(self):
@@ -80,11 +77,6 @@ class TestSubnet:
         with pytest.raises(AddressError):
             net.host(300)
 
-    def test_hosts_iteration_excludes_network_and_broadcast(self):
-        net = subnet("10.0.0.0/30")
-        hosts = list(net.hosts())
-        assert hosts == [ip("10.0.0.1"), ip("10.0.0.2")]
-
     def test_default_route_prefix(self):
         everything = subnet("0.0.0.0/0")
         assert ip("1.2.3.4") in everything
@@ -97,20 +89,6 @@ class TestSubnet:
 
 
 class TestMAC:
-    def test_parse_and_str_roundtrip(self):
-        text = "02:00:00:00:00:2a"
-        assert str(MACAddress.parse(text)) == text
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(AddressError):
-            MACAddress.parse("02:00:00:00:00")
-        with pytest.raises(AddressError):
-            MACAddress.parse("02:00:00:00:00:zz")
-
-    def test_broadcast_flag(self):
-        assert BROADCAST_MAC.is_broadcast
-        assert not MACAddress.parse("02:00:00:00:00:01").is_broadcast
-
     def test_allocator_yields_unique_locally_administered(self):
         alloc = MACAllocator()
         seen = {alloc.allocate() for _ in range(100)}

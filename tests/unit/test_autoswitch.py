@@ -129,16 +129,6 @@ def test_traffic_continues_across_automatic_failover(managed):
     assert post_switch_losses == []
 
 
-def test_stop_halts_probing(managed):
-    testbed, manager = managed
-    manager.start()
-    testbed.sim.run_for(s(1))
-    manager.stop()
-    sent_before = manager.option("ethernet").probes_sent
-    testbed.sim.run_for(s(2))
-    assert manager.option("ethernet").probes_sent == sent_before
-
-
 def test_unknown_option_name_raises(managed):
     _testbed, manager = managed
     with pytest.raises(KeyError):

@@ -144,8 +144,6 @@ class TestHashRing:
             ring.remove("ha9")
         with pytest.raises(LookupError, match="avoided"):
             ring.lookup("host0", avoid=lambda name: True)
-        with pytest.raises(ValueError, match="vnodes"):
-            HashRing(vnodes=0)
 
 
 class FakeAgent:
@@ -176,9 +174,9 @@ class FakeAgent:
         return self._down
 
 
-def build_plane(sim, count=4, replication=2):
+def build_plane(sim, count=4):
     agents = {name: FakeAgent(sim) for name in names(count)}
-    return BindingShardPlane(sim, agents, replication=replication)
+    return BindingShardPlane(sim, agents)
 
 
 class TestBindingShardPlane:
@@ -209,7 +207,7 @@ class TestBindingShardPlane:
         assert plane.agent_for(HOME) is plane.agents[primary]
 
     def test_all_replicas_down_walks_the_whole_ring(self, sim):
-        plane = build_plane(sim, count=4, replication=2)
+        plane = build_plane(sim, count=4)
         owners = plane.owners(HOME)
         for name in owners:
             plane.crash(name, down_for=s(1))
@@ -236,8 +234,6 @@ class TestBindingShardPlane:
     def test_constructor_rejects_bad_arguments(self, sim):
         with pytest.raises(ValueError, match="at least one agent"):
             BindingShardPlane(sim, {})
-        with pytest.raises(ValueError, match="replication"):
-            build_plane(sim, replication=0)
 
 
 class TestPlaneFaults:
@@ -272,8 +268,7 @@ class TestPlaneFaults:
         assert testbed.home_agent.is_down
 
     def test_plane_wraps_a_real_home_agent_service(self, testbed):
-        plane = BindingShardPlane(testbed.sim,
-                                  {"ha": testbed.home_agent}, replication=1)
+        plane = BindingShardPlane(testbed.sim, {"ha": testbed.home_agent})
         plane.serve(HOME)
         assert testbed.home_agent.serves(HOME)
         plane.crash("ha", down_for=ms(800))

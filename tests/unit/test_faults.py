@@ -32,13 +32,6 @@ class TestPlan:
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan.empty()
-        assert FaultPlan.empty().describe() == "(no faults)"
-
-    def test_describe_names_every_kind(self):
-        plan = FaultPlan.of(LossBurst(at=s(1), link="lan", duration=s(1)),
-                            DhcpOutage(at=s(2), duration=s(1)))
-        text = plan.describe()
-        assert "loss_burst" in text and "dhcp_outage" in text
 
     def test_plans_are_picklable(self):
         import pickle

@@ -244,24 +244,11 @@ class TestRadioChannel:
         for radio in radios:
             channel.attach(radio)  # type: ignore[arg-type]
         channel.transmit(make_packet(), ip("255.255.255.255"), radios[1])  # type: ignore[arg-type]
-        channel.detach(radios[3])  # type: ignore[arg-type]
         sim.run()
         assert [len(radio.received) for radio in radios] == [1, 0, 1, 1]
         assert sim.events_run == 3
         assert sim.metrics.get("engine", "dispatched",
                                label="radio-bcast").value == 3
-
-    def test_detach_withdraws_addresses(self):
-        sim = Simulator()
-        channel = self._channel(sim)
-        a, b = FakeRadio(), FakeRadio()
-        channel.attach(a)  # type: ignore[arg-type]
-        channel.attach(b)  # type: ignore[arg-type]
-        channel.publish(ip("36.134.0.77"), b)  # type: ignore[arg-type]
-        channel.detach(b)  # type: ignore[arg-type]
-        channel.transmit(make_packet(), ip("36.134.0.77"), a)  # type: ignore[arg-type]
-        sim.run_for(ms(20))
-        assert b.received == []
 
     def test_shared_air_serializes_all_senders(self):
         sim = Simulator()

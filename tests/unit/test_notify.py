@@ -56,15 +56,6 @@ class TestSubscriptions:
         # -> change 0 -> filtered) and the radio cliff.
         assert [event.new.technology for event in coarse] == ["radio"]
 
-    def test_cancelled_subscription_is_silent(self, sim):
-        notifier = NetworkChangeNotifier(sim)
-        events = []
-        subscription = notifier.subscribe(events.append)
-        subscription.cancel()
-        notifier.attachment_changed(eth_profile())
-        assert events == []
-        assert subscription.delivered == 0
-
     def test_quality_change_same_interface(self, sim):
         notifier = NetworkChangeNotifier(sim)
         events = []

@@ -119,20 +119,6 @@ def test_merged_registry_pickles_without_owners():
     assert restored.snapshot()["registration/attempts{host=mh}"] > 0
 
 
-# --------------------------------------------------------------------- gauges
-
-def test_gauge_moves_both_ways_and_tracks_high_water():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("engine", "queue_depth")
-    gauge.set(7)
-    gauge.dec(3)
-    assert gauge.value == 4
-    gauge.set_max(2)
-    assert gauge.value == 4  # lower values don't pull the mark down
-    gauge.set_max(9)
-    assert gauge.value == 9
-
-
 # ----------------------------------------------------------------- histograms
 
 def test_histogram_buckets_are_cumulative():

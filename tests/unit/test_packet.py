@@ -17,7 +17,6 @@ from repro.net.packet import (
     AppData,
     IPPacket,
     UDPDatagram,
-    decapsulate,
     encapsulate,
     encapsulation_depth,
 )
@@ -64,7 +63,7 @@ class TestEncapsulation:
         outer = encapsulate(inner, ip("36.8.0.50"), ip("36.135.0.1"))
         assert outer.protocol == PROTO_IPIP
         assert outer.is_tunneled
-        assert decapsulate(outer) is inner
+        assert outer.inner is inner
 
     def test_depth_counting(self):
         inner = make_packet()

@@ -84,13 +84,6 @@ def test_remove_default_only(ifaces):
     assert table.lookup(ip("10.0.0.1")) is not None
 
 
-def test_entries_for(ifaces):
-    table = RoutingTable()
-    table.add(RouteEntry(subnet("10.0.0.0/24"), ifaces[0]))
-    table.add(RouteEntry(subnet("10.1.0.0/24"), ifaces[1]))
-    assert len(table.entries_for(ifaces[0])) == 1
-
-
 def test_route_result_next_hop(ifaces):
     direct = RouteResult(interface=ifaces[0], source=ip("10.0.0.1"))
     assert direct.next_hop(ip("10.0.0.9")) == ip("10.0.0.9")
