@@ -20,6 +20,7 @@ network left to fail.
 Run:  python examples/foreign_agent_comparison.py
 """
 
+from repro.net.interface import InterfaceState
 from repro.sim import Simulator, ms, ns_to_ms, s
 from repro.testbed import build_testbed
 from repro.workloads import UdpEchoResponder, UdpEchoStream
@@ -75,7 +76,7 @@ def main() -> None:
     print("\nC. The foreign agent is a single point of failure")
     # Crash the FA host: its interface goes down, visitors go dark.
     fa_iface = fa.interface
-    fa_iface.state = fa_iface.state.__class__.DOWN
+    fa_iface.state = InterfaceState.DOWN
     dark = echo_trial(testbed2, "after the FA crashes")
     print(f"  ({dark.lost_count()} probes lost; the visitor cannot even "
           f"re-register through the dead FA)")

@@ -178,10 +178,6 @@ class Config:
     serial: LinkTimings = field(
         default_factory=lambda: LinkTimings(latency=us(300), bandwidth_bps=115_200)
     )
-    #: Loopback: free.
-    loopback: LinkTimings = field(
-        default_factory=lambda: LinkTimings(latency=0, bandwidth_bps=0)
-    )
 
     # -------------------------------------------------------------- devices
     #: Linksys PCMCIA Ethernet card.

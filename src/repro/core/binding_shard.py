@@ -216,9 +216,9 @@ class HashRing:
 class BindingShardPlane:
     """The distributed home-agent control plane: ring + live replicas.
 
-    ``agents`` maps replica names to :class:`HomeAgentService` instances
-    (anything exposing ``serve``/``crash``/``is_down`` works, which keeps
-    the plane testable without a full topology).  A home address is
+    ``agents`` maps replica names to :class:`HomeAgentService` instances;
+    the plane reads and drives their bindings, partition flag and
+    ``on_binding_change`` hook directly.  A home address is
     provisioned on its ``DEFAULT_REPLICATION`` ring successors so a crashed
     primary's bindings can be re-won at a live replica without waiting
     for it to come back.
@@ -251,8 +251,6 @@ class BindingShardPlane:
         #: Every address ever served, for re-provisioning on membership
         #: changes (sorted iteration keeps those deterministic).
         self._served_addresses: set = set()
-        #: Replica names currently partitioned away from the hosts.
-        self._partitioned: set = set()
         #: Current takeover replica per address (edge accounting: a
         #: takeover is counted when responsibility *moves*, not per call).
         self._takeover_from: Dict[str, str] = {}
@@ -300,7 +298,23 @@ class BindingShardPlane:
         """True when the named replica is a live, unpartitioned member."""
         agent = self.agents.get(name)
         return (agent is not None and not agent.is_down
-                and name not in self._partitioned)
+                and not agent.partitioned)
+
+    def _responsible(self, home_address: object
+                     ) -> Tuple[Optional[str], str]:
+        """``(replica, primary)``: the first reachable owner of
+        *home_address*, else any reachable ring member (it accepts
+        re-registrations once provisioned), else ``None``."""
+        names = self.owners(home_address)
+        for name in names:
+            if self.reachable(name):
+                return name, names[0]
+        try:
+            return (self.ring.lookup(str(home_address),
+                                     avoid=lambda n: not self.reachable(n)),
+                    names[0])
+        except LookupError:
+            return None, names[0]
 
     def agent_for(self, home_address: object) -> Optional["HomeAgentService"]:
         """The reachable replica currently responsible for *home_address*.
@@ -312,26 +326,13 @@ class BindingShardPlane:
         polling this during one continuous outage counts one takeover,
         and a fault-free run never touches the takeover counters.
         """
-        names = self.owners(home_address)
-        primary = names[0]
-        key = str(home_address)
-        for name in names:
-            if self.reachable(name):
-                if name == primary:
-                    self._takeover_from.pop(key, None)
-                elif self._takeover_from.get(key) != name:
-                    self._takeover_from[key] = name
-                    self._count_takeover(primary, name)
-                return self.agents[name]
-        # Every provisioned replica is unreachable: any reachable ring
-        # member may take over (it accepts re-registrations once
-        # provisioned).
-        try:
-            name = self.ring.lookup(key,
-                                    avoid=lambda n: not self.reachable(n))
-        except LookupError:
+        name, primary = self._responsible(home_address)
+        if name is None:
             return None
-        if self._takeover_from.get(key) != name:
+        key = str(home_address)
+        if name == primary:
+            self._takeover_from.pop(key, None)
+        elif self._takeover_from.get(key) != name:
             self._takeover_from[key] = name
             self._count_takeover(primary, name)
         return self.agents[name]
@@ -356,7 +357,7 @@ class BindingShardPlane:
         can answer.
         """
         agent = self.agent_for(home_address)
-        if agent is not None and hasattr(agent, "bindings"):
+        if agent is not None:
             binding = agent.bindings.get(home_address)
             if binding is not None:
                 return (binding.care_of_address, "authoritative")
@@ -377,15 +378,10 @@ class BindingShardPlane:
     # ------------------------------------------------------------ replication
 
     def _install_sync(self, name: str, agent: "HomeAgentService") -> None:
-        """Feed the plane's replicated copies from an agent's registrations.
-
-        Duck-typed replicas without the hook (unit-test fakes) simply do
-        not replicate — every pre-existing behaviour is preserved.
-        """
-        if hasattr(agent, "on_binding_change"):
-            agent.on_binding_change = (
-                lambda home, binding, name=name:
-                self._on_binding_change(name, home, binding))
+        """Feed the plane's replicated copies from an agent's registrations."""
+        agent.on_binding_change = (
+            lambda home, binding, name=name:
+            self._on_binding_change(name, home, binding))
 
     def _on_binding_change(self, name: str, home_address: "IPAddress",
                            binding) -> None:
@@ -401,34 +397,29 @@ class BindingShardPlane:
         for other_name, other in self.agents.items():
             if other_name == name or not self.reachable(other_name):
                 continue
-            if hasattr(other, "flush_binding") and hasattr(other, "bindings"):
-                if other.bindings.get(home_address) is not None:
-                    other.flush_binding(home_address)
+            if other.bindings.get(home_address) is not None:
+                other.flush_binding(home_address)
 
     # ------------------------------------------------------------ membership
 
-    def add_replica(self, name: str,
-                    agent: Optional["HomeAgentService"] = None
-                    ) -> "HomeAgentService":
+    def add_replica(self, name: str) -> "HomeAgentService":
         """Promote a spare (crash-join) into the plane under live load.
 
         The joiner arrives empty: the addresses its arcs now own are
         (re-)provisioned on it immediately, and their *bindings* are won
         back through ordinary re-registration — exactly how a rebooted
-        replica would rejoin.  ``agent`` defaults to the plane's
-        ``spares`` entry for *name*.
+        replica would rejoin.  The joiner is the plane's ``spares`` entry
+        for *name*.
         """
         if name in self.agents:
             raise ValueError(f"plane already has agent {name!r}; "
                              f"members: {sorted(self.agents)}")
+        agent = self.spares.pop(name, None)
         if agent is None:
-            agent = self.spares.get(name)
-            if agent is None:
-                raise ValueError(
-                    f"plane has no spare {name!r}; "
-                    f"spares: {sorted(self.spares)}, "
-                    f"members: {sorted(self.agents)}")
-        self.spares.pop(name, None)
+            raise ValueError(
+                f"plane has no spare {name!r}; "
+                f"spares: {sorted(self.spares)}, "
+                f"members: {sorted(self.agents)}")
         self.agents[name] = agent
         self.ring.add(name)
         self.replication = min(DEFAULT_REPLICATION, len(self.agents))
@@ -462,29 +453,22 @@ class BindingShardPlane:
                             members=len(self.agents) - 1)
         del self.agents[name]
         self.ring.remove(name)
-        self._partitioned.discard(name)
-        if hasattr(agent, "partitioned"):
-            agent.partitioned = False
+        agent.partitioned = False
         self.replication = min(DEFAULT_REPLICATION, len(self.agents))
         provisioned = self._provisioned.pop(name, set())
         self._reprovision()
         moved = 0
-        if hasattr(agent, "bindings"):
-            for binding in sorted(agent.bindings.all_active(),
-                                  key=lambda b: str(b.home_address)):
-                target_name = self._adoption_target(binding.home_address)
-                if target_name is None:
-                    continue  # unreachable plane: hosts must re-win later
-                target = self.agents[target_name]
-                if not hasattr(target, "adopt_binding"):
-                    continue
-                if target.adopt_binding(binding):
-                    self._replicated[str(binding.home_address)] = (
-                        binding.care_of_address, self.sim.now, target_name)
-                    moved += 1
-        if hasattr(agent, "stops_serving"):
-            for home_address in sorted(provisioned, key=str):
-                agent.stops_serving(home_address)
+        for binding in sorted(agent.bindings.all_active(),
+                              key=lambda b: str(b.home_address)):
+            target_name, _ = self._responsible(binding.home_address)
+            if target_name is None:
+                continue  # unreachable plane: hosts must re-win later
+            if self.agents[target_name].adopt_binding(binding):
+                self._replicated[str(binding.home_address)] = (
+                    binding.care_of_address, self.sim.now, target_name)
+                moved += 1
+        for home_address in sorted(provisioned, key=str):
+            agent.stops_serving(home_address)
         gauge = self.sim.metrics.gauge("binding_shard", "served", agent=name)
         gauge.value = 0
         self.spares[name] = agent
@@ -492,16 +476,6 @@ class BindingShardPlane:
         self.sim.trace.emit("binding_shard", "drained", agent=name,
                             moved=moved)
         return moved
-
-    def _adoption_target(self, home_address: object) -> Optional[str]:
-        for name in self.owners(home_address):
-            if self.reachable(name):
-                return name
-        try:
-            return self.ring.lookup(str(home_address),
-                                    avoid=lambda n: not self.reachable(n))
-        except LookupError:
-            return None
 
     # ---------------------------------------------------------------- faults
 
@@ -527,14 +501,12 @@ class BindingShardPlane:
         if unknown:
             raise ValueError(f"plane cannot partition unknown agents "
                              f"{unknown}; known: {sorted(self.agents)}")
-        fresh = [name for name in requested if name not in self._partitioned]
+        fresh = [name for name in requested
+                 if not self.agents[name].partitioned]
         if not fresh:
             return
-        self._partitioned.update(fresh)
         for name in fresh:
-            agent = self.agents[name]
-            if hasattr(agent, "partitioned"):
-                agent.partitioned = True
+            self.agents[name].partitioned = True
         self.sim.metrics.counter("binding_shard", "partitions").value += 1
         self.sim.trace.emit("binding_shard", "partition",
                             agents=",".join(fresh))
@@ -543,21 +515,16 @@ class BindingShardPlane:
 
     def _heal(self, names: List[str]) -> None:
         flushed = 0
-        healed = [name for name in names if name in self._partitioned]
-        self._partitioned.difference_update(healed)
+        healed = [name for name in names
+                  if name in self.agents and self.agents[name].partitioned]
         for name in healed:
-            agent = self.agents.get(name)
-            if agent is not None and hasattr(agent, "partitioned"):
-                agent.partitioned = False
+            self.agents[name].partitioned = False
         # Reconciliation: for every binding a healed replica still holds,
         # the *newest* registration among reachable holders wins; older
         # copies — usually the healed replica's, superseded while it was
         # away — are flushed so no address stays double-owned.
         for name in healed:
-            agent = self.agents.get(name)
-            if agent is None or not hasattr(agent, "bindings"):
-                continue
-            for binding in sorted(agent.bindings.all_active(),
+            for binding in sorted(self.agents[name].bindings.all_active(),
                                   key=lambda b: str(b.home_address)):
                 flushed += self._reconcile(binding.home_address)
         self.sim.trace.emit("binding_shard", "healed",
@@ -570,20 +537,15 @@ class BindingShardPlane:
             if not self.reachable(name):
                 continue
             agent = self.agents[name]
-            if not hasattr(agent, "bindings"):
-                continue
             binding = agent.bindings.get(home_address)
             if binding is not None:
                 holders.append((binding.registered_at, name, agent))
         if len(holders) <= 1:
             return 0
         holders.sort(key=lambda entry: (entry[0], entry[1]))
-        flushed = 0
         for _, _, agent in holders[:-1]:
-            if hasattr(agent, "flush_binding"):
-                agent.flush_binding(home_address)
-                flushed += 1
-        return flushed
+            agent.flush_binding(home_address)
+        return len(holders) - 1
 
     def is_down(self, name: str) -> bool:
         """True while the named replica is crashed."""
@@ -596,4 +558,5 @@ class BindingShardPlane:
 
     def partitioned_agents(self) -> List[str]:
         """Names of currently partitioned replicas, sorted."""
-        return sorted(self._partitioned)
+        return sorted(name for name, agent in self.agents.items()
+                      if agent.partitioned)

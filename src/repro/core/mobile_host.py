@@ -26,7 +26,7 @@ behaves exactly like a stationary one.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.notify import NetworkChangeNotifier, profile_of
@@ -41,8 +41,8 @@ from repro.net.routing import RouteEntry, RouteResult
 from repro.sim.engine import Event, Simulator
 from repro.sim.units import ms
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+#: How long a correspondent probe waits for its echo reply.
+PROBE_TIMEOUT = ms(2000)
 
 
 class Location(enum.Enum):
@@ -115,8 +115,7 @@ class MobileHost(Host):
 
     # -------------------------------------------------------------- attachment
 
-    def set_home(self, iface: NetworkInterface,
-                 gateway: Optional[IPAddress] = None) -> None:
+    def set_home(self, iface: NetworkInterface, gateway: IPAddress) -> None:
         """Declare *iface* the home interface and settle there (immediate).
 
         Used during topology construction; a *measured* return home goes
@@ -130,8 +129,7 @@ class MobileHost(Host):
                    for entry in self.ip.routes):
             self.ip.routes.add(RouteEntry(destination=self.home_subnet,
                                           interface=iface))
-        if gateway is not None:
-            self._set_default_route(iface, gateway)
+        self._set_default_route(iface, gateway)
         self.location = Location.HOME
         self.care_of = None
         self.active_interface = iface
@@ -142,7 +140,6 @@ class MobileHost(Host):
     def start_visiting(self, iface: NetworkInterface, care_of: IPAddress,
                        net: Subnet, gateway: IPAddress,
                        on_registered: Optional[Callable[[RegistrationOutcome], None]] = None,
-                       on_failed: Optional[Callable[[], None]] = None,
                        register: bool = True) -> None:
         """Adopt a collocated care-of address on a foreign network.
 
@@ -165,12 +162,12 @@ class MobileHost(Host):
                             care_of=care_of, previous=old_care_of)
         self.notifier.attachment_changed(profile_of(iface))
         if register:
-            self.register_current(on_registered, on_failed)
+            self.register_current(on_registered)
 
     def attach_via_foreign_agent(self, iface: NetworkInterface,
                                  fa_address: IPAddress, net: Subnet,
-                                 on_registered: Optional[Callable[[RegistrationOutcome], None]] = None,
-                                 on_failed: Optional[Callable[[], None]] = None) -> None:
+                                 on_registered: Optional[Callable[[RegistrationOutcome], None]] = None
+                                 ) -> None:
         """Baseline mode: use a foreign agent's address as care-of.
 
         The mobile host keeps only its home address (no local address at
@@ -193,15 +190,14 @@ class MobileHost(Host):
         self.registration.register(
             fa_address,
             on_done=on_registered if on_registered is not None else _ignore_outcome,
-            on_fail=on_failed,
             via=iface,
             destination=fa_address,
         )
 
-    def come_home(self, iface: Optional[NetworkInterface] = None,
-                  gateway: Optional[IPAddress] = None,
-                  on_done: Optional[Callable[[RegistrationOutcome], None]] = None,
-                  on_failed: Optional[Callable[[], None]] = None) -> None:
+    def come_home(self, iface: Optional[NetworkInterface] = None, *,
+                  gateway: IPAddress,
+                  on_done: Optional[Callable[[RegistrationOutcome], None]] = None
+                  ) -> None:
         """Return to the home network: deregister and re-announce ourselves.
 
         The mobile host moves its home address back onto the physical home
@@ -217,7 +213,6 @@ class MobileHost(Host):
             home_iface.arp.send_gratuitous(self.home_address)
         self.registration.deregister(
             on_done=on_done if on_done is not None else _ignore_outcome,
-            on_fail=on_failed,
             via=home_iface,
         )
         # Invalidate any smart correspondents' cached bindings too.
@@ -226,13 +221,10 @@ class MobileHost(Host):
                                          via=home_iface,
                                          destination=correspondent)
 
-    def stop_visiting(self, iface: NetworkInterface,
-                      care_of: Optional[IPAddress] = None) -> None:
+    def stop_visiting(self, iface: NetworkInterface) -> None:
         """Drop a foreign attachment's address and routes (departure)."""
-        victim = care_of if care_of is not None else (
-            iface.address if iface.address != self.home_address else None)
-        if victim is not None:
-            iface.remove_address(victim)
+        if iface.address is not None and iface.address != self.home_address:
+            iface.remove_address(iface.address)
         self.ip.routes.remove_matching(interface=iface)
         if self.active_interface is iface:
             self.active_interface = None
@@ -392,8 +384,7 @@ class MobileHost(Host):
     # ------------------------------------------------------------------ probes
 
     def probe_correspondent(self, dst: IPAddress,
-                            on_result: Optional[Callable[[IPAddress, bool], None]] = None,
-                            timeout: int = ms(2000)) -> None:
+                            on_result: Callable[[IPAddress, bool], None]) -> None:
         """Ping *dst* under the current policy and cache the outcome.
 
         Section 3.2: "if we find that we cannot use the optimization,
@@ -406,18 +397,16 @@ class MobileHost(Host):
             self.policy.record_probe_result(dst, True)
             self.sim.trace.emit("policy", "probe_ok", host=self.name,
                                 destination=dst, rtt_ms=rtt / 1_000_000)
-            if on_result is not None:
-                on_result(dst, True)
+            on_result(dst, True)
 
         def timed_out() -> None:
             self.policy.record_probe_result(dst, False)
             self.sim.trace.emit("policy", "probe_failed", host=self.name,
                                 destination=dst)
-            if on_result is not None:
-                on_result(dst, False)
+            on_result(dst, False)
 
         self.icmp.ping(dst, on_reply=reached, on_timeout=timed_out,
-                       timeout=timeout)
+                       timeout=PROBE_TIMEOUT)
 
 
 def _ignore_outcome(outcome: RegistrationOutcome) -> None:

@@ -96,12 +96,10 @@ class MobilePolicyTable:
     ) + (("policy", "probe_fallbacks", (), "probe_fallbacks"),)
 
     def __init__(self, *,
-                 default_mode: Optional[RoutingMode] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  owner: str = "") -> None:
         #: Mode used when no entry matches.
-        self.default_mode = default_mode if default_mode is not None \
-            else RoutingMode.TUNNEL
+        self.default_mode = RoutingMode.TUNNEL
         #: Entries by prefix, in insertion order (a replaced prefix moves
         #: to the end).
         self._entries: Dict[Subnet, PolicyEntry] = {}

@@ -146,10 +146,6 @@ class RegistrationClient:
         self.home_address = home_address
         self.home_agent = home_agent
         self._pending: Dict[int, _PendingRegistration] = {}
-        #: Terminal-failure hook: fires (in addition to the per-request
-        #: ``on_fail``) when a request exhausts ``max_transmissions``.
-        #: Recovery layers use it to trigger a fresh registration attempt.
-        self.on_give_up: Optional[Callable[[RegistrationRequest, int], None]] = None
         # The socket binds to the unspecified address: requests are sent
         # ``via`` a physical interface and carry its (care-of) address as
         # source, so the home agent's reply comes straight back without
@@ -209,7 +205,6 @@ class RegistrationClient:
         return request
 
     def deregister(self, on_done: Callable[[RegistrationOutcome], None],
-                   on_fail: Optional[Callable[[], None]] = None,
                    via: Optional["NetworkInterface"] = None,
                    destination: Optional[IPAddress] = None) -> RegistrationRequest:
         """Tell the home agent we are back home (lifetime zero).
@@ -224,7 +219,7 @@ class RegistrationClient:
             lifetime=0,
             identification=next(self._idents),
         )
-        self._dispatch(request, on_done, on_fail or _noop, via, destination)
+        self._dispatch(request, on_done, _noop, via, destination)
         return request
 
     def _dispatch(self, request: RegistrationRequest,
@@ -307,8 +302,6 @@ class RegistrationClient:
         self.sim.trace.emit("registration", "failed", host=self.host.name,
                             ident=ident, attempts=pending.transmissions)
         pending.on_fail()
-        if self.on_give_up is not None:
-            self.on_give_up(pending.request, pending.transmissions)
 
     # --------------------------------------------------------------- receiving
 

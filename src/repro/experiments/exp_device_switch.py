@@ -26,6 +26,7 @@ from typing import Dict, List
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import DeviceSwitcher, SwitchTimeline
 from repro.experiments.harness import format_histogram, histogram
+from repro.net.interface import InterfaceState
 from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
@@ -130,7 +131,7 @@ def _prepare(seed: int, config: Config, case: SwitchCase) -> Testbed:
         testbed.mh_eth.remove_address(addresses.mh_home)
         testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
         if case.cold:
-            testbed.mh_eth.state = testbed.mh_eth.state.__class__.DOWN
+            testbed.mh_eth.state = InterfaceState.DOWN
         else:
             testbed.mh_eth.subnet = addresses.dept_net
             testbed.mh_eth.add_address(addresses.mh_dept_care_of,
@@ -226,13 +227,12 @@ def merge_device_switch_trials(results: List[dict],
 
 def run_device_switch_experiment(iterations: int = PAPER_ITERATIONS,
                                  seed: int = 23,
-                                 config: Config = DEFAULT_CONFIG,
                                  jobs: int = 1) -> DeviceSwitchReport:
     """Reproduce Figure 6: 4 cases x *iterations*, loss histograms.
 
     Every (case, iteration) cell is an independent trial, so ``jobs=N``
     shards all ``4 * iterations`` of them across workers.
     """
-    trials = build_device_switch_trials(iterations, seed, config)
+    trials = build_device_switch_trials(iterations, seed, DEFAULT_CONFIG)
     results = run_trials(trials, jobs=jobs)
     return merge_device_switch_trials(results, iterations)

@@ -36,6 +36,7 @@ from typing import List
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import DeviceSwitcher, SwitchTimeline
 from repro.experiments.harness import format_histogram, histogram
+from repro.net.interface import InterfaceState
 from repro.parallel import Trial, run_trials
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
@@ -98,7 +99,7 @@ def _run_once_without_fa(seed: int, config: Config) -> int:
     testbed.move_mh_cable(testbed.dept_segment)
     testbed.mh_eth.remove_address(addresses.mh_home)
     testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
-    testbed.mh_eth.state = testbed.mh_eth.state.__class__.DOWN
+    testbed.mh_eth.state = InterfaceState.DOWN
 
     UdpEchoResponder(testbed.mobile)
     stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,
@@ -135,7 +136,7 @@ def _run_once_with_fa(seed: int, config: Config) -> tuple:
         testbed.mh_radio, fa.care_of_address, addresses.radio_net)
     testbed.move_mh_cable(testbed.dept_segment)
     testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
-    testbed.mh_eth.state = testbed.mh_eth.state.__class__.DOWN
+    testbed.mh_eth.state = InterfaceState.DOWN
 
     UdpEchoResponder(testbed.mobile)
     stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,
@@ -212,13 +213,12 @@ def merge_fa_ablation_trials(results: List[dict],
 
 
 def run_fa_ablation(iterations: int = 10, seed: int = 47,
-                    config: Config = DEFAULT_CONFIG,
                     jobs: int = 1) -> FAAblationReport:
     """Run both configurations *iterations* times and compare loss.
 
     Every run is an independent trial (2 x *iterations* of them), so
     ``jobs=N`` shards the whole comparison across workers.
     """
-    trials = build_fa_ablation_trials(iterations, seed, config)
+    trials = build_fa_ablation_trials(iterations, seed, DEFAULT_CONFIG)
     results = run_trials(trials, jobs=jobs)
     return merge_fa_ablation_trials(results, iterations)

@@ -217,13 +217,12 @@ def merge_fleet_scale_trials(results: List[dict], fleet_sizes: Sequence[int],
 
 def run_fleet_scale_experiment(fleet_sizes: Sequence[int] = DEFAULT_FLEET_SIZES,
                                seed: int = 29,
-                               config: Config = DEFAULT_CONFIG,
                                shard_hosts: int = AGGREGATE_SHARD_HOSTS,
                                failover_fleet: Optional[int] =
                                DEFAULT_FAILOVER_FLEET,
                                jobs: int = 1) -> FleetScaleReport:
     """The full sweep; ``jobs=N`` shards the big fleets across workers."""
-    trials = build_fleet_scale_trials(fleet_sizes, seed, config,
+    trials = build_fleet_scale_trials(fleet_sizes, seed, DEFAULT_CONFIG,
                                       shard_hosts, failover_fleet)
     results = run_trials(trials, jobs=jobs)
     return merge_fleet_scale_trials(results, fleet_sizes, shard_hosts,

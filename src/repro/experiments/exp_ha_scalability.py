@@ -251,7 +251,6 @@ def merge_ha_fleet_sweep_trials(results: List[dict], fleet_sizes,
 
 def run_ha_fleet_sweep(fleet_sizes=LARGE_FLEET_SIZES, seed: int = 97,
                        config: Config = DEFAULT_CONFIG,
-                       shard_hosts: int = DEFAULT_SHARD_HOSTS,
                        jobs: int = 1) -> HAFleetSweepReport:
     """The production-scale extension: 100-1000 hosts per fleet.
 
@@ -260,6 +259,7 @@ def run_ha_fleet_sweep(fleet_sizes=LARGE_FLEET_SIZES, seed: int = 97,
     workers and the merge is byte-identical at any worker count.
     """
     trials = build_ha_fleet_sweep_trials(fleet_sizes, seed, config,
-                                         shard_hosts)
+                                         DEFAULT_SHARD_HOSTS)
     results = run_trials(trials, jobs=jobs)
-    return merge_ha_fleet_sweep_trials(results, fleet_sizes, shard_hosts)
+    return merge_ha_fleet_sweep_trials(results, fleet_sizes,
+                                       DEFAULT_SHARD_HOSTS)

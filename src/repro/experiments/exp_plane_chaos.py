@@ -551,10 +551,11 @@ def merge_plane_chaos_trials(results: List[dict],
 def run_plane_chaos_experiment(fleet_sizes: Sequence[int] =
                                DEFAULT_FLEET_SIZES,
                                seed: int = 71,
-                               config: Config = DEFAULT_CONFIG,
                                shard_hosts: int = SHARD_HOSTS,
                                jobs: int = 1) -> PlaneChaosReport:
     """The audited chaos grid; ``jobs=N`` shards cells across workers."""
-    trials = build_plane_chaos_trials(fleet_sizes, seed, config, shard_hosts)
+    trials = build_plane_chaos_trials(fleet_sizes, seed, DEFAULT_CONFIG,
+                                      shard_hosts)
     results = run_trials(trials, jobs=jobs)
-    return merge_plane_chaos_trials(results, fleet_sizes, config, shard_hosts)
+    return merge_plane_chaos_trials(results, fleet_sizes, DEFAULT_CONFIG,
+                                    shard_hosts)

@@ -141,7 +141,6 @@ def merge_registration_trials(results: List[dict],
 
 
 def run_registration_experiment(iterations: int = 10, seed: int = 7,
-                                config: Config = DEFAULT_CONFIG,
                                 jobs: int = 1) -> RegistrationReport:
     """Reproduce Figure 7.
 
@@ -150,7 +149,7 @@ def run_registration_experiment(iterations: int = 10, seed: int = 7,
     the registration trace (``ha_received`` -> ``ha_reply``), matching how
     the paper instrumented the home agent itself.
     """
-    trials = build_registration_trials(iterations, seed, config)
+    trials = build_registration_trials(iterations, seed, DEFAULT_CONFIG)
     results = run_trials(trials, jobs=jobs)
     return merge_registration_trials(results, iterations)
 

@@ -236,13 +236,12 @@ def merge_routing_options_trials(results: List[dict],
 
 
 def run_routing_options_experiment(probes: int = 20, seed: int = 31,
-                                   config: Config = DEFAULT_CONFIG,
                                    jobs: int = 1) -> RoutingOptionsReport:
     """Measure all four routing modes plus the dynamic fallback.
 
     The 13 measurements (4 modes x 3 scenarios + fallback demo) are
     independent trials sharded across workers by ``jobs=N``.
     """
-    trials = build_routing_options_trials(probes, seed, config)
+    trials = build_routing_options_trials(probes, seed, DEFAULT_CONFIG)
     results = run_trials(trials, jobs=jobs)
     return merge_routing_options_trials(results, probes)

@@ -140,7 +140,6 @@ def merge_same_subnet_trials(results: List[dict], iterations: int,
 
 def run_same_subnet_experiment(iterations: int = 20, seed: int = 11,
                                probe_interval: int = ms(10),
-                               config: Config = DEFAULT_CONFIG,
                                jobs: int = 1) -> SameSubnetReport:
     """Reproduce the twenty-iteration same-subnet switch measurement.
 
@@ -150,7 +149,8 @@ def run_same_subnet_experiment(iterations: int = 20, seed: int = 11,
     Iterations are independent trials, so ``jobs=N`` shards them across
     workers with byte-identical results.
     """
-    trials = build_same_subnet_trials(iterations, seed, probe_interval, config)
+    trials = build_same_subnet_trials(iterations, seed, probe_interval,
+                                      DEFAULT_CONFIG)
     results = run_trials(trials, jobs=jobs)
     return merge_same_subnet_trials(results, iterations, probe_interval)
 
@@ -178,17 +178,14 @@ class ProbeSweepReport:
         return sum(estimates) / len(estimates)
 
 
-def run_probe_interval_sweep(intervals_ms=(2, 5, 10, 20),
-                             iterations: int = 10, seed: int = 211,
-                             config: Config = DEFAULT_CONFIG,
-                             jobs: int = 1) -> ProbeSweepReport:
-    """Run the same-subnet switch at several probe densities."""
+def run_probe_interval_sweep() -> ProbeSweepReport:
+    """Run the same-subnet switch at 2, 5, 10 and 20 ms probe intervals."""
+    iterations = 10
     report = ProbeSweepReport(iterations_per_point=iterations)
-    for index, interval_ms in enumerate(intervals_ms):
+    for index, interval_ms in enumerate((2, 5, 10, 20)):
         sub = run_same_subnet_experiment(iterations=iterations,
-                                         seed=seed + index * 100,
-                                         probe_interval=ms(interval_ms),
-                                         config=config, jobs=jobs)
+                                         seed=211 + index * 100,
+                                         probe_interval=ms(interval_ms))
         mean_loss = sum(sub.losses) / len(sub.losses)
         report.points.append((float(interval_ms), mean_loss))
     return report

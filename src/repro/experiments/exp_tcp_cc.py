@@ -69,18 +69,16 @@ CWND_SAMPLE_INTERVAL = ms(100)
 class CwndSampler:
     """Samples one connection's congestion window on a fixed cadence."""
 
-    def __init__(self, conn: TCPConnection, interval: int = CWND_SAMPLE_INTERVAL,
-                 until: int = HORIZON) -> None:
+    def __init__(self, conn: TCPConnection) -> None:
         self.conn = conn
-        self.interval = interval
-        self.until = until
         self.samples: List[int] = []
-        conn.sim.call_later(interval, self._tick, label="cwnd-sample")
+        conn.sim.call_later(CWND_SAMPLE_INTERVAL, self._tick,
+                            label="cwnd-sample")
 
     def _tick(self) -> None:
         self.samples.append(self.conn.cwnd)
-        if self.conn.sim.now + self.interval <= self.until:
-            self.conn.sim.call_later(self.interval, self._tick,
+        if self.conn.sim.now + CWND_SAMPLE_INTERVAL <= HORIZON:
+            self.conn.sim.call_later(CWND_SAMPLE_INTERVAL, self._tick,
                                      label="cwnd-sample")
 
     @property

@@ -19,7 +19,7 @@ from repro.experiments.exp_device_switch import DeviceSwitchReport, SwitchCase
 from repro.experiments.exp_registration import RegistrationReport
 
 
-def render_histogram(counts: Dict[int, int], height: int = 10,
+def render_histogram(counts: Dict[int, int],
                      x_label: str = "packets lost") -> str:
     """A vertical bar chart: x = value, y = occurrences (Figure 6 style)."""
     if not counts:
@@ -28,13 +28,14 @@ def render_histogram(counts: Dict[int, int], height: int = 10,
     peak = max(counts.values())
     scale = max(peak, 1)
     rows: List[str] = []
-    for level in range(min(height, scale), 0, -1):
-        threshold = level * scale / min(height, scale)
+    height = min(10, scale)  # rows of bars
+    for level in range(height, 0, -1):
+        threshold = level * scale / height
         cells = []
         for value in range(max_value + 1):
             filled = counts.get(value, 0) >= threshold
             cells.append(" # " if filled else "   ")
-        label = f"{int(threshold):>3} |" if level in (min(height, scale), 1) \
+        label = f"{int(threshold):>3} |" if level in (height, 1) \
             else "    |"
         rows.append(label + "".join(cells))
     axis = "    +" + "---" * (max_value + 1)
@@ -56,7 +57,7 @@ def render_figure6(report: DeviceSwitchReport) -> str:
     return "\n".join(blocks)
 
 
-def render_figure7(report: RegistrationReport, width: int = 48) -> str:
+def render_figure7(report: RegistrationReport) -> str:
     """Figure 7's time-line: proportional horizontal bars per step."""
     steps = [
         ("configure interface", report.stages[STAGE_CONFIGURE].mean),
@@ -66,6 +67,7 @@ def render_figure7(report: RegistrationReport, width: int = 48) -> str:
     ]
     total = report.total.mean
     longest = max(duration for _, duration in steps)
+    width = 48  # characters of the longest bar
     lines = [f"Figure 7 — registration time-line "
              f"(total {total:.2f} ms, average of {report.iterations} tests)"]
     for label, duration in steps:

@@ -20,14 +20,14 @@ def histogram(values: Iterable[int]) -> Dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def format_histogram(counts: Dict[int, int], unit: str = "packets lost") -> str:
+def format_histogram(counts: Dict[int, int]) -> str:
     """ASCII rendering of a loss histogram, one bar per value."""
     if not counts:
         return "(no data)"
     lines = []
     for value in sorted(counts):
         bar = "#" * counts[value]
-        lines.append(f"  {value:>3} {unit}: {bar} ({counts[value]})")
+        lines.append(f"  {value:>3} packets lost: {bar} ({counts[value]})")
     return "\n".join(lines)
 
 

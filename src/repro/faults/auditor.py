@@ -23,10 +23,9 @@ Violations raise :class:`AuditViolation` carrying the offending trace
 window, so a failing chaos cell points straight at the records around
 the inconsistency instead of at a summary number.
 
-The auditor expects real :class:`~repro.core.home_agent.HomeAgentService`
-replicas (it correlates their ``host=`` trace fields with the plane's
-replica names); duck-typed fakes that emit no trace records are outside
-its contract.
+The plane's replicas are :class:`~repro.core.home_agent.HomeAgentService`
+instances; the auditor correlates their ``host=`` trace fields with the
+plane's replica names.
 """
 
 from __future__ import annotations
@@ -304,9 +303,7 @@ class PlaneAuditor:
     def _map_hosts(self) -> None:
         for name, agent in list(self.plane.agents.items()) + \
                 list(self.plane.spares.items()):
-            host = getattr(agent, "host", None)
-            hostname = getattr(host, "name", name)
-            self._host_to_replica[hostname] = name
+            self._host_to_replica[agent.host.name] = name
 
     def _replica_of(self, hostname: str) -> Optional[str]:
         return self._host_to_replica.get(hostname)

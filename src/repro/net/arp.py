@@ -18,7 +18,7 @@ set are keyed by the address's integer ``value``, as ``IPStack._local`` is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.net.addressing import BROADCAST_MAC, IPAddress, MACAddress
 from repro.net.packet import IPPacket
@@ -61,7 +61,7 @@ class _CacheEntry:
 
 @dataclass
 class _PendingResolution:
-    packets: List[Tuple[IPPacket, Callable[[], None]]]
+    packets: List[IPPacket]
     attempts: int
     retry_event: Optional[Event]
 
@@ -162,24 +162,21 @@ class ARPService:
 
     # ------------------------------------------------------------ resolution
 
-    def resolve_and_send(self, packet: IPPacket, next_hop: IPAddress,
-                         on_drop: Optional[Callable[[], None]] = None) -> None:
+    def resolve_and_send(self, packet: IPPacket, next_hop: IPAddress) -> None:
         """Send *packet* to *next_hop*, resolving its MAC first if needed.
 
         Packets queue while a resolution is outstanding; if resolution fails
-        after the configured attempts, queued packets are dropped (and
-        *on_drop* fires so callers can count the loss).
+        after the configured attempts, queued packets are dropped.
         """
         mac = self.lookup(next_hop)
         if mac is not None:
             self._iface.transmit_ip_frame(packet, mac)
             return
-        drop_cb = on_drop if on_drop is not None else _noop
         pending = self._pending.get(next_hop.value)
         if pending is not None:
-            pending.packets.append((packet, drop_cb))
+            pending.packets.append(packet)
             return
-        pending = _PendingResolution(packets=[(packet, drop_cb)], attempts=0,
+        pending = _PendingResolution(packets=[packet], attempts=0,
                                      retry_event=None)
         self._pending[next_hop.value] = pending
         self._send_request(next_hop, pending)
@@ -208,8 +205,6 @@ class ARPService:
             self.resolution_failures += 1
             self._sim.trace.emit("arp", "failed", interface=self._iface.name,
                                  target=target, dropped=len(pending.packets))
-            for _packet, drop_cb in pending.packets:
-                drop_cb()
             return
         self._send_request(target, pending)
 
@@ -219,7 +214,7 @@ class ARPService:
             return
         if pending.retry_event is not None:
             pending.retry_event.cancel()
-        for packet, _drop_cb in pending.packets:
+        for packet in pending.packets:
             self._iface.transmit_ip_frame(packet, mac)
 
     # ------------------------------------------------------------ gratuitous
@@ -275,7 +270,3 @@ class ARPService:
 
     def _answers_for(self, addr: IPAddress) -> bool:
         return addr.value in self._proxy_for or self._iface.owns_address(addr)
-
-
-def _noop() -> None:
-    return None

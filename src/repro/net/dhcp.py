@@ -29,7 +29,7 @@ from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
-    from repro.net.interface import NetworkInterface
+    from repro.net.interface import EthernetInterface, NetworkInterface
 
 SERVER_PORT = 67
 CLIENT_PORT = 68
@@ -287,17 +287,12 @@ class DHCPClient:
     #: How long the duplicate-address probe listens for an owner's reply.
     PROBE_WAIT = ms(600)
 
-    def __init__(self, host: "Host", interface: "NetworkInterface",
-                 client_id: Optional[str] = None,
-                 detect_duplicates: bool = True) -> None:
+    def __init__(self, host: "Host", interface: "EthernetInterface",
+                 client_id: Optional[str] = None) -> None:
         self.host = host
         self.sim = host.sim
         self.interface = interface
         self.client_id = client_id if client_id is not None else host.name
-        #: Probe an offered address with ARP before adopting it: the
-        #: counterpart of the server-side reuse avoidance Section 5.1
-        #: calls for (a well-behaved client double-checks too).
-        self.detect_duplicates = detect_duplicates
         self.declines_sent = 0
         self.state = DHCPClientState.IDLE
         self.lease: Optional[BoundLease] = None
@@ -312,9 +307,6 @@ class DHCPClient:
         self._timeout: int = ms(4000)
         self._lease_expires_at: Optional[int] = None
         self.renew_failures = 0
-        #: Fires when the lease lapses without a successful renewal (the
-        #: handoff/recovery layer re-acquires or switches networks).
-        self.on_lease_lost: Optional[Callable[[], None]] = None
 
     def acquire(self, on_bound: Callable[[BoundLease], None],
                 on_failed: Optional[Callable[[], None]] = None,
@@ -387,10 +379,11 @@ class DHCPClient:
 
     def _bound(self, message: DHCPMessage) -> None:
         assert message.your_ip is not None and message.subnet is not None
-        arp = getattr(self.interface, "arp", None)
-        if self.detect_duplicates and arp is not None \
-                and self.state == DHCPClientState.REQUESTING:
-            # Duplicate-address detection before adopting the lease.
+        if self.state == DHCPClientState.REQUESTING:
+            # Duplicate-address detection before adopting the lease: the
+            # counterpart of the server-side reuse avoidance Section 5.1
+            # calls for (a well-behaved client double-checks too).
+            arp = self.interface.arp
             self.state = DHCPClientState.PROBING
             arp.flush(message.your_ip)
             arp.send_probe(message.your_ip)
@@ -401,7 +394,7 @@ class DHCPClient:
         self._finalize_bind(message)
 
     def _probe_done(self, message: DHCPMessage) -> None:
-        arp = self.interface.arp  # type: ignore[attr-defined]
+        arp = self.interface.arp
         if arp.lookup(message.your_ip) is not None:
             # Someone answered: the address is in use.  Decline and retry.
             self.declines_sent += 1
@@ -491,8 +484,6 @@ class DHCPClient:
         self.lease = None
         self._lease_expires_at = None
         self.state = DHCPClientState.IDLE
-        if self.on_lease_lost is not None:
-            self.on_lease_lost()
 
     def _fail(self) -> None:
         self._cancel_timeout()

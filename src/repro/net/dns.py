@@ -262,8 +262,7 @@ class DNSResolver:
 
 def send_dynamic_update(host: "Host", server: IPAddress, name: str,
                         address: Optional[IPAddress],
-                        on_ack: Optional[Callable[[bool], None]] = None,
-                        ttl: int = DNSServer.DEFAULT_TTL) -> None:
+                        on_ack: Callable[[bool], None]) -> None:
     """Fire one dynamic update at *server* (None address = delete).
 
     A throwaway socket keeps this usable from any host without port
@@ -279,10 +278,9 @@ def send_dynamic_update(host: "Host", server: IPAddress, name: str,
                 and message.op == DNSOp.UPDATE_ACK
                 and message.ident == ident):
             socket.close()
-            if on_ack is not None:
-                on_ack(message.rcode == DNSRcode.NOERROR)
+            on_ack(message.rcode == DNSRcode.NOERROR)
 
     socket.on_datagram(on_datagram)
     update = DNSMessage(op=DNSOp.UPDATE, ident=ident, name=name,
-                        address=address, ttl=ttl)
+                        address=address, ttl=DNSServer.DEFAULT_TTL)
     socket.sendto(update.wrap(), server, DNS_PORT)

@@ -15,7 +15,8 @@ from typing import List, Optional
 from repro.config import Config, DEFAULT_CONFIG, HostTimings
 from repro.net.addressing import IPAddress, Subnet
 from repro.net.icmp import ICMPService
-from repro.net.interface import LoopbackInterface, NetworkInterface
+from repro.net.interface import (InterfaceState, LoopbackInterface,
+                                  NetworkInterface)
 from repro.net.ip import IPStack
 from repro.net.routing import RouteEntry
 from repro.net.tcp import TCPService
@@ -78,7 +79,7 @@ class Host:
         iface.subnet = net
         iface.add_address(address, make_primary=True)
         if bring_up:
-            iface.state = iface.state.__class__.UP
+            iface.state = InterfaceState.UP
             # Let technology hooks (radio channel publication) fire.
             iface._on_address_added(address)
         if connected_route:

@@ -82,8 +82,6 @@ class ICMPService:
         self._rx_fifo = FifoDelay(sim)
         self._pending: Dict[Tuple[int, int], _PendingPing] = {}
         self._seq = itertools.count(1)
-        #: Honour redirects by installing host routes (Linux default).
-        self.accept_redirects = True
         # Statistics.
         self.echoes_answered = 0
         self.redirects_received = 0
@@ -211,10 +209,11 @@ class ICMPService:
         pending.on_reply(self.sim.now - pending.sent_at)
 
     def _handle_redirect(self, message: ICMPMessage, iface: "NetworkInterface") -> None:
+        # Redirects are honoured by installing a host route (Linux default).
         self.redirects_received += 1
         self.sim.trace.emit("icmp", "redirect", host=self.host.name,
                             body=message.body)
-        if not self.accept_redirects or not isinstance(message.body, dict):
+        if not isinstance(message.body, dict):
             return
         destination = message.body.get("destination")
         gateway = message.body.get("gateway")

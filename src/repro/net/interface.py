@@ -214,7 +214,7 @@ class NetworkInterface:
         self.sim.call_later(self._jittered(self.device.down_delay), finish,
                             label="ifdown")
 
-    def flap(self, down_for: Time, on_restored: Callback = None) -> None:
+    def flap(self, down_for: Time) -> None:
         """Force the device down, then bring it back after *down_for* ns.
 
         The fault injector's interface-flap primitive.  If something else
@@ -226,9 +226,7 @@ class NetworkInterface:
 
         def restore() -> None:
             if self.state == InterfaceState.DOWN:
-                self.bring_up(on_restored)
-            elif on_restored is not None:
-                on_restored()
+                self.bring_up()
 
         def downed() -> None:
             self.sim.call_later(down_for, restore,
@@ -291,8 +289,8 @@ class EthernetInterface(NetworkInterface):
     """An Ethernet NIC on a shared segment, with its own ARP service."""
 
     def __init__(self, sim: Simulator, name: str, mac: MACAddress,
-                 config: Config, device: Optional[DeviceTimings] = None) -> None:
-        super().__init__(sim, name, device or config.ethernet_device, config)
+                 config: Config) -> None:
+        super().__init__(sim, name, config.ethernet_device, config)
         self.mac = mac
         self.segment: Optional["EthernetSegment"] = None
         self.arp = ARPService(self)
@@ -355,12 +353,13 @@ class EthernetInterface(NetworkInterface):
 
     def deliver_frame(self, frame: EthernetFrame) -> None:
         """Receive one frame from the segment."""
+        dst = frame.dst.value
+        if dst != self.mac.value and dst != _BROADCAST_MAC_VALUE:
+            # Not for us: the hardware filter discards it, down or not.
+            return
         if self.state is not _UP:
             self.dropped_down += 1
             return
-        dst = frame.dst.value
-        if dst != self.mac.value and dst != _BROADCAST_MAC_VALUE:
-            return  # not for us; NIC filter discards silently
         ethertype = frame.ethertype
         if ethertype == ETHERTYPE_ARP:
             self.arp.handle(frame.payload)  # type: ignore[arg-type]
@@ -377,9 +376,8 @@ class RadioInterface(NetworkInterface):
     addresses are published to the channel's static map.
     """
 
-    def __init__(self, sim: Simulator, name: str, config: Config,
-                 device: Optional[DeviceTimings] = None) -> None:
-        super().__init__(sim, name, device or config.radio_device, config)
+    def __init__(self, sim: Simulator, name: str, config: Config) -> None:
+        super().__init__(sim, name, config.radio_device, config)
         self.channel: Optional["RadioChannel"] = None
         # The serial line is full duplex; each direction serializes
         # independently (115.2 kbit/s each way).
@@ -448,9 +446,8 @@ class RadioInterface(NetworkInterface):
 class PointToPointInterface(NetworkInterface):
     """One end of a point-to-point IP link (backbone hop, PPP, SLIP)."""
 
-    def __init__(self, sim: Simulator, name: str, config: Config,
-                 device: Optional[DeviceTimings] = None) -> None:
-        super().__init__(sim, name, device or config.virtual_device, config)
+    def __init__(self, sim: Simulator, name: str, config: Config) -> None:
+        super().__init__(sim, name, config.virtual_device, config)
         self.link: Optional["PointToPointLink"] = None
 
     def attach(self, link: "PointToPointLink") -> None:

@@ -139,24 +139,18 @@ class IPStack:
         if entry is None:
             return None
         source = src_hint
-        if source.is_unspecified:
-            if entry.source is not None:
-                source = entry.source
-            elif entry.interface.address is not None:
-                source = entry.interface.address
-            else:
-                source = UNSPECIFIED
+        if source.is_unspecified and entry.interface.address is not None:
+            source = entry.interface.address
         return RouteResult(interface=entry.interface, source=source,
                            gateway=entry.gateway)
 
     # ----------------------------------------------------------------- sending
 
     def send(self, packet: IPPacket,
-             via: Optional["NetworkInterface"] = None,
-             next_hop: Optional[IPAddress] = None) -> bool:
+             via: Optional["NetworkInterface"] = None) -> bool:
         """Route and transmit a fully formed packet.
 
-        ``via``/``next_hop`` bypass routing for callers that already know
+        ``via`` bypasses routing for callers that already know
         the interface (DHCP broadcasts before an address exists, VIF
         re-injection onto a pinned physical interface).
         Returns False when the packet could not be sent (no route).
@@ -165,8 +159,7 @@ class IPStack:
         trace = self.sim.trace
         trace.emit("ip", "send", host=self.host.name, packet=packet)
         if via is not None:
-            hop = next_hop if next_hop is not None else self._next_hop_via(packet.dst, via)
-            via.send_ip(packet, hop)
+            via.send_ip(packet, self._next_hop_via(packet.dst, via))
             return True
         if self.is_local(packet.dst):
             # Local destinations loop straight back up the stack.

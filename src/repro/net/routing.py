@@ -28,17 +28,14 @@ class RouteEntry:
     """One row of a routing table.
 
     ``gateway`` of ``None`` means the destination is on-link (deliver
-    directly).  ``source`` optionally pins the recommended source address,
-    which the home agent uses to steer intercepted packets into its VIF.
-    Entries compare by identity: a table holds rows, not values, and
-    removing one is a pointer scan.
+    directly).  Entries compare by identity: a table holds rows, not
+    values, and removing one is a pointer scan.
     """
 
     destination: Subnet
     interface: "NetworkInterface"
     gateway: Optional[IPAddress] = None
     metric: int = 0
-    source: Optional[IPAddress] = None
 
     def matches(self, addr: IPAddress) -> bool:
         """True if *addr* falls within this entry's destination."""
@@ -145,19 +142,19 @@ class RoutingTable:
         return len(removed)
 
     def add_host_route(self, host_addr: IPAddress, interface: "NetworkInterface",
-                       gateway: Optional[IPAddress] = None, metric: int = 0,
-                       source: Optional[IPAddress] = None) -> RouteEntry:
+                       gateway: Optional[IPAddress] = None, metric: int = 0
+                       ) -> RouteEntry:
         """Convenience: install a /32 route for one host."""
         entry = RouteEntry(destination=Subnet(host_addr, 32), interface=interface,
-                           gateway=gateway, metric=metric, source=source)
+                           gateway=gateway, metric=metric)
         self.add(entry)
         return entry
 
     def add_default(self, interface: "NetworkInterface",
-                    gateway: Optional[IPAddress] = None, metric: int = 0) -> RouteEntry:
+                    gateway: Optional[IPAddress] = None) -> RouteEntry:
         """Convenience: install a default (0.0.0.0/0) route."""
         entry = RouteEntry(destination=DEFAULT_DESTINATION, interface=interface,
-                           gateway=gateway, metric=metric)
+                           gateway=gateway)
         self.add(entry)
         return entry
 
@@ -165,11 +162,11 @@ class RoutingTable:
         """Drop every default (0.0.0.0/0) route; returns count."""
         return self.remove_matching(destination=DEFAULT_DESTINATION)
 
-    def lookup(self, dst: IPAddress, require_up: bool = True) -> Optional[RouteEntry]:
+    def lookup(self, dst: IPAddress) -> Optional[RouteEntry]:
         """Best (longest-prefix, then lowest-metric, then first) match.
 
-        With ``require_up`` (the default) entries whose interface is not
-        up are skipped, so a shorter prefix can win.
+        Entries whose interface is not up are skipped, so a shorter
+        prefix can win.
         """
         value = dst.value
         index = self._index
@@ -179,7 +176,7 @@ class RoutingTable:
                 continue
             best: Optional[RouteEntry] = None
             for entry in bucket:
-                if require_up and not entry.interface.is_up:
+                if not entry.interface.is_up:
                     continue
                 if best is None or entry.metric < best.metric:
                     best = entry

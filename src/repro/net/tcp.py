@@ -51,7 +51,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.config import Config, HostTimings
-from repro.net.addressing import IPAddress, UNSPECIFIED
+from repro.net.addressing import IPAddress
 from repro.net.congestion import (
     DUP_ACK_THRESHOLD,
     CongestionControl,
@@ -165,6 +165,9 @@ ConnKey = Tuple[int, IPAddress, int]
 MIN_RTO = ms(400)
 MAX_RTO = ms(16_000)
 MAX_RETRANSMITS = 12
+#: RTO before the first RTT sample, and the cap on timer doublings.
+INITIAL_RTO = ms(1000)
+RTO_BACKOFF_LIMIT = 6
 TIME_WAIT_DELAY = ms(2000)
 #: Delayed-ACK flush timeout (RFC 9293 caps it at 500 ms).
 DELAYED_ACK_TIMEOUT = ms(200)
@@ -193,19 +196,17 @@ class RtoEstimator:
     doubles on each timer expiry and resets once a fresh sample arrives.
     """
 
-    __slots__ = ("min_rto", "max_rto", "granularity", "backoff_limit",
+    __slots__ = ("min_rto", "max_rto", "granularity",
                  "srtt", "rttvar", "rto", "backoff")
 
     def __init__(self, *, min_rto: int = MIN_RTO, max_rto: int = MAX_RTO,
-                 granularity: int = 0, backoff_limit: int = 6,
-                 initial_rto: int = ms(1000)) -> None:
+                 granularity: int = 0) -> None:
         self.min_rto = min_rto
         self.max_rto = max_rto
         self.granularity = granularity
-        self.backoff_limit = backoff_limit
         self.srtt: Optional[int] = None
         self.rttvar: int = 0
-        self.rto: int = initial_rto
+        self.rto: int = INITIAL_RTO
         self.backoff: int = 0
 
     def sample(self, measured: int) -> None:
@@ -224,7 +225,7 @@ class RtoEstimator:
 
     def back_off(self) -> None:
         """The timer expired: double the next timeout (bounded)."""
-        self.backoff = min(self.backoff + 1, self.backoff_limit)
+        self.backoff = min(self.backoff + 1, RTO_BACKOFF_LIMIT)
 
     def current(self) -> int:
         """The timeout to arm right now, backoff included."""
@@ -243,16 +244,15 @@ class TCPConnection:
 
     Window policy is delegated to a :class:`CongestionControl` strategy
     (``congestion_control`` keyword, default from
-    ``Config.tcp_congestion_control``); ``initial_cwnd`` /
-    ``initial_ssthresh`` are keyword-only tuning knobs.
+    ``Config.tcp_congestion_control``); ``initial_cwnd`` is a
+    keyword-only tuning knob.
     """
 
     def __init__(self, service: "TCPService", local_addr: IPAddress,
                  local_port: int, remote_addr: IPAddress, remote_port: int,
                  *,
                  congestion_control: Optional[str] = None,
-                 initial_cwnd: Optional[int] = None,
-                 initial_ssthresh: Optional[int] = None) -> None:
+                 initial_cwnd: Optional[int] = None) -> None:
         self._service = service
         self.sim = service.sim
         self.local_addr = local_addr
@@ -311,7 +311,7 @@ class TCPConnection:
                       if self._fc else DEFAULT_WINDOW_BYTES)
         self.cc: CongestionControl = make_congestion_control(
             name, mss=DEFAULT_MSS, max_window=max_window,
-            initial_cwnd=initial_cwnd, initial_ssthresh=initial_ssthresh)
+            initial_cwnd=initial_cwnd)
         self._dupacks = 0
         self._in_recovery = False
         self._recover = self.iss         # recovery point (RFC 6582)
@@ -629,7 +629,7 @@ class TCPConnection:
         # indefinitely — a zero window is flow control, not a dead peer,
         # so they never count against MAX_RETRANSMITS.
         self._persist_backoff = min(self._persist_backoff + 1,
-                                    self._rto_est.backoff_limit)
+                                    RTO_BACKOFF_LIMIT)
         self._arm_persist()
 
     def _send_probe(self) -> None:
@@ -1207,31 +1207,24 @@ class TCPService:
         self._listeners[port] = listener
         return listener
 
-    def connect(self, remote_addr: IPAddress, remote_port: int,
-                src: IPAddress = UNSPECIFIED,
-                local_port: int = 0, *,
+    def connect(self, remote_addr: IPAddress, remote_port: int, *,
                 congestion_control: Optional[str] = None,
-                initial_cwnd: Optional[int] = None,
-                initial_ssthresh: Optional[int] = None) -> TCPConnection:
+                initial_cwnd: Optional[int] = None) -> TCPConnection:
         """Open a connection; callbacks are set on the returned object.
 
-        An unspecified ``src`` lets ``ip_rt_route()`` choose — on a mobile
-        host that pins the connection to the home address, which is exactly
-        why it survives later moves.  ``congestion_control`` overrides
+        ``ip_rt_route()`` chooses the source — on a mobile host that pins
+        the connection to the home address, which is exactly why it
+        survives later moves.  ``congestion_control`` overrides
         ``Config.tcp_congestion_control`` for this connection only.
         """
-        if local_port == 0:
-            local_port = self._allocate_ephemeral(remote_addr, remote_port)
-        source = src
-        if source.is_unspecified:
-            route = self.host.ip.ip_rt_route(remote_addr, source)
-            if route is None:
-                raise TCPError(f"no route to {remote_addr}")
-            source = route.source
-        conn = TCPConnection(self, source, local_port, remote_addr, remote_port,
+        local_port = self._allocate_ephemeral(remote_addr, remote_port)
+        route = self.host.ip.ip_rt_route(remote_addr)
+        if route is None:
+            raise TCPError(f"no route to {remote_addr}")
+        conn = TCPConnection(self, route.source, local_port, remote_addr,
+                             remote_port,
                              congestion_control=congestion_control,
-                             initial_cwnd=initial_cwnd,
-                             initial_ssthresh=initial_ssthresh)
+                             initial_cwnd=initial_cwnd)
         key = conn.key
         if key in self._connections:
             raise TCPError(f"connection {key} already exists")

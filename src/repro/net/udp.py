@@ -54,8 +54,7 @@ class UDPSocket:
         return self
 
     def sendto(self, data: AppData, dst: IPAddress, dst_port: int,
-               via: Optional["NetworkInterface"] = None,
-               ttl: Optional[int] = None) -> None:
+               via: Optional["NetworkInterface"] = None) -> None:
         """Send one datagram.
 
         The packet's source starts as this socket's bound address; an
@@ -66,7 +65,7 @@ class UDPSocket:
         if self.closed:
             raise UDPError("socket is closed")
         self.datagrams_sent += 1
-        self._service.send_datagram(self, data, dst, dst_port, via=via, ttl=ttl)
+        self._service.send_datagram(self, data, dst, dst_port, via=via)
 
     def close(self) -> None:
         """Release the port; further sends raise."""
@@ -135,8 +134,8 @@ class UDPService:
     # ------------------------------------------------------------------ send
 
     def send_datagram(self, sock: UDPSocket, data: AppData, dst: IPAddress,
-                      dst_port: int, via: Optional["NetworkInterface"] = None,
-                      ttl: Optional[int] = None) -> None:
+                      dst_port: int, via: Optional["NetworkInterface"] = None
+                      ) -> None:
         """Build and transmit one datagram for *sock*."""
         datagram = UDPDatagram(sock.port, dst_port, data)
         source = sock.bound_address
@@ -147,7 +146,7 @@ class UDPService:
         elif source.is_unspecified and via is not None and via.address is not None:
             source = via.address
         packet = IPPacket(source, dst, PROTO_UDP, datagram,
-                          ttl if ttl is not None else self.config.default_ttl)
+                          self.config.default_ttl)
         delay = jittered(self._rng, self.timings.tx_cost, self.config.jitter)
         self._tx_fifo.post(delay, lambda: self.host.ip.send(packet, via=via),
                            label="udp-tx")

@@ -302,9 +302,8 @@ class MetricsRegistry:
         return self._get_or_create(Gauge, component, name, labels)
 
     def histogram(self, component: str, name: str,
-                  buckets: Optional[Sequence[float]] = None,
                   **labels: object) -> Histogram:
-        """Get or create a histogram (default: latency buckets in ms)."""
+        """Get or create a histogram over the latency buckets in ms."""
         key = self._key(component, name, labels)
         existing = self._metrics.get(key)
         if existing is not None:
@@ -312,9 +311,7 @@ class MetricsRegistry:
                 raise TypeError(f"{format_key(*key)} is a {existing.kind}, "
                                 f"not a histogram")
             return existing
-        edges = tuple(buckets) if buckets is not None \
-            else DEFAULT_LATENCY_BUCKETS_MS
-        metric = Histogram(component, name, key[2], edges)
+        metric = Histogram(component, name, key[2], DEFAULT_LATENCY_BUCKETS_MS)
         self._metrics[key] = metric
         return metric
 

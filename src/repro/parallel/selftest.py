@@ -19,21 +19,25 @@ def echo_trial(value) -> dict:
     return {"value": value}
 
 
-def seeded_sim_trial(seed: int, timers: int = 8) -> dict:
-    """Builds a tiny simulation: *timers* callbacks, one counter metric.
+#: Callbacks each :func:`seeded_sim_trial` schedules.
+TIMERS = 8
+
+
+def seeded_sim_trial(seed: int) -> dict:
+    """Builds a tiny simulation: :data:`TIMERS` callbacks, one counter metric.
 
     Deterministic in *seed* via :func:`spawn_seed`, so tests can check
     that results depend only on params, never on which worker ran them.
     """
     sim = Simulator(seed=seed)
     counter = sim.metrics.counter("selftest", "fired")
-    for index in range(timers):
+    for index in range(TIMERS):
         sim.call_at(ms(index + 1), counter.inc, label="selftest")
     sim.run()
     return {"seed": seed, "fired": counter.value,
-            "derived": spawn_seed(seed, timers)}
+            "derived": spawn_seed(seed, TIMERS)}
 
 
-def failing_trial(message: str = "boom") -> dict:
+def failing_trial() -> dict:
     """Raises; lets tests assert worker exceptions surface in the parent."""
-    raise RuntimeError(message)
+    raise RuntimeError("boom")

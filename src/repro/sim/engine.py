@@ -87,12 +87,12 @@ class Event:
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "_owner")
 
     def __init__(self, time: Time, seq: int, callback: Callable[[], None],
-                 label: str = "", cancelled: bool = False) -> None:
+                 label: str = "") -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.label = label
-        self.cancelled = cancelled
+        self.cancelled = False
         # The owning Simulator while a *handle* event sits in its queue;
         # cleared on pop so a late cancel() cannot corrupt the queue
         # accounting.  post_* events never set it.

@@ -32,9 +32,9 @@ class Stats:
     minimum: float
     maximum: float
 
-    def format_ms(self, precision: int = 2) -> str:
+    def format_ms(self) -> str:
         """Render as the paper does: ``mean (std)`` in milliseconds."""
-        return f"{self.mean:.{precision}f} ({self.std:.{precision}f})"
+        return f"{self.mean:.2f} ({self.std:.2f})"
 
 
 class Welford:
@@ -140,34 +140,34 @@ def summarize_ms(values_ns: Sequence[int]) -> Stats:
     return summarize([value / 1_000_000 for value in values_ns])
 
 
+#: :class:`LatencyHistogram`'s bucket layout: 200 geometric buckets from
+#: 0.05 ms growing by 8%, which reaches beyond 100 s.
+HISTOGRAM_LO = 0.05
+HISTOGRAM_GROWTH = 1.08
+HISTOGRAM_BUCKETS = 200
+_LOG_GROWTH = math.log(HISTOGRAM_GROWTH)
+
+
 class LatencyHistogram:
     """Log-spaced bucket counts with exact merging and quantile lookup.
 
     Buckets are geometric: bucket *i* covers ``(lo * growth**i,
-    lo * growth**(i + 1)]``, values at or below ``lo`` land in bucket 0
-    and values beyond the top bucket clamp into it.  The bucket layout is
-    a pure function of ``(lo, growth, buckets)``, so two histograms built
-    with the same parameters — in different shards, different processes —
-    merge by integer addition with no loss.  Quantiles report a bucket's
-    *upper edge*, which makes them deterministic under any sharding of
-    the same samples (at the cost of up to one bucket width, ~8% with the
-    defaults, of overestimate).
+    lo * growth**(i + 1)]`` with the module's ``HISTOGRAM_*`` layout,
+    values at or below ``lo`` land in bucket 0 and values beyond the top
+    bucket clamp into it.  Every histogram shares that one layout, so two
+    built in different shards or processes merge by integer addition with
+    no loss.  Quantiles report a bucket's *upper edge*, which makes them
+    deterministic under any sharding of the same samples (at the cost of
+    up to one bucket width, ~8%, of overestimate).
 
-    The defaults cover 0.05 ms to beyond 100 s, wide enough for a binding
+    The layout covers 0.05 ms to beyond 100 s, wide enough for a binding
     latency that is a few milliseconds at an idle home agent and seconds
     under overload.
     """
 
-    __slots__ = ("lo", "growth", "buckets", "counts", "_log_growth")
+    __slots__ = ("counts",)
 
-    def __init__(self, lo: float = 0.05, growth: float = 1.08,
-                 buckets: int = 200) -> None:
-        if lo <= 0 or growth <= 1.0 or buckets <= 0:
-            raise ValueError("need lo > 0, growth > 1, buckets > 0")
-        self.lo = lo
-        self.growth = growth
-        self.buckets = buckets
-        self._log_growth = math.log(growth)
+    def __init__(self) -> None:
         #: Sparse bucket counts: index -> occurrences.
         self.counts: Dict[int, int] = {}
 
@@ -178,14 +178,14 @@ class LatencyHistogram:
 
     def bucket_index(self, value: float) -> int:
         """The bucket *value* falls into (clamped at both ends)."""
-        if value <= self.lo:
+        if value <= HISTOGRAM_LO:
             return 0
-        index = int(math.log(value / self.lo) / self._log_growth)
-        return min(max(index, 0), self.buckets - 1)
+        index = int(math.log(value / HISTOGRAM_LO) / _LOG_GROWTH)
+        return min(max(index, 0), HISTOGRAM_BUCKETS - 1)
 
     def bucket_edge(self, index: int) -> float:
         """Upper edge of bucket *index* (the value quantiles report)."""
-        return self.lo * self.growth ** (index + 1)
+        return HISTOGRAM_LO * HISTOGRAM_GROWTH ** (index + 1)
 
     def add(self, value: float) -> None:
         """Count one sample."""
@@ -193,10 +193,7 @@ class LatencyHistogram:
         self.counts[index] = self.counts.get(index, 0) + 1
 
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold another histogram's counts in (must share the layout)."""
-        if (other.lo, other.growth, other.buckets) != (self.lo, self.growth,
-                                                       self.buckets):
-            raise ValueError("cannot merge histograms with different layouts")
+        """Fold another histogram's counts in."""
         for index, count in other.counts.items():
             self.counts[index] = self.counts.get(index, 0) + count
         return self
@@ -231,11 +228,9 @@ class LatencyHistogram:
         return dict(self.counts)
 
     @classmethod
-    def from_counts(cls, counts: Dict[int, int], lo: float = 0.05,
-                    growth: float = 1.08, buckets: int = 200
-                    ) -> "LatencyHistogram":
+    def from_counts(cls, counts: Dict[int, int]) -> "LatencyHistogram":
         """Rebuild a histogram from :meth:`to_counts` output."""
-        histogram = cls(lo=lo, growth=growth, buckets=buckets)
+        histogram = cls()
         for index, count in counts.items():
             histogram.counts[int(index)] = int(count)
         return histogram
@@ -243,13 +238,9 @@ class LatencyHistogram:
 
 def merge_histograms(parts: Iterable[LatencyHistogram]) -> LatencyHistogram:
     """Merge histograms in order into a fresh one (empty input allowed)."""
-    merged: LatencyHistogram = LatencyHistogram()
-    parts = list(parts)
-    if parts:
-        merged = LatencyHistogram(lo=parts[0].lo, growth=parts[0].growth,
-                                  buckets=parts[0].buckets)
-        for part in parts:
-            merged.merge(part)
+    merged = LatencyHistogram()
+    for part in parts:
+        merged.merge(part)
     return merged
 
 

@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 from typing import Callable, List
 
 from repro.core.handoff import DeviceSwitcher, SwitchTimeline
+from repro.net.interface import InterfaceState
 from repro.sim.units import s
 from repro.testbed.topology import Testbed
+
+#: The commute's time at the office, then on the radio in transit.
+OFFICE_DWELL = s(4)
+TRANSIT_DWELL = s(6)
 
 
 @dataclass
@@ -58,9 +63,7 @@ def play(testbed: Testbed, name: str, steps: List[Step]) -> ScenarioRun:
 
 # --------------------------------------------------------------- the commute
 
-def commute(testbed: Testbed,
-            office_dwell: int = s(4),
-            transit_dwell: int = s(6)) -> ScenarioRun:
+def commute(testbed: Testbed) -> ScenarioRun:
     """Office Ethernet -> radio on the move -> back home.
 
     The paper's motivating journey: "we may need to switch from an
@@ -82,14 +85,14 @@ def commute(testbed: Testbed,
 
     def arrive_home(tb: Testbed, run: ScenarioRun) -> None:
         tb.move_mh_cable(tb.home_segment)
-        tb.mh_eth.state = tb.mh_eth.state.__class__.UP
+        tb.mh_eth.state = InterfaceState.UP
         tb.mobile.come_home(tb.mh_eth, gateway=addresses.router_home)
 
     return play(testbed, "commute", [
         Step(at=0, label="arrive at the office", action=to_office),
-        Step(at=office_dwell, label="leave the office (cold to radio)",
+        Step(at=OFFICE_DWELL, label="leave the office (cold to radio)",
              action=leave_office),
-        Step(at=office_dwell + transit_dwell, label="arrive home",
+        Step(at=OFFICE_DWELL + TRANSIT_DWELL, label="arrive home",
              action=arrive_home),
     ])
 
@@ -97,29 +100,18 @@ def commute(testbed: Testbed,
 # -------------------------------------------------------------- random walk
 
 def random_walk(testbed: Testbed, moves: int = 6,
-                dwell: int = s(3), seed_stream: str = "scenario"
-                ) -> ScenarioRun:
+                dwell: int = s(3)) -> ScenarioRun:
     """Bounce between the department Ethernet and the radio *moves* times.
 
     Movement order is drawn from the simulation's seeded RNG, so a walk is
     reproducible per seed.  Used for soak tests: whatever the sequence,
     connections must survive and the binding must track the mobile host.
     """
-    addresses = testbed.addresses
-    rng = testbed.sim.rng(seed_stream)
+    rng = testbed.sim.rng("scenario")
     steps: List[Step] = []
 
     def go_ethernet(tb: Testbed, run: ScenarioRun) -> None:
-        if tb.mh_eth.segment is not tb.dept_segment:
-            tb.move_mh_cable(tb.dept_segment)
-        if not tb.mh_eth.is_up:
-            tb.mh_eth.state = tb.mh_eth.state.__class__.UP
-        tb.mh_eth.remove_address(addresses.mh_home)
-        tb.mobile.ip.routes.remove_matching(interface=tb.mh_eth)
-        tb.mh_eth.subnet = addresses.dept_net
-        tb.mh_eth.add_address(addresses.mh_dept_care_of, make_primary=True)
-        tb.mobile.start_visiting(tb.mh_eth, addresses.mh_dept_care_of,
-                                 addresses.dept_net, addresses.router_dept)
+        tb.visit_dept()
 
     def go_radio(tb: Testbed, run: ScenarioRun) -> None:
         tb.connect_radio(register=True)

@@ -124,8 +124,7 @@ class Testbed:
         self.mh_eth.state = InterfaceState.DOWN
         self.mobile.ip.routes.remove_matching(interface=self.mh_eth)
 
-    def visit_dept(self, care_of: Optional[IPAddress] = None,
-                   register: bool = True,
+    def visit_dept(self, register: bool = True,
                    on_registered: Optional[Callable[[RegistrationOutcome], None]] = None
                    ) -> IPAddress:
         """Instantly place the MH on net 36.8 with a collocated care-of.
@@ -136,24 +135,11 @@ class Testbed:
         instead.
         """
         a = self.addresses
-        chosen = care_of if care_of is not None else a.mh_dept_care_of
-        if self.mh_eth.segment is not self.dept_segment:
-            self.move_mh_cable(self.dept_segment)
-        if self.mh_eth.state != InterfaceState.UP:
-            self.mh_eth.state = InterfaceState.UP
-        # Clear any home-attachment addressing before adopting the new one.
-        self.mh_eth.remove_address(a.mh_home)
-        self.mobile.ip.routes.remove_matching(interface=self.mh_eth)
-        self.mh_eth.subnet = a.dept_net
-        self.mh_eth.add_address(chosen, make_primary=True)
-        self.mobile.start_visiting(self.mh_eth, chosen, a.dept_net,
-                                   a.router_dept, register=register,
-                                   on_registered=on_registered)
-        return chosen
+        self._visit_ethernet(self.dept_segment, a.dept_net, a.mh_dept_care_of,
+                             a.router_dept, register, on_registered)
+        return a.mh_dept_care_of
 
-    def visit_remote(self, register: bool = True,
-                     on_registered: Optional[Callable[[RegistrationOutcome], None]] = None
-                     ) -> IPAddress:
+    def visit_remote(self) -> IPAddress:
         """Instantly place the MH on the remote network (net 36.40).
 
         The remote network belongs to a different administrative domain —
@@ -162,23 +148,30 @@ class Testbed:
         if self.remote_segment is None:
             raise ValueError("testbed was built without the remote network")
         a = self.addresses
-        if self.mh_eth.segment is not self.remote_segment:
-            self.move_mh_cable(self.remote_segment)
-        if self.mh_eth.state != InterfaceState.UP:
-            self.mh_eth.state = InterfaceState.UP
-        self.mh_eth.remove_address(a.mh_home)
-        self.mobile.ip.routes.remove_matching(interface=self.mh_eth)
-        self.mh_eth.subnet = a.remote_net
-        self.mh_eth.add_address(a.mh_remote_care_of, make_primary=True)
-        self.mobile.start_visiting(self.mh_eth, a.mh_remote_care_of,
-                                   a.remote_net, a.remote_router_lan,
-                                   register=register,
-                                   on_registered=on_registered)
+        self._visit_ethernet(self.remote_segment, a.remote_net,
+                             a.mh_remote_care_of, a.remote_router_lan,
+                             True, None)
         return a.mh_remote_care_of
 
-    def connect_radio(self, register: bool = False,
-                      on_registered: Optional[Callable[[RegistrationOutcome], None]] = None
-                      ) -> IPAddress:
+    def _visit_ethernet(self, segment: EthernetSegment, net: Subnet,
+                        care_of: IPAddress, gateway: IPAddress, register: bool,
+                        on_registered: Optional[Callable[[RegistrationOutcome], None]]
+                        ) -> None:
+        """Plug the MH's Ethernet into *segment* and visit with *care_of*."""
+        if self.mh_eth.segment is not segment:
+            self.move_mh_cable(segment)
+        if self.mh_eth.state != InterfaceState.UP:
+            self.mh_eth.state = InterfaceState.UP
+        # Clear any home-attachment addressing before adopting the new one.
+        self.mh_eth.remove_address(self.addresses.mh_home)
+        self.mobile.ip.routes.remove_matching(interface=self.mh_eth)
+        self.mh_eth.subnet = net
+        self.mh_eth.add_address(care_of, make_primary=True)
+        self.mobile.start_visiting(self.mh_eth, care_of, net, gateway,
+                                   register=register,
+                                   on_registered=on_registered)
+
+    def connect_radio(self, register: bool = False) -> IPAddress:
         """Instantly bring the radio up on net 36.134 (static address)."""
         a = self.addresses
         if self.mh_radio.state != InterfaceState.UP:
@@ -196,8 +189,7 @@ class Testbed:
                                                  interface=self.mh_radio))
         if register:
             self.mobile.start_visiting(self.mh_radio, a.mh_radio, a.radio_net,
-                                       a.router_radio, register=True,
-                                       on_registered=on_registered)
+                                       a.router_radio)
         return a.mh_radio
 
 

@@ -129,8 +129,7 @@ def agent_mean_waits(config: Config, service_ns: int, fleet_hosts: int,
 
 
 def predicted_latency_ms(config: Config, fleet_hosts: int,
-                         ring: Optional["HashRing"] = None,
-                         failed: FrozenSet[str] = frozenset()) -> float:
+                         ring: "HashRing") -> float:
     """Model-predicted mean registration latency, milliseconds.
 
     Figure 7's decomposition under the fleet calibration: the non-HA
@@ -140,11 +139,8 @@ def predicted_latency_ms(config: Config, fleet_hosts: int,
     real :class:`~repro.core.registration.RegistrationClient` traffic.
     """
     service_ns = registration_service_ns(config)
-    waits, _ = agent_mean_waits(config, service_ns, fleet_hosts, ring, failed)
-    if ring is None:
-        shares: Dict[Optional[str], float] = {None: 1.0}
-    else:
-        shares = ring.effective_ownership(frozenset(failed))
+    waits, _ = agent_mean_waits(config, service_ns, fleet_hosts, ring)
+    shares = ring.ownership()
     weight = sum(shares[agent] for agent in waits)
     wait = (sum(shares[agent] * waits[agent] for agent in waits) / weight
             if weight > 0.0 else 0.0)

@@ -29,16 +29,15 @@ CHUNK_BYTES = 256
 class TcpBulkReceiver:
     """Mobile-host side: accepts one session and records what arrives."""
 
-    def __init__(self, host: Host, port: int = SESSION_PORT) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.port = port
         self.received_chunks: List[int] = []
         self.bytes_total = 0
         #: (sim time ns, payload bytes) per application delivery.
         self.arrivals: List[Tuple[int, int]] = []
         self.connection: Optional[TCPConnection] = None
         self.closed = False
-        self._listener = host.tcp.listen(port, self._on_connection)
+        self._listener = host.tcp.listen(SESSION_PORT, self._on_connection)
 
     def _on_connection(self, conn: TCPConnection) -> None:
         self.connection = conn
@@ -84,9 +83,9 @@ class TcpDrainReceiver(TcpBulkReceiver):
     probes rather than loss.
     """
 
-    def __init__(self, host: Host, drain_bytes: int, drain_interval: int,
-                 port: int = SESSION_PORT) -> None:
-        super().__init__(host, port)
+    def __init__(self, host: Host, drain_bytes: int,
+                 drain_interval: int) -> None:
+        super().__init__(host)
         self.drain_bytes = drain_bytes
         self.drain_interval = drain_interval
         self.drained_bytes = 0
@@ -112,7 +111,7 @@ class TcpBulkSender:
     """Correspondent side: opens the session and streams numbered chunks."""
 
     def __init__(self, host: Host, target: IPAddress, interval: int,
-                 port: int = SESSION_PORT, chunk_bytes: int = CHUNK_BYTES) -> None:
+                 chunk_bytes: int = CHUNK_BYTES) -> None:
         self.host = host
         self.sim = host.sim
         self.target = target
@@ -123,7 +122,7 @@ class TcpBulkSender:
         self.reset = False
         self._running = False
         self._tick_event: Optional[Event] = None
-        self.connection = host.tcp.connect(target, port)
+        self.connection = host.tcp.connect(target, SESSION_PORT)
         self.connection.on_established = self._on_established
         self.connection.on_reset = self._on_reset
 

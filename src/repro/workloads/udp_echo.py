@@ -33,11 +33,10 @@ PROBE_BYTES = 12
 class UdpEchoResponder:
     """Echoes every received datagram back to its sender."""
 
-    def __init__(self, host: Host, port: int = ECHO_PORT) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.port = port
         self.echoed = 0
-        self._socket = host.udp.open(port).on_datagram(self._on_datagram)
+        self._socket = host.udp.open(ECHO_PORT).on_datagram(self._on_datagram)
 
     def _on_datagram(self, data: AppData, src: IPAddress, src_port: int,
                      dst: IPAddress) -> None:
@@ -69,14 +68,11 @@ class EchoRecord:
 class UdpEchoStream:
     """Sends sequence-numbered probes at a fixed interval and counts echoes."""
 
-    def __init__(self, host: Host, target: IPAddress, interval: int,
-                 port: int = ECHO_PORT, payload_bytes: int = PROBE_BYTES) -> None:
+    def __init__(self, host: Host, target: IPAddress, interval: int) -> None:
         self.host = host
         self.sim = host.sim
         self.target = target
         self.interval = interval
-        self.port = port
-        self.payload_bytes = payload_bytes
         self._socket = host.udp.open(0).on_datagram(self._on_reply)
         self._records: Dict[int, EchoRecord] = {}
         self._next_seq = 0
@@ -105,8 +101,8 @@ class UdpEchoStream:
         seq = self._next_seq
         self._next_seq += 1
         self._records[seq] = EchoRecord(seq=seq, sent_at=self.sim.now)
-        probe = AppData(content=("echo-probe", seq), size_bytes=self.payload_bytes)
-        self._socket.sendto(probe, self.target, self.port)
+        probe = AppData(content=("echo-probe", seq), size_bytes=PROBE_BYTES)
+        self._socket.sendto(probe, self.target, ECHO_PORT)
         self._tick_event = self.sim.call_later(self.interval, self._tick,
                                                label="echo-tick")
 
@@ -155,18 +151,10 @@ class UdpEchoStream:
                 out.append(record.seq)
         return sorted(out)
 
-    def received_count(self, since: Optional[int] = None,
-                       until: Optional[int] = None) -> int:
-        """Probes sent in [since, until) whose echo returned."""
-        count = 0
-        for record in self._records.values():
-            if since is not None and record.sent_at < since:
-                continue
-            if until is not None and record.sent_at >= until:
-                continue
-            if not record.lost:
-                count += 1
-        return count
+    def received_count(self, since: int) -> int:
+        """Probes sent at or after *since* whose echo returned."""
+        return sum(1 for record in self._records.values()
+                   if not record.lost and record.sent_at >= since)
 
     def rtts(self) -> List[int]:
         """Round-trip times of all answered probes, in send order."""

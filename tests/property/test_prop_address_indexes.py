@@ -42,13 +42,13 @@ def make_interface(sim, index):
 
 # ------------------------------------------------------------ routing table
 
-def scan_routes(entries, dst, require_up):
-    """Longest prefix, then lowest metric, then earliest entry."""
+def scan_routes(entries, dst):
+    """Longest prefix, then lowest metric, then earliest up entry."""
     best = None
     for entry in entries:
         if dst not in entry.destination:
             continue
-        if require_up and not entry.interface.is_up:
+        if not entry.interface.is_up:
             continue
         if best is None or entry.destination.prefix_len > best.destination.prefix_len:
             best = entry
@@ -101,9 +101,7 @@ def test_routing_index_matches_scan(ops):
                           else InterfaceState.UP)
         assert [id(entry) for entry in table] == [id(entry) for entry in reference]
         for dst in PROBES:
-            for require_up in (True, False):
-                assert table.lookup(dst, require_up) is scan_routes(
-                    reference, dst, require_up)
+            assert table.lookup(dst) is scan_routes(reference, dst)
 
 
 # ---------------------------------------------------- Mobile Policy Table
@@ -148,7 +146,8 @@ policy_ops = st.one_of(
 @given(st.sampled_from(MODES), st.lists(policy_ops, max_size=30))
 def test_policy_index_matches_scan(default, ops):
     metrics = MetricsRegistry()
-    table = MobilePolicyTable(default_mode=default, metrics=metrics, owner="mh")
+    table = MobilePolicyTable(metrics=metrics, owner="mh")
+    table.default_mode = default
     reference = PolicyReference(default)
     for op in ops:
         kind = op[0]

@@ -60,7 +60,8 @@ MODES = list(RoutingMode)
        addresses,
        st.sampled_from(MODES))
 def test_policy_lookup_matches_brute_force(rows, destination, default):
-    table = MobilePolicyTable(default_mode=default)
+    table = MobilePolicyTable()
+    table.default_mode = default
     for prefix, mode in rows:
         table.set_policy(prefix, mode)
     result = table.lookup(destination)
@@ -76,7 +77,8 @@ def test_policy_lookup_matches_brute_force(rows, destination, default):
 
 @given(st.lists(addresses, min_size=1, max_size=20, unique=True))
 def test_probe_fallback_is_per_host(hosts):
-    table = MobilePolicyTable(default_mode=RoutingMode.TRIANGLE)
+    table = MobilePolicyTable()
+    table.default_mode = RoutingMode.TRIANGLE
     for addr in hosts:
         table.record_probe_result(addr, reachable=False)
     for addr in hosts:

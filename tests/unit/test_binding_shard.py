@@ -14,6 +14,7 @@ from repro.core.binding_shard import (
     HashRing,
     stable_hash64,
 )
+from repro.experiments.exp_plane_chaos import _build_shard, plane_chaos_config
 from repro.faults import FaultInjector, FaultPlan, HomeAgentRestart
 from repro.net.addressing import ip
 from repro.sim import ms, s
@@ -146,37 +147,10 @@ class TestHashRing:
             ring.lookup("host0", avoid=lambda name: True)
 
 
-class FakeAgent:
-    """The duck-typed replica the plane documents as sufficient."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.served = set()
-        self.crashes = 0
-        self._down = False
-
-    def serve(self, home_address):
-        self.served.add(home_address)
-
-    def crash(self, down_for, on_recovered=None):
-        self._down = True
-        self.crashes += 1
-
-        def recover():
-            self._down = False
-            if on_recovered is not None:
-                on_recovered()
-
-        self.sim.call_at(self.sim.now + down_for, recover)
-
-    @property
-    def is_down(self):
-        return self._down
-
-
-def build_plane(sim, count=4):
-    agents = {name: FakeAgent(sim) for name in names(count)}
-    return BindingShardPlane(sim, agents)
+def build_plane(sim):
+    """x8's shard with no hosts: replicas ha0-ha3 plus the spare ha4."""
+    plane, _, _ = _build_shard(sim, plane_chaos_config(), 0, 0)
+    return plane
 
 
 class TestBindingShardPlane:
@@ -186,7 +160,7 @@ class TestBindingShardPlane:
         assert owners == plane.owners(HOME)
         assert len(owners) == 2
         for name in owners:
-            assert HOME in plane.agents[name].served
+            assert plane.agents[name].serves(HOME)
 
     def test_agent_for_prefers_the_primary(self, sim):
         plane = build_plane(sim)
@@ -207,7 +181,7 @@ class TestBindingShardPlane:
         assert plane.agent_for(HOME) is plane.agents[primary]
 
     def test_all_replicas_down_walks_the_whole_ring(self, sim):
-        plane = build_plane(sim, count=4)
+        plane = build_plane(sim)
         owners = plane.owners(HOME)
         for name in owners:
             plane.crash(name, down_for=s(1))
@@ -249,7 +223,7 @@ class TestPlaneFaults:
         sim.run_for(s(1))
         assert not plane.is_down("ha1")
         assert injector.injected == {"home_agent_restart": 1}
-        assert plane.agents["ha1"].crashes == 1
+        assert plane.agents["ha1"].restarts == 1
 
     def test_unknown_agent_in_plan_fails_arming(self, sim):
         plane = build_plane(sim)

@@ -167,14 +167,15 @@ class TestClientRetransmission:
         assert gaps == expected
 
     def test_give_up_fires_terminal_hook(self, lan):
-        client, _seen = self._client_with_fake_agent(lan, drop_first=99)
+        client, seen = self._client_with_fake_agent(lan, drop_first=99)
         terminal = []
-        client.on_give_up = lambda request, attempts: terminal.append(
-            (request.identification, attempts))
         client.register(CARE_OF, on_done=lambda outcome: None,
+                        on_fail=lambda: terminal.append(lan.sim.now),
                         via=lan.a.interfaces[1])
         lan.sim.run_for(s(20))
-        assert terminal == [(1, lan.config.registration.max_transmissions)]
+        assert len(terminal) == 1
+        assert client.failures == 1
+        assert seen["count"] == lan.config.registration.max_transmissions
 
     def test_deregister_carries_home_as_care_of(self, lan):
         client, _seen = self._client_with_fake_agent(lan, drop_first=0)

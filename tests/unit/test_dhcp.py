@@ -174,13 +174,13 @@ def test_failed_renew_rearms_and_recovers(dhcp_lan):
 def test_lease_lost_fires_when_lease_expires_unrenewed(dhcp_lan):
     lan, server = dhcp_lan
     client, _iface = make_client(lan)
-    lost = []
-    client.on_lease_lost = lambda: lost.append(lan.sim.now)
     client.acquire(on_bound=lambda lease: None, timeout=ms(1000))
     lan.run(2000)
+    leased = client.lease.address
     server.online = False  # server gone for good
     lan.sim.run_for(DEFAULT_CONFIG.dhcp_lease_time + s(10))
-    assert lost
+    assert lan.sim.trace.select("dhcp", "lease_lost", client="newcomer",
+                                address=str(leased))
     assert client.lease is None
     from repro.net.dhcp import DHCPClientState
     assert client.state == DHCPClientState.IDLE

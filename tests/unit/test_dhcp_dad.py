@@ -18,15 +18,14 @@ def dad_lan(lan):
     return lan, server
 
 
-def make_client(lan, name="mobile", detect=True):
+def make_client(lan, name="mobile"):
     host = Host(lan.sim, name, DEFAULT_CONFIG)
     iface = EthernetInterface(lan.sim, f"eth.{name}", lan.macs.allocate(),
                               DEFAULT_CONFIG)
     host.add_interface(iface)
     iface.attach(lan.segment)
     iface.state = InterfaceState.UP
-    return DHCPClient(host, iface, client_id=name,
-                      detect_duplicates=detect), host, iface
+    return DHCPClient(host, iface, client_id=name), host, iface
 
 
 def squat(lan, address):
@@ -75,15 +74,3 @@ def test_quarantined_address_not_reissued(dad_lan):
     assert leases
     assert leases[0].address not in (ip("10.0.0.100"), first.lease.address)
 
-
-def test_detection_can_be_disabled(dad_lan):
-    lan, _server = dad_lan
-    squat(lan, "10.0.0.100")
-    client, _host, _iface = make_client(lan, detect=False)
-    leases = []
-    client.acquire(on_bound=leases.append)
-    lan.sim.run_for(s(3))
-    # Without DAD the client blindly takes the conflicting address —
-    # exactly the accidental-eavesdropping hazard the paper describes.
-    assert leases and leases[0].address == ip("10.0.0.100")
-    assert client.declines_sent == 0

@@ -73,18 +73,6 @@ def test_redirect_installs_host_route(lan):
     assert entry is not None and entry.gateway == ip("10.0.0.77")
 
 
-def test_redirects_can_be_disabled(lan):
-    lan.a.icmp.accept_redirects = False
-    message = ICMPMessage(icmp_type=TYPE_REDIRECT,
-                          body={"destination": ip("99.0.0.1"),
-                                "gateway": ip("10.0.0.77")})
-    packet = IPPacket(src=ip("10.0.0.2"), dst=ip("10.0.0.1"),
-                      protocol=PROTO_ICMP, payload=message)
-    lan.a.ip.receive_packet(packet, iface=lan.a.interfaces[1])
-    lan.run()
-    assert lan.a.ip.routes.lookup(ip("99.0.0.1")) is None
-
-
 def test_router_emits_redirect_for_same_interface_forwarding(lan):
     """Forwarding back out the arrival interface advises the sender."""
     router = lan.b

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.net.addressing import MACAllocator, ip, subnet
+from repro.net.addressing import MACAddress, MACAllocator, ip, subnet
 from repro.net.host import Host
 from repro.net.interface import (
     EthernetInterface,
@@ -106,6 +106,23 @@ class TestDrops:
         frame = EthernetFrame(src=iface.mac, dst=iface.mac,
                               ethertype=ETHERTYPE_IPV4, payload=make_packet())
         iface.deliver_frame(frame)
+        assert iface.dropped_down == 1
+
+    def test_down_nic_ignores_frames_for_other_hosts(self, sim, iface):
+        # The MAC filter is hardware: a frame addressed to another host is
+        # never seen, so it is no drop of ours even while we are down.
+        from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
+        from tests.unit.test_packet import make_packet
+
+        other = MACAddress(0x02_00_00_00_99_01)
+        assert other.value != iface.mac.value
+        iface.deliver_frame(EthernetFrame(src=other, dst=other,
+                                          ethertype=ETHERTYPE_IPV4,
+                                          payload=make_packet()))
+        assert iface.dropped_down == 0
+        iface.deliver_frame(EthernetFrame(src=other, dst=iface.mac,
+                                          ethertype=ETHERTYPE_IPV4,
+                                          payload=make_packet()))
         assert iface.dropped_down == 1
 
 

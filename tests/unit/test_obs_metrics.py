@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, format_report, snapshot_to_json
 from repro.obs.export import trace_to_jsonl
+from repro.obs.metrics import Histogram
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
 
@@ -122,8 +123,7 @@ def test_merged_registry_pickles_without_owners():
 # ----------------------------------------------------------------- histograms
 
 def test_histogram_buckets_are_cumulative():
-    registry = MetricsRegistry()
-    hist = registry.histogram("handoff", "latency_ms", buckets=(1, 10, 100))
+    hist = Histogram("handoff", "latency_ms", (), (1, 10, 100))
     for value in (0.5, 5, 5, 50, 5000):
         hist.observe(value)
     assert hist.count == 5
@@ -134,9 +134,8 @@ def test_histogram_buckets_are_cumulative():
 
 
 def test_histogram_rejects_unsorted_buckets():
-    registry = MetricsRegistry()
     with pytest.raises(ValueError):
-        registry.histogram("x", "y", buckets=(10, 1))
+        Histogram("x", "y", (), (10, 1))
 
 
 # ------------------------------------------------------------ label isolation
@@ -171,7 +170,7 @@ def test_snapshot_keys_are_sorted():
 
 def test_snapshot_flattens_histograms():
     registry = MetricsRegistry()
-    hist = registry.histogram("reg", "latency_ms", buckets=(10, 100))
+    hist = registry.histogram("reg", "latency_ms")
     hist.observe(4)
     snap = registry.snapshot()
     assert snap["reg/latency_ms:count"] == 1
@@ -209,8 +208,8 @@ def test_merged_registries_sum_counters_and_histograms():
     a.counter("ip", "forwards").inc(2)
     b.counter("ip", "forwards").inc(3)
     b.counter("ip", "ttl_drops").inc(1)
-    a.histogram("h", "lat", buckets=(10,)).observe(1)
-    b.histogram("h", "lat", buckets=(10,)).observe(2)
+    a.histogram("h", "lat").observe(1)
+    b.histogram("h", "lat").observe(2)
     merged = MetricsRegistry.merged([a, b])
     snap = merged.snapshot()
     assert snap["ip/forwards"] == 5

@@ -13,6 +13,7 @@ from repro.parallel import (
     spawn_seed,
 )
 from repro.parallel.runner import effective_jobs
+from repro.parallel.selftest import TIMERS
 
 ECHO = "repro.parallel.selftest:echo_trial"
 SIM = "repro.parallel.selftest:seeded_sim_trial"
@@ -69,13 +70,13 @@ class TestEffectiveJobs:
 
 class TestRunner:
     def trials(self, count=6):
-        return [Trial(SIM, dict(seed=seed, timers=4))
+        return [Trial(SIM, dict(seed=seed))
                 for seed in range(17, 17 + count)]
 
     def test_serial_matches_direct_calls(self):
         results = run_trials(self.trials(), jobs=1)
         func = resolve_trial(SIM)
-        assert results == [func(seed=seed, timers=4)
+        assert results == [func(seed=seed)
                            for seed in range(17, 23)]
 
     def test_parallel_matches_serial_in_order(self):
@@ -95,8 +96,8 @@ class TestRunner:
             == [{"value": "x"}]
 
     def test_worker_exception_propagates(self):
-        with pytest.raises(RuntimeError, match="kaput"):
-            run_trials([Trial(FAIL, dict(message="kaput"))] * 3, jobs=2)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_trials([Trial(FAIL)] * 3, jobs=2)
 
     def test_pool_failure_degrades_to_serial(self):
         runner = ParallelRunner(jobs=4, start_method="definitely-not-a-method")
@@ -111,7 +112,7 @@ class TestMetricsCollection:
             run_trials(self.trials(), jobs=1)
         registry = MetricsRegistry.merged(sim.metrics for sim in captured)
         counter = registry.get("selftest", "fired")
-        assert counter is not None and counter.value == 3 * 4
+        assert counter is not None and counter.value == 3 * TIMERS
 
     def test_parallel_capture_merges_worker_registries(self):
         with capture_simulators() as captured:
@@ -119,12 +120,12 @@ class TestMetricsCollection:
         assert captured and all(isinstance(item, CapturedMetrics)
                                 for item in captured)
         registry = MetricsRegistry.merged(item.metrics for item in captured)
-        assert registry.get("selftest", "fired").value == 3 * 4
+        assert registry.get("selftest", "fired").value == 3 * TIMERS
 
     def test_note_metrics_registry_without_capture_is_noop(self):
         assert not capture_active()
         note_metrics_registry(MetricsRegistry())  # must not raise
 
     def trials(self):
-        return [Trial(SIM, dict(seed=seed, timers=4))
+        return [Trial(SIM, dict(seed=seed))
                 for seed in range(29, 32)]

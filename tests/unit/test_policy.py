@@ -22,7 +22,7 @@ class TestModes:
 
 class TestTable:
     def test_default_mode_applies_without_entries(self):
-        table = MobilePolicyTable(default_mode=RoutingMode.TUNNEL)
+        table = MobilePolicyTable()
         assert table.lookup(ip("1.2.3.4")) is RoutingMode.TUNNEL
 
     def test_host_entry_overrides_default(self):
@@ -56,33 +56,38 @@ class TestTable:
 
 class TestProbeFallback:
     def test_failed_probe_caches_tunnel(self):
-        table = MobilePolicyTable(default_mode=RoutingMode.TRIANGLE)
+        table = MobilePolicyTable()
+        table.default_mode = RoutingMode.TRIANGLE
         table.record_probe_result(ip("36.8.0.20"), reachable=False)
         assert table.lookup(ip("36.8.0.20")) is RoutingMode.TUNNEL
         entry = table.lookup_entry(ip("36.8.0.20"))
         assert entry is not None and entry.origin == "probe"
 
     def test_successful_probe_clears_dynamic_fallback(self):
-        table = MobilePolicyTable(default_mode=RoutingMode.TRIANGLE)
+        table = MobilePolicyTable()
+        table.default_mode = RoutingMode.TRIANGLE
         table.record_probe_result(ip("36.8.0.20"), reachable=False)
         table.record_probe_result(ip("36.8.0.20"), reachable=True)
         assert table.lookup(ip("36.8.0.20")) is RoutingMode.TRIANGLE
 
     def test_successful_probe_keeps_static_entries(self):
-        table = MobilePolicyTable(default_mode=RoutingMode.TRIANGLE)
+        table = MobilePolicyTable()
+        table.default_mode = RoutingMode.TRIANGLE
         table.set_policy(ip("36.8.0.20"), RoutingMode.TUNNEL)  # operator's
         table.record_probe_result(ip("36.8.0.20"), reachable=True)
         assert table.lookup(ip("36.8.0.20")) is RoutingMode.TUNNEL
 
     def test_repeated_failures_are_idempotent(self):
-        table = MobilePolicyTable(default_mode=RoutingMode.TRIANGLE)
+        table = MobilePolicyTable()
+        table.default_mode = RoutingMode.TRIANGLE
         for _ in range(3):
             table.record_probe_result(ip("36.8.0.20"), reachable=False)
         assert len(table) == 1
 
 
 def test_describe_lists_entries():
-    table = MobilePolicyTable(default_mode=RoutingMode.TUNNEL)
+    table = MobilePolicyTable()
+    table.default_mode = RoutingMode.TUNNEL
     table.set_policy(subnet("36.8.0.0/24"), RoutingMode.TRIANGLE)
     text = table.describe()
     assert "default: tunnel" in text

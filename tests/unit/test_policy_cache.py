@@ -13,8 +13,7 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def make_table(metrics=None, owner="mh"):
-    table = MobilePolicyTable(default_mode=RoutingMode.TUNNEL,
-                              metrics=metrics, owner=owner)
+    table = MobilePolicyTable(metrics=metrics, owner=owner)
     table.set_policy(subnet("36.8.0.0/24"), RoutingMode.LOCAL)
     table.set_policy(ip("36.8.0.99"), RoutingMode.TRIANGLE)
     return table

@@ -63,7 +63,8 @@ def test_down_interfaces_are_skipped(ifaces):
     table.add(RouteEntry(subnet("10.0.0.0/16"), ifaces[1]))
     ifaces[0].state = InterfaceState.DOWN
     assert table.lookup(ip("10.0.0.1")).interface is ifaces[1]
-    assert table.lookup(ip("10.0.0.1"), require_up=False).interface is ifaces[0]
+    ifaces[0].state = InterfaceState.UP
+    assert table.lookup(ip("10.0.0.1")).interface is ifaces[0]
 
 
 def test_remove_matching_by_interface(ifaces):
@@ -90,13 +91,6 @@ def test_route_result_next_hop(ifaces):
     via = RouteResult(interface=ifaces[0], source=ip("10.0.0.1"),
                       gateway=ip("10.0.0.254"))
     assert via.next_hop(ip("99.0.0.9")) == ip("10.0.0.254")
-
-
-def test_pinned_source_on_entry(ifaces):
-    table = RoutingTable()
-    table.add(RouteEntry(subnet("10.0.0.0/24"), ifaces[0],
-                         source=ip("10.0.0.42")))
-    assert table.lookup(ip("10.0.0.1")).source == ip("10.0.0.42")
 
 
 class FakeInterface:

@@ -2,7 +2,7 @@
 
 from repro.net.addressing import ip
 from repro.net.packet import AppData
-from repro.net.tcp import MAX_RTO, MIN_RTO, RtoEstimator
+from repro.net.tcp import MAX_RTO, MIN_RTO, RTO_BACKOFF_LIMIT, RtoEstimator
 from repro.sim import ms
 
 
@@ -43,7 +43,7 @@ class TestRtoEstimator:
         assert est.current() == min(est.max_rto, base * 2)
         for _ in range(20):
             est.back_off()
-        assert est.backoff == est.backoff_limit
+        assert est.backoff == RTO_BACKOFF_LIMIT
         assert est.current() == est.max_rto
 
     def test_fresh_sample_resets_backoff(self):
