@@ -231,15 +231,14 @@ class BindingShardPlane:
 
     def __init__(self, sim: "Simulator",
                  agents: Mapping[str, "HomeAgentService"], *,
-                 spares: Optional[Mapping[str, "HomeAgentService"]] = None
-                 ) -> None:
+                 spares: Mapping[str, "HomeAgentService"]) -> None:
         if not agents:
             raise ValueError("a binding-shard plane needs at least one agent")
         self.sim = sim
         self.agents: Dict[str, "HomeAgentService"] = dict(agents)
         #: Standby replicas a :class:`~repro.faults.plan.ReplicaJoin` (or a
         #: direct :meth:`add_replica`) can promote into the plane by name.
-        self.spares: Dict[str, "HomeAgentService"] = dict(spares or {})
+        self.spares: Dict[str, "HomeAgentService"] = dict(spares)
         overlap = set(self.agents) & set(self.spares)
         if overlap:
             raise ValueError(f"agents also listed as spares: {sorted(overlap)}")

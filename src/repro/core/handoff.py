@@ -194,8 +194,7 @@ class AddressSwitcher:
             build.finish(success=False, on_done=on_done)
 
         build.begin_stage()
-        iface.configure(new_care_of, iface.subnet, on_done=configure_done,
-                        make_primary=True)
+        iface.configure(new_care_of, iface.subnet, on_done=configure_done)
 
 
 class DeviceSwitcher:

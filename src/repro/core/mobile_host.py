@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional, Tuple
 
-from repro.config import Config, DEFAULT_CONFIG
+from repro.config import Config
 from repro.core.notify import NetworkChangeNotifier, profile_of
 from repro.core.policy import MobilePolicyTable, RoutingMode
 from repro.core.registration import RegistrationClient, RegistrationOutcome
@@ -64,10 +64,7 @@ class MobileHost(Host):
 
     def __init__(self, sim: Simulator, name: str, home_address: IPAddress,
                  home_subnet: Subnet, home_agent: IPAddress,
-                 *,
-                 config: Optional[Config] = None) -> None:
-        if config is None:
-            config = DEFAULT_CONFIG
+                 *, config: Config) -> None:
         super().__init__(sim, name, config, timings=config.mobile_host)
         self.home_address = home_address
         self.home_subnet = home_subnet
@@ -125,10 +122,7 @@ class MobileHost(Host):
         self.vif.remove_address(self.home_address)
         iface.subnet = self.home_subnet
         iface.add_address(self.home_address, make_primary=True)
-        if not any(entry.destination == self.home_subnet and entry.interface is iface
-                   for entry in self.ip.routes):
-            self.ip.routes.add(RouteEntry(destination=self.home_subnet,
-                                          interface=iface))
+        self.ip.routes.add_connected(self.home_subnet, iface)
         self._set_default_route(iface, gateway)
         self.location = Location.HOME
         self.care_of = None
@@ -148,9 +142,7 @@ class MobileHost(Host):
         """
         iface.subnet = net
         iface.add_address(care_of, make_primary=True)
-        if not any(entry.destination == net and entry.interface is iface
-                   for entry in self.ip.routes):
-            self.ip.routes.add(RouteEntry(destination=net, interface=iface))
+        self.ip.routes.add_connected(net, iface)
         self._set_default_route(iface, gateway)
         self._move_home_address_to_vif()
         self.location = Location.FOREIGN
@@ -194,7 +186,7 @@ class MobileHost(Host):
             destination=fa_address,
         )
 
-    def come_home(self, iface: Optional[NetworkInterface] = None, *,
+    def come_home(self, iface: NetworkInterface, *,
                   gateway: IPAddress,
                   on_done: Optional[Callable[[RegistrationOutcome], None]] = None
                   ) -> None:
@@ -205,20 +197,17 @@ class MobileHost(Host):
         agent's proxy entry, and deregisters so the home agent drops the
         binding and its own proxy role.
         """
-        home_iface = iface if iface is not None else self.home_interface
-        if home_iface is None:
-            raise ValueError(f"{self.name} has no home interface")
-        self.set_home(home_iface, gateway=gateway)
-        if isinstance(home_iface, EthernetInterface):
-            home_iface.arp.send_gratuitous(self.home_address)
+        self.set_home(iface, gateway=gateway)
+        if isinstance(iface, EthernetInterface):
+            iface.arp.send_gratuitous(self.home_address)
         self.registration.deregister(
             on_done=on_done if on_done is not None else _ignore_outcome,
-            via=home_iface,
+            via=iface,
         )
         # Invalidate any smart correspondents' cached bindings too.
         for correspondent in self.smart_correspondents:
             self.registration.deregister(on_done=_ignore_outcome,
-                                         via=home_iface,
+                                         via=iface,
                                          destination=correspondent)
 
     def stop_visiting(self, iface: NetworkInterface) -> None:

@@ -89,13 +89,13 @@ class Subscription:
 
     ident: int
     callback: Callable[[NetworkEvent], None]
-    kinds: Optional[frozenset]           # None = everything
+    kinds: frozenset
     min_bandwidth_change: float          # fraction; 0.0 = any
     delivered: int = 0
 
     def wants(self, event: NetworkEvent) -> bool:
         """True if *event* passes this subscription's filters."""
-        if self.kinds is not None and event.kind not in self.kinds:
+        if event.kind not in self.kinds:
             return False
         if (self.min_bandwidth_change > 0.0
                 and event.kind in (EventKind.ATTACHMENT_CHANGED,
@@ -121,12 +121,12 @@ class NetworkChangeNotifier:
     # ------------------------------------------------------------- subscribe
 
     def subscribe(self, callback: Callable[[NetworkEvent], None],
-                  kinds: Optional[List[EventKind]] = None,
+                  kinds: List[EventKind],
                   min_bandwidth_change: float = 0.0) -> Subscription:
         """Register interest; returns a cancellable subscription."""
         subscription = Subscription(
             ident=next(self._idents), callback=callback,
-            kinds=frozenset(kinds) if kinds is not None else None,
+            kinds=frozenset(kinds),
             min_bandwidth_change=min_bandwidth_change,
         )
         self._subscriptions.append(subscription)

@@ -95,9 +95,7 @@ class MobilePolicyTable:
         for result, counts in (("hit", "_hits"), ("miss", "_misses"))
     ) + (("policy", "probe_fallbacks", (), "probe_fallbacks"),)
 
-    def __init__(self, *,
-                 metrics: Optional[MetricsRegistry] = None,
-                 owner: str = "") -> None:
+    def __init__(self, *, metrics: MetricsRegistry, owner: str = "") -> None:
         #: Mode used when no entry matches.
         self.default_mode = RoutingMode.TUNNEL
         #: Entries by prefix, in insertion order (a replaced prefix moves
@@ -112,8 +110,7 @@ class MobilePolicyTable:
         self._hits: Dict[RoutingMode, int] = dict.fromkeys(RoutingMode, 0)
         self._misses: Dict[RoutingMode, int] = dict.fromkeys(RoutingMode, 0)
         self.probe_fallbacks = 0
-        if metrics is not None:
-            metrics.register(self, self._METRIC_FIELDS, host=owner)
+        metrics.register(self, self._METRIC_FIELDS, host=owner)
         note_policy_table(self)
 
     def __len__(self) -> int:

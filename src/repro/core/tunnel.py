@@ -28,7 +28,7 @@ import random
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.config import Config, DEFAULT_CONFIG
+from repro.config import Config
 from repro.net.addressing import IPAddress
 from repro.net.interface import InterfaceState, NetworkInterface
 from repro.net.packet import PROTO_IPIP, IPPacket, encapsulate, encapsulation_depth
@@ -59,10 +59,7 @@ class VirtualInterface(NetworkInterface):
         ("tunnel", "overhead_bytes", (), "overhead_bytes"),
     )
 
-    def __init__(self, sim: Simulator, name: str, *,
-                 config: Optional[Config] = None) -> None:
-        if config is None:
-            config = DEFAULT_CONFIG
+    def __init__(self, sim: Simulator, name: str, *, config: Config) -> None:
         super().__init__(sim, name, config.virtual_device, config)
         self.state = InterfaceState.UP  # software-only; born up
         self.endpoint_selector: Optional[EndpointSelector] = None

@@ -153,10 +153,8 @@ def _row_trials(row_index: int, fleet_size: int, failed: Tuple[str, ...],
 
 
 def build_fleet_scale_trials(fleet_sizes: Sequence[int], seed: int,
-                             config: Config,
-                             shard_hosts: int = AGGREGATE_SHARD_HOSTS,
-                             failover_fleet: Optional[int] =
-                             DEFAULT_FAILOVER_FLEET) -> List[Trial]:
+                             config: Config, shard_hosts: int,
+                             failover_fleet: Optional[int]) -> List[Trial]:
     """All rows' trials: the sweep plus the optional one-HA-down row.
 
     Seeds are ``spawn_seed(base, row, shard)`` — pure functions of the
@@ -173,9 +171,8 @@ def build_fleet_scale_trials(fleet_sizes: Sequence[int], seed: int,
 
 
 def merge_fleet_scale_trials(results: List[dict], fleet_sizes: Sequence[int],
-                             shard_hosts: int = AGGREGATE_SHARD_HOSTS,
-                             failover_fleet: Optional[int] =
-                             DEFAULT_FAILOVER_FLEET) -> FleetScaleReport:
+                             shard_hosts: int,
+                             failover_fleet: Optional[int]) -> FleetScaleReport:
     """Fold ordered shard partials into per-fleet rows, losslessly.
 
     ``Stats`` merge via Welford partials, histograms by bucket addition,

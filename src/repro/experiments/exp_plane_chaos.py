@@ -474,7 +474,7 @@ def _grid(fleet_sizes: Sequence[int]) -> List[tuple]:
 
 def build_plane_chaos_trials(fleet_sizes: Sequence[int], seed: int,
                              config: Config,
-                             shard_hosts: int = SHARD_HOSTS) -> List[Trial]:
+                             shard_hosts: int) -> List[Trial]:
     """Every cell's balanced shard trials, seeds by (row, shard)."""
     trials: List[Trial] = []
     for row_index, (fleet_size, churn, partition) in enumerate(
@@ -493,10 +493,8 @@ def build_plane_chaos_trials(fleet_sizes: Sequence[int], seed: int,
 
 
 def merge_plane_chaos_trials(results: List[dict],
-                             fleet_sizes: Sequence[int],
-                             config: Config = DEFAULT_CONFIG,
-                             shard_hosts: int = SHARD_HOSTS
-                             ) -> PlaneChaosReport:
+                             fleet_sizes: Sequence[int], config: Config,
+                             shard_hosts: int) -> PlaneChaosReport:
     """Fold ordered shard results into grid cells, losslessly."""
     trial_config = plane_chaos_config(config)
     report = PlaneChaosReport()

@@ -172,8 +172,7 @@ class FaultInjector:
                 # Spares are acceptable at arm time: a plan may join a
                 # spare and crash it later; the plane still rejects a
                 # crash of a non-member when the event actually fires.
-                self._check_plane_member(plane, event, event.agent,
-                                         "restarts", allow_spares=True)
+                self._check_plane_member(plane, event.agent, "restarts")
                 self.sim.call_at(
                     event.at,
                     lambda: (self._activate(event, agent=event.agent),
@@ -188,8 +187,7 @@ class FaultInjector:
                     label="fault:ha-restart")
         elif isinstance(event, ReplicaJoin):
             plane = self._require(self.plane, "binding-shard plane", event)
-            self._check_plane_member(plane, event, event.agent, "joins",
-                                     allow_spares=True)
+            self._check_plane_member(plane, event.agent, "joins")
             self.sim.call_at(
                 event.at,
                 lambda: (self._activate(event, agent=event.agent),
@@ -197,8 +195,7 @@ class FaultInjector:
                 label="fault:replica-join")
         elif isinstance(event, ReplicaDrain):
             plane = self._require(self.plane, "binding-shard plane", event)
-            self._check_plane_member(plane, event, event.agent, "drains",
-                                     allow_spares=True)
+            self._check_plane_member(plane, event.agent, "drains")
             self.sim.call_at(
                 event.at,
                 lambda: (self._activate(event, agent=event.agent),
@@ -207,8 +204,7 @@ class FaultInjector:
         elif isinstance(event, PlanePartition):
             plane = self._require(self.plane, "binding-shard plane", event)
             for name in event.agents:
-                self._check_plane_member(plane, event, name, "partitions",
-                                         allow_spares=True)
+                self._check_plane_member(plane, name, "partitions")
             self.sim.call_at(
                 event.at,
                 lambda: (self._activate(event,
@@ -324,18 +320,14 @@ class FaultInjector:
         return component
 
     @staticmethod
-    def _check_plane_member(plane, event, name: str, verb: str,
-                            allow_spares: bool = False) -> None:
+    def _check_plane_member(plane, name: str, verb: str) -> None:
         """Arm-time validation: the plan must name a replica the plane knows.
 
-        Membership events may reference spares (a join promotes one; a
+        A plane event may name a spare (a join promotes one; a restart,
         drain or partition may target a replica a preceding join adds),
-        so their names check against members *and* spares.
+        so names check against members *and* spares.
         """
-        known = set(plane.agents)
-        if allow_spares:
-            known |= set(plane.spares)
-        if name not in known:
+        if name not in plane.agents and name not in plane.spares:
             raise ValueError(
                 f"fault plan {verb} unknown agent {name!r}; "
                 f"known replicas: {sorted(plane.agents)}, "

@@ -320,7 +320,7 @@ CONGESTION_CONTROLS: Dict[str, Type[CongestionControl]] = {
 
 
 def make_congestion_control(name: str, *, mss: int, max_window: int,
-                            initial_cwnd: Optional[int] = None,
+                            initial_cwnd: Optional[int],
                             initial_ssthresh: Optional[int] = None
                             ) -> CongestionControl:
     """Instantiate a registered strategy by name (case-insensitive)."""

@@ -288,11 +288,11 @@ class DHCPClient:
     PROBE_WAIT = ms(600)
 
     def __init__(self, host: "Host", interface: "EthernetInterface",
-                 client_id: Optional[str] = None) -> None:
+                 client_id: str) -> None:
         self.host = host
         self.sim = host.sim
         self.interface = interface
-        self.client_id = client_id if client_id is not None else host.name
+        self.client_id = client_id
         self.declines_sent = 0
         self.state = DHCPClientState.IDLE
         self.lease: Optional[BoundLease] = None

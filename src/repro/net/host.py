@@ -86,22 +86,9 @@ class Host:
             self.ip.routes.add(RouteEntry(destination=net, interface=iface))
 
     def add_default_route(self, gateway: IPAddress,
-                          iface: Optional[NetworkInterface] = None) -> RouteEntry:
-        """Install a default route via *gateway*.
-
-        If *iface* is omitted, the interface whose subnet contains the
-        gateway is used.
-        """
-        if iface is None:
-            iface = self.interface_for_subnet_of(gateway)
+                          iface: NetworkInterface) -> RouteEntry:
+        """Install a default route via *gateway* out of *iface*."""
         return self.ip.routes.add_default(iface, gateway=gateway)
-
-    def interface_for_subnet_of(self, addr: IPAddress) -> NetworkInterface:
-        """The interface whose subnet contains *addr* (KeyError if none)."""
-        for iface in self.interfaces:
-            if iface.subnet is not None and addr in iface.subnet:
-                return iface
-        raise KeyError(f"{self.name} has no interface on {addr}'s subnet")
 
     def primary_address(self) -> Optional[IPAddress]:
         """The first non-loopback address, for display and client IDs."""

@@ -52,9 +52,6 @@ class InterfaceError(RuntimeError):
     """Raised on invalid interface operations (e.g. send while detached)."""
 
 
-Callback = Optional[Callable[[], None]]
-
-
 class NetworkInterface:
     """Base class: state machine, address list, statistics."""
 
@@ -165,7 +162,7 @@ class NetworkInterface:
     def _jittered(self, base: int) -> int:
         return jittered(self._rng, base, self.config.jitter)
 
-    def bring_up(self, on_done: Callback = None) -> None:
+    def bring_up(self, on_done: Optional[Callable[[], None]] = None) -> None:
         """``ifconfig up``: after the device's up-delay, start receiving."""
         if self.state == InterfaceState.UP:
             if on_done is not None:
@@ -192,11 +189,10 @@ class NetworkInterface:
         self.sim.call_later(self._jittered(self.device.up_delay), finish,
                             label="ifup")
 
-    def bring_down(self, on_done: Callback = None) -> None:
+    def bring_down(self, on_done: Callable[[], None]) -> None:
         """``ifconfig down``: stop sending/receiving after the down-delay."""
         if self.state == InterfaceState.DOWN:
-            if on_done is not None:
-                on_done()
+            on_done()
             return
         self.state = InterfaceState.STOPPING
         self.sim.trace.emit("device", "down_start", interface=self.name)
@@ -208,8 +204,7 @@ class NetworkInterface:
                 return
             self.state = InterfaceState.DOWN
             self.sim.trace.emit("device", "down_done", interface=self.name)
-            if on_done is not None:
-                on_done()
+            on_done()
 
         self.sim.call_later(self._jittered(self.device.down_delay), finish,
                             label="ifdown")
@@ -235,7 +230,7 @@ class NetworkInterface:
         self.bring_down(downed)
 
     def configure(self, addr: IPAddress, net: Subnet,
-                  on_done: Callback = None, make_primary: bool = True) -> None:
+                  on_done: Callable[[], None]) -> None:
         """Configure an address (Figure 7's "configure interface" stage).
 
         The address becomes live only when the configure delay elapses,
@@ -246,11 +241,10 @@ class NetworkInterface:
 
         def finish() -> None:
             self.subnet = net
-            self.add_address(addr, make_primary=make_primary)
+            self.add_address(addr, make_primary=True)
             self.sim.trace.emit("device", "configure_done", interface=self.name,
                                 address=addr)
-            if on_done is not None:
-                on_done()
+            on_done()
 
         self.sim.call_later(self._jittered(self.device.configure_delay), finish,
                             label="ifconfig")
@@ -474,7 +468,7 @@ class PointToPointInterface(NetworkInterface):
 class LoopbackInterface(NetworkInterface):
     """The ``lo`` interface: packets bounce straight back to the host."""
 
-    def __init__(self, sim: Simulator, config: Config, name: str = "lo") -> None:
+    def __init__(self, sim: Simulator, config: Config, name: str) -> None:
         super().__init__(sim, name, config.virtual_device, config)
         self.state = InterfaceState.UP  # loopback is born up
 

@@ -134,7 +134,7 @@ class IPStack:
         return self._default_lookup(dst, src_hint)
 
     def _default_lookup(self, dst: IPAddress,
-                        src_hint: IPAddress = UNSPECIFIED) -> Optional[RouteResult]:
+                        src_hint: IPAddress) -> Optional[RouteResult]:
         entry = self.routes.lookup(dst)
         if entry is None:
             return None

@@ -95,15 +95,15 @@ class UDPDatagram:
     __slots__ = ("src_port", "dst_port", "payload", "size_bytes")
 
     def __init__(self, src_port: int, dst_port: int,
-                 payload: Optional[AppData] = None) -> None:
+                 payload: AppData) -> None:
         if not 0 <= src_port <= 0xFFFF:
             raise ValueError(f"bad UDP port {src_port}")
         if not 0 <= dst_port <= 0xFFFF:
             raise ValueError(f"bad UDP port {dst_port}")
         self.src_port = src_port
         self.dst_port = dst_port
-        self.payload = payload if payload is not None else AppData()
-        self.size_bytes = UDP_HEADER_BYTES + self.payload.size_bytes
+        self.payload = payload
+        self.size_bytes = UDP_HEADER_BYTES + payload.size_bytes
 
     def __repr__(self) -> str:
         return (f"UDPDatagram(src_port={self.src_port}, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.config import Config, DEFAULT_CONFIG
+from repro.config import Config
 from repro.net.addressing import Subnet
 from repro.net.host import Host
 from repro.net.interface import NetworkInterface
@@ -26,7 +26,7 @@ class Router(Host):
     #: Statistics reported as counters (``MetricsRegistry.register``).
     _METRIC_FIELDS = (("router", "transit_drops", (), "transit_drops"),)
 
-    def __init__(self, sim, name: str, config: Config = DEFAULT_CONFIG) -> None:
+    def __init__(self, sim, name: str, config: Config) -> None:
         super().__init__(sim, name, config, config.server_host)
         self.ip.forwarding = True
         self._filter_exempt: Set[Subnet] = set()

@@ -141,6 +141,14 @@ class RoutingTable:
             self._unindex_entry(entry)
         return len(removed)
 
+    def add_connected(self, net: Subnet,
+                      interface: "NetworkInterface") -> None:
+        """Install *interface*'s connected route to *net* unless the table
+        already has it."""
+        if not any(entry.destination == net and entry.interface is interface
+                   for entry in self._entries):
+            self.add(RouteEntry(destination=net, interface=interface))
+
     def add_host_route(self, host_addr: IPAddress, interface: "NetworkInterface",
                        gateway: Optional[IPAddress] = None, metric: int = 0
                        ) -> RouteEntry:
@@ -151,7 +159,7 @@ class RoutingTable:
         return entry
 
     def add_default(self, interface: "NetworkInterface",
-                    gateway: Optional[IPAddress] = None) -> RouteEntry:
+                    gateway: Optional[IPAddress]) -> RouteEntry:
         """Convenience: install a default (0.0.0.0/0) route."""
         entry = RouteEntry(destination=DEFAULT_DESTINATION, interface=interface,
                            gateway=gateway)

@@ -105,7 +105,7 @@ class UDPService:
 
     # --------------------------------------------------------------- sockets
 
-    def open(self, port: int = 0,
+    def open(self, port: int,
              bound_address: IPAddress = UNSPECIFIED) -> UDPSocket:
         """Bind a socket; port 0 picks an ephemeral port."""
         if port == 0:
@@ -134,7 +134,7 @@ class UDPService:
     # ------------------------------------------------------------------ send
 
     def send_datagram(self, sock: UDPSocket, data: AppData, dst: IPAddress,
-                      dst_port: int, via: Optional["NetworkInterface"] = None
+                      dst_port: int, via: Optional["NetworkInterface"]
                       ) -> None:
         """Build and transmit one datagram for *sock*."""
         datagram = UDPDatagram(sock.port, dst_port, data)

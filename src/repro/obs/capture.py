@@ -10,7 +10,7 @@ runs::
 
     with capture_simulators() as captured:
         run_experiment(seed=7)
-    report = format_reports(sim.metrics for sim in captured)
+    report = format_reports((sim.metrics for sim in captured), "metrics")
 
 When no capture is active (the normal case), :func:`note_simulator` is a
 no-op beyond one truthiness check, so simulation behavior and performance
@@ -65,12 +65,12 @@ class CapturedMetrics:
 
     __slots__ = ("metrics", "profiles")
 
-    def __init__(self, metrics, profiles=()) -> None:
+    def __init__(self, metrics, profiles) -> None:
         self.metrics = metrics
         self.profiles = profiles
 
 
-def note_metrics_registry(registry, profiles=()) -> None:
+def note_metrics_registry(registry, profiles) -> None:
     """Feed a worker-produced registry (and the profiles of the
     simulators behind it) into every active capture."""
     if _active:

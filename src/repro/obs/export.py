@@ -99,7 +99,7 @@ def format_report(registry: MetricsRegistry, title: str = "metrics") -> str:
 
 
 def format_reports(registries: Iterable[MetricsRegistry],
-                   title: str = "metrics") -> str:
+                   title: str) -> str:
     """Merge several registries and report the combination."""
     return format_report(MetricsRegistry.merged(registries), title=title)
 

@@ -392,9 +392,8 @@ class MetricsRegistry:
         return self._view(component, name, label_set).get(
             (component, name, label_set))
 
-    def find(self, component: Optional[str] = None,
-             name: Optional[str] = None) -> List[Metric]:
-        """Every metric matching the given component and/or name."""
+    def find(self, component: str, name: str) -> List[Metric]:
+        """Every metric with the given component and name, any labels."""
         return list(self._view(component, name).values())
 
     def snapshot(self) -> Dict[str, object]:

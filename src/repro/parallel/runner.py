@@ -115,7 +115,7 @@ class ParallelRunner:
     than failing the run.
     """
 
-    def __init__(self, jobs: int = 1,
+    def __init__(self, jobs: int,
                  start_method: Optional[str] = None) -> None:
         self.jobs = effective_jobs(jobs)
         self.start_method = start_method
@@ -169,7 +169,7 @@ class ParallelRunner:
             return None
 
 
-def run_trials(trials: Iterable[Trial], jobs: int = 1) -> List[Any]:
+def run_trials(trials: Iterable[Trial], jobs: int) -> List[Any]:
     """Convenience wrapper: run *trials* on a fresh :class:`ParallelRunner`.
 
     Every ``run_*_experiment(jobs=...)`` entry point funnels through

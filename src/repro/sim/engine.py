@@ -87,7 +87,7 @@ class Event:
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "_owner")
 
     def __init__(self, time: Time, seq: int, callback: Callable[[], None],
-                 label: str = "") -> None:
+                 label: str) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback

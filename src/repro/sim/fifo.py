@@ -35,7 +35,7 @@ class FifoDelay:
         return sim.call_at(finish, callback, label)
 
     def post(self, delay: int, callback: Callable[[], None],
-             label: str = "") -> None:
+             label: str) -> None:
         """Like :meth:`schedule`, but fire-and-forget: no cancellation
         handle is returned.  Use it whenever the ``schedule`` return value
         would be discarded."""

@@ -43,11 +43,11 @@ class TraceRecord:
     __slots__ = ("time", "category", "event", "fields")
 
     def __init__(self, time: int, category: str, event: str,
-                 fields: Optional[Dict[str, Any]] = None) -> None:
+                 fields: Dict[str, Any]) -> None:
         self.time = time
         self.category = category
         self.event = event
-        self.fields = fields if fields is not None else {}
+        self.fields = fields
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
@@ -143,19 +143,19 @@ class Trace:
 
     def select(
         self,
-        category: Optional[str] = None,
+        category: str,
         event: Optional[str] = None,
         since: Optional[int] = None,
         **field_filters: Any,
     ) -> List[TraceRecord]:
-        """Return records matching every given criterion.
+        """Return the records in *category* matching every other criterion.
 
         ``field_filters`` match on equality against ``record.fields``; a
         record lacking the key does not match.
         """
         out: List[TraceRecord] = []
         for record in self._records:
-            if category is not None and record.category != category:
+            if record.category != category:
                 continue
             if event is not None and record.event != event:
                 continue

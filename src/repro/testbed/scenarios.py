@@ -99,7 +99,7 @@ def commute(testbed: Testbed) -> ScenarioRun:
 
 # -------------------------------------------------------------- random walk
 
-def random_walk(testbed: Testbed, moves: int = 6,
+def random_walk(testbed: Testbed, moves: int,
                 dwell: int = s(3)) -> ScenarioRun:
     """Bounce between the department Ethernet and the radio *moves* times.
 

@@ -165,13 +165,11 @@ class Testbed:
         # Clear any home-attachment addressing before adopting the new one.
         self.mh_eth.remove_address(self.addresses.mh_home)
         self.mobile.ip.routes.remove_matching(interface=self.mh_eth)
-        self.mh_eth.subnet = net
-        self.mh_eth.add_address(care_of, make_primary=True)
         self.mobile.start_visiting(self.mh_eth, care_of, net, gateway,
                                    register=register,
                                    on_registered=on_registered)
 
-    def connect_radio(self, register: bool = False) -> IPAddress:
+    def connect_radio(self, register: bool) -> IPAddress:
         """Instantly bring the radio up on net 36.134 (static address)."""
         a = self.addresses
         if self.mh_radio.state != InterfaceState.UP:
@@ -182,11 +180,7 @@ class Testbed:
         # A configured, up interface has its connected route (as ifconfig
         # would install it) — local-role traffic on the wireless subnet
         # must not detour over whatever the default route happens to be.
-        if not any(entry.destination == a.radio_net
-                   and entry.interface is self.mh_radio
-                   for entry in self.mobile.ip.routes):
-            self.mobile.ip.routes.add(RouteEntry(destination=a.radio_net,
-                                                 interface=self.mh_radio))
+        self.mobile.ip.routes.add_connected(a.radio_net, self.mh_radio)
         if register:
             self.mobile.start_visiting(self.mh_radio, a.mh_radio, a.radio_net,
                                        a.router_radio)

@@ -94,9 +94,9 @@ def registration_service_ns(config: Config) -> int:
 
 
 def agent_mean_waits(config: Config, service_ns: int, fleet_hosts: int,
-                     ring: Optional["HashRing"] = None,
+                     ring: "HashRing",
                      failed: FrozenSet[str] = frozenset()
-                     ) -> Tuple[Dict[Optional[str], float], int]:
+                     ) -> Tuple[Dict[str, float], int]:
     """M/D/1 mean queueing delay (ns) at each live replica.
 
     The shared closed form behind :meth:`AggregateHostModel.
@@ -111,14 +111,10 @@ def agent_mean_waits(config: Config, service_ns: int, fleet_hosts: int,
     fleet = config.fleet
     interval = float(fleet.mean_registration_interval)
     service = float(service_ns)
-    waits: Dict[Optional[str], float] = {}
-    if ring is None:
-        shares: Dict[Optional[str], float] = {None: 1.0}
-    else:
-        shares = dict(ring.effective_ownership(failed))
+    waits: Dict[str, float] = {}
     saturated = 0
-    for agent, share in shares.items():
-        if ring is not None and agent in failed:
+    for agent, share in ring.effective_ownership(failed).items():
+        if agent in failed:
             continue
         rho = fleet_hosts * share * service / interval
         if rho >= fleet.utilization_cap:
@@ -192,10 +188,9 @@ class AggregateHostModel:
         offsets reproduces exactly the per-host samples of one big model
         (the lossless-merge property the x7 cross-check test asserts).
     ring:
-        Optional :class:`~repro.core.binding_shard.HashRing` of
-        home-agent replica names.  With a ring, each host's registrations
-        queue at the replica owning ``host<index>``; without one, a
-        single agent serves everything.
+        :class:`~repro.core.binding_shard.HashRing` of home-agent replica
+        names: each host's registrations queue at the replica owning
+        ``host<index>``.
     failed_agents:
         Ring members currently crashed: their hosts and hash-space fail
         over to ring successors (inflating those queues), modeling the
@@ -207,7 +202,7 @@ class AggregateHostModel:
                  horizon: int,
                  fleet_hosts: Optional[int] = None,
                  host_offset: int = 0,
-                 ring: Optional["HashRing"] = None,
+                 ring: "HashRing",
                  failed_agents: FrozenSet[str] = frozenset(),
                  config: Config = DEFAULT_CONFIG) -> None:
         if n_hosts < 0:
@@ -239,7 +234,7 @@ class AggregateHostModel:
 
     # ------------------------------------------------------------------ load
 
-    def mean_wait_by_agent(self) -> Dict[Optional[str], float]:
+    def mean_wait_by_agent(self) -> Dict[str, float]:
         """M/D/1 mean queueing delay (ns) at each live replica
         (:func:`agent_mean_waits`); capped replicas are counted in
         :attr:`saturated_agents`."""
@@ -284,11 +279,7 @@ class AggregateHostModel:
             first_arrival = rng.expovariate(interval)
             if first_arrival >= horizon:
                 continue
-            if ring is None:
-                mean_wait = waits[None]
-            else:
-                owner = ring.lookup(f"host{index}", avoid=avoid)
-                mean_wait = waits[owner]
+            mean_wait = waits[ring.lookup(f"host{index}", avoid=avoid)]
             arrival = first_arrival
             while arrival < horizon:
                 registrations += 1

@@ -1,6 +1,7 @@
 """Integration tests: DHCP roaming, lease lifecycle, binding lifetimes."""
 
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.sim import ms, s
 from repro.workloads import UdpEchoResponder, UdpEchoStream
 
@@ -108,7 +109,7 @@ def test_full_roam_cycle_dept_radio_home(testbed):
 
     testbed.move_mh_cable(testbed.home_segment)
     testbed.mobile.stop_visiting(testbed.mh_eth)
-    testbed.mh_eth.state = testbed.mh_eth.state.__class__.UP
+    testbed.mh_eth.state = InterfaceState.UP
     testbed.mobile.come_home(testbed.mh_eth, gateway=a.router_home)
     testbed.sim.run_for(s(2))
     stream.stop()

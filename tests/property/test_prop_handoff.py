@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.handoff import AddressSwitcher, DeviceSwitcher
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.sim import Simulator, s
 from repro.testbed import build_testbed
 
@@ -85,7 +86,7 @@ def test_any_move_sequence_keeps_home_address_unique(moves, seed):
     testbed.move_mh_cable(testbed.home_segment)
     testbed.mobile.stop_visiting(testbed.mh_eth)
     if not testbed.mh_eth.is_up:
-        testbed.mh_eth.state = testbed.mh_eth.state.__class__.UP
+        testbed.mh_eth.state = InterfaceState.UP
     testbed.mobile.come_home(testbed.mh_eth,
                              gateway=testbed.addresses.router_home)
     testbed.sim.run_for(s(2))

@@ -7,7 +7,7 @@ from repro.core.bindings import MobilityBindingTable
 from repro.net.addressing import IPAddress, MACAllocator, ip, subnet
 from repro.net.dhcp import DHCPServer
 from repro.net.host import Host
-from repro.net.interface import EthernetInterface
+from repro.net.interface import EthernetInterface, InterfaceState
 from repro.net.link import EthernetSegment
 from repro.net.packet import AppData
 from repro.sim import Simulator, ms, s
@@ -72,9 +72,9 @@ def test_tcp_delivers_everything_in_order_despite_outages(chunk_sizes,
     def tick(index: int) -> None:
         iface = receiver_host.interfaces[1]
         if index in outage_ticks:
-            iface.state = iface.state.__class__.DOWN
+            iface.state = InterfaceState.DOWN
         else:
-            iface.state = iface.state.__class__.UP
+            iface.state = InterfaceState.UP
         if index < len(chunk_sizes) and conn.state.value == "established":
             payload = AppData(index, chunk_sizes[index] * 16)
             conn.send(payload)
@@ -84,8 +84,7 @@ def test_tcp_delivers_everything_in_order_despite_outages(chunk_sizes,
         sim.call_at(ms(200) * (index + 1), lambda index=index: tick(index))
     sim.run_for(s(10))
     # Ensure the interface ends up, then drain retransmissions.
-    receiver_host.interfaces[1].state = \
-        receiver_host.interfaces[1].state.__class__.UP
+    receiver_host.interfaces[1].state = InterfaceState.UP
     sim.run_for(s(60))
     assert received == sent
 

@@ -7,6 +7,7 @@ from repro.core.policy import MobilePolicyTable, RoutingMode
 from repro.net.addressing import IPAddress, MACAllocator, Subnet
 from repro.net.interface import EthernetInterface, InterfaceState
 from repro.net.routing import RouteEntry, RoutingTable
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF).map(IPAddress)
@@ -60,7 +61,7 @@ MODES = list(RoutingMode)
        addresses,
        st.sampled_from(MODES))
 def test_policy_lookup_matches_brute_force(rows, destination, default):
-    table = MobilePolicyTable()
+    table = MobilePolicyTable(metrics=MetricsRegistry())
     table.default_mode = default
     for prefix, mode in rows:
         table.set_policy(prefix, mode)
@@ -77,7 +78,7 @@ def test_policy_lookup_matches_brute_force(rows, destination, default):
 
 @given(st.lists(addresses, min_size=1, max_size=20, unique=True))
 def test_probe_fallback_is_per_host(hosts):
-    table = MobilePolicyTable()
+    table = MobilePolicyTable(metrics=MetricsRegistry())
     table.default_mode = RoutingMode.TRIANGLE
     for addr in hosts:
         table.record_probe_result(addr, reachable=False)

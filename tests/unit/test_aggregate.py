@@ -11,6 +11,8 @@ from repro.stats import (HISTOGRAM_GROWTH, LatencyHistogram, Stats,
 from repro.workloads.aggregate import AggregateHostModel, _SplitMix
 
 HORIZON = s(600)
+#: A one-replica plane: every host queues at ``ha0``.
+SINGLE_AGENT = HashRing(["ha0"])
 
 
 class TestLatencyHistogram:
@@ -75,6 +77,7 @@ class TestSplitMix:
 def build_model(seed=11, n_hosts=200, **kwargs):
     sim = Simulator(seed=seed)
     kwargs.setdefault("horizon", HORIZON)
+    kwargs.setdefault("ring", SINGLE_AGENT)
     return AggregateHostModel(sim, "fleet", n_hosts, **kwargs)
 
 
@@ -88,8 +91,10 @@ class TestAggregateHostModel:
 
     def test_different_model_names_draw_independent_streams(self):
         sim = Simulator(seed=11)
-        a = AggregateHostModel(sim, "alpha", 100, horizon=HORIZON)
-        b = AggregateHostModel(sim, "beta", 100, horizon=HORIZON)
+        a = AggregateHostModel(sim, "alpha", 100, horizon=HORIZON,
+                               ring=SINGLE_AGENT)
+        b = AggregateHostModel(sim, "beta", 100, horizon=HORIZON,
+                               ring=SINGLE_AGENT)
         a.run()
         b.run()
         assert a.partials() != b.partials()
@@ -140,7 +145,7 @@ class TestAggregateHostModel:
     def test_saturation_is_capped_and_counted(self):
         model = build_model(fleet_hosts=10_000_000)
         waits = model.mean_wait_by_agent()
-        assert model.saturated_agents == 1  # the single implicit agent
+        assert model.saturated_agents == 1  # the single agent, ha0
         assert all(math.isfinite(wait) for wait in waits.values())
 
     def test_zero_hosts_is_a_clean_no_op(self):
@@ -153,13 +158,16 @@ class TestAggregateHostModel:
     def test_constructor_rejects_bad_arguments(self):
         sim = Simulator(seed=1)
         with pytest.raises(ValueError, match="n_hosts"):
-            AggregateHostModel(sim, "fleet", -1, horizon=HORIZON)
+            AggregateHostModel(sim, "fleet", -1, horizon=HORIZON,
+                               ring=SINGLE_AGENT)
         with pytest.raises(ValueError, match="horizon"):
-            AggregateHostModel(sim, "fleet", 10, horizon=0)
+            AggregateHostModel(sim, "fleet", 10, horizon=0,
+                               ring=SINGLE_AGENT)
 
     def test_publish_creates_lazy_counters(self):
         sim = Simulator(seed=11)
-        model = AggregateHostModel(sim, "fleet", 50, horizon=HORIZON)
+        model = AggregateHostModel(sim, "fleet", 50, horizon=HORIZON,
+                                   ring=SINGLE_AGENT)
         model.run()
         counter = sim.metrics.counter("aggregate", "registrations",
                                       model="fleet")

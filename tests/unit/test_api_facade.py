@@ -1,6 +1,7 @@
 """The package root's exports and constructor defaults."""
 
 from repro import Simulator
+from repro.config import DEFAULT_CONFIG
 from repro.core.autoswitch import (
     DEFAULT_PROBE_INTERVAL,
     DEFAULT_PROBE_TIMEOUT,
@@ -35,7 +36,7 @@ def _home_pieces(sim):
 def test_connectivity_manager_defaults_come_from_config():
     sim = Simulator()
     home, subnet, agent = _home_pieces(sim)
-    mh = MobileHost(sim, "mh", home, subnet, agent)
+    mh = MobileHost(sim, "mh", home, subnet, agent, config=DEFAULT_CONFIG)
     manager = ConnectivityManager(mh)
     assert manager.probe_interval == DEFAULT_PROBE_INTERVAL == ms(500)
     assert manager.probe_timeout == DEFAULT_PROBE_TIMEOUT == ms(400)

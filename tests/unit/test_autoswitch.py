@@ -154,7 +154,7 @@ def test_candidate_down_at_decision_is_demoted_then_promoted(managed):
     assert ethernet.eligible and radio.eligible
     assert manager.current_option() is ethernet
     radio.score = 1e12  # the radio is now the preferred network
-    testbed.mh_radio.bring_down()
+    testbed.mh_radio.bring_down(on_done=lambda: None)
     manager._reconsider()
     assert not radio.eligible
     assert radio.consecutive_successes == 0

@@ -207,7 +207,7 @@ class TestBindingShardPlane:
 
     def test_constructor_rejects_bad_arguments(self, sim):
         with pytest.raises(ValueError, match="at least one agent"):
-            BindingShardPlane(sim, {})
+            BindingShardPlane(sim, {}, spares={})
 
 
 class TestPlaneFaults:
@@ -242,7 +242,8 @@ class TestPlaneFaults:
         assert testbed.home_agent.is_down
 
     def test_plane_wraps_a_real_home_agent_service(self, testbed):
-        plane = BindingShardPlane(testbed.sim, {"ha": testbed.home_agent})
+        plane = BindingShardPlane(testbed.sim, {"ha": testbed.home_agent},
+                                  spares={})
         plane.serve(HOME)
         assert testbed.home_agent.serves(HOME)
         plane.crash("ha", down_for=ms(800))

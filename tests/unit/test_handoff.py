@@ -15,6 +15,7 @@ from repro.core.handoff import (
     DeviceSwitcher,
 )
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.sim import ms, s
 
 HOME = ip("36.135.0.10")
@@ -134,7 +135,7 @@ class TestColdSwitch:
         testbed.move_mh_cable(testbed.dept_segment)
         testbed.mh_eth.remove_address(HOME)
         testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
-        testbed.mh_eth.state = testbed.mh_eth.state.__class__.DOWN
+        testbed.mh_eth.state = InterfaceState.DOWN
         testbed.mh_eth.subnet = testbed.addresses.dept_net
         testbed.sim.run_for(s(2))
 

@@ -59,23 +59,6 @@ def test_configure_interface_without_route(sim):
     assert host.ip.routes.lookup(ip("10.0.0.9")) is None
 
 
-def test_add_default_route_finds_interface_by_gateway(sim, lan):
-    entry = lan.a.add_default_route(ip("10.0.0.254"))
-    assert entry.interface is lan.a.interfaces[1]
-    assert entry.gateway == ip("10.0.0.254")
-
-
-def test_add_default_route_rejects_off_subnet_gateway(sim, lan):
-    with pytest.raises(KeyError):
-        lan.a.add_default_route(ip("99.0.0.1"))
-
-
-def test_interface_for_subnet_of(sim, lan):
-    assert lan.a.interface_for_subnet_of(ip("10.0.0.77")) is lan.a.interfaces[1]
-    with pytest.raises(KeyError):
-        lan.a.interface_for_subnet_of(ip("99.0.0.1"))
-
-
 def test_primary_address_skips_loopback(sim, lan):
     assert lan.a.primary_address() == ip("10.0.0.1")
     bare = Host(sim, "bare", DEFAULT_CONFIG)

@@ -191,7 +191,8 @@ class TestLifetimeRenewal:
         testbed = self._renewing_testbed(lifetime=s(2), fraction=0.5)
         testbed.visit_dept()
         testbed.sim.run_for(ms(500))
-        testbed.mobile.come_home(gateway=testbed.addresses.router_home)
+        testbed.mobile.come_home(testbed.mh_eth,
+                                 gateway=testbed.addresses.router_home)
         renewed_before = testbed.mobile.renewals_sent
         testbed.sim.run_for(s(6))
         assert testbed.mobile.renewals_sent == renewed_before

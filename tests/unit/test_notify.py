@@ -8,6 +8,8 @@ from repro.core.notify import (
 )
 from repro.sim import s
 
+ALL_KINDS = list(EventKind)
+
 
 def eth_profile(name="eth0", bandwidth=10_000_000.0, up=True):
     return LinkProfile(interface_name=name, technology="ethernet",
@@ -24,7 +26,7 @@ class TestSubscriptions:
     def test_subscriber_receives_published_events(self, sim):
         notifier = NetworkChangeNotifier(sim)
         events = []
-        notifier.subscribe(events.append)
+        notifier.subscribe(events.append, kinds=ALL_KINDS)
         notifier.attachment_changed(eth_profile())
         assert len(events) == 1
         assert events[0].kind is EventKind.ATTACHMENT_CHANGED
@@ -45,8 +47,9 @@ class TestSubscriptions:
         radio."""
         notifier = NetworkChangeNotifier(sim)
         coarse, fine = [], []
-        notifier.subscribe(coarse.append, min_bandwidth_change=0.5)
-        notifier.subscribe(fine.append)
+        notifier.subscribe(coarse.append, kinds=ALL_KINDS,
+                           min_bandwidth_change=0.5)
+        notifier.subscribe(fine.append, kinds=ALL_KINDS)
         notifier.attachment_changed(eth_profile("eth0"))
         notifier.attachment_changed(eth_profile("eth1"))   # same bandwidth
         notifier.attachment_changed(radio_profile())        # 300x drop
@@ -59,7 +62,7 @@ class TestSubscriptions:
     def test_quality_change_same_interface(self, sim):
         notifier = NetworkChangeNotifier(sim)
         events = []
-        notifier.subscribe(events.append)
+        notifier.subscribe(events.append, kinds=ALL_KINDS)
         notifier.attachment_changed(eth_profile(bandwidth=10_000_000.0))
         notifier.attachment_changed(eth_profile(bandwidth=5_000_000.0))
         assert [event.kind for event in events] == [
@@ -68,7 +71,7 @@ class TestSubscriptions:
     def test_identical_reattachment_publishes_nothing(self, sim):
         notifier = NetworkChangeNotifier(sim)
         events = []
-        notifier.subscribe(events.append)
+        notifier.subscribe(events.append, kinds=ALL_KINDS)
         notifier.attachment_changed(eth_profile())
         notifier.attachment_changed(eth_profile())
         assert len(events) == 1
@@ -76,7 +79,7 @@ class TestSubscriptions:
     def test_event_carries_timestamps(self, sim):
         notifier = NetworkChangeNotifier(sim)
         events = []
-        notifier.subscribe(events.append)
+        notifier.subscribe(events.append, kinds=ALL_KINDS)
         sim.call_at(s(5), lambda: notifier.attachment_changed(eth_profile()))
         sim.run()
         assert events[0].time == s(5)
@@ -97,7 +100,7 @@ class TestProfileOf:
 class TestMobileHostIntegration:
     def test_visiting_publishes_attachment_change(self, testbed):
         events = []
-        testbed.mobile.notifier.subscribe(events.append)
+        testbed.mobile.notifier.subscribe(events.append, kinds=ALL_KINDS)
         testbed.visit_dept(register=False)
         assert any(event.kind is EventKind.ATTACHMENT_CHANGED
                    for event in events)
@@ -111,7 +114,7 @@ class TestMobileHostIntegration:
         testbed.connect_radio(register=False)
         testbed.sim.run_for(s(1))
         cliffs = []
-        testbed.mobile.notifier.subscribe(cliffs.append,
+        testbed.mobile.notifier.subscribe(cliffs.append, kinds=ALL_KINDS,
                                           min_bandwidth_change=0.5)
         DeviceSwitcher(testbed.mobile).hot_switch(
             testbed.mh_radio, testbed.addresses.mh_radio,

@@ -124,7 +124,7 @@ class TestMetricsCollection:
 
     def test_note_metrics_registry_without_capture_is_noop(self):
         assert not capture_active()
-        note_metrics_registry(MetricsRegistry())  # must not raise
+        note_metrics_registry(MetricsRegistry(), ())  # must not raise
 
     def trials(self):
         return [Trial(SIM, dict(seed=seed))

@@ -13,6 +13,8 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def make_table(metrics=None, owner="mh"):
+    if metrics is None:
+        metrics = MetricsRegistry()
     table = MobilePolicyTable(metrics=metrics, owner=owner)
     table.set_policy(subnet("36.8.0.0/24"), RoutingMode.LOCAL)
     table.set_policy(ip("36.8.0.99"), RoutingMode.TRIANGLE)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.net.packet import AppData
 from repro.net.tcp import (
     DEFAULT_MSS,
@@ -131,11 +132,11 @@ class TestRetransmission:
         lan.run(500)
         # Outage: b's interface goes down, sender keeps sending.
         iface_b = lan.b.interfaces[1]
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         for i in range(3, 6):
             client.send(AppData(i, 100))
         lan.run(1500)
-        iface_b.state = iface_b.state.__class__.UP
+        iface_b.state = InterfaceState.UP
         lan.run(8000)
         assert got == [0, 1, 2, 3, 4, 5]
         assert client.segments_retransmitted > 0
@@ -144,7 +145,7 @@ class TestRetransmission:
         client, _server = open_session(lan)
         lan.run(500)
         iface_b = lan.b.interfaces[1]
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         client.send(AppData("black hole", 100))
         lan.run(3000)
         assert client.cwnd == DEFAULT_MSS
@@ -154,7 +155,7 @@ class TestRetransmission:
         client, _server = open_session(lan)
         lan.run(500)
         iface_b = lan.b.interfaces[1]
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         dead = []
         client.on_reset = lambda: dead.append(1)
         client.send(AppData("doomed", 100))

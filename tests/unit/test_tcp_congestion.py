@@ -21,8 +21,9 @@ MSS = DEFAULT_MSS
 WIN = DEFAULT_WINDOW_BYTES
 
 
-def make(name, **kwargs):
-    return make_congestion_control(name, mss=MSS, max_window=WIN, **kwargs)
+def make(name, initial_cwnd=None, **kwargs):
+    return make_congestion_control(name, mss=MSS, max_window=WIN,
+                                   initial_cwnd=initial_cwnd, **kwargs)
 
 
 class TestRegistry:

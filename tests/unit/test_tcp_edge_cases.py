@@ -1,6 +1,7 @@
 """Additional TCP edge cases: segmentation, closes, window behaviour."""
 
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.net.packet import AppData
 from repro.net.tcp import DEFAULT_MSS, DEFAULT_WINDOW_BYTES, TCPState
 from repro.sim import s
@@ -29,10 +30,10 @@ def test_large_write_survives_loss(lan):
     client, _server = open_session(lan, on_server_data=got.append)
     lan.run(500)
     iface_b = lan.b.interfaces[1]
-    iface_b.state = iface_b.state.__class__.DOWN
+    iface_b.state = InterfaceState.DOWN
     client.send(AppData("big", DEFAULT_MSS * 5))
     lan.run(800)
-    iface_b.state = iface_b.state.__class__.UP
+    iface_b.state = InterfaceState.UP
     lan.sim.run_for(s(20))
     assert sum(chunk.size_bytes for chunk in got) == DEFAULT_MSS * 5
 
@@ -73,7 +74,7 @@ def test_window_limits_inflight_bytes(lan):
     lan.run(500)
     # Freeze the receiver so ACKs stop coming back.
     iface_b = lan.b.interfaces[1]
-    iface_b.state = iface_b.state.__class__.DOWN
+    iface_b.state = InterfaceState.DOWN
     for _ in range(30):
         client.send(AppData("x", DEFAULT_MSS))
     lan.run(100)

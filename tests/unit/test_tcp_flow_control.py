@@ -16,6 +16,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.net.packet import AppData
 from repro.net.tcp import (
     DEFAULT_WINDOW_BYTES,
@@ -80,9 +81,9 @@ class TestSimultaneousClose:
         # Drop b's side mid-close, then restore: retransmission must
         # finish the close from whatever state the loss left behind.
         lan.run(2)
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         lan.run(1500)
-        iface_b.state = iface_b.state.__class__.UP
+        iface_b.state = InterfaceState.UP
         lan.run(10000)
         assert client.state == TCPState.CLOSED
         assert server["conn"].state == TCPState.CLOSED
@@ -117,7 +118,7 @@ class TestTimeWaitFinRetransmit:
         # RST answer would legitimately assassinate TIME_WAIT and hide
         # the timer restart this test is about.
         iface_b = lan.b.interfaces[1]
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         fin = TCPSegment(server_conn.local_port, client.local_port,
                          seq=client.rcv_nxt - 1, ack=client.snd_nxt,
                          flags=frozenset({FLAG_FIN, FLAG_ACK}))

@@ -1,6 +1,7 @@
 """Unit tests for the RFC 6298 RTO estimator and Karn's algorithm."""
 
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.net.packet import AppData
 from repro.net.tcp import MAX_RTO, MIN_RTO, RTO_BACKOFF_LIMIT, RtoEstimator
 from repro.sim import ms
@@ -81,12 +82,12 @@ class TestKarn:
         client, got = established_pair(lan)
         srtt_before = client._srtt  # from the (cleanly timed) handshake
         iface_b = lan.b.interfaces[1]
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         client.send(AppData("delayed", 100))
         lan.run(3000)  # several RTOs fire; the segment is retransmitted
         assert client._rto_backoff > 0
         assert client._timing_seq is None  # nothing is being timed
-        iface_b.state = iface_b.state.__class__.UP
+        iface_b.state = InterfaceState.UP
         lan.run(8000)
         assert got == ["delayed"]
         # The ACK of the retransmitted segment arrived after a multi-second
@@ -96,7 +97,7 @@ class TestKarn:
     def test_pump_does_not_time_rewound_segments(self, lan):
         client, _got = established_pair(lan)
         iface_b = lan.b.interfaces[1]
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         client.send(AppData("first", 100))
         lan.run(1500)  # at least one timeout rewinds snd_nxt and re-pumps
         assert client.segments_retransmitted > 0
@@ -107,11 +108,11 @@ class TestKarn:
     def test_backoff_resets_after_fresh_sample_end_to_end(self, lan):
         client, got = established_pair(lan)
         iface_b = lan.b.interfaces[1]
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         client.send(AppData("stalled", 100))
         lan.run(3000)
         assert client._rto_backoff > 0
-        iface_b.state = iface_b.state.__class__.UP
+        iface_b.state = InterfaceState.UP
         lan.run(8000)
         assert got == ["stalled"]
         # A fresh (first-transmission) segment gets timed and its sample

@@ -2,6 +2,7 @@
 
 from repro.config import DEFAULT_CONFIG
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.net.packet import AppData
 from repro.net.sack import MAX_SACK_BLOCKS, ReassemblyBuffer, SackScoreboard
 from repro.net.tcp import DEFAULT_MSS, DEFAULT_WINDOW_BYTES, TCPSegment
@@ -196,14 +197,14 @@ class TestSackWireBehaviour:
         client = open_sack_session(lan, got)
         # Black-hole everything so only the RTO path can fire.
         iface_b = lan.b.interfaces[1]
-        iface_b.state = iface_b.state.__class__.DOWN
+        iface_b.state = InterfaceState.DOWN
         client.send(AppData("hole", MSS))
         client._scoreboard.record(((client.snd_max + MSS,
                                     client.snd_max + 2 * MSS),),
                                   client.snd_una)
         lan.run(3000)
         assert not client._scoreboard  # cleared by the timeout
-        iface_b.state = iface_b.state.__class__.UP
+        iface_b.state = InterfaceState.UP
         lan.run(8000)
         assert got == ["hole"]
 

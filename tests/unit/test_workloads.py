@@ -1,6 +1,7 @@
 """Unit tests for the measurement workloads."""
 
 from repro.net.addressing import ip
+from repro.net.interface import InterfaceState
 from repro.sim import ms, s
 from repro.workloads import (
     TcpBulkReceiver,
@@ -29,9 +30,9 @@ class TestUdpEcho:
         stream.start()
         lan.sim.run_for(ms(500))
         iface = lan.b.interfaces[1]
-        iface.state = iface.state.__class__.DOWN
+        iface.state = InterfaceState.DOWN
         lan.sim.run_for(ms(300))
-        iface.state = iface.state.__class__.UP
+        iface.state = InterfaceState.UP
         lan.sim.run_for(ms(500))
         stream.stop()
         lan.sim.run_for(ms(500))
