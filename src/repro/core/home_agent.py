@@ -25,7 +25,6 @@ build it either way.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
 
@@ -43,7 +42,7 @@ from repro.net.addressing import IPAddress
 from repro.net.packet import AppData, IPPacket
 from repro.net.routing import RouteEntry
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import jittered
+from repro.sim.randomness import RandomStream, jittered
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -108,7 +107,7 @@ class HomeAgentService:
         host.sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
     @cached_property
-    def _rng(self) -> random.Random:
+    def _rng(self) -> RandomStream:
         """Processing-cost jitter, created on first draw."""
         return self.sim.rng(f"home-agent:{self.host.name}")
 

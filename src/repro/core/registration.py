@@ -22,7 +22,6 @@ timestamps Figure 7 reports (request sent, reply received).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional
@@ -30,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from repro.net.addressing import IPAddress
 from repro.net.packet import AppData
 from repro.sim.engine import Event
-from repro.sim.randomness import jittered
+from repro.sim.randomness import RandomStream, jittered
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -163,12 +162,12 @@ class RegistrationClient:
             "registration", "latency_ms", host=host.name)
 
     @cached_property
-    def _rng(self) -> random.Random:
+    def _rng(self) -> RandomStream:
         """Marshal/send cost jitter, created on first draw."""
         return self.sim.rng(f"reg-client:{self.host.name}")
 
     @cached_property
-    def _backoff_rng(self) -> random.Random:
+    def _backoff_rng(self) -> RandomStream:
         """Backoff jitter: its own stream, so enabling it never perturbs
         the marshal/send cost sequence."""
         return self.sim.rng(f"reg-backoff:{self.host.name}")

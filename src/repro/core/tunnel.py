@@ -24,7 +24,6 @@ the VIF.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
@@ -34,7 +33,7 @@ from repro.net.interface import InterfaceState, NetworkInterface
 from repro.net.packet import PROTO_IPIP, IPPacket, encapsulate, encapsulation_depth
 from repro.sim.engine import Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import jittered
+from repro.sim.randomness import RandomStream, jittered
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -124,7 +123,7 @@ class IPIPModule:
         host.ip.register_protocol(PROTO_IPIP, self._receive)
 
     @cached_property
-    def _rng(self) -> random.Random:
+    def _rng(self) -> RandomStream:
         """Decapsulation-cost jitter stream, created on first draw."""
         return self.sim.rng(f"ipip:{self.host.name}")
 

@@ -46,15 +46,18 @@ class Host:
 
     def add_interface(self, iface: NetworkInterface) -> NetworkInterface:
         """Attach an interface to this host's stack."""
-        if iface.host is not None and iface.host is not self:
+        if iface.host is self:
+            return iface
+        if iface.host is not None:
             raise ValueError(f"{iface.name} already belongs to {iface.host.name}")
+        # Only this method sets iface.host, so it marks membership and no
+        # scan of self.interfaces is needed.
         iface.host = self
-        if iface not in self.interfaces:
-            self.interfaces.append(iface)
-            for addr in iface.addresses:
-                self.ip.claim_local(addr)
-            if iface.subnet is not None:
-                self.ip.claim_local(iface.subnet.broadcast)
+        self.interfaces.append(iface)
+        for addr in iface.addresses:
+            self.ip.claim_local(addr)
+        if iface.subnet is not None:
+            self.ip.claim_local(iface.subnet.broadcast)
         return iface
 
     def interface(self, name: str) -> NetworkInterface:

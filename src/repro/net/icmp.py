@@ -14,7 +14,6 @@ installing a host route, so tests can exercise that scenario.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Tuple
@@ -24,7 +23,7 @@ from repro.net.addressing import IPAddress, UNSPECIFIED
 from repro.net.packet import ICMP_HEADER_BYTES, PROTO_ICMP, IPPacket
 from repro.sim.engine import Event, Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import jittered
+from repro.sim.randomness import RandomStream, jittered
 from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,7 +87,7 @@ class ICMPService:
         host.ip.register_protocol(PROTO_ICMP, self._receive)
 
     @cached_property
-    def _rng(self) -> random.Random:
+    def _rng(self) -> RandomStream:
         """Jitter stream, created on first draw."""
         return self.sim.rng(f"icmp:{self.host.name}")
 

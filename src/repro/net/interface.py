@@ -16,7 +16,6 @@ window to well under the total 7.39 ms switch time.
 from __future__ import annotations
 
 import enum
-import random
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, List, Optional
 
@@ -26,7 +25,7 @@ from repro.net.arp import ARPMessage, ARPService
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
 from repro.net.packet import IPPacket
 from repro.sim.engine import Simulator, Time
-from repro.sim.randomness import jittered
+from repro.sim.randomness import RandomStream, jittered
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -80,7 +79,7 @@ class NetworkInterface:
         sim.metrics.register(self, self._METRIC_FIELDS, iface=name)
 
     @cached_property
-    def _rng(self) -> random.Random:
+    def _rng(self) -> RandomStream:
         """Device-delay jitter stream, created on first draw."""
         return self.sim.rng(f"device:{self.name}")
 

@@ -15,7 +15,6 @@ Linux 1.2.13 (Section 3.3):
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol
 
@@ -25,7 +24,7 @@ from repro.net.packet import IPPacket
 from repro.net.routing import RouteResult, RoutingTable
 from repro.sim.engine import Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import jittered
+from repro.sim.randomness import RandomStream, jittered
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -91,7 +90,7 @@ class IPStack:
         sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
     @cached_property
-    def _rng(self) -> random.Random:
+    def _rng(self) -> RandomStream:
         """Jitter stream, created on first draw."""
         return self.sim.rng(f"ip:{self.host.name}")
 

@@ -20,7 +20,6 @@ with an independent loss probability drawn from a dedicated RNG stream.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -28,7 +27,7 @@ from repro.config import LinkTimings
 from repro.net.addressing import IPAddress
 from repro.net.packet import IPPacket
 from repro.sim.engine import Simulator
-from repro.sim.randomness import bernoulli
+from repro.sim.randomness import RandomStream, bernoulli
 from repro.sim.units import transmission_delay
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,7 +68,7 @@ class Link:
         sim.metrics.register(self, self._METRIC_FIELDS, link=name)
 
     @cached_property
-    def _rng(self) -> random.Random:
+    def _rng(self) -> RandomStream:
         """Loss-model stream, created on first draw."""
         return self.sim.rng(f"link:{self.name}")
 

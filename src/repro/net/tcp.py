@@ -45,7 +45,6 @@ Out of scope: urgent data, window scaling (windows are byte counts, not
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -61,7 +60,7 @@ from repro.net.packet import PROTO_TCP, TCP_HEADER_BYTES, AppData, IPPacket
 from repro.net.sack import ReassemblyBuffer, SackScoreboard
 from repro.sim.engine import Event, Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import jittered
+from repro.sim.randomness import RandomStream, jittered
 from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -1162,7 +1161,7 @@ class TCPService:
         sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
     @cached_property
-    def _rng(self) -> random.Random:
+    def _rng(self) -> RandomStream:
         """Jitter stream, created on first draw."""
         return self.sim.rng(f"tcp:{self.host.name}")
 

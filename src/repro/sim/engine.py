@@ -6,10 +6,12 @@ or :meth:`Simulator.call_later` and the engine runs them in timestamp order.
 Ties are broken by insertion order (FIFO), which keeps runs reproducible.
 
 The engine also owns randomness.  Components draw jitter, loss decisions and
-identifiers from named :class:`random.Random` streams handed out by
-:meth:`Simulator.rng`; two components asking for different stream names never
-perturb each other's sequences, so adding a new component does not change
-existing results.
+identifiers from named streams (:class:`~repro.sim.randomness.RandomStream`)
+handed out by :meth:`Simulator.rng`; two components asking for different
+stream names never perturb each other's sequences, so adding a new component
+does not change existing results.  A stream draws exactly what
+``random.Random`` seeded with ``f"{seed}/{name}"`` would, but holds only the
+words it may hand out.
 
 Finally the engine owns observability: a per-simulation
 :class:`~repro.obs.metrics.MetricsRegistry` (``sim.metrics``) that protocol
@@ -48,13 +50,13 @@ Performance notes (the engine is the hottest loop in the repository):
 from __future__ import annotations
 
 import itertools
-import random
 import time as _wallclock
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.capture import note_simulator
 from repro.obs.metrics import Counter, MetricsRegistry
+from repro.sim.randomness import RandomStream
 from repro.sim.trace import Trace
 from repro.sim.units import SECOND
 
@@ -143,7 +145,7 @@ class Simulator:
         self._seq: int = 0
         self._heap: List[tuple] = []
         self._seed = seed
-        self._rngs: Dict[str, random.Random] = {}
+        self._rngs: Dict[str, RandomStream] = {}
         self.trace = Trace(self)
         self.metrics = MetricsRegistry()
         #: TCP initial sequence numbers, one counter per simulation, so a
@@ -183,17 +185,18 @@ class Simulator:
 
     # ------------------------------------------------------------ randomness
 
-    def rng(self, stream: str) -> random.Random:
+    def rng(self, stream: str) -> RandomStream:
         """Return the named random stream, creating it on first use.
 
         Streams are keyed by name and derived from the master seed, so the
         sequence observed through one stream is independent of how many
-        other streams exist or how often they are used.
+        other streams exist or how often they are used.  Each draws what
+        ``random.Random(f"{seed}/{stream}")`` would draw.
         """
         existing = self._rngs.get(stream)
         if existing is not None:
             return existing
-        derived = random.Random(f"{self._seed}/{stream}")
+        derived = RandomStream(f"{self._seed}/{stream}")
         self._rngs[stream] = derived
         return derived
 

@@ -172,18 +172,24 @@ class Testbed:
     def connect_radio(self, register: bool) -> IPAddress:
         """Instantly bring the radio up on net 36.134 (static address)."""
         a = self.addresses
-        if self.mh_radio.state != InterfaceState.UP:
-            self.mh_radio.state = InterfaceState.UP
-        self.mh_radio.subnet = a.radio_net
-        self.mh_radio.add_address(a.mh_radio, make_primary=True)
-        self.mh_radio._on_address_added(a.mh_radio)
+        radio = self.mh_radio
+        if radio.state != InterfaceState.UP:
+            radio.state = InterfaceState.UP
+        if radio.owns_address(a.mh_radio):
+            # add_address returns early for a present address, so publish
+            # it to the channel here (a re-connect after a disconnect).
+            radio._on_address_added(a.mh_radio)
+        if register:
+            # Sets the subnet, the address and the connected route itself.
+            self.mobile.start_visiting(radio, a.mh_radio, a.radio_net,
+                                       a.router_radio)
+            return a.mh_radio
+        radio.subnet = a.radio_net
+        radio.add_address(a.mh_radio, make_primary=True)
         # A configured, up interface has its connected route (as ifconfig
         # would install it) — local-role traffic on the wireless subnet
         # must not detour over whatever the default route happens to be.
-        self.mobile.ip.routes.add_connected(a.radio_net, self.mh_radio)
-        if register:
-            self.mobile.start_visiting(self.mh_radio, a.mh_radio, a.radio_net,
-                                       a.router_radio)
+        self.mobile.ip.routes.add_connected(a.radio_net, radio)
         return a.mh_radio
 
 

@@ -14,12 +14,18 @@
 Both floors leave about an order of magnitude of headroom for slow
 machines.  Rerun identity of the x7 report is pinned by
 ``tests/property/test_prop_fleet_scale.py``.
+
+The same x8 cell pins the random streams' footprint: a stream that drew
+no more than one chunk of words holds no Mersenne Twister generator.
 """
 
+import random
 import time
 
 from repro.experiments.exp_fleet_scale import run_fleet_scale_experiment
 from repro.experiments.exp_plane_chaos import run_plane_chaos_trial
+from repro.obs.capture import capture_simulators
+from repro.sim.randomness import CHUNK_WORDS, RandomStream
 
 MIN_FLEET_REGS_PER_SEC = 10_000.0
 MIN_CHURN_REGS_PER_SEC = 100.0
@@ -50,3 +56,28 @@ class TestAuditedChurnCell:
         assert doc["accepted"] > 0
         assert doc["takeovers"] > 0
         assert doc["accepted"] / wall_s >= MIN_CHURN_REGS_PER_SEC
+
+    def test_streams_within_one_chunk_hold_no_generator(self):
+        with capture_simulators() as sims:
+            run_plane_chaos_trial(fleet_size=100, n_hosts=100, host_offset=0,
+                                  churn=True, partition=True, seed=71)
+        (sim,) = sims
+        assert len(sim._rngs) > 100
+        promoted = 0
+        for name, stream in sim._rngs.items():
+            assert type(stream) is RandomStream
+            if stream._generator is None:
+                continue
+            promoted += 1
+            # Count the words the generator has given by replaying a fresh
+            # one until the states meet: only a stream that needed more
+            # than its chunk may hold a generator.
+            target = stream._generator.getstate()
+            fresh = random.Random(f"{sim._seed}/{name}")
+            drawn = 0
+            while fresh.getstate() != target:
+                fresh.getrandbits(32)
+                drawn += 1
+                assert drawn < 100_000, name
+            assert drawn > CHUNK_WORDS, name
+        assert promoted < len(sim._rngs) // 10

@@ -112,6 +112,18 @@ class TestTestbed:
         assert testbed.mh_eth.segment is None
         assert not testbed.mh_eth.is_up
 
+    def test_connect_radio_publishes_an_address_already_on_the_radio(
+            self, testbed):
+        # Added while the radio was down, the address never reached the
+        # channel; connecting must publish it, or the registration reply
+        # never reaches the mobile host over the air.
+        testbed.mh_radio.add_address(testbed.addresses.mh_radio)
+        testbed.connect_radio(register=True)
+        testbed.sim.run_for(s(3))
+        client = testbed.mobile.registration
+        assert client.replies_received == 1
+        assert client.failures == 0
+
     def test_custom_addresses_respected(self):
         sim = Simulator(seed=9)
         custom = Addresses()
