@@ -25,7 +25,6 @@ build it either way.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
 
 from repro.core.bindings import MobilityBinding, MobilityBindingTable
@@ -42,7 +41,7 @@ from repro.net.addressing import IPAddress
 from repro.net.packet import AppData, IPPacket
 from repro.net.routing import RouteEntry
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import RandomStream, jittered
+from repro.sim.randomness import RandomStream, jittered, lazy_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -106,7 +105,7 @@ class HomeAgentService:
         self.replies_dropped = 0
         host.sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
-    @cached_property
+    @lazy_stream
     def _rng(self) -> RandomStream:
         """Processing-cost jitter, created on first draw."""
         return self.sim.rng(f"home-agent:{self.host.name}")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.net.addressing import IPAddress
@@ -160,17 +159,27 @@ class RegistrationClient:
         metrics.register(self, self._METRIC_FIELDS, host=host.name)
         self._latency_histogram = metrics.histogram(
             "registration", "latency_ms", host=host.name)
+        # Both streams are declared here and built on first draw: a
+        # second attribute added after ``__init__`` would give every
+        # client a dict of its own (see ``lazy_stream``).
+        self._cost_stream: Optional[RandomStream] = None
+        self._backoff_stream: Optional[RandomStream] = None
 
-    @cached_property
+    @property
     def _rng(self) -> RandomStream:
         """Marshal/send cost jitter, created on first draw."""
-        return self.sim.rng(f"reg-client:{self.host.name}")
+        if self._cost_stream is None:
+            self._cost_stream = self.sim.rng(f"reg-client:{self.host.name}")
+        return self._cost_stream
 
-    @cached_property
+    @property
     def _backoff_rng(self) -> RandomStream:
         """Backoff jitter: its own stream, so enabling it never perturbs
         the marshal/send cost sequence."""
-        return self.sim.rng(f"reg-backoff:{self.host.name}")
+        if self._backoff_stream is None:
+            self._backoff_stream = self.sim.rng(
+                f"reg-backoff:{self.host.name}")
+        return self._backoff_stream
 
     # ----------------------------------------------------------------- sending
 

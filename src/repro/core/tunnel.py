@@ -24,7 +24,6 @@ the VIF.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.config import Config
@@ -33,7 +32,7 @@ from repro.net.interface import InterfaceState, NetworkInterface
 from repro.net.packet import PROTO_IPIP, IPPacket, encapsulate, encapsulation_depth
 from repro.sim.engine import Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import RandomStream, jittered
+from repro.sim.randomness import RandomStream, jittered, lazy_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -122,7 +121,7 @@ class IPIPModule:
         host.sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
         host.ip.register_protocol(PROTO_IPIP, self._receive)
 
-    @cached_property
+    @lazy_stream
     def _rng(self) -> RandomStream:
         """Decapsulation-cost jitter stream, created on first draw."""
         return self.sim.rng(f"ipip:{self.host.name}")

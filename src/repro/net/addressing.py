@@ -1,14 +1,19 @@
 """IPv4 and link-layer addressing.
 
-Addresses are small frozen value types usable as dict keys.  The testbed
-reuses the paper's actual numbering: Stanford's class-B net 36, subnetted as
-36.135 (home), 36.8 (CS department) and 36.134 (wireless).
+Addresses are small immutable value types usable as dict keys.  The
+testbed reuses the paper's actual numbering: Stanford's class-B net 36,
+subnetted as 36.135 (home), 36.8 (CS department) and 36.134 (wireless).
+
+They are ``__slots__`` classes, not frozen dataclasses: every host holds
+several, and a slotted value skips the per-instance ``__dict__``.  They
+keep the dataclasses' value semantics exactly -- equality within one
+class, ``hash`` of the field tuple (set iteration order, and so report
+text, depends on it), assignment raising :class:`AttributeError` -- and
+pickle and copy through ``__reduce__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 
@@ -16,15 +21,38 @@ class AddressError(ValueError):
     """Raised for malformed addresses or prefixes."""
 
 
-@dataclass(frozen=True)
-class IPAddress:
+class _Frozen:
+    """Makes a slotted value class's attributes read-only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IPAddress(_Frozen):
     """An IPv4 address stored as a 32-bit unsigned integer."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 0xFFFFFFFF:
-            raise AddressError(f"IPv4 address out of range: {self.value:#x}")
+    def __init__(self, value: int) -> None:
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise AddressError(f"IPv4 address out of range: {value:#x}")
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __reduce__(self):
+        return (self.__class__, (self.value,))
 
     @classmethod
     def parse(cls, text: str) -> "IPAddress":
@@ -83,27 +111,39 @@ PREFIX_MASKS = tuple((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
                      for length in range(33))
 
 
-@dataclass(frozen=True)
-class Subnet:
+class Subnet(_Frozen):
     """An IPv4 prefix (network address + prefix length).
 
-    ``mask`` (the netmask as an int) is computed once at construction;
-    it is a plain attribute, not a dataclass field, so it takes no part in
-    equality, hashing or :func:`dataclasses.fields`.
+    ``mask`` (the netmask as an int) is computed once at construction,
+    and ``broadcast`` on first use; neither takes part in equality or
+    hashing, which read ``(network, prefix_len)`` only.
     """
 
-    network: IPAddress
-    prefix_len: int
+    __slots__ = ("network", "prefix_len", "mask", "_broadcast")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.prefix_len <= 32:
-            raise AddressError(f"bad prefix length {self.prefix_len}")
-        mask = PREFIX_MASKS[self.prefix_len]
-        if self.network.value & ~mask:
-            raise AddressError(
-                f"{self.network}/{self.prefix_len} has host bits set"
-            )
-        object.__setattr__(self, "mask", mask)
+    def __init__(self, network: IPAddress, prefix_len: int) -> None:
+        if not 0 <= prefix_len <= 32:
+            raise AddressError(f"bad prefix length {prefix_len}")
+        mask = PREFIX_MASKS[prefix_len]
+        if network.value & ~mask:
+            raise AddressError(f"{network}/{prefix_len} has host bits set")
+        set_field = object.__setattr__
+        set_field(self, "network", network)
+        set_field(self, "prefix_len", prefix_len)
+        set_field(self, "mask", mask)
+        set_field(self, "_broadcast", None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.network == other.network
+                    and self.prefix_len == other.prefix_len)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.network, self.prefix_len))
+
+    def __reduce__(self):
+        return (self.__class__, (self.network, self.prefix_len))
 
     @classmethod
     def parse(cls, text: str) -> "Subnet":
@@ -115,10 +155,15 @@ class Subnet:
             raise AddressError(f"bad prefix length in {text!r}")
         return cls(IPAddress.parse(addr_text), int(len_text))
 
-    @cached_property
+    @property
     def broadcast(self) -> IPAddress:
         """The directed broadcast address of this subnet."""
-        return IPAddress(self.network.value | (~self.mask & 0xFFFFFFFF))
+        broadcast = self._broadcast
+        if broadcast is None:
+            broadcast = IPAddress(self.network.value
+                                  | (~self.mask & 0xFFFFFFFF))
+            object.__setattr__(self, "_broadcast", broadcast)
+        return broadcast
 
     def __contains__(self, addr: object) -> bool:
         if not isinstance(addr, IPAddress):
@@ -146,15 +191,26 @@ def subnet(text: Union[str, Subnet]) -> Subnet:
     return Subnet.parse(text)
 
 
-@dataclass(frozen=True)
-class MACAddress:
+class MACAddress(_Frozen):
     """A 48-bit link-layer address."""
 
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 0xFFFFFFFFFFFF:
-            raise AddressError(f"MAC address out of range: {self.value:#x}")
+    def __init__(self, value: int) -> None:
+        if not 0 <= value <= 0xFFFFFFFFFFFF:
+            raise AddressError(f"MAC address out of range: {value:#x}")
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __reduce__(self):
+        return (self.__class__, (self.value,))
 
     def __str__(self) -> str:
         return ":".join(

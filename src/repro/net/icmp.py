@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from repro.config import Config, HostTimings
@@ -23,7 +22,7 @@ from repro.net.addressing import IPAddress, UNSPECIFIED
 from repro.net.packet import ICMP_HEADER_BYTES, PROTO_ICMP, IPPacket
 from repro.sim.engine import Event, Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import RandomStream, jittered
+from repro.sim.randomness import RandomStream, jittered, lazy_stream
 from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,7 +85,7 @@ class ICMPService:
         self.redirects_received = 0
         host.ip.register_protocol(PROTO_ICMP, self._receive)
 
-    @cached_property
+    @lazy_stream
     def _rng(self) -> RandomStream:
         """Jitter stream, created on first draw."""
         return self.sim.rng(f"icmp:{self.host.name}")

@@ -16,7 +16,6 @@ window to well under the total 7.39 ms switch time.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.config import Config, DeviceTimings
@@ -25,7 +24,7 @@ from repro.net.arp import ARPMessage, ARPService
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
 from repro.net.packet import IPPacket
 from repro.sim.engine import Simulator, Time
-from repro.sim.randomness import RandomStream, jittered
+from repro.sim.randomness import RandomStream, jittered, lazy_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -78,7 +77,7 @@ class NetworkInterface:
         self.dropped_down = 0
         sim.metrics.register(self, self._METRIC_FIELDS, iface=name)
 
-    @cached_property
+    @lazy_stream
     def _rng(self) -> RandomStream:
         """Device-delay jitter stream, created on first draw."""
         return self.sim.rng(f"device:{self.name}")

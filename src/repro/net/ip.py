@@ -15,7 +15,6 @@ Linux 1.2.13 (Section 3.3):
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol
 
 from repro.config import Config, HostTimings
@@ -24,7 +23,7 @@ from repro.net.packet import IPPacket
 from repro.net.routing import RouteResult, RoutingTable
 from repro.sim.engine import Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import RandomStream, jittered
+from repro.sim.randomness import RandomStream, jittered, lazy_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -89,7 +88,7 @@ class IPStack:
         self.dropped_not_local = 0
         sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
-    @cached_property
+    @lazy_stream
     def _rng(self) -> RandomStream:
         """Jitter stream, created on first draw."""
         return self.sim.rng(f"ip:{self.host.name}")

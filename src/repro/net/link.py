@@ -20,14 +20,13 @@ with an independent loss probability drawn from a dedicated RNG stream.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.config import LinkTimings
 from repro.net.addressing import IPAddress
 from repro.net.packet import IPPacket
 from repro.sim.engine import Simulator
-from repro.sim.randomness import RandomStream, bernoulli
+from repro.sim.randomness import RandomStream, bernoulli, lazy_stream
 from repro.sim.units import transmission_delay
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,7 +66,7 @@ class Link:
         self._busy_until: Dict[object, int] = {}
         sim.metrics.register(self, self._METRIC_FIELDS, link=name)
 
-    @cached_property
+    @lazy_stream
     def _rng(self) -> RandomStream:
         """Loss-model stream, created on first draw."""
         return self.sim.rng(f"link:{self.name}")

@@ -73,20 +73,22 @@ class RouteResult:
 class RoutingTable:
     """Longest-prefix-match IPv4 routing table with metrics.
 
-    Entries are indexed by prefix length, then by network address, so a
-    lookup probes one dict per prefix length present in the table (longest
-    first) instead of testing every entry.  Every mutation updates the
-    index in place; interface liveness is read at lookup time, so an
-    interface going down needs no notification.
+    Entries are indexed by ``network << 6 | prefix_len`` in one dict, so
+    a lookup makes one probe per prefix length present in the table
+    (longest first) instead of testing every entry.  Every mutation
+    updates the index in place; interface liveness is read at lookup
+    time, so an interface going down needs no notification.
     """
 
     def __init__(self) -> None:
         self._entries: List[RouteEntry] = []
-        #: prefix length -> network value -> matching entries, in
+        #: ``network << 6 | prefix_len`` -> matching entries, in
         #: insertion order (the tie-break among equal metrics).
-        self._index: Dict[int, Dict[int, List[RouteEntry]]] = {}
-        #: The keys of ``_index``, longest first.
+        self._index: Dict[int, List[RouteEntry]] = {}
+        #: The prefix lengths of ``_index``'s keys, longest first.
         self._lengths: List[int] = []
+        #: How many ``_index`` keys have each length in ``_lengths``.
+        self._length_keys: List[int] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -96,23 +98,36 @@ class RoutingTable:
 
     def _index_entry(self, entry: RouteEntry) -> None:
         destination = entry.destination
-        by_network = self._index.get(destination.prefix_len)
-        if by_network is None:
-            by_network = self._index[destination.prefix_len] = {}
-            self._lengths = sorted(self._index, reverse=True)
-        by_network.setdefault(destination.network.value, []).append(entry)
+        length = destination.prefix_len
+        key = destination.network.value << 6 | length
+        bucket = self._index.get(key)
+        if bucket is not None:
+            bucket.append(entry)
+            return
+        self._index[key] = [entry]
+        lengths = self._lengths
+        if length in lengths:
+            self._length_keys[lengths.index(length)] += 1
+        else:
+            position = sum(1 for other in lengths if other > length)
+            lengths.insert(position, length)
+            self._length_keys.insert(position, 1)
 
     def _unindex_entry(self, entry: RouteEntry) -> None:
         destination = entry.destination
-        by_network = self._index[destination.prefix_len]
-        bucket = by_network[destination.network.value]
+        length = destination.prefix_len
+        key = destination.network.value << 6 | length
+        bucket = self._index[key]
         bucket.remove(entry)
         if bucket:
             return
-        del by_network[destination.network.value]
-        if not by_network:
-            del self._index[destination.prefix_len]
-            self._lengths.remove(destination.prefix_len)
+        del self._index[key]
+        position = self._lengths.index(length)
+        if self._length_keys[position] > 1:
+            self._length_keys[position] -= 1
+        else:
+            del self._lengths[position]
+            del self._length_keys[position]
 
     def add(self, entry: RouteEntry) -> None:
         """Append an entry (order only breaks exact ties)."""
@@ -177,9 +192,9 @@ class RoutingTable:
         prefix can win.
         """
         value = dst.value
-        index = self._index
+        probe = self._index.get
         for length in self._lengths:
-            bucket = index[length].get(value & PREFIX_MASKS[length])
+            bucket = probe((value & PREFIX_MASKS[length]) << 6 | length)
             if bucket is None:
                 continue
             best: Optional[RouteEntry] = None

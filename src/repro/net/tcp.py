@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.config import Config, HostTimings
@@ -60,7 +59,7 @@ from repro.net.packet import PROTO_TCP, TCP_HEADER_BYTES, AppData, IPPacket
 from repro.net.sack import ReassemblyBuffer, SackScoreboard
 from repro.sim.engine import Event, Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import RandomStream, jittered
+from repro.sim.randomness import RandomStream, jittered, lazy_stream
 from repro.sim.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -1160,7 +1159,7 @@ class TCPService:
         self.dup_acks = 0
         sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
-    @cached_property
+    @lazy_stream
     def _rng(self) -> RandomStream:
         """Jitter stream, created on first draw."""
         return self.sim.rng(f"tcp:{self.host.name}")

@@ -11,7 +11,6 @@ out of passing the socket's bound source address as the hint to
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.config import Config, HostTimings
@@ -19,7 +18,7 @@ from repro.net.addressing import IPAddress, UNSPECIFIED
 from repro.net.packet import PROTO_UDP, AppData, IPPacket, UDPDatagram
 from repro.sim.engine import Simulator
 from repro.sim.fifo import FifoDelay
-from repro.sim.randomness import RandomStream, jittered
+from repro.sim.randomness import RandomStream, jittered, lazy_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -97,7 +96,7 @@ class UDPService:
         self.datagrams_dropped_no_port = 0
         host.ip.register_protocol(PROTO_UDP, self._receive)
 
-    @cached_property
+    @lazy_stream
     def _rng(self) -> RandomStream:
         """Jitter stream, created on first draw."""
         return self.sim.rng(f"udp:{self.host.name}")

@@ -15,11 +15,12 @@ Design rules (they keep runs reproducible):
 * Metrics are keyed by ``component/name`` plus a sorted label dict, so
   two components (or two interfaces of one component) never collide.
 * A component that always reports a fact keeps it as one plain int
-  attribute and registers once, in ``__init__``, with its label set and
-  a class-level field table (:meth:`MetricsRegistry.register`).  The
-  registry reads those ints only when something reads the registry, so
-  building a component builds no metric objects, and its hot path bumps
-  one int.  Facts that only some runs produce use get-or-create handles
+  attribute and registers once, in ``__init__``, with one label and a
+  class-level field table (:meth:`MetricsRegistry.register`).  The
+  registry reads those ints, and builds their label sets, only when
+  something reads the registry, so building a component builds no
+  metric or label objects, and its hot path bumps one int.  Facts that
+  only some runs produce use get-or-create handles
   (:meth:`MetricsRegistry.counter`), created on first use.
 * :meth:`MetricsRegistry.snapshot` is a flat dict with deterministically
   ordered keys: two runs with the same seed serialize identically.
@@ -248,10 +249,11 @@ class MetricsRegistry:
     Two ways in:
 
     * :meth:`register` -- a component reports plain int attributes it
-      keeps anyway.  It calls it once in ``__init__`` with its label set
-      and a class-level :data:`Field` table; the registry keeps only
-      ``(owner, labels)`` and reads the ints when it is read.  Every
-      registered field is reported, zero-valued ones included.
+      keeps anyway.  It calls it once in ``__init__`` with one label
+      and a class-level :data:`Field` table; the registry keeps only the
+      owner and its label value, and reads the ints, and builds the
+      label sets, when it is read.  Every registered field is reported,
+      zero-valued ones included.
     * ``counter``/``gauge``/``histogram`` -- get-or-create handles:
       calling them twice with the same identity returns the same object.
       For facts that only some runs produce, touched on first use.
@@ -266,32 +268,35 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Metric] = {}
-        #: ``id(fields)`` -> (fields, [(owner, labels), ...]): the owners
-        #: registered with each field table, in registration order.
-        self._owners: Dict[int, Tuple[Tuple[Field, ...],
-                                      List[Tuple[object, Labels]]]] = {}
-        #: One shared tuple per distinct label set.  A host's or an
-        #: interface's label set recurs across its components and
-        #: metrics, and a fleet builds thousands of them, so sharing them
-        #: keeps set-up from allocating (and the collector from tracing)
-        #: a fresh copy for each.
+        #: ``(id(fields), label key)`` -> (fields, label key, owners,
+        #: label values): the owners registered with each field table
+        #: and label key, in registration order, and the label value
+        #: each passed.  The label set is built when the registry is
+        #: read, so registering allocates nothing per owner.
+        self._owners: Dict[Tuple[int, str],
+                           Tuple[Tuple[Field, ...], str,
+                                 List[object], List[str]]] = {}
+        #: One shared tuple per distinct handle label set, so repeated
+        #: get-or-create calls allocate no fresh copy for each.
         self._label_sets: Dict[Labels, Labels] = {}
 
     # ---------------------------------------------------------------- factories
 
     def register(self, owner: object, fields: Tuple[Field, ...],
-                 **labels: object) -> None:
+                 **label: str) -> None:
         """Report each of *owner*'s :data:`Field` ints as a counter.
 
         *fields* should be a class-level constant: owners sharing one
         table are kept together, and the registry holds it as given.
+        *label* is exactly one ``key=value`` naming the owner, its value
+        a string the owner already holds.
         """
-        label_set = _labels_key(labels)
-        label_set = self._label_sets.setdefault(label_set, label_set)
-        entry = self._owners.get(id(fields))
+        (key, value), = label.items()
+        entry = self._owners.get((id(fields), key))
         if entry is None:
-            entry = self._owners[id(fields)] = (fields, [])
-        entry[1].append((owner, label_set))
+            entry = self._owners[(id(fields), key)] = (fields, key, [], [])
+        entry[2].append(owner)
+        entry[3].append(value)
 
     def counter(self, component: str, name: str, **labels: object) -> Counter:
         """Get or create the counter ``component/name{labels}``."""
@@ -345,20 +350,22 @@ class MetricsRegistry:
                 if (component is None or key[0] == component)
                 and (name is None or key[1] == name)
                 and (labels is None or key[2] == labels)}
-        merged_sets: Dict[Tuple[Labels, Labels], Labels] = {}
-        for fields, owners in self._owners.values():
+        wanted = None if labels is None else dict(labels)
+        for fields, label_key, owners, values in self._owners.values():
+            if wanted is not None and label_key not in wanted:
+                continue
             for field_component, field_name, extra, attr in fields:
                 if (component is not None and field_component != component) \
                         or (name is not None and field_name != name):
                     continue
                 attr, item = (attr, None) if type(attr) is str else attr
-                for owner, owner_labels in owners:
-                    full = owner_labels
+                for owner, label_value in zip(owners, values):
+                    if wanted is not None and \
+                            wanted[label_key] != label_value:
+                        continue
+                    full = ((label_key, label_value),)
                     if extra:
-                        full = merged_sets.get((owner_labels, extra))
-                        if full is None:
-                            full = merged_sets[(owner_labels, extra)] = \
-                                tuple(sorted(owner_labels + extra))
+                        full = tuple(sorted(full + extra))
                     if labels is not None and full != labels:
                         continue
                     value = getattr(owner, attr)

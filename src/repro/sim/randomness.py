@@ -92,6 +92,35 @@ class RandomStream:
         return generator
 
 
+class lazy_stream:
+    """Decorates a method that builds a component's random stream: the
+    method runs on the first read, and its result becomes a plain
+    attribute of the same name that later reads find directly.
+
+    Unlike ``functools.cached_property`` it stores with ``setattr``, not
+    through ``instance.__dict__``: CPython 3.11 keeps an instance's
+    attributes in a values array keyed by its class until something
+    reads ``__dict__``, and that read builds a dict object for the
+    instance.  A class should add at most one attribute after
+    ``__init__`` this way: a second one can outgrow the values array and
+    give the instance a dict of its own, so a component with two
+    streams declares both in ``__init__`` (see ``RegistrationClient``).
+    """
+
+    __slots__ = ("_build", "_name")
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self._name = build.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        stream = self._build(instance)
+        setattr(instance, self._name, stream)
+        return stream
+
+
 def jittered(rng: RandomStream, base: int, fraction: float) -> int:
     """Return *base* nanoseconds perturbed by a uniform +/- *fraction*.
 

@@ -104,6 +104,49 @@ def test_routing_index_matches_scan(ops):
             assert table.lookup(dst) is scan_routes(reference, dst)
 
 
+table_ops = st.one_of(
+    st.tuples(st.just("add"), prefixes, st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("remove"), st.integers(0, 30)),
+    st.tuples(st.just("remove_matching"), st.one_of(st.none(), prefixes),
+              st.one_of(st.none(), st.integers(0, 2))),
+    st.tuples(st.just("add_default"), st.integers(0, 2)),
+    st.tuples(st.just("remove_default")),
+    st.tuples(st.just("flip"), st.integers(0, 2)),
+)
+
+
+@given(st.lists(table_ops, max_size=40))
+def test_route_index_tracks_live_prefix_lengths(ops):
+    """After every mutation the one-level index answers as a scan of the
+    table's own entries, and ``_lengths`` holds exactly the live prefix
+    lengths, longest first, also once the last route of a length goes."""
+    sim = Simulator()
+    ports = [make_interface(sim, index) for index in range(3)]
+    table = RoutingTable()
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            table.add(RouteEntry(op[1], ports[op[3]], metric=op[2]))
+        elif kind == "remove" and len(table):
+            table.remove(table._entries[op[1] % len(table)])
+        elif kind == "remove_matching":
+            table.remove_matching(op[1],
+                                  ports[op[2]] if op[2] is not None else None)
+        elif kind == "add_default":
+            table.add_default(ports[op[1]], IPAddress(0x0A000001))
+        elif kind == "remove_default":
+            table.remove_default()
+        elif kind == "flip":
+            port = ports[op[1]]
+            port.state = (InterfaceState.DOWN if port.is_up
+                          else InterfaceState.UP)
+        live = sorted({entry.destination.prefix_len for entry in table},
+                      reverse=True)
+        assert table._lengths == live
+        for dst in PROBES:
+            assert table.lookup(dst) is scan_routes(table._entries, dst)
+
+
 # ---------------------------------------------------- Mobile Policy Table
 
 class PolicyReference:

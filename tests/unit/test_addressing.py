@@ -1,5 +1,8 @@
 """Unit tests for IPv4/MAC addressing and subnets."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.net.addressing import (
@@ -7,6 +10,7 @@ from repro.net.addressing import (
     UNSPECIFIED,
     AddressError,
     IPAddress,
+    MACAddress,
     MACAllocator,
     Subnet,
     ip,
@@ -95,3 +99,62 @@ class TestMAC:
         assert len(seen) == 100
         for mac in seen:
             assert (mac.value >> 40) == 0x02
+
+
+class TestValueSemantics:
+    """The slotted address classes behave as the frozen dataclasses did."""
+
+    VALUES = [ip("36.135.0.10"), UNSPECIFIED, subnet("36.8.0.0/24"),
+              subnet("0.0.0.0/0"), Subnet(ip("10.0.0.5"), 32),
+              MACAddress(0x02_00_00_00_00_2A)]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("roundtrip", [
+        lambda value: pickle.loads(pickle.dumps(value)),
+        copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_roundtrip_gives_an_equal_value(self, value, roundtrip):
+        restored = roundtrip(value)
+        assert type(restored) is type(value)
+        assert restored == value and hash(restored) == hash(value)
+        assert repr(restored) == repr(value)
+
+    def test_broadcast_survives_a_roundtrip(self):
+        net = subnet("36.135.0.0/24")
+        assert net.broadcast == ip("36.135.0.255")
+        restored = pickle.loads(pickle.dumps(net))
+        assert restored.broadcast == net.broadcast
+        assert restored.mask == net.mask == 0xFFFFFF00
+
+    def test_hash_is_the_field_tuple_hash(self):
+        value = 0x24870A0B
+        assert hash(IPAddress(value)) == hash((value,))
+        assert hash(MACAddress(value)) == hash((value,))
+        net = subnet("36.135.0.0/24")
+        assert hash(net) == hash((ip("36.135.0.0"), 24))
+
+    @pytest.mark.parametrize("value, field", [
+        (ip("1.2.3.4"), "value"), (MACAddress(7), "value"),
+        (subnet("10.0.0.0/8"), "network"), (subnet("10.0.0.0/8"), "prefix_len"),
+        (subnet("10.0.0.0/8"), "mask"), (ip("1.2.3.4"), "extra")])
+    def test_assignment_raises(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+    def test_equality_is_within_one_class(self):
+        assert IPAddress(1) != 1
+        assert IPAddress(1) != MACAddress(1)
+        assert subnet("10.0.0.0/8") != (ip("10.0.0.0"), 8)
+        assert subnet("10.0.0.0/8") != subnet("10.0.0.0/9")
+        assert IPAddress(1) == IPAddress(1)
+
+    def test_subnet_validation_messages(self):
+        with pytest.raises(AddressError, match=r"^bad prefix length 33$"):
+            Subnet(ip("36.8.0.0"), 33)
+        with pytest.raises(AddressError,
+                           match=r"^36\.8\.0\.1/24 has host bits set$"):
+            Subnet(ip("36.8.0.1"), 24)
+        with pytest.raises(AddressError,
+                           match=r"^IPv4 address out of range: 0x100000000$"):
+            IPAddress(1 << 32)

@@ -54,6 +54,18 @@ class Slots:
         registry.register(self, self.FIELDS, link=name)
 
 
+def test_register_keeps_no_per_owner_label_object():
+    registry = MetricsRegistry()
+    owners = [Slots(registry, f"net-{index % 7}") for index in range(50)]
+    assert registry._label_sets == {}
+    (fields, key, kept, values), = registry._owners.values()
+    assert fields is Slots.FIELDS and key == "link"
+    assert kept == owners
+    assert values == [f"net-{index % 7}" for index in range(50)]
+    assert registry.snapshot()["link/tx_frames{link=net-3}"] == 0
+    assert registry._label_sets == {}
+
+
 def test_zero_slot_is_reported():
     registry = MetricsRegistry()
     Slots(registry, "net-a")
