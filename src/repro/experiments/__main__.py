@@ -16,7 +16,12 @@ sharded 100-1000-host home-agent fleet sweep, ``x5`` the fault-injection
 chaos sweep, ``x6`` the TCP congestion-control sweep, ``x7`` the
 10^3-10^6 aggregate fleet-scale sweep, ``x8`` the audited binding-plane
 chaos grid under live registration load, ``x9`` the x5 fault grid re-run
-over a receiver-limited RFC 9293 TCP session).
+over a receiver-limited RFC 9293 TCP session).  Each id is one entry of
+:data:`repro.experiments.EXPERIMENTS`, run at its default grid and seed
+by :func:`repro.experiments.run_experiment`.
+
+``--figures`` renders Figures 7 and 6 from the default f7 and f6 runs;
+it takes no ids, ``--metrics`` or ``--profile`` (exit 2 if given).
 
 ``--jobs N`` runs each experiment's independent trials across N worker
 processes; reports are byte-identical to ``--jobs 1`` (seeds are
@@ -52,59 +57,7 @@ from repro.obs import (
     format_policy_tables,
     format_reports,
 )
-
-from repro.experiments.exp_autoswitch import run_autoswitch_experiment
-from repro.experiments.exp_chaos import run_chaos_experiment
-from repro.experiments.exp_device_switch import run_device_switch_experiment
-from repro.experiments.exp_fa_ablation import run_fa_ablation
-from repro.experiments.exp_fleet_scale import run_fleet_scale_experiment
-from repro.experiments.exp_plane_chaos import run_plane_chaos_experiment
-from repro.experiments.exp_ha_scalability import (
-    run_ha_fleet_sweep,
-    run_ha_scalability_experiment,
-)
-from repro.experiments.exp_registration import run_registration_experiment
-from repro.experiments.exp_routing_options import run_routing_options_experiment
-from repro.experiments.exp_same_subnet import run_same_subnet_experiment
-from repro.experiments.exp_smart_correspondent import (
-    run_smart_correspondent_experiment,
-)
-from repro.experiments.exp_tcp_cc import run_tcp_cc_experiment
-from repro.experiments.exp_tcp_chaos import run_tcp_chaos_experiment
-
-RUNNERS = {
-    "e1": ("Same-subnet address switch (Section 4)",
-           run_same_subnet_experiment),
-    "f6": ("Device switching overhead (Figure 6)",
-           run_device_switch_experiment),
-    "f7": ("Registration time-line (Figure 7)",
-           run_registration_experiment),
-    "f3": ("Routing options (Section 3.2 / Figure 3)",
-           run_routing_options_experiment),
-    "a1": ("Foreign-agent ablation (Section 5.1)",
-           run_fa_ablation),
-    "x1": ("Smart correspondents: reverse-path routing (extension)",
-           run_smart_correspondent_experiment),
-    "x2": ("Home-agent scalability (Section 4's claim, extension)",
-           run_ha_scalability_experiment),
-    "x3": ("Auto-switch probe cadence ablation (Section 6, extension)",
-           run_autoswitch_experiment),
-    "x4": ("Home-agent fleet sweep: 100-1000 hosts, sharded (extension)",
-           run_ha_fleet_sweep),
-    "x5": ("Chaos sweep: fault injection and recovery (extension)",
-           run_chaos_experiment),
-    "x6": ("TCP congestion control: Tahoe/Reno/CUBIC over mobility (extension)",
-           run_tcp_cc_experiment),
-    "x7": ("Fleet scale: 10^3-10^6 aggregate hosts on a consistent-hash "
-           "home-agent plane (extension)",
-           run_fleet_scale_experiment),
-    "x8": ("Plane chaos: membership churn, partitions and crashes under "
-           "live registration load, audited (extension)",
-           run_plane_chaos_experiment),
-    "x9": ("TCP chaos: the x5 fault grid over a windowed RFC 9293 "
-           "session (extension)",
-           run_tcp_chaos_experiment),
-}
+from repro.experiments import EXPERIMENTS, run_experiment
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -113,7 +66,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Run the paper's experiments and print their reports.")
     parser.add_argument("ids", nargs="*", metavar="id",
                         help=f"experiment ids to run "
-                             f"(default: all of {', '.join(RUNNERS)})")
+                             f"(default: all of {', '.join(EXPERIMENTS)})")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for trial execution "
                              "(1 = in-process, 0 = one per CPU; results "
@@ -178,43 +131,56 @@ def main(argv: list) -> int:
         return 1
 
 
+def format_metrics(name: str, captured: list) -> str:
+    """The registry report ``--metrics`` prints after *name*'s report,
+    over the simulators :func:`capture_simulators` caught in its run."""
+    return format_reports((sim.metrics for sim in captured),
+                          title=f"{name} metrics")
+
+
 def _run(argv: list) -> int:
     args = _parser().parse_args(argv)
     if args.list_ids:
-        for name, (title, _) in RUNNERS.items():
-            print(f"{name}  {title}")
+        for name, experiment in EXPERIMENTS.items():
+            print(f"{name}  {experiment.title}")
         return _flush_stdout()
     if args.jobs < 0:
         print(f"--jobs must be >= 0, got {args.jobs}", file=sys.stderr)
         return 2
     if args.figures:
+        ignored = list(args.ids)
+        if args.metrics:
+            ignored.append("--metrics")
+        if args.profile:
+            ignored.append("--profile")
+        if ignored:
+            print(f"--figures renders figures 6 and 7 only; it cannot take "
+                  f"{', '.join(ignored)}", file=sys.stderr)
+            return 2
         from repro.experiments.figures import render_figure6, render_figure7
 
-        print(render_figure7(run_registration_experiment(jobs=args.jobs)))
+        print(render_figure7(run_experiment("f7", jobs=args.jobs)))
         print()
-        print(render_figure6(run_device_switch_experiment(jobs=args.jobs)))
+        print(render_figure6(run_experiment("f6", jobs=args.jobs)))
         return _flush_stdout()
-    requested = [name.lower() for name in args.ids] or list(RUNNERS)
-    unknown = [name for name in requested if name not in RUNNERS]
+    requested = [name.lower() for name in args.ids] or list(EXPERIMENTS)
+    unknown = [name for name in requested if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment ids: {', '.join(unknown)}; "
-              f"valid: {', '.join(RUNNERS)}", file=sys.stderr)
+              f"valid: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
     for name in requested:
-        title, runner = RUNNERS[name]
-        banner = f"=== {name}: {title} ==="
-        print(banner)
+        print(f"=== {name}: {EXPERIMENTS[name].title} ===")
         if args.metrics or args.profile:
             with capture_simulators() as captured, \
                     capture_policy_tables() as tables:
-                report = runner(jobs=args.jobs)
+                report = run_experiment(name, jobs=args.jobs)
         else:
-            report = runner(jobs=args.jobs)
+            report = run_experiment(name, jobs=args.jobs)
         print(report.format_report())
         if args.metrics:
             print()
-            print(format_reports((sim.metrics for sim in captured),
-                                 title=f"{name} metrics"))
+            print(format_metrics(name, captured))
             if tables:
                 print(format_policy_tables(tables))
         if args.profile:

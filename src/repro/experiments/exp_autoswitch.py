@@ -23,7 +23,7 @@ from typing import List
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.autoswitch import AttachmentOption, ConnectivityManager
 from repro.experiments.harness import format_table
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import build_testbed
@@ -123,19 +123,9 @@ def build_autoswitch_trials(intervals_ms, seed: int,
             for index, interval_ms in enumerate(intervals_ms)]
 
 
-def merge_autoswitch_trials(results: List[dict]) -> AutoswitchReport:
+def merge_autoswitch_trials(results: List[dict], **_) -> AutoswitchReport:
     """Reassemble ordered sweep points into the report."""
     report = AutoswitchReport()
     for result in results:
         report.points.append(SweepPoint(**result))
     return report
-
-
-def run_autoswitch_experiment(intervals_ms=DEFAULT_INTERVALS_MS,
-                              seed: int = 71,
-                              config: Config = DEFAULT_CONFIG,
-                              jobs: int = 1) -> AutoswitchReport:
-    """Sweep the probe cadence; each point is an independent trial."""
-    trials = build_autoswitch_trials(intervals_ms, seed, config)
-    results = run_trials(trials, jobs=jobs)
-    return merge_autoswitch_trials(results)

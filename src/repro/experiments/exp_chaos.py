@@ -45,7 +45,7 @@ from repro.faults import (
     InterfaceFlap,
     ReplyDropWindow,
 )
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import Testbed, build_testbed
@@ -215,20 +215,9 @@ def build_chaos_trials(loss_rates: Sequence[float],
     return trials
 
 
-def merge_chaos_trials(results: List[dict]) -> ChaosReport:
+def merge_chaos_trials(results: List[dict], **_) -> ChaosReport:
     """Reassemble ordered grid results into the report."""
     report = ChaosReport()
     for result in results:
         report.points.append(ChaosPoint(**result))
     return report
-
-
-def run_chaos_experiment(loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-                         flap_periods_ms: Sequence[float] = DEFAULT_FLAP_PERIODS_MS,
-                         seed: int = 97,
-                         config: Config = DEFAULT_CONFIG,
-                         jobs: int = 1) -> ChaosReport:
-    """Sweep loss intensity x flap cadence; each cell is one trial."""
-    trials = build_chaos_trials(loss_rates, flap_periods_ms, seed, config)
-    results = run_trials(trials, jobs=jobs)
-    return merge_chaos_trials(results)

@@ -27,7 +27,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import DeviceSwitcher, SwitchTimeline
 from repro.experiments.harness import format_histogram, histogram
 from repro.net.interface import InterfaceState
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import Testbed, build_testbed
@@ -196,8 +196,7 @@ def run_device_switch_trial(case_name: str, index: int, iterations: int,
             "switch_total_ms": timelines[0].total / 1_000_000}
 
 
-def build_device_switch_trials(iterations: int, seed: int,
-                               config: Config) -> List[Trial]:
+def build_device_switch_trials(iterations: int, seed: int) -> List[Trial]:
     """4 cases x *iterations* trials, seeds exactly as the serial loop."""
     trials: List[Trial] = []
     for case_index, case in enumerate(SwitchCase):
@@ -206,7 +205,7 @@ def build_device_switch_trials(iterations: int, seed: int,
                 "repro.experiments.exp_device_switch:run_device_switch_trial",
                 dict(case_name=case.name, index=index, iterations=iterations,
                      seed=seed + index * 131 + case_index * 9973,
-                     config=config)))
+                     config=DEFAULT_CONFIG)))
     return trials
 
 
@@ -223,16 +222,3 @@ def merge_device_switch_trials(results: List[dict],
             case_result.switch_totals_ms.append(result["switch_total_ms"])
         report.cases[case] = case_result
     return report
-
-
-def run_device_switch_experiment(iterations: int = PAPER_ITERATIONS,
-                                 seed: int = 23,
-                                 jobs: int = 1) -> DeviceSwitchReport:
-    """Reproduce Figure 6: 4 cases x *iterations*, loss histograms.
-
-    Every (case, iteration) cell is an independent trial, so ``jobs=N``
-    shards all ``4 * iterations`` of them across workers.
-    """
-    trials = build_device_switch_trials(iterations, seed, DEFAULT_CONFIG)
-    results = run_trials(trials, jobs=jobs)
-    return merge_device_switch_trials(results, iterations)

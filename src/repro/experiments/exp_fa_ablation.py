@@ -37,7 +37,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import DeviceSwitcher, SwitchTimeline
 from repro.experiments.harness import format_histogram, histogram
 from repro.net.interface import InterfaceState
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import build_testbed
@@ -187,17 +187,16 @@ def run_fa_trial(with_fa: bool, seed: int,
     return {"loss": _run_once_without_fa(seed, config), "forwarded": None}
 
 
-def build_fa_ablation_trials(iterations: int, seed: int,
-                             config: Config) -> List[Trial]:
+def build_fa_ablation_trials(iterations: int, seed: int) -> List[Trial]:
     """Interleaved (without, with) pairs, seeds as the serial loop."""
     func = "repro.experiments.exp_fa_ablation:run_fa_trial"
     trials: List[Trial] = []
     for index in range(iterations):
         trials.append(Trial(func, dict(with_fa=False, seed=seed + index,
-                                       config=config)))
+                                       config=DEFAULT_CONFIG)))
         trials.append(Trial(func, dict(with_fa=True,
                                        seed=seed + 1000 + index,
-                                       config=config)))
+                                       config=DEFAULT_CONFIG)))
     return trials
 
 
@@ -210,15 +209,3 @@ def merge_fa_ablation_trials(results: List[dict],
         report.losses_with_fa.append(with_fa["loss"])
         report.forwarded_by_fa.append(with_fa["forwarded"])
     return report
-
-
-def run_fa_ablation(iterations: int = 10, seed: int = 47,
-                    jobs: int = 1) -> FAAblationReport:
-    """Run both configurations *iterations* times and compare loss.
-
-    Every run is an independent trial (2 x *iterations* of them), so
-    ``jobs=N`` shards the whole comparison across workers.
-    """
-    trials = build_fa_ablation_trials(iterations, seed, DEFAULT_CONFIG)
-    results = run_trials(trials, jobs=jobs)
-    return merge_fa_ablation_trials(results, iterations)

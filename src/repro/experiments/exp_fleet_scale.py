@@ -33,12 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.binding_shard import HashRing
 from repro.experiments.harness import format_table
-from repro.parallel import (
-    Trial,
-    balanced_shards,
-    run_trials,
-    spawn_seed,
-)
+from repro.parallel import Trial, balanced_shards, spawn_seed
 from repro.sim.engine import Simulator
 from repro.sim.units import s
 from repro.stats import LatencyHistogram, Stats, merge_stats
@@ -135,7 +130,7 @@ def run_fleet_scale_trial(fleet_size: int, n_hosts: int, host_offset: int,
 
 
 def _row_trials(row_index: int, fleet_size: int, failed: Tuple[str, ...],
-                seed: int, config: Config, shard_hosts: int) -> List[Trial]:
+                seed: int, shard_hosts: int) -> List[Trial]:
     """The balanced shard trials of one report row."""
     trials: List[Trial] = []
     agents = agent_count_for(fleet_size)
@@ -147,13 +142,13 @@ def _row_trials(row_index: int, fleet_size: int, failed: Tuple[str, ...],
             dict(fleet_size=fleet_size, n_hosts=shard_size,
                  host_offset=offset, agents=agents, failed=failed,
                  seed=spawn_seed(seed, row_index, shard_index),
-                 config=config)))
+                 config=DEFAULT_CONFIG)))
         offset += shard_size
     return trials
 
 
 def build_fleet_scale_trials(fleet_sizes: Sequence[int], seed: int,
-                             config: Config, shard_hosts: int,
+                             shard_hosts: int,
                              failover_fleet: Optional[int]) -> List[Trial]:
     """All rows' trials: the sweep plus the optional one-HA-down row.
 
@@ -162,11 +157,11 @@ def build_fleet_scale_trials(fleet_sizes: Sequence[int], seed: int,
     """
     trials: List[Trial] = []
     for row_index, fleet_size in enumerate(fleet_sizes):
-        trials.extend(_row_trials(row_index, fleet_size, (), seed, config,
+        trials.extend(_row_trials(row_index, fleet_size, (), seed,
                                   shard_hosts))
     if failover_fleet:
         trials.extend(_row_trials(len(fleet_sizes), failover_fleet,
-                                  ("ha0",), seed, config, shard_hosts))
+                                  ("ha0",), seed, shard_hosts))
     return trials
 
 
@@ -210,17 +205,3 @@ def merge_fleet_scale_trials(results: List[dict], fleet_sizes: Sequence[int],
                                  for r in shard_results),
         ))
     return report
-
-
-def run_fleet_scale_experiment(fleet_sizes: Sequence[int] = DEFAULT_FLEET_SIZES,
-                               seed: int = 29,
-                               shard_hosts: int = AGGREGATE_SHARD_HOSTS,
-                               failover_fleet: Optional[int] =
-                               DEFAULT_FAILOVER_FLEET,
-                               jobs: int = 1) -> FleetScaleReport:
-    """The full sweep; ``jobs=N`` shards the big fleets across workers."""
-    trials = build_fleet_scale_trials(fleet_sizes, seed, DEFAULT_CONFIG,
-                                      shard_hosts, failover_fleet)
-    results = run_trials(trials, jobs=jobs)
-    return merge_fleet_scale_trials(results, fleet_sizes, shard_hosts,
-                                    failover_fleet)

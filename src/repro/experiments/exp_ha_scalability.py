@@ -11,11 +11,11 @@ question is how registration latency degrades with N — linearly in the
 ~1.5 ms per-request processing cost, which stays comfortably under a
 typical binding lifetime even for hundreds of hosts.
 
-Two harnesses share the fleet machinery:
+Two experiments share the fleet machinery:
 
-* :func:`run_ha_scalability_experiment` — the original single-agent
-  sweep (1–50 hosts, one simulation per fleet size).
-* :func:`run_ha_fleet_sweep` — the production-scale extension: fleets of
+* ``x2`` — the original single-agent sweep (1–50 hosts, one simulation
+  per fleet size).
+* ``x4`` — the production-scale extension: fleets of
   100–1000 hosts **sharded across workers**, each shard a replica home
   agent serving ~100 hosts in its own simulation (the /24 home subnet
   bounds a single agent's address pool at ~150 hosts — sharding is how a
@@ -34,12 +34,7 @@ from repro.core.mobile_host import MobileHost
 from repro.core.registration import RegistrationOutcome
 from repro.experiments.harness import format_table
 from repro.net.interface import EthernetInterface, InterfaceState
-from repro.parallel import (
-    Trial,
-    balanced_shards,
-    run_trials,
-    spawn_seed,
-)
+from repro.parallel import Trial, balanced_shards, spawn_seed
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.stats import Stats, merge_stats, summarize_ms
@@ -51,7 +46,7 @@ LARGE_FLEET_SIZES = (100, 250, 500, 1000)
 #: Hosts per shard in the large sweep: keeps each replica agent's pool
 #: well inside the /24 home subnet (indices 100..254) and the shards
 #: balanced across a typical worker count.
-DEFAULT_SHARD_HOSTS = 100
+SHARD_HOSTS = 100
 
 
 @dataclass
@@ -157,7 +152,8 @@ def build_ha_scalability_trials(fleet_sizes, seed: int,
             for index, fleet_size in enumerate(fleet_sizes)]
 
 
-def merge_ha_scalability_trials(results: List[dict]) -> HAScalabilityReport:
+def merge_ha_scalability_trials(results: List[dict],
+                                **_) -> HAScalabilityReport:
     """Reassemble per-fleet trial results into the report."""
     report = HAScalabilityReport()
     for result in results:
@@ -166,16 +162,6 @@ def merge_ha_scalability_trials(results: List[dict]) -> HAScalabilityReport:
             accepted=result["accepted"],
             latency=Stats(**result["latency"])))
     return report
-
-
-def run_ha_scalability_experiment(fleet_sizes=DEFAULT_FLEET_SIZES,
-                                  seed: int = 83,
-                                  config: Config = DEFAULT_CONFIG,
-                                  jobs: int = 1) -> HAScalabilityReport:
-    """The original sweep: one simulation per fleet size."""
-    trials = build_ha_scalability_trials(fleet_sizes, seed, config)
-    results = run_trials(trials, jobs=jobs)
-    return merge_ha_scalability_trials(results)
 
 
 # --------------------------------------------------------------- large fleets
@@ -211,10 +197,10 @@ class HAFleetSweepReport:
                 f"replica agents ({self.shard_hosts} hosts/shard)\n" + table)
 
 
-def build_ha_fleet_sweep_trials(fleet_sizes, seed: int, config: Config,
-                                shard_hosts: int = DEFAULT_SHARD_HOSTS
-                                ) -> List[Trial]:
-    """Shard every fleet into ~*shard_hosts* chunks, one trial per shard.
+def build_ha_fleet_sweep_trials(fleet_sizes, seed: int,
+                                config: Config) -> List[Trial]:
+    """Shard every fleet into ~:data:`SHARD_HOSTS` chunks, one trial per
+    shard.
 
     Shard seeds are ``spawn_seed(base, fleet_index, shard_index)`` —
     a pure function of position, so worker count never changes them.
@@ -222,7 +208,7 @@ def build_ha_fleet_sweep_trials(fleet_sizes, seed: int, config: Config,
     trials: List[Trial] = []
     for fleet_index, fleet_size in enumerate(fleet_sizes):
         for shard_index, shard_size in enumerate(
-                balanced_shards(fleet_size, shard_hosts)):
+                balanced_shards(fleet_size, SHARD_HOSTS)):
             trials.append(Trial(
                 "repro.experiments.exp_ha_scalability:run_fleet_trial",
                 dict(fleet_size=shard_size,
@@ -232,13 +218,12 @@ def build_ha_fleet_sweep_trials(fleet_sizes, seed: int, config: Config,
 
 
 def merge_ha_fleet_sweep_trials(results: List[dict], fleet_sizes,
-                                shard_hosts: int = DEFAULT_SHARD_HOSTS
-                                ) -> HAFleetSweepReport:
+                                **_) -> HAFleetSweepReport:
     """Fold per-shard partial Stats into fleet-level results, in order."""
-    report = HAFleetSweepReport(shard_hosts=shard_hosts)
+    report = HAFleetSweepReport(shard_hosts=SHARD_HOSTS)
     cursor = iter(results)
     for fleet_size in fleet_sizes:
-        shard_sizes = balanced_shards(fleet_size, shard_hosts)
+        shard_sizes = balanced_shards(fleet_size, SHARD_HOSTS)
         shard_results = [next(cursor) for _ in shard_sizes]
         report.results.append(ShardedFleetResult(
             fleet_size=fleet_size,
@@ -247,19 +232,3 @@ def merge_ha_fleet_sweep_trials(results: List[dict], fleet_sizes,
             latency=merge_stats([Stats(**result["latency"])
                                  for result in shard_results])))
     return report
-
-
-def run_ha_fleet_sweep(fleet_sizes=LARGE_FLEET_SIZES, seed: int = 97,
-                       config: Config = DEFAULT_CONFIG,
-                       jobs: int = 1) -> HAFleetSweepReport:
-    """The production-scale extension: 100-1000 hosts per fleet.
-
-    Each shard is an independent simulation of a replica home agent
-    serving its slice of the fleet; ``jobs=N`` runs shards across
-    workers and the merge is byte-identical at any worker count.
-    """
-    trials = build_ha_fleet_sweep_trials(fleet_sizes, seed, config,
-                                         DEFAULT_SHARD_HOSTS)
-    results = run_trials(trials, jobs=jobs)
-    return merge_ha_fleet_sweep_trials(results, fleet_sizes,
-                                       DEFAULT_SHARD_HOSTS)

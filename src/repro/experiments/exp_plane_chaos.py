@@ -69,12 +69,7 @@ from repro.net.host import Host
 from repro.net.interface import EthernetInterface, PointToPointInterface
 from repro.net.link import EthernetSegment, PointToPointLink
 from repro.net.router import Router
-from repro.parallel import (
-    Trial,
-    balanced_shards,
-    run_trials,
-    spawn_seed,
-)
+from repro.parallel import Trial, balanced_shards, spawn_seed
 from repro.sim.engine import Simulator
 from repro.sim.units import MBPS, ms, s, us
 from repro.stats import LatencyHistogram, Stats, Welford, merge_stats
@@ -473,7 +468,6 @@ def _grid(fleet_sizes: Sequence[int]) -> List[tuple]:
 
 
 def build_plane_chaos_trials(fleet_sizes: Sequence[int], seed: int,
-                             config: Config,
                              shard_hosts: int) -> List[Trial]:
     """Every cell's balanced shard trials, seeds by (row, shard)."""
     trials: List[Trial] = []
@@ -487,16 +481,16 @@ def build_plane_chaos_trials(fleet_sizes: Sequence[int], seed: int,
                 dict(fleet_size=fleet_size, n_hosts=shard_size,
                      host_offset=offset, churn=churn, partition=partition,
                      seed=spawn_seed(seed, row_index, shard_index),
-                     config=config)))
+                     config=DEFAULT_CONFIG)))
             offset += shard_size
     return trials
 
 
 def merge_plane_chaos_trials(results: List[dict],
-                             fleet_sizes: Sequence[int], config: Config,
+                             fleet_sizes: Sequence[int],
                              shard_hosts: int) -> PlaneChaosReport:
     """Fold ordered shard results into grid cells, losslessly."""
-    trial_config = plane_chaos_config(config)
+    trial_config = plane_chaos_config()
     report = PlaneChaosReport()
     cursor = iter(results)
     for fleet_size, churn, partition in _grid(fleet_sizes):
@@ -544,16 +538,3 @@ def merge_plane_chaos_trials(results: List[dict],
     report.calibrated_interval_s = fitted.mean_registration_interval / 1e9
     report.calibrated_churn = fitted.churn_probability
     return report
-
-
-def run_plane_chaos_experiment(fleet_sizes: Sequence[int] =
-                               DEFAULT_FLEET_SIZES,
-                               seed: int = 71,
-                               shard_hosts: int = SHARD_HOSTS,
-                               jobs: int = 1) -> PlaneChaosReport:
-    """The audited chaos grid; ``jobs=N`` shards cells across workers."""
-    trials = build_plane_chaos_trials(fleet_sizes, seed, DEFAULT_CONFIG,
-                                      shard_hosts)
-    results = run_trials(trials, jobs=jobs)
-    return merge_plane_chaos_trials(results, fleet_sizes, DEFAULT_CONFIG,
-                                    shard_hosts)

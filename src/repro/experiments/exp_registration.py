@@ -32,7 +32,7 @@ from repro.core.handoff import (
     SwitchTimeline,
 )
 from repro.experiments.harness import format_table
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms
 from repro.stats import Stats, summarize_ms
@@ -120,11 +120,11 @@ def run_registration_trial(iterations: int, seed: int,
     }
 
 
-def build_registration_trials(iterations: int, seed: int,
-                              config: Config) -> List[Trial]:
+def build_registration_trials(iterations: int, seed: int) -> List[Trial]:
     """One sequential trial (the iterations share a testbed)."""
     return [Trial("repro.experiments.exp_registration:run_registration_trial",
-                  dict(iterations=iterations, seed=seed, config=config))]
+                  dict(iterations=iterations, seed=seed,
+                       config=DEFAULT_CONFIG))]
 
 
 def merge_registration_trials(results: List[dict],
@@ -138,20 +138,6 @@ def merge_registration_trials(results: List[dict],
     report.total = summarize_ms(result["total"])
     report.ha_processing = summarize_ms(result["ha_processing"])
     return report
-
-
-def run_registration_experiment(iterations: int = 10, seed: int = 7,
-                                jobs: int = 1) -> RegistrationReport:
-    """Reproduce Figure 7.
-
-    One testbed; the mobile host flips between two care-of addresses on
-    net 36.8 *iterations* times.  Home-agent processing time is read from
-    the registration trace (``ha_received`` -> ``ha_reply``), matching how
-    the paper instrumented the home agent itself.
-    """
-    trials = build_registration_trials(iterations, seed, DEFAULT_CONFIG)
-    results = run_trials(trials, jobs=jobs)
-    return merge_registration_trials(results, iterations)
 
 
 def _ha_processing_times(sim: Simulator, idents: List[int]) -> List[int]:

@@ -26,7 +26,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.core.policy import RoutingMode
 from repro.experiments.harness import format_table
 from repro.net.packet import IP_HEADER_BYTES
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.stats import Stats, summarize_ms
@@ -189,24 +189,23 @@ def _fallback_demo(seed: int, config: Config) -> tuple:
     return probe_failed, recovered
 
 
-def build_routing_options_trials(probes: int, seed: int,
-                                 config: Config) -> List[Trial]:
+def build_routing_options_trials(probes: int, seed: int) -> List[Trial]:
     """Three measurements per mode plus the fallback demo, mode-major."""
     measure = "repro.experiments.exp_routing_options:run_mode_probe_trial"
     trials: List[Trial] = []
     for index, mode in enumerate(RoutingMode):
         trials.append(Trial(measure, dict(
             mode_name=mode.name, probes=probes, seed=seed + index,
-            transit_filter=False, nearby=True, config=config)))
+            transit_filter=False, nearby=True, config=DEFAULT_CONFIG)))
         trials.append(Trial(measure, dict(
             mode_name=mode.name, probes=probes, seed=seed + 50 + index,
-            transit_filter=False, nearby=False, config=config)))
+            transit_filter=False, nearby=False, config=DEFAULT_CONFIG)))
         trials.append(Trial(measure, dict(
             mode_name=mode.name, probes=probes, seed=seed + 100 + index,
-            transit_filter=True, nearby=False, config=config)))
+            transit_filter=True, nearby=False, config=DEFAULT_CONFIG)))
     trials.append(Trial(
         "repro.experiments.exp_routing_options:run_fallback_trial",
-        dict(seed=seed + 500, config=config)))
+        dict(seed=seed + 500, config=DEFAULT_CONFIG)))
     return trials
 
 
@@ -233,15 +232,3 @@ def merge_routing_options_trials(results: List[dict],
     report.fallback_probe_failed = fallback["probe_failed"]
     report.fallback_recovered = fallback["recovered"]
     return report
-
-
-def run_routing_options_experiment(probes: int = 20, seed: int = 31,
-                                   jobs: int = 1) -> RoutingOptionsReport:
-    """Measure all four routing modes plus the dynamic fallback.
-
-    The 13 measurements (4 modes x 3 scenarios + fallback demo) are
-    independent trials sharded across workers by ``jobs=N``.
-    """
-    trials = build_routing_options_trials(probes, seed, DEFAULT_CONFIG)
-    results = run_trials(trials, jobs=jobs)
-    return merge_routing_options_trials(results, probes)

@@ -24,7 +24,7 @@ from typing import Dict, List
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import AddressSwitcher, SwitchTimeline
 from repro.experiments.harness import format_histogram, histogram, spread_phases
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms
 from repro.testbed import build_testbed
@@ -118,12 +118,11 @@ def run_same_subnet_trial(index: int, iterations: int, seed: int,
 
 
 def build_same_subnet_trials(iterations: int, seed: int,
-                             probe_interval: int,
-                             config: Config) -> List[Trial]:
+                             probe_interval: int) -> List[Trial]:
     """One trial per iteration; seed = base + index, as the serial loop did."""
     return [Trial("repro.experiments.exp_same_subnet:run_same_subnet_trial",
                   dict(index=index, iterations=iterations, seed=seed + index,
-                       probe_interval=probe_interval, config=config))
+                       probe_interval=probe_interval, config=DEFAULT_CONFIG))
             for index in range(iterations)]
 
 
@@ -136,23 +135,6 @@ def merge_same_subnet_trials(results: List[dict], iterations: int,
         report.losses.append(result["loss"])
         report.switch_totals_ms.append(result["switch_total_ms"])
     return report
-
-
-def run_same_subnet_experiment(iterations: int = 20, seed: int = 11,
-                               probe_interval: int = ms(10),
-                               jobs: int = 1) -> SameSubnetReport:
-    """Reproduce the twenty-iteration same-subnet switch measurement.
-
-    Each iteration uses a fresh testbed (independent runs, like the
-    paper's), starts the 10 ms echo stream, switches the care-of address
-    at a phase-spread instant, and counts end-to-end echo losses.
-    Iterations are independent trials, so ``jobs=N`` shards them across
-    workers with byte-identical results.
-    """
-    trials = build_same_subnet_trials(iterations, seed, probe_interval,
-                                      DEFAULT_CONFIG)
-    results = run_trials(trials, jobs=jobs)
-    return merge_same_subnet_trials(results, iterations, probe_interval)
 
 
 @dataclass
@@ -180,12 +162,14 @@ class ProbeSweepReport:
 
 def run_probe_interval_sweep() -> ProbeSweepReport:
     """Run the same-subnet switch at 2, 5, 10 and 20 ms probe intervals."""
+    from repro.experiments import run_experiment
+
     iterations = 10
     report = ProbeSweepReport(iterations_per_point=iterations)
     for index, interval_ms in enumerate((2, 5, 10, 20)):
-        sub = run_same_subnet_experiment(iterations=iterations,
-                                         seed=211 + index * 100,
-                                         probe_interval=ms(interval_ms))
+        sub = run_experiment("e1", seed=211 + index * 100,
+                             iterations=iterations,
+                             probe_interval=ms(interval_ms))
         mean_loss = sum(sub.losses) / len(sub.losses)
         report.points.append((float(interval_ms), mean_loss))
     return report

@@ -25,7 +25,7 @@ from typing import List
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.smart_correspondent import SmartCorrespondent
 from repro.experiments.harness import format_table
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.stats import Stats, summarize_ms
@@ -148,8 +148,8 @@ def build_smart_correspondent_trials(probes: int, seed: int,
     ]
 
 
-def merge_smart_correspondent_trials(results: List[dict],
-                                     probes: int) -> SmartCorrespondentReport:
+def merge_smart_correspondent_trials(results: List[dict], probes: int,
+                                     **_) -> SmartCorrespondentReport:
     """Assemble the (plain, smart, fallback) triple into the report."""
     plain, smart, fallback = results
     return SmartCorrespondentReport(
@@ -159,12 +159,3 @@ def merge_smart_correspondent_trials(results: List[dict],
         ha_packets_plain=plain["ha_packets"],
         ha_packets_optimized=smart["ha_packets"],
         fallback_lossless=fallback["lossless"])
-
-
-def run_smart_correspondent_experiment(probes: int = 30, seed: int = 67,
-                                       config: Config = DEFAULT_CONFIG,
-                                       jobs: int = 1) -> SmartCorrespondentReport:
-    """Compare plain vs smart correspondents (three parallel trials)."""
-    trials = build_smart_correspondent_trials(probes, seed, config)
-    results = run_trials(trials, jobs=jobs)
-    return merge_smart_correspondent_trials(results, probes)

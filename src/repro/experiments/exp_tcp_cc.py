@@ -33,7 +33,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.experiments.harness import format_table
 from repro.faults import FaultInjector, FaultPlan, GilbertElliottPhase
 from repro.net.tcp import TCPConnection
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import build_testbed
@@ -201,21 +201,9 @@ def build_tcp_cc_trials(ccs: Sequence[str], loss_rates: Sequence[float],
     return trials
 
 
-def merge_tcp_cc_trials(results: List[dict]) -> TcpCcReport:
+def merge_tcp_cc_trials(results: List[dict], **_) -> TcpCcReport:
     """Reassemble ordered grid results into the report."""
     report = TcpCcReport()
     for result in results:
         report.points.append(TcpCcPoint(**result))
     return report
-
-
-def run_tcp_cc_experiment(ccs: Sequence[str] = DEFAULT_CCS,
-                          loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-                          handoffs: Sequence[bool] = DEFAULT_HANDOFFS,
-                          seed: int = 113,
-                          config: Config = DEFAULT_CONFIG,
-                          jobs: int = 1) -> TcpCcReport:
-    """Sweep cc × loss × handoff; each cell is one trial."""
-    trials = build_tcp_cc_trials(ccs, loss_rates, handoffs, seed, config)
-    results = run_trials(trials, jobs=jobs)
-    return merge_tcp_cc_trials(results)

@@ -9,7 +9,7 @@ return type, the engine announces each new simulator here, and
 runs::
 
     with capture_simulators() as captured:
-        run_experiment(seed=7)
+        run_experiment("f7", seed=7)
     report = format_reports((sim.metrics for sim in captured), "metrics")
 
 When no capture is active (the normal case), :func:`note_simulator` is a

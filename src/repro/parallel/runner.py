@@ -172,8 +172,8 @@ class ParallelRunner:
 def run_trials(trials: Iterable[Trial], jobs: int) -> List[Any]:
     """Convenience wrapper: run *trials* on a fresh :class:`ParallelRunner`.
 
-    Every ``run_*_experiment(jobs=...)`` entry point funnels through
-    here, so the serial and parallel paths share one code path up to the
-    pool itself.
+    :func:`repro.experiments.run_experiment`, the one driver behind every
+    experiment id, funnels through here, so the serial and parallel paths
+    share one code path up to the pool itself.
     """
     return ParallelRunner(jobs=jobs).run(trials)

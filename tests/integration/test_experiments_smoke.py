@@ -10,18 +10,8 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    run_autoswitch_experiment,
-    run_device_switch_experiment,
-    run_fa_ablation,
-    run_ha_scalability_experiment,
-    run_registration_experiment,
-    run_routing_options_experiment,
-    run_same_subnet_experiment,
-    run_smart_correspondent_experiment,
-)
 from repro.core.binding_shard import BindingShardPlane
-from repro.experiments import run_plane_chaos_experiment
+from repro.experiments import run_experiment
 from repro.experiments.exp_device_switch import SwitchCase
 from repro.experiments.exp_plane_chaos import run_plane_chaos_trial
 from repro.experiments.harness import as_plain_data
@@ -37,28 +27,28 @@ def check_report(report) -> None:
 
 
 def test_registration_smoke():
-    report = run_registration_experiment(iterations=3, seed=1)
+    report = run_experiment("f7", seed=1, iterations=3)
     assert report.iterations == 3
     assert report.total.count == 3
     check_report(report)
 
 
 def test_registration_is_deterministic():
-    first = run_registration_experiment(iterations=3, seed=9)
-    second = run_registration_experiment(iterations=3, seed=9)
+    first = run_experiment("f7", seed=9, iterations=3)
+    second = run_experiment("f7", seed=9, iterations=3)
     assert first.total.mean == second.total.mean
     assert first.request_reply.std == second.request_reply.std
 
 
 def test_same_subnet_smoke():
-    report = run_same_subnet_experiment(iterations=4, seed=2)
+    report = run_experiment("e1", seed=2, iterations=4)
     assert len(report.losses) == 4
     assert report.max_loss <= 1
     check_report(report)
 
 
 def test_device_switch_smoke():
-    report = run_device_switch_experiment(iterations=2, seed=3)
+    report = run_experiment("f6", seed=3, iterations=2)
     assert set(report.cases) == set(SwitchCase)
     for case, result in report.cases.items():
         assert len(result.losses) == 2
@@ -66,25 +56,25 @@ def test_device_switch_smoke():
 
 
 def test_routing_options_smoke():
-    report = run_routing_options_experiment(probes=6, seed=4)
+    report = run_experiment("f3", seed=4, probes=6)
     assert len(report.results) == 4
     check_report(report)
 
 
 def test_fa_ablation_smoke():
-    report = run_fa_ablation(iterations=2, seed=5)
+    report = run_experiment("a1", seed=5, iterations=2)
     assert len(report.losses_with_fa) == 2
     check_report(report)
 
 
 def test_smart_correspondent_smoke():
-    report = run_smart_correspondent_experiment(probes=8, seed=6)
+    report = run_experiment("x1", seed=6, probes=8)
     assert report.speedup > 1.0
     check_report(report)
 
 
 def test_ha_scalability_smoke():
-    report = run_ha_scalability_experiment(fleet_sizes=(1, 4), seed=7)
+    report = run_experiment("x2", seed=7, fleet_sizes=(1, 4))
     assert [result.fleet_size for result in report.results] == [1, 4]
     assert all(result.accepted == result.fleet_size
                for result in report.results)
@@ -92,15 +82,15 @@ def test_ha_scalability_smoke():
 
 
 def test_autoswitch_smoke():
-    report = run_autoswitch_experiment(intervals_ms=(200, 800), seed=8)
+    report = run_experiment("x3", seed=8, intervals_ms=(200, 800))
     assert len(report.points) == 2
     assert report.points[0].failover_ms < report.points[1].failover_ms
     check_report(report)
 
 
 def test_plane_chaos_smoke():
-    report = run_plane_chaos_experiment(fleet_sizes=(24,), seed=5,
-                                        shard_hosts=24)
+    report = run_experiment("x8", seed=5, fleet_sizes=(24,),
+                            shard_hosts=24)
     assert len(report.points) == 4  # churn x partition grid
     for point in report.points:
         assert point.violations == 0  # the auditor gate
@@ -125,7 +115,7 @@ def test_plane_chaos_trial_gates_on_the_auditor(monkeypatch):
 
 
 def test_as_plain_data_handles_enum_keys():
-    report = run_device_switch_experiment(iterations=1, seed=10)
+    report = run_experiment("f6", seed=10, iterations=1)
     plain = as_plain_data(report)
     assert "cold ethernet->radio" in plain["cases"]
     assert isinstance(plain["cases"]["cold ethernet->radio"]["losses"], list)

@@ -22,7 +22,7 @@ no more than one chunk of words holds no Mersenne Twister generator.
 import random
 import time
 
-from repro.experiments.exp_fleet_scale import run_fleet_scale_experiment
+from repro.experiments import run_experiment
 from repro.experiments.exp_plane_chaos import run_plane_chaos_trial
 from repro.obs.capture import capture_simulators
 from repro.sim.randomness import CHUNK_WORDS, RandomStream
@@ -33,8 +33,8 @@ MIN_CHURN_REGS_PER_SEC = 100.0
 
 def test_x7_fleet_row_clears_registration_floor():
     start = time.perf_counter()
-    report = run_fleet_scale_experiment(fleet_sizes=(100_000,),
-                                        failover_fleet=None)
+    report = run_experiment("x7", fleet_sizes=(100_000,),
+                            failover_fleet=None)
     wall_s = time.perf_counter() - start
     (point,) = report.points
     assert point.registrations / wall_s >= MIN_FLEET_REGS_PER_SEC

@@ -46,20 +46,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import (
-    run_autoswitch_experiment,
-    run_chaos_experiment,
-    run_ha_fleet_sweep,
-    run_ha_scalability_experiment,
-    run_smart_correspondent_experiment,
-    run_tcp_cc_experiment,
-)
-from repro.experiments.__main__ import RUNNERS
-from repro.experiments.exp_fleet_scale import run_fleet_scale_experiment
+from repro.experiments import run_experiment
+from repro.experiments.__main__ import format_metrics
 from repro.experiments.exp_ha_scalability import run_fleet_trial
-from repro.experiments.exp_plane_chaos import run_plane_chaos_experiment
 from repro.net.addressing import ip
-from repro.obs import capture_simulators, format_reports
+from repro.obs import capture_simulators
 from repro.parallel import spawn_seed
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
@@ -68,20 +59,15 @@ from repro.workloads import TcpBulkReceiver, TcpBulkSender
 
 GOLDEN_PATH = Path(__file__).with_name("report_goldens.json")
 
-EXPERIMENTS = [
-    ("x1", lambda seed: run_smart_correspondent_experiment(
-        probes=4, seed=seed)),
-    ("x2", lambda seed: run_ha_scalability_experiment(
-        fleet_sizes=(4, 8), seed=seed)),
-    ("x3", lambda seed: run_autoswitch_experiment(
-        intervals_ms=(300,), seed=seed)),
-    ("x4", lambda seed: run_ha_fleet_sweep(
-        fleet_sizes=(40,), seed=seed)),
-    ("x5", lambda seed: run_chaos_experiment(
-        loss_rates=(0.2,), flap_periods_ms=(700,), seed=seed)),
-    ("x6", lambda seed: run_tcp_cc_experiment(
-        ccs=("tahoe", "reno"), loss_rates=(0.25,), handoffs=(True,),
-        seed=seed)),
+#: ``(id, reduced grid)`` pairs pinned at seeds 0-2.
+SHRUNK_GRIDS = [
+    ("x1", dict(probes=4)),
+    ("x2", dict(fleet_sizes=(4, 8))),
+    ("x3", dict(intervals_ms=(300,))),
+    ("x4", dict(fleet_sizes=(40,))),
+    ("x5", dict(loss_rates=(0.2,), flap_periods_ms=(700,))),
+    ("x6", dict(ccs=("tahoe", "reno"), loss_rates=(0.25,),
+                handoffs=(True,))),
 ]
 
 #: Ids whose full default run takes a couple of seconds at most.
@@ -98,14 +84,14 @@ def _sha256(text: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _default_run(name: str):
-    """``(report, --metrics text)`` of one default run; the text is None
-    for ids outside :data:`METRICS_IDS`."""
-    if name not in METRICS_IDS:
-        return RUNNERS[name][1](jobs=1), None
+    """``(report, --metrics text, kept trace categories)`` of one default
+    run; the text is None for ids outside :data:`METRICS_IDS`.  Only these
+    survive the run, not its simulators."""
     with capture_simulators() as sims:
-        report = RUNNERS[name][1](jobs=1)
-    return report, format_reports((sim.metrics for sim in sims),
-                                  title=f"{name} metrics")
+        report = run_experiment(name)
+    metrics = format_metrics(name, sims) if name in METRICS_IDS else None
+    kept = {record.category for sim in sims for record in sim.trace}
+    return report, metrics, kept
 
 
 def default_report(name: str):
@@ -127,15 +113,15 @@ def default_metrics_digest(name: str) -> str:
 
 def x8_small_digest() -> str:
     """x8's grid at one 24-host fleet size, two 12-host shards per cell."""
-    return _sha256(run_plane_chaos_experiment(
-        fleet_sizes=(24,), seed=71, shard_hosts=12).format_report())
+    return _sha256(run_experiment(
+        "x8", fleet_sizes=(24,), shard_hosts=12).format_report())
 
 
 def x7_reduced_digest() -> str:
     """x7's aggregate-model sweep at its two smallest fleet sizes plus the
     default 100k-host failover row, at its default seed."""
-    return _sha256(run_fleet_scale_experiment(
-        fleet_sizes=(1_000, 10_000)).format_report())
+    return _sha256(run_experiment(
+        "x7", fleet_sizes=(1_000, 10_000)).format_report())
 
 
 def x4_shard_metrics_digest() -> str:
@@ -186,8 +172,10 @@ def typed_stream_digest(trace) -> str:
 
 def golden_digests() -> dict:
     """Every digest this module checks, keyed as in the golden file."""
-    digests = {f"{name}/{seed}": _sha256(runner(seed).format_report())
-               for name, runner in EXPERIMENTS for seed in (0, 1, 2)}
+    digests = {
+        f"{name}/{seed}":
+            _sha256(run_experiment(name, seed=seed, **grid).format_report())
+        for name, grid in SHRUNK_GRIDS for seed in (0, 1, 2)}
     digests.update({f"{name}/default": default_report_digest(name)
                     for name in DEFAULT_SEED_IDS})
     digests.update({f"{name}/metrics": default_metrics_digest(name)
@@ -204,12 +192,12 @@ def _golden(key: str) -> str:
     return json.loads(GOLDEN_PATH.read_text())[key]
 
 
-@pytest.mark.parametrize("name,runner", EXPERIMENTS,
-                         ids=[name for name, _ in EXPERIMENTS])
+@pytest.mark.parametrize("name,grid", SHRUNK_GRIDS,
+                         ids=[name for name, _ in SHRUNK_GRIDS])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_report_matches_golden(name, runner, seed):
+def test_report_matches_golden(name, grid, seed):
     with capture_simulators() as sims:
-        report = runner(seed).format_report()
+        report = run_experiment(name, seed=seed, **grid).format_report()
     assert _sha256(report) == _golden(f"{name}/{seed}")
     # Nothing reads these trials' traces: they declare, and keep, nothing.
     assert sims and all(len(sim.trace) == 0 for sim in sims)
@@ -228,10 +216,7 @@ def test_default_seed_metrics_match_golden(name):
 @pytest.mark.parametrize("name", ["f7", "a1"])
 def test_registration_readers_keep_only_registration_records(name):
     """f7 and a1 read the registration trace and declare only that."""
-    with capture_simulators() as sims:
-        RUNNERS[name][1](jobs=1)
-    kept = {record.category for sim in sims for record in sim.trace}
-    assert kept == {"registration"}
+    assert _default_run(name)[2] == {"registration"}
 
 
 def test_x8_small_grid_report_matches_golden():

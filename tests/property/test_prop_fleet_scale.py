@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.core.binding_shard import HashRing
-from repro.experiments.exp_fleet_scale import run_fleet_scale_experiment
+from repro.experiments import run_experiment
 from repro.sim import Simulator, s
 from repro.stats import LatencyHistogram, Stats, merge_histograms, merge_stats
 from repro.workloads.aggregate import AggregateHostModel
@@ -22,9 +22,8 @@ SMALL_SIZES = (1_000, 3_000)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_report_is_byte_identical_across_jobs(seed):
     reports = [
-        run_fleet_scale_experiment(fleet_sizes=SMALL_SIZES, seed=seed,
-                                   shard_hosts=500, failover_fleet=2_000,
-                                   jobs=jobs).format_report()
+        run_experiment("x7", jobs=jobs, seed=seed, fleet_sizes=SMALL_SIZES,
+                       shard_hosts=500, failover_fleet=2_000).format_report()
         for jobs in (1, 4)
     ]
     assert reports[0] == reports[1]
@@ -32,9 +31,8 @@ def test_report_is_byte_identical_across_jobs(seed):
 
 def test_seed_changes_the_report():
     reports = {
-        run_fleet_scale_experiment(fleet_sizes=(2_000,), seed=seed,
-                                   shard_hosts=500,
-                                   failover_fleet=None).format_report()
+        run_experiment("x7", seed=seed, fleet_sizes=(2_000,),
+                       shard_hosts=500, failover_fleet=None).format_report()
         for seed in (0, 1)
     }
     assert len(reports) == 2

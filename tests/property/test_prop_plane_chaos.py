@@ -11,7 +11,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.registration import RegistrationClient
-from repro.experiments.exp_plane_chaos import run_plane_chaos_experiment
+from repro.experiments import run_experiment
 from repro.net.addressing import ip
 from repro.net.host import Host
 from repro.parallel import spawn_seed
@@ -24,24 +24,24 @@ SMALL_SHARD = 12
 
 @pytest.mark.parametrize("seed", [3, 71])
 def test_x8_report_is_byte_identical_across_jobs(seed):
-    serial = run_plane_chaos_experiment(
-        fleet_sizes=SMALL_FLEETS, seed=seed, shard_hosts=SMALL_SHARD, jobs=1)
-    sharded = run_plane_chaos_experiment(
-        fleet_sizes=SMALL_FLEETS, seed=seed, shard_hosts=SMALL_SHARD, jobs=2)
+    serial = run_experiment("x8", jobs=1, seed=seed,
+                            fleet_sizes=SMALL_FLEETS, shard_hosts=SMALL_SHARD)
+    sharded = run_experiment("x8", jobs=2, seed=seed,
+                             fleet_sizes=SMALL_FLEETS, shard_hosts=SMALL_SHARD)
     assert serial.format_report() == sharded.format_report()
 
 
 def test_x8_seed_changes_the_report():
-    first = run_plane_chaos_experiment(
-        fleet_sizes=SMALL_FLEETS, seed=1, shard_hosts=SMALL_SHARD)
-    second = run_plane_chaos_experiment(
-        fleet_sizes=SMALL_FLEETS, seed=2, shard_hosts=SMALL_SHARD)
+    first = run_experiment(
+        "x8", seed=1, fleet_sizes=SMALL_FLEETS, shard_hosts=SMALL_SHARD)
+    second = run_experiment(
+        "x8", seed=2, fleet_sizes=SMALL_FLEETS, shard_hosts=SMALL_SHARD)
     assert first.format_report() != second.format_report()
 
 
 def test_x8_audit_gate_holds_on_the_small_grid():
-    report = run_plane_chaos_experiment(
-        fleet_sizes=SMALL_FLEETS, seed=71, shard_hosts=SMALL_SHARD)
+    report = run_experiment(
+        "x8", seed=71, fleet_sizes=SMALL_FLEETS, shard_hosts=SMALL_SHARD)
     assert report.points, "grid must produce cells"
     for point in report.points:
         assert point.violations == 0

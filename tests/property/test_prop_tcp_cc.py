@@ -15,15 +15,8 @@ Three contracts:
 import pytest
 
 from repro.config import DEFAULT_CONFIG
+from repro.experiments import run_experiment
 from repro.experiments.harness import as_plain_data
-from repro.experiments import (
-    run_autoswitch_experiment,
-    run_chaos_experiment,
-    run_ha_fleet_sweep,
-    run_ha_scalability_experiment,
-    run_smart_correspondent_experiment,
-    run_tcp_cc_experiment,
-)
 from repro.experiments.exp_tcp_cc import run_tcp_cc_trial
 
 SEEDS = (0, 1, 2)
@@ -34,8 +27,8 @@ TAHOE_CONFIG = DEFAULT_CONFIG.with_overrides(tcp_congestion_control="tahoe")
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tcp_cc_report_is_jobs_invariant(seed):
-    serial = run_tcp_cc_experiment(seed=seed, jobs=1, **GRID)
-    parallel = run_tcp_cc_experiment(seed=seed, jobs=4, **GRID)
+    serial = run_experiment("x6", jobs=1, seed=seed, **GRID)
+    parallel = run_experiment("x6", jobs=4, seed=seed, **GRID)
     assert as_plain_data(parallel) == as_plain_data(serial)
 
 
@@ -60,36 +53,34 @@ def test_trial_seeds_are_addressed_by_cell_index():
 # suite fast; the config plumbing exercised is the same.
 
 def test_x1_smart_correspondent_default_is_tahoe():
-    default = run_smart_correspondent_experiment(probes=5, seed=0)
-    explicit = run_smart_correspondent_experiment(probes=5, seed=0,
-                                                  config=TAHOE_CONFIG)
+    default = run_experiment("x1", seed=0, probes=5)
+    explicit = run_experiment("x1", seed=0, probes=5, config=TAHOE_CONFIG)
     assert as_plain_data(explicit) == as_plain_data(default)
 
 
 def test_x2_ha_scalability_default_is_tahoe():
-    default = run_ha_scalability_experiment(fleet_sizes=(5,), seed=0)
-    explicit = run_ha_scalability_experiment(fleet_sizes=(5,), seed=0,
-                                             config=TAHOE_CONFIG)
+    default = run_experiment("x2", seed=0, fleet_sizes=(5,))
+    explicit = run_experiment("x2", seed=0, fleet_sizes=(5,),
+                              config=TAHOE_CONFIG)
     assert as_plain_data(explicit) == as_plain_data(default)
 
 
 def test_x3_autoswitch_default_is_tahoe():
-    default = run_autoswitch_experiment(intervals_ms=(500,), seed=0)
-    explicit = run_autoswitch_experiment(intervals_ms=(500,), seed=0,
-                                         config=TAHOE_CONFIG)
+    default = run_experiment("x3", seed=0, intervals_ms=(500,))
+    explicit = run_experiment("x3", seed=0, intervals_ms=(500,),
+                              config=TAHOE_CONFIG)
     assert as_plain_data(explicit) == as_plain_data(default)
 
 
 def test_x4_ha_fleet_sweep_default_is_tahoe():
-    default = run_ha_fleet_sweep(fleet_sizes=(120,), seed=0)
-    explicit = run_ha_fleet_sweep(fleet_sizes=(120,), seed=0,
-                                  config=TAHOE_CONFIG)
+    default = run_experiment("x4", seed=0, fleet_sizes=(120,))
+    explicit = run_experiment("x4", seed=0, fleet_sizes=(120,),
+                              config=TAHOE_CONFIG)
     assert as_plain_data(explicit) == as_plain_data(default)
 
 
 def test_x5_chaos_default_is_tahoe():
-    default = run_chaos_experiment(loss_rates=(0.2,), flap_periods_ms=(0,),
-                                   seed=0)
-    explicit = run_chaos_experiment(loss_rates=(0.2,), flap_periods_ms=(0,),
-                                    seed=0, config=TAHOE_CONFIG)
+    grid = dict(loss_rates=(0.2,), flap_periods_ms=(0,))
+    default = run_experiment("x5", seed=0, **grid)
+    explicit = run_experiment("x5", seed=0, config=TAHOE_CONFIG, **grid)
     assert as_plain_data(explicit) == as_plain_data(default)

@@ -16,15 +16,10 @@ Three contracts:
 """
 
 from repro.config import DEFAULT_CONFIG
+from repro.experiments import run_experiment
 from repro.experiments.harness import as_plain_data
-from repro.experiments import (
-    run_chaos_experiment,
-    run_smart_correspondent_experiment,
-    run_tcp_cc_experiment,
-)
 from repro.experiments.exp_tcp_chaos import (
     build_tcp_chaos_trials,
-    run_tcp_chaos_experiment,
     run_tcp_chaos_trial,
 )
 from repro.sim.engine import Simulator
@@ -45,32 +40,30 @@ GRID = dict(loss_rates=(0.2,), flap_periods_ms=(0.0, 7000.0))
 # experiments'.
 
 def test_x1_smart_correspondent_default_is_flow_control_off():
-    default = run_smart_correspondent_experiment(probes=5, seed=0)
-    explicit = run_smart_correspondent_experiment(probes=5, seed=0,
-                                                  config=FLOW_OFF_CONFIG)
+    default = run_experiment("x1", seed=0, probes=5)
+    explicit = run_experiment("x1", seed=0, probes=5, config=FLOW_OFF_CONFIG)
     assert as_plain_data(explicit) == as_plain_data(default)
 
 
 def test_x5_chaos_default_is_flow_control_off():
-    default = run_chaos_experiment(loss_rates=(0.2,), flap_periods_ms=(0,),
-                                   seed=0)
-    explicit = run_chaos_experiment(loss_rates=(0.2,), flap_periods_ms=(0,),
-                                    seed=0, config=FLOW_OFF_CONFIG)
+    grid = dict(loss_rates=(0.2,), flap_periods_ms=(0,))
+    default = run_experiment("x5", seed=0, **grid)
+    explicit = run_experiment("x5", seed=0, config=FLOW_OFF_CONFIG, **grid)
     assert as_plain_data(explicit) == as_plain_data(default)
 
 
 def test_x6_tcp_cc_default_is_flow_control_off():
     grid = dict(ccs=("reno",), loss_rates=(0.25,), handoffs=(True,))
-    default = run_tcp_cc_experiment(seed=0, **grid)
-    explicit = run_tcp_cc_experiment(seed=0, config=FLOW_OFF_CONFIG, **grid)
+    default = run_experiment("x6", seed=0, **grid)
+    explicit = run_experiment("x6", seed=0, config=FLOW_OFF_CONFIG, **grid)
     assert as_plain_data(explicit) == as_plain_data(default)
 
 
 # --------------------------------------------------------- x9 determinism
 
 def test_tcp_chaos_report_is_jobs_invariant():
-    serial = run_tcp_chaos_experiment(seed=5, jobs=1, **GRID)
-    parallel = run_tcp_chaos_experiment(seed=5, jobs=2, **GRID)
+    serial = run_experiment("x9", jobs=1, seed=5, **GRID)
+    parallel = run_experiment("x9", jobs=2, seed=5, **GRID)
     assert as_plain_data(parallel) == as_plain_data(serial)
 
 

@@ -1,8 +1,13 @@
 """Unit tests for the experiments command-line runner."""
 
 import json
+import pickle
 
-from repro.experiments.__main__ import RUNNERS, main
+import pytest
+
+from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments.__main__ import main
+from repro.parallel import resolve_trial
 
 
 def test_unknown_experiment_id_is_an_error(capsys):
@@ -10,7 +15,7 @@ def test_unknown_experiment_id_is_an_error(capsys):
     err = capsys.readouterr().err
     assert "unknown experiment ids" in err
     # The error names every known id so the user can self-correct.
-    for known in RUNNERS:
+    for known in EXPERIMENTS:
         assert known in err
 
 
@@ -84,13 +89,35 @@ def test_profile_covers_worker_simulators_at_jobs_2(capsys):
             == {key: serial[key] for key in keys})
 
 
-def test_runner_table_covers_all_documented_ids():
-    assert set(RUNNERS) == {"e1", "f6", "f7", "f3", "a1",
-                            "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8",
-                            "x9"}
-    for name, (title, runner) in RUNNERS.items():
-        assert callable(runner)
-        assert title
+def test_experiment_table_covers_all_documented_ids():
+    assert set(EXPERIMENTS) == {"e1", "f6", "f7", "f3", "a1",
+                                "x1", "x2", "x3", "x4", "x5", "x6", "x7",
+                                "x8", "x9"}
+    for experiment in EXPERIMENTS.values():
+        assert experiment.title and isinstance(experiment.title, str)
+        assert isinstance(experiment.seed, int)
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_default_grid_builds_spawn_safe_trials(name):
+    """A worker process rebuilds each trial from its ref and pickled
+    params; building the default grid checks both without running it."""
+    experiment = EXPERIMENTS[name]
+    trials = experiment.build(seed=experiment.seed, **experiment.grid)
+    assert trials
+    for trial in trials:
+        assert callable(resolve_trial(trial.func))
+        assert pickle.loads(pickle.dumps(trial.params)) == trial.params
+
+
+def test_run_experiment_rejects_an_unknown_grid_key():
+    with pytest.raises(TypeError, match=r"x3 .*no grid key iterations"):
+        run_experiment("x3", iterations=2)
+
+
+def test_run_experiment_rejects_an_unknown_id():
+    with pytest.raises(KeyError, match="nope"):
+        run_experiment("nope")
 
 
 def test_unknown_id_error_names_x7(capsys):
@@ -101,9 +128,9 @@ def test_unknown_id_error_names_x7(capsys):
 def test_list_flag_prints_every_id_and_exits_zero(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
-    for name, (title, _) in RUNNERS.items():
+    for name, experiment in EXPERIMENTS.items():
         assert name in out
-        assert title in out
+        assert experiment.title in out
 
 
 def test_list_flag_runs_nothing(capsys):
@@ -112,3 +139,12 @@ def test_list_flag_runs_nothing(capsys):
     out = capsys.readouterr().out
     assert "===" not in out
     assert "4.79" not in out
+
+
+def test_figures_refuses_what_it_would_ignore(capsys):
+    assert main(["x3", "--figures", "--metrics"]) == 2
+    captured = capsys.readouterr()
+    assert "x3" in captured.err and "--metrics" in captured.err
+    assert captured.out == ""
+    assert main(["--figures", "--profile"]) == 2
+    assert "--profile" in capsys.readouterr().err

@@ -1,9 +1,6 @@
 """Unit tests for the ASCII figure renderers."""
 
-from repro.experiments import (
-    run_device_switch_experiment,
-    run_registration_experiment,
-)
+from repro.experiments import run_experiment
 from repro.experiments.figures import (
     render_figure6,
     render_figure7,
@@ -34,7 +31,7 @@ class TestRenderHistogram:
 
 
 def test_figure6_renders_all_cases():
-    report = run_device_switch_experiment(iterations=2, seed=19)
+    report = run_experiment("f6", seed=19, iterations=2)
     text = render_figure6(report)
     for fragment in ("cold ethernet->radio", "cold radio->ethernet",
                      "hot ethernet->radio", "hot radio->ethernet"):
@@ -43,7 +40,7 @@ def test_figure6_renders_all_cases():
 
 
 def test_figure7_bars_are_proportional():
-    report = run_registration_experiment(iterations=3, seed=20)
+    report = run_experiment("f7", seed=20, iterations=3)
     text = render_figure7(report)
     lines = {line.strip().split("|")[0].strip(): line
              for line in text.splitlines() if "|" in line}
