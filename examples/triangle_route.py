@@ -66,7 +66,9 @@ def main() -> None:
     assert testbed.remote_router is not None
     testbed.remote_router.enable_transit_filter()
     measure_rtt(testbed, target, "triangle behind the filter")
-    print(f"  router dropped {testbed.remote_router.transit_drops} "
+    filtered = sim.metrics.get("ip", "dropped", reason="filtered",
+                               host=testbed.remote_router.name)
+    print(f"  router dropped {filtered.value} "
           f"transit packets (source {addresses.mh_home} is not local "
           f"to {addresses.remote_net})")
 

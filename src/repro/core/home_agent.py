@@ -102,7 +102,6 @@ class HomeAgentService:
         self.requests_denied = 0
         self.restarts = 0
         self.bindings_expired = 0
-        self.replies_dropped = 0
         host.sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
     @lazy_stream
@@ -139,20 +138,14 @@ class HomeAgentService:
         if not isinstance(request, RegistrationRequest):
             return
         if self._down:
-            self.sim.trace.emit("registration", "ha_down_drop",
-                                host=self.host.name,
-                                ident=request.identification)
+            self.sim.drop("home_agent", "down", request, host=self.host.name)
             return
         if self.partitioned:
-            # Dropped before any counter moves: to the hosts a partitioned
-            # agent is indistinguishable from a dead one, but its own
-            # statistics and bindings live on.  Lazy counter so runs that
-            # never partition keep an unchanged metrics snapshot.
-            self.sim.metrics.counter("home_agent", "partition_drops",
-                                     host=self.host.name).value += 1
-            self.sim.trace.emit("registration", "ha_partition_drop",
-                                host=self.host.name,
-                                ident=request.identification)
+            # Dropped before any other counter moves: to the hosts a
+            # partitioned agent is indistinguishable from a dead one, but
+            # its own statistics and bindings live on.
+            self.sim.drop("home_agent", "partitioned", request,
+                          host=self.host.name)
             return
         self.requests_received += 1
         timings = self.config.registration
@@ -187,19 +180,12 @@ class HomeAgentService:
         def transmit_reply() -> None:
             if self.partitioned:
                 # The partition cut both directions mid-exchange.
-                self.sim.trace.emit("registration", "ha_partition_drop",
-                                    host=self.host.name,
-                                    ident=request.identification)
+                self.sim.drop("home_agent", "partitioned", reply,
+                              host=self.host.name)
                 return
             if self.reply_filter is not None and not self.reply_filter(reply):
-                self.replies_dropped += 1
-                # Created lazily so fault-free runs keep an unchanged
-                # metrics snapshot.
-                self.sim.metrics.counter("home_agent", "replies_dropped",
-                                         host=self.host.name).value += 1
-                self.sim.trace.emit("registration", "ha_reply_dropped",
-                                    host=self.host.name,
-                                    ident=request.identification)
+                self.sim.drop("home_agent", "reply_filtered", reply,
+                              host=self.host.name)
                 return
             # Timestamped here so the trace delta matches the paper's
             # "time between the home agent receiving the registration

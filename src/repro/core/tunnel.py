@@ -63,7 +63,6 @@ class VirtualInterface(NetworkInterface):
         self.endpoint_selector: Optional[EndpointSelector] = None
         self._fifo = FifoDelay(sim)
         self.packets_encapsulated = 0
-        self.packets_dropped_no_endpoint = 0
         self.overhead_bytes = 0
 
     def send_ip(self, packet: IPPacket, next_hop: IPAddress) -> None:
@@ -74,9 +73,7 @@ class VirtualInterface(NetworkInterface):
             raise TunnelError(f"{self.name} has no endpoint selector")
         endpoints = self.endpoint_selector(packet)
         if endpoints is None:
-            self.packets_dropped_no_endpoint += 1
-            self.sim.trace.emit("tunnel", "no_endpoint", interface=self.name,
-                                packet=packet)
+            self.sim.drop("tunnel", "no_endpoint", packet, iface=self.name)
             return
         outer_src, outer_dst = endpoints
         if outer_src.is_unspecified:

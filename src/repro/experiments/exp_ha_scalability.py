@@ -181,7 +181,6 @@ class ShardedFleetResult:
 class HAFleetSweepReport:
     """Fleets of 100-1000 hosts, each sharded across replica agents."""
 
-    shard_hosts: int
     results: List[ShardedFleetResult] = field(default_factory=list)
 
     def format_report(self) -> str:
@@ -194,7 +193,7 @@ class HAFleetSweepReport:
             ("mobile hosts", "HA shards", "accepted",
              "reg latency ms: mean (std)", "max ms"), rows)
         return ("Home-agent fleet sweep: 100-1000 hosts sharded across "
-                f"replica agents ({self.shard_hosts} hosts/shard)\n" + table)
+                f"replica agents ({SHARD_HOSTS} hosts/shard)\n" + table)
 
 
 def build_ha_fleet_sweep_trials(fleet_sizes, seed: int,
@@ -220,7 +219,7 @@ def build_ha_fleet_sweep_trials(fleet_sizes, seed: int,
 def merge_ha_fleet_sweep_trials(results: List[dict], fleet_sizes,
                                 **_) -> HAFleetSweepReport:
     """Fold per-shard partial Stats into fleet-level results, in order."""
-    report = HAFleetSweepReport(shard_hosts=SHARD_HOSTS)
+    report = HAFleetSweepReport()
     cursor = iter(results)
     for fleet_size in fleet_sizes:
         shard_sizes = balanced_shards(fleet_size, SHARD_HOSTS)

@@ -205,6 +205,9 @@ class ARPService:
             self.resolution_failures += 1
             self._sim.trace.emit("arp", "failed", interface=self._iface.name,
                                  target=target, dropped=len(pending.packets))
+            for packet in pending.packets:
+                self._sim.drop("arp", "unresolved", packet,
+                               iface=self._iface.name)
             return
         self._send_request(target, pending)
 

@@ -107,7 +107,6 @@ class DHCPServer:
         #: Fault-injection hook: while False the server ignores all client
         #: traffic (an outage), without forgetting its leases.
         self.online = True
-        self.dropped_while_offline = 0
 
     # ------------------------------------------------------------- inspection
 
@@ -135,9 +134,7 @@ class DHCPServer:
         if not isinstance(message, DHCPMessage):
             return
         if not self.online:
-            self.dropped_while_offline += 1
-            self.sim.trace.emit("dhcp", "server_offline_drop",
-                                server=self.host.name, op=message.op.value)
+            self.sim.drop("dhcp", "offline", message, host=self.host.name)
             return
         self._expire_stale()
         delay = self.config.dhcp_server_delay

@@ -4,8 +4,9 @@ Figure 6's headline is that cold switching loses packets "due to bringing up
 the new interface", so interfaces here are real state machines — DOWN,
 STARTING, UP, STOPPING — whose transitions take the calibrated times in
 :class:`repro.config.DeviceTimings` (plus jitter).  While an interface is
-not UP it neither sends nor receives; every packet that hits it is counted
-and traced so the experiment harnesses can attribute loss.
+not UP it neither sends nor receives; every packet that hits it is a
+``("iface", "down")`` drop (:meth:`Simulator.drop`), so the experiment
+harnesses can attribute loss.
 
 Interfaces can hold several IPv4 addresses at once (Linux IP aliases).  The
 same-subnet switch experiment relies on this: the new care-of address is
@@ -57,7 +58,6 @@ class NetworkInterface:
     _METRIC_FIELDS = (
         ("iface", "tx_packets", (), "tx_packets"),
         ("iface", "rx_packets", (), "rx_packets"),
-        ("iface", "dropped_packets", (), "dropped_down"),
     )
 
     def __init__(self, sim: Simulator, name: str, device: DeviceTimings,
@@ -71,10 +71,9 @@ class NetworkInterface:
         self.state = InterfaceState.DOWN
         self._addresses: List[IPAddress] = []
         self._subnet: Optional[Subnet] = None
-        # Statistics: the loss-accounting backbone of the experiments.
+        # Statistics.
         self.tx_packets = 0
         self.rx_packets = 0
-        self.dropped_down = 0
         sim.metrics.register(self, self._METRIC_FIELDS, iface=name)
 
     @lazy_stream
@@ -256,17 +255,13 @@ class NetworkInterface:
     def _guard_send(self, packet: IPPacket) -> bool:
         """Common send-side checks; returns True if the packet may go out."""
         if self.state is not _UP:
-            self.dropped_down += 1
-            self.sim.trace.emit("device", "tx_drop_down", interface=self.name,
-                                packet=packet)
+            self.sim.drop("iface", "down", packet, iface=self.name)
             return False
         return True
 
     def _deliver_to_host(self, packet: IPPacket) -> None:
         if self.state is not _UP:
-            self.dropped_down += 1
-            self.sim.trace.emit("device", "rx_drop_down", interface=self.name,
-                                packet=packet)
+            self.sim.drop("iface", "down", packet, iface=self.name)
             return
         if self.host is None:
             raise InterfaceError(f"{self.name} is not attached to a host")
@@ -309,9 +304,7 @@ class EthernetInterface(NetworkInterface):
         if self.segment is None:
             # The cable is unplugged: packets fall on the floor, exactly
             # as on real hardware.
-            self.dropped_down += 1
-            self.sim.trace.emit("device", "tx_drop_unplugged",
-                                interface=self.name)
+            self.sim.drop("iface", "unplugged", packet, iface=self.name)
             return
         self.tx_packets += 1
         hop = next_hop.value
@@ -327,7 +320,7 @@ class EthernetInterface(NetworkInterface):
                           broadcast: bool = False) -> None:
         """Frame *packet* and put it on the segment (post-ARP path)."""
         if self.segment is None or self.state is not _UP:
-            self.dropped_down += 1
+            self.sim.drop("iface", "down", packet, iface=self.name)
             return
         dst = BROADCAST_MAC if broadcast else mac
         assert dst is not None
@@ -350,7 +343,7 @@ class EthernetInterface(NetworkInterface):
             # Not for us: the hardware filter discards it, down or not.
             return
         if self.state is not _UP:
-            self.dropped_down += 1
+            self.sim.drop("iface", "down", frame.payload, iface=self.name)
             return
         ethertype = frame.ethertype
         if ethertype == ETHERTYPE_ARP:
@@ -416,16 +409,14 @@ class RadioInterface(NetworkInterface):
 
     def _radio_transmit(self, packet: IPPacket, next_hop: IPAddress) -> None:
         if self.channel is None or self.state is not _UP:
-            self.dropped_down += 1
+            self.sim.drop("iface", "down", packet, iface=self.name)
             return
         self.channel.transmit(packet, next_hop, self)
 
     def deliver_from_radio(self, packet: IPPacket) -> None:
         """Packet arrived over the air; haul it across the serial line."""
         if self.state is not _UP:
-            self.dropped_down += 1
-            self.sim.trace.emit("device", "rx_drop_down", interface=self.name,
-                                packet=packet)
+            self.sim.drop("iface", "down", packet, iface=self.name)
             return
         deliver_at = self._serial_finish_time(packet.size_bytes, "rx")
         self.sim.post_at(

@@ -55,9 +55,6 @@ class IPStack:
     #: Statistics reported as counters (``MetricsRegistry.register``).
     _METRIC_FIELDS = (
         ("ip", "forwards", (), "forwarded"),
-        ("ip", "ttl_drops", (), "dropped_ttl"),
-        ("ip", "no_route_drops", (), "dropped_no_route"),
-        ("ip", "filtered_drops", (), "dropped_filtered"),
     )
 
     def __init__(self, sim: Simulator, host: "Host", config: Config,
@@ -82,10 +79,6 @@ class IPStack:
         self.sent = 0
         self.delivered = 0
         self.forwarded = 0
-        self.dropped_no_route = 0
-        self.dropped_filtered = 0
-        self.dropped_ttl = 0
-        self.dropped_not_local = 0
         sim.metrics.register(self, self._METRIC_FIELDS, host=host.name)
 
     @lazy_stream
@@ -166,8 +159,7 @@ class IPStack:
             return True
         route = self.ip_rt_route(packet.dst, packet.src)
         if route is None:
-            self.dropped_no_route += 1
-            trace.emit("ip", "no_route", host=self.host.name, packet=packet)
+            self.sim.drop("ip", "no_route", packet, host=self.host.name)
             return False
         route.interface.send_ip(packet, route.next_hop(packet.dst))
         return True
@@ -211,15 +203,13 @@ class IPStack:
         if self.forwarding:
             self._forward(packet, iface)
             return
-        self.dropped_not_local += 1
-        trace.emit("ip", "drop_not_local", host=self.host.name, packet=packet)
+        self.sim.drop("ip", "not_local", packet, host=self.host.name)
 
     def deliver(self, packet: IPPacket, iface: "NetworkInterface") -> None:
         """Demultiplex a locally destined packet to its protocol handler."""
         handler = self._handlers.get(packet.protocol)
         if handler is None:
-            self.sim.trace.emit("ip", "no_protocol", host=self.host.name,
-                                protocol=packet.protocol)
+            self.sim.drop("ip", "no_protocol", packet, host=self.host.name)
             return
         self.delivered += 1
         handler(packet, iface)
@@ -227,20 +217,16 @@ class IPStack:
     # -------------------------------------------------------------- forwarding
 
     def _forward(self, packet: IPPacket, in_iface: "NetworkInterface") -> None:
-        trace = self.sim.trace
         if packet.ttl <= 1:
-            self.dropped_ttl += 1
-            trace.emit("ip", "ttl_exceeded", host=self.host.name, packet=packet)
+            self.sim.drop("ip", "ttl", packet, host=self.host.name)
             self.host.icmp.send_time_exceeded(packet)
             return
         if self.forward_filter is not None and not self.forward_filter(packet, in_iface):
-            self.dropped_filtered += 1
-            trace.emit("ip", "filtered", host=self.host.name, packet=packet)
+            self.sim.drop("ip", "filtered", packet, host=self.host.name)
             return
         route = self.ip_rt_route(packet.dst, packet.src)
         if route is None:
-            self.dropped_no_route += 1
-            trace.emit("ip", "no_route", host=self.host.name, packet=packet)
+            self.sim.drop("ip", "no_route", packet, host=self.host.name)
             self.host.icmp.send_dest_unreachable(packet)
             return
         forwarded = packet.decremented()

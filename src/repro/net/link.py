@@ -48,7 +48,6 @@ class Link:
     _METRIC_FIELDS = (
         ("link", "tx_frames", (), "frames_sent"),
         ("link", "tx_bytes", (), "bytes_sent"),
-        ("link", "dropped_frames", (), "frames_dropped"),
     )
 
     def __init__(self, sim: Simulator, name: str, timings: LinkTimings) -> None:
@@ -56,7 +55,6 @@ class Link:
         self.name = name
         self.timings = timings
         self.frames_sent = 0
-        self.frames_dropped = 0
         self.bytes_sent = 0
         #: Fault-injection hook, consulted before the link's own loss
         #: model; return True to drop the frame.  None (the default) costs
@@ -82,7 +80,8 @@ class Link:
         busy_until[key] = finish
         return finish + timings.latency
 
-    def _drops(self) -> bool:
+    def _drops(self, packet: object) -> bool:
+        """Decide whether *packet* is lost on the wire, and drop it if so."""
         hook = self.fault_hook
         if hook is None and self.timings.loss_rate <= 0:
             # Branch-free fast path for the common case: no fault plan and a
@@ -90,12 +89,10 @@ class Link:
             # p <= 0, so skipping it is RNG-stream neutral.
             return False
         if hook is not None and hook():
-            self.frames_dropped += 1
-            self.sim.trace.emit("link", "fault_drop", link=self.name)
+            self.sim.drop("link", "fault", packet, link=self.name)
             return True
         if bernoulli(self._rng, self.timings.loss_rate):
-            self.frames_dropped += 1
-            self.sim.trace.emit("link", "drop", link=self.name)
+            self.sim.drop("link", "loss", packet, link=self.name)
             return True
         return False
 
@@ -147,7 +144,7 @@ class EthernetSegment(Link):
         size_bytes = frame.size_bytes
         self.frames_sent += 1
         self.bytes_sent += size_bytes
-        if self._drops():
+        if self._drops(frame.payload):
             return
         deliver_at = self._delivery_time(size_bytes)
         self.sim.post_each(deliver_at,
@@ -181,11 +178,12 @@ class PointToPointLink(Link):
         size_bytes = packet.size_bytes
         self.frames_sent += 1
         self.bytes_sent += size_bytes
-        if self._drops():
+        if self._drops(packet):
             return
         peer = endpoints[-1] if endpoints[0] is sender else endpoints[0]
         if peer is sender:
-            return  # no far end connected
+            self.sim.drop("link", "no_peer", packet, link=self.name)
+            return
         # Full duplex: each direction has its own transmitter queue.
         deliver_at = self._delivery_time(size_bytes, key=id(sender))
         self.sim.post_at(
@@ -231,7 +229,7 @@ class RadioChannel(Link):
         """Radiate *packet* toward the radio owning *next_hop*."""
         self.frames_sent += 1
         self.bytes_sent += packet.size_bytes
-        if self._drops():
+        if self._drops(packet):
             return
         # One shared air interface: all radios serialize behind each other.
         deliver_at = self._delivery_time(packet.size_bytes)
@@ -242,9 +240,7 @@ class RadioChannel(Link):
             return
         target = self._by_address.get(next_hop)
         if target is None or target is sender:
-            self.sim.trace.emit("link", "radio_unreachable", link=self.name,
-                                next_hop=next_hop)
-            self.frames_dropped += 1
+            self.sim.drop("link", "unreachable", packet, link=self.name)
             return
         self.sim.post_at(
             deliver_at,

@@ -93,7 +93,6 @@ class UDPService:
         self._rx_fifo = FifoDelay(sim)
         self._sockets: Dict[int, UDPSocket] = {}
         self._next_ephemeral = self.EPHEMERAL_START
-        self.datagrams_dropped_no_port = 0
         host.ip.register_protocol(PROTO_UDP, self._receive)
 
     @lazy_stream
@@ -156,16 +155,12 @@ class UDPService:
         assert isinstance(datagram, UDPDatagram)
         sock = self._sockets.get(datagram.dst_port)
         if sock is None or sock.closed:
-            self.datagrams_dropped_no_port += 1
-            self.sim.trace.emit("udp", "no_port", host=self.host.name,
-                                port=datagram.dst_port)
+            self.sim.drop("udp", "no_port", packet, host=self.host.name)
             return
         if (not sock.bound_address.is_unspecified
                 and not packet.dst.is_limited_broadcast
                 and sock.bound_address != packet.dst):
-            self.datagrams_dropped_no_port += 1
-            self.sim.trace.emit("udp", "bound_mismatch", host=self.host.name,
-                                port=datagram.dst_port, dst=packet.dst)
+            self.sim.drop("udp", "bound_mismatch", packet, host=self.host.name)
             return
         delay = jittered(self._rng, self.timings.rx_cost, self.config.jitter)
         self._rx_fifo.post(

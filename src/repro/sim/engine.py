@@ -20,7 +20,8 @@ counters, a high-water queue-depth gauge (live events only; cancelled
 events are excluded), and wall-clock accounting surfaced via
 :meth:`Simulator.profile`.  Wall time is deliberately *not* in the
 registry: the metrics snapshot must be byte-identical across same-seed
-runs, and wall clocks are not.
+runs, and wall clocks are not.  Every layer that loses a packet says so
+through :meth:`Simulator.drop`, which counts and traces it by cause.
 
 Performance notes (the engine is the hottest loop in the repository):
 
@@ -199,6 +200,24 @@ class Simulator:
         derived = RandomStream(f"{self._seed}/{stream}")
         self._rngs[stream] = derived
         return derived
+
+    # ------------------------------------------------------------- loss
+
+    def drop(self, layer: str, reason: str, packet: object,
+             **owner: str) -> None:
+        """Account for one lost packet: the only drop path there is.
+
+        Bumps ``<layer>/dropped{<owner>,reason}`` and emits one
+        ``("drop", reason)`` record carrying *layer*, the owner and
+        *packet* (or the message that was lost).  *owner* is exactly one
+        ``key=value`` naming the component, as for
+        :meth:`MetricsRegistry.register`.
+        """
+        if len(owner) != 1:
+            raise TypeError(f"drop() takes one owner keyword, got {owner}")
+        self.metrics.counter(layer, "dropped", reason=reason,
+                             **owner).value += 1
+        self.trace.emit("drop", reason, layer=layer, packet=packet, **owner)
 
     # ------------------------------------------------------------ scheduling
 

@@ -12,9 +12,11 @@ it runs here.
 import pytest
 
 from repro.core.policy import RoutingMode
+from repro.experiments import EXPERIMENTS
 from repro.experiments.exp_device_switch import (
     PAPER_COLD_OUTAGE_BOUND_MS,
     SwitchCase,
+    run_device_switch_trial,
 )
 from repro.experiments.exp_registration import (
     PAPER_HA_PROCESSING_MS,
@@ -26,6 +28,7 @@ from repro.experiments.exp_same_subnet import (
     PAPER_HISTOGRAM,
     run_probe_interval_sweep,
 )
+from repro.obs import capture_simulators
 from tests.integration.test_report_goldens import default_report
 
 
@@ -92,6 +95,27 @@ def test_figure6_device_switching():
     # so the eth->radio cold switch is the slowest.
     assert (sum(cold_eth_radio.switch_totals_ms)
             > sum(cold_radio_eth.switch_totals_ms))
+
+
+def test_figure6_hot_losses_are_the_radios_own_drop():
+    """EXPERIMENTS.md's F6 row: a hot switch that loses a probe loses it
+    to the radio channel's random drop, not to the switch — one radio
+    loss and no interface or IP drop in that trial."""
+    f6 = EXPERIMENTS["f6"]
+    lossy = 0
+    for trial in f6.build(seed=f6.seed, **f6.grid):
+        if SwitchCase[trial.params["case_name"]].cold:
+            continue
+        with capture_simulators() as sims:
+            result = run_device_switch_trial(**trial.params)
+        if not result["loss"]:
+            continue
+        lossy += 1
+        (sim,) = sims
+        drops = {metric.key: metric.value for metric in sim.metrics
+                 if metric.name == "dropped"}
+        assert drops == {"link/dropped{link=net-36.134,reason=loss}": 1}
+    assert lossy
 
 
 def test_figure7_registration_timeline():

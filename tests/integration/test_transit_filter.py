@@ -5,6 +5,7 @@ from repro.net.addressing import ip
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
 from repro.workloads import UdpEchoResponder, UdpEchoStream
+from tests.drops import dropped
 
 
 def build_filtered():
@@ -29,7 +30,8 @@ def test_triangle_route_dies_behind_filter_tunnel_does_not():
     blocked.stop()
     testbed.sim.run_for(s(1))
     assert blocked.received == 0
-    assert testbed.remote_router.transit_drops >= blocked.sent
+    assert dropped(testbed.sim, "ip", "filtered",
+                   host=testbed.remote_router.name) >= blocked.sent
 
     testbed.mobile.policy.default_mode = RoutingMode.TUNNEL
     tunneled = UdpEchoStream(testbed.mobile, target, interval=ms(100))

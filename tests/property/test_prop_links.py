@@ -8,6 +8,7 @@ from repro.net.link import PointToPointLink
 from repro.net.packet import AppData, IPPacket, PROTO_UDP, UDPDatagram
 from repro.sim import MBPS, Simulator
 from repro.sim.units import transmission_delay
+from tests.drops import dropped
 
 
 class Endpoint:
@@ -77,7 +78,7 @@ def test_bytes_and_frames_are_conserved(packet_sizes):
         link.transmit(packet, sender)
     sim.run()
     assert link.frames_sent == len(packets)
-    assert link.frames_dropped == 0
+    assert not sim.metrics.find("link", "dropped")
     assert link.bytes_sent == sum(packet.size_bytes for packet in packets)
     assert len(receiver.arrivals) == len(packets)
 
@@ -95,4 +96,5 @@ def test_lossy_link_drops_are_accounted(packet_sizes, loss_rate):
     for size in packet_sizes:
         link.transmit(make_packet(size), sender)
     sim.run()
-    assert len(receiver.arrivals) + link.frames_dropped == len(packet_sizes)
+    lost = dropped(sim, "link", "loss", link="p2p")
+    assert len(receiver.arrivals) + lost == len(packet_sizes)

@@ -131,6 +131,20 @@ def test_lease_renewal_is_unicast_local_role(dhcp_lan):
     assert renewed_expiry > first_expiry
 
 
+def test_offline_drops_are_reported(dhcp_lan):
+    # They were once a private int that no --metrics report printed.
+    lan, server = dhcp_lan
+    server.online = False
+    client, _iface = make_client(lan)
+    client.acquire(on_bound=lambda lease: None, on_failed=lambda: None,
+                   timeout=ms(1500))
+    lan.run(2000)
+    records = lan.sim.trace.select("drop", "offline", layer="dhcp")
+    assert records
+    key = "dhcp/dropped{host=b,reason=offline}"
+    assert lan.sim.metrics.snapshot()[key] == len(records)
+
+
 def test_renew_honors_configured_timeout(dhcp_lan):
     """Regression: renewals used to wait a hard-coded 4 s regardless of
     the timeout passed to acquire()."""

@@ -16,6 +16,7 @@ from repro.faults.inject import _GilbertElliottWindow
 from repro.net.addressing import ip
 from repro.net.interface import InterfaceState
 from repro.sim import Simulator, ms, s
+from tests.drops import dropped
 
 HOME = ip("36.135.0.10")
 
@@ -141,7 +142,8 @@ class TestTestbedFaults:
         # The first reply (and any retransmission answered inside the
         # window) was dropped, so success took more than one transmission.
         assert outcomes[0].transmissions > 1
-        assert testbed.home_agent.replies_dropped > 0
+        assert dropped(testbed.sim, "home_agent", "reply_filtered",
+                       host=testbed.home_agent.host.name) > 0
 
     def test_dhcp_outage_requires_a_dhcp_server(self, testbed):
         plan = FaultPlan.of(DhcpOutage(at=s(1), duration=s(1)))
@@ -168,7 +170,8 @@ class TestTestbedFaults:
             timeout=ms(1500))
         sim.run_for(s(2))
         assert outcomes == ["failed"]
-        assert full_testbed.dhcp_server.dropped_while_offline > 0
+        assert dropped(sim, "dhcp", "offline",
+                       host=full_testbed.dhcp_server.host.name) > 0
         sim.run_for(s(2))  # outage over
         full_testbed.mh_dhcp.acquire(
             on_bound=lambda lease: outcomes.append("bound"),

@@ -10,6 +10,7 @@ from repro.core.registration import (
 )
 from repro.net.addressing import ip
 from repro.sim import s
+from tests.drops import dropped
 
 HOME = ip("36.135.0.10")
 
@@ -143,6 +144,25 @@ def test_ha_processing_time_matches_figure7(testbed, agent):
                                        ident=ident)
     delta_ms = (replied[0].time - received[0].time) / 1e6
     assert 1.3 < delta_ms < 1.7  # the paper's 1.48 ms
+
+
+def test_reply_cut_off_by_a_partition_is_counted(testbed, agent):
+    # A partition that starts while a request is being processed drops
+    # the reply; that drop was once traced but never counted.
+    testbed.visit_dept(register=False)
+
+    def partition_on_receipt(record):
+        if record.event == "ha_received":
+            agent.partitioned = True
+
+    testbed.sim.trace.subscribe(partition_on_receipt, "registration")
+    register(testbed)
+    # The reply, then each retransmitted request.
+    records = testbed.sim.trace.select("drop", "partitioned",
+                                       layer="home_agent")
+    assert records[0]["packet"].startswith("RegistrationReply(")
+    assert dropped(testbed.sim, "home_agent", "partitioned",
+                   host=agent.host.name) == len(records)
 
 
 def test_negative_lifetime_denied(testbed, agent):

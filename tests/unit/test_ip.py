@@ -6,6 +6,7 @@ from repro.net.addressing import ip, subnet
 from repro.net.icmp import ICMPMessage, TYPE_DEST_UNREACHABLE, TYPE_ECHO_REQUEST
 from repro.net.packet import AppData, IPPacket, PROTO_ICMP, PROTO_UDP, UDPDatagram
 from repro.net.routing import RouteResult
+from tests.drops import dropped
 
 
 def datagram_packet(src, dst, port=9, size=10):
@@ -52,13 +53,20 @@ def test_is_local_follows_address_and_subnet_changes(lan):
 def test_no_route_is_counted(lan):
     lan.a.udp.open(0).sendto(AppData("x", 1), ip("99.0.0.1"), 9)
     lan.run()
-    assert lan.a.ip.dropped_no_route == 1
+    assert dropped(lan.sim, "ip", "no_route", host="a") == 1
 
 
 def test_not_local_without_forwarding_drops(lan):
     packet = datagram_packet("10.0.0.1", "99.0.0.1")
     lan.b.ip.receive_packet(packet, lan.b.interfaces[1])
-    assert lan.b.ip.dropped_not_local == 1
+    assert dropped(lan.sim, "ip", "not_local", host="b") == 1
+
+
+def test_not_local_drops_are_reported(lan):
+    # They were once a private int that no --metrics report printed.
+    packet = datagram_packet("10.0.0.1", "99.0.0.1")
+    lan.b.ip.receive_packet(packet, lan.b.interfaces[1])
+    assert lan.sim.metrics.snapshot()["ip/dropped{host=b,reason=not_local}"] == 1
 
 
 def test_forwarding_decrements_ttl(lan):
@@ -79,7 +87,7 @@ def test_ttl_expiry_drops_and_reports(lan):
                       payload=UDPDatagram(1, 2, AppData("x", 1)), ttl=1)
     lan.b.ip.receive_packet(packet, lan.b.interfaces[1])
     lan.run()
-    assert lan.b.ip.dropped_ttl == 1
+    assert dropped(lan.sim, "ip", "ttl", host="b") == 1
     # The sender hears about it via ICMP time exceeded.
     assert lan.sim.trace.select("icmp", "error_received", host="a")
 
@@ -89,7 +97,7 @@ def test_forwarding_without_route_drops_and_reports(lan):
     lan.b.ip.receive_packet(datagram_packet("10.0.0.1", "99.0.0.1"),
                             lan.b.interfaces[1])
     lan.run()
-    assert lan.b.ip.dropped_no_route == 1
+    assert dropped(lan.sim, "ip", "no_route", host="b") == 1
     assert lan.b.ip.forwarded == 0
     # The sender hears about it via ICMP destination unreachable.
     errors = lan.sim.trace.select("icmp", "error_received", host="a")
@@ -105,7 +113,7 @@ def test_forwarded_icmp_without_route_gets_no_error(lan):
                       protocol=PROTO_ICMP, payload=echo)
     lan.b.ip.receive_packet(packet, lan.b.interfaces[1])
     lan.run()
-    assert lan.b.ip.dropped_no_route == 1
+    assert dropped(lan.sim, "ip", "no_route", host="b") == 1
     assert lan.b.ip.sent == 0
     assert not lan.sim.trace.select("icmp", "error_received")
 
@@ -117,7 +125,7 @@ def test_forward_filter_blocks(lan):
     lan.b.ip.receive_packet(datagram_packet("10.0.0.1", "10.0.0.3"),
                             lan.b.interfaces[1])
     lan.run()
-    assert lan.b.ip.dropped_filtered == 1
+    assert dropped(lan.sim, "ip", "filtered", host="b") == 1
     assert lan.b.ip.forwarded == 0
 
 
@@ -136,7 +144,7 @@ def test_route_hook_takes_over(lan):
     lan.run()
     assert calls
     # The hook redirected the send into the loopback; nothing on the wire.
-    assert lan.b.udp.datagrams_dropped_no_port == 0
+    assert dropped(lan.sim, "udp", "no_port", host="b") == 0
 
 
 def test_route_hook_none_falls_through(lan):
@@ -157,7 +165,17 @@ def test_unknown_protocol_is_traced_not_fatal(lan):
     packet = IPPacket(src=ip("10.0.0.2"), dst=ip("10.0.0.1"), protocol=99,
                       payload=AppData("?", 4))
     lan.a.ip.receive_packet(packet, lan.a.interfaces[1])
-    assert lan.sim.trace.select("ip", "no_protocol", host="a")
+    (record,) = lan.sim.trace.select("drop", "no_protocol", host="a")
+    assert record["layer"] == "ip"
+    assert record["packet"] == packet.describe()
+
+
+def test_unknown_protocol_is_counted(lan):
+    # Traced, but once never counted.
+    packet = IPPacket(src=ip("10.0.0.2"), dst=ip("10.0.0.1"), protocol=99,
+                      payload=AppData("?", 4))
+    lan.a.ip.receive_packet(packet, lan.a.interfaces[1])
+    assert dropped(lan.sim, "ip", "no_protocol", host="a") == 1
 
 
 def test_next_hop_via_on_link_and_gateway(lan):

@@ -7,6 +7,7 @@ from repro.net.addressing import ip
 from repro.net.packet import AppData, IPPacket, PROTO_UDP, UDPDatagram
 from repro.net.link import EthernetSegment, PointToPointLink, RadioChannel
 from repro.sim import MBPS, Simulator, ms
+from tests.drops import dropped
 
 
 def make_packet(size=100, src="1.1.1.1", dst="2.2.2.2"):
@@ -173,7 +174,28 @@ class TestPointToPoint:
         link.transmit(make_packet(), a)
         sim.run_for(ms(10))
         assert b.received == []
-        assert link.frames_dropped == 1
+        assert dropped(sim, "link", "loss", link="p2p") == 1
+
+
+def test_lan_drop_counters_match_drop_records(lan):
+    # A fault hook and the medium's own loss model, each a reason of its own.
+    from dataclasses import replace
+    from itertools import count
+
+    frames = count()
+    lan.segment.fault_hook = lambda: next(frames) % 3 == 2
+    lan.segment.timings = replace(lan.segment.timings, loss_rate=0.3)
+    sender = lan.a.udp.open(0)
+    for _ in range(40):
+        sender.sendto(AppData("x", 10), ip("10.0.0.2"), 9)
+    lan.run()
+    records = {}
+    for record in lan.sim.trace.select("drop", layer="link", link="lan"):
+        records[record.event] = records.get(record.event, 0) + 1
+    counters = {dict(metric.labels)["reason"]: metric.value
+                for metric in lan.sim.metrics.find("link", "dropped")}
+    assert set(counters) == {"fault", "loss"}
+    assert counters == records
 
 
 class FakeRadio:
@@ -210,8 +232,8 @@ class TestRadioChannel:
         channel.attach(a)  # type: ignore[arg-type]
         channel.transmit(make_packet(), ip("36.134.0.99"), a)  # type: ignore[arg-type]
         sim.run_for(ms(20))
-        assert channel.frames_dropped == 1
-        assert sim.trace.select("link", "radio_unreachable")
+        assert dropped(sim, "link", "unreachable", link="air") == 1
+        assert sim.trace.select("drop", "unreachable", link="air")
 
     def test_withdraw_makes_address_unreachable(self):
         sim = Simulator()

@@ -7,6 +7,7 @@ from repro.net.addressing import MACAllocator, ip, subnet
 from repro.net.interface import EthernetInterface
 from repro.net.packet import AppData, IPPacket, PROTO_UDP, UDPDatagram
 from repro.net.router import Router
+from tests.drops import drop_total, dropped
 
 
 @pytest.fixture
@@ -41,7 +42,7 @@ def test_filter_disabled_forwards_everything(router, sim):
     left = router.interface("left")
     router.ip.receive_packet(make("99.0.0.1", "10.2.0.5"), left)
     sim.run()
-    assert router.ip.dropped_filtered == 0
+    assert dropped(sim, "ip", "filtered", host="r") == 0
 
 
 def test_transit_filter_semantics(router, sim):
@@ -62,9 +63,11 @@ def test_transit_filter_semantics(router, sim):
         ("10.1.0.5", "10.2.0.5", True),       # internal
     ]
     for src, dst, allowed in checks:
-        before = router.transit_drops
-        assert router._check_transit(make(src, dst), left) is allowed
-        assert (router.transit_drops == before) is allowed
+        packet = make(src, dst)
+        assert router._check_transit(packet, left) is allowed
+        before = dropped(sim, "ip", "filtered", host="r")
+        router.ip.receive_packet(packet, left)
+        assert (dropped(sim, "ip", "filtered", host="r") == before) is allowed
 
 
 def test_exempt_prefixes_pass(router):
@@ -84,6 +87,17 @@ def test_drops_are_counted_and_traced(router, sim):
     left = router.interface("left")
     router.ip.receive_packet(make("99.0.0.1", "88.0.0.1"), left)
     sim.run()
-    assert router.ip.dropped_filtered == 1
-    assert router.transit_drops == 1
-    assert sim.trace.select("router", "transit_drop", router="r")
+    assert dropped(sim, "ip", "filtered", host="r") == 1
+    (record,) = sim.trace.select("drop", "filtered", host="r")
+    assert record["layer"] == "ip"
+
+
+def test_a_filtered_packet_is_one_drop(router, sim):
+    # It was once counted (and traced) twice: by the router's own
+    # transit counter and by IP's filtered counter.
+    router.enable_transit_filter()
+    left = router.interface("left")
+    router.ip.receive_packet(make("99.0.0.1", "88.0.0.1"), left)
+    sim.run()
+    assert drop_total(sim) == 1
+    assert len(sim.trace.select("drop")) == 1

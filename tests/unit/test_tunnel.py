@@ -12,6 +12,7 @@ from repro.net.packet import (
 )
 from repro.core.tunnel import TunnelError, install_tunnel
 from repro.sim import ms
+from tests.drops import dropped
 
 
 def make_inner(src="36.135.0.10", dst="36.8.0.20"):
@@ -65,7 +66,16 @@ def test_missing_endpoint_drops_and_counts(lan):
     vif = install_tunnel(lan.a)
     vif.endpoint_selector = lambda inner: None
     vif.send_ip(make_inner(), ip("10.0.0.2"))
-    assert vif.packets_dropped_no_endpoint == 1
+    assert dropped(lan.sim, "tunnel", "no_endpoint", iface=vif.name) == 1
+
+
+def test_missing_endpoint_drops_are_reported(lan):
+    # They were once a private int that no --metrics report printed.
+    vif = install_tunnel(lan.a)
+    vif.endpoint_selector = lambda inner: None
+    vif.send_ip(make_inner(), ip("10.0.0.2"))
+    key = f"tunnel/dropped{{iface={vif.name},reason=no_endpoint}}"
+    assert lan.sim.metrics.snapshot()[key] == 1
 
 
 def test_no_selector_raises(lan):

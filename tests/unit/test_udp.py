@@ -5,6 +5,7 @@ import pytest
 from repro.net.addressing import UNSPECIFIED, ip
 from repro.net.packet import AppData
 from repro.net.udp import UDPError
+from tests.drops import dropped
 
 
 def test_ephemeral_ports_are_unique(lan):
@@ -56,13 +57,29 @@ def test_bound_socket_rejects_foreign_destination_address(lan):
     lan.a.udp.open(0).sendto(AppData("x", 1), ip("10.0.0.2"), 9)
     lan.run()
     assert primary_only == []
-    assert lan.b.udp.datagrams_dropped_no_port == 1
+    assert dropped(lan.sim, "udp", "bound_mismatch", host="b") == 1
+
+
+def test_bound_mismatch_is_not_billed_as_no_port(lan):
+    lan.b.interfaces[1].add_address(ip("10.0.0.42"))
+    lan.b.udp.open(9, bound_address=ip("10.0.0.42"))
+    lan.a.udp.open(0).sendto(AppData("x", 1), ip("10.0.0.2"), 9)
+    lan.run()
+    assert dropped(lan.sim, "udp", "bound_mismatch", host="b") == 1
+    assert dropped(lan.sim, "udp", "no_port", host="b") == 0
 
 
 def test_datagram_to_unbound_port_is_dropped(lan):
     lan.a.udp.open(0).sendto(AppData("x", 1), ip("10.0.0.2"), 7777)
     lan.run()
-    assert lan.b.udp.datagrams_dropped_no_port == 1
+    assert dropped(lan.sim, "udp", "no_port", host="b") == 1
+
+
+def test_no_port_drops_are_reported(lan):
+    # They were once a private int that no --metrics report printed.
+    lan.a.udp.open(0).sendto(AppData("x", 1), ip("10.0.0.2"), 7777)
+    lan.run()
+    assert lan.sim.metrics.snapshot()["udp/dropped{host=b,reason=no_port}"] == 1
 
 
 def test_broadcast_delivery(lan):
