@@ -131,7 +131,7 @@ class ConnectivityManager:
                 option.consecutive_successes = 0
                 option.consecutive_failures += 1
                 self._apply_hysteresis(option)
-        self.sim.call_later(self.probe_interval, self._tick,
+        self.sim.post_later(self.probe_interval, self._tick,
                             label="connmgr-tick")
 
     def _probe(self, option: AttachmentOption) -> None:

@@ -509,7 +509,7 @@ class BindingShardPlane:
         self.sim.metrics.counter("binding_shard", "partitions").value += 1
         self.sim.trace.emit("binding_shard", "partition",
                             agents=",".join(fresh))
-        self.sim.call_later(duration, lambda: self._heal(fresh),
+        self.sim.post_later(duration, lambda: self._heal(fresh),
                             label="plane-heal")
 
     def _heal(self, names: List[str]) -> None:

@@ -36,6 +36,24 @@ class MobilityBinding:
         return max(0, self.expires_at - now)
 
 
+class _Expiry:
+    """A binding's expiry callback: its table and its home address.
+
+    Two slots (~50 B) where ``lambda: table._expire(home_address)`` held
+    a function and two cells (~290 B); one is queued per live binding.
+    """
+
+    __slots__ = ("table", "home_address")
+
+    def __init__(self, table: "MobilityBindingTable",
+                 home_address: IPAddress) -> None:
+        self.table = table
+        self.home_address = home_address
+
+    def __call__(self) -> None:
+        self.table._expire(self.home_address)
+
+
 class MobilityBindingTable:
     """Home-agent binding table with lifetime expiry.
 
@@ -85,9 +103,7 @@ class MobilityBindingTable:
                                   identification=identification)
         self._bindings[home_address] = binding
         self._expiry_events[home_address] = self._sim.call_later(
-            lifetime, lambda: self._expire(home_address),
-            label="binding-expiry",
-        )
+            lifetime, _Expiry(self, home_address), label="binding-expiry")
         return binding
 
     def deregister(self, home_address: IPAddress) -> Optional[MobilityBinding]:

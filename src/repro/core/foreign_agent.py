@@ -116,7 +116,7 @@ class ForeignAgentService:
                             home_address=request.home_address)
         delay = jittered(self._rng, self.config.registration.ha_receive_overhead,
                          self.config.jitter)
-        self.sim.call_later(
+        self.sim.post_later(
             delay,
             lambda: self._socket.sendto(request.wrap(), request.home_agent,
                                         REGISTRATION_PORT),
@@ -140,7 +140,7 @@ class ForeignAgentService:
                             home_address=home_address, code=reply.code)
         delay = jittered(self._rng, self.config.registration.ha_send_overhead,
                          self.config.jitter)
-        self.sim.call_later(
+        self.sim.post_later(
             delay,
             lambda: self._socket.sendto(reply.wrap(), home_address,
                                         REGISTRATION_PORT, via=self.interface),
@@ -189,7 +189,7 @@ class ForeignAgentService:
         self.sim.trace.emit("foreign_agent", "departure", fa=self.host.name,
                             home_address=home_address,
                             forward_to=new_care_of)
-        self.sim.call_later(grace,
+        self.sim.post_later(grace,
                             lambda: self._end_grace(home_address),
                             label="fa-grace")
 

@@ -167,7 +167,7 @@ class AddressSwitcher:
             build.end_stage(STAGE_CONFIGURE)
             delay = jittered(rng, mobile.timings.route_update_cost,
                              mobile.config.jitter)
-            self.sim.call_later(delay, routes_updated, label="switch-routes")
+            self.sim.post_later(delay, routes_updated, label="switch-routes")
 
         def routes_updated() -> None:
             # The atomic cutover: the old address dies here, the preferred
@@ -183,7 +183,7 @@ class AddressSwitcher:
             build.end_stage(STAGE_REGISTRATION)
             delay = jittered(rng, timings.mh_post_registration_cost,
                              mobile.config.jitter)
-            self.sim.call_later(delay, post_done, label="switch-post")
+            self.sim.post_later(delay, post_done, label="switch-post")
 
         def post_done() -> None:
             build.end_stage(STAGE_POST)
@@ -256,7 +256,7 @@ class DeviceSwitcher:
             build.end_stage(STAGE_CONFIGURE)
             delay = jittered(rng, mobile.timings.route_update_cost,
                              mobile.config.jitter)
-            self.sim.call_later(delay, routes_added, label="cold-add-route")
+            self.sim.post_later(delay, routes_added, label="cold-add-route")
 
         def routes_added() -> None:
             mobile.start_visiting(new_iface, chosen["care_of"], chosen["net"],
@@ -269,7 +269,7 @@ class DeviceSwitcher:
             build.end_stage(STAGE_REGISTRATION)
             delay = jittered(rng, timings.mh_post_registration_cost,
                              mobile.config.jitter)
-            self.sim.call_later(delay, post_done, label="cold-post")
+            self.sim.post_later(delay, post_done, label="cold-post")
 
         def post_done() -> None:
             build.end_stage(STAGE_POST)
@@ -281,7 +281,7 @@ class DeviceSwitcher:
         build.begin_stage()
         delay = jittered(rng, mobile.timings.route_update_cost,
                          mobile.config.jitter)
-        self.sim.call_later(delay, delete_route, label="cold-del-route")
+        self.sim.post_later(delay, delete_route, label="cold-del-route")
 
     # --------------------------------------------------------------- hot switch
 
@@ -313,7 +313,7 @@ class DeviceSwitcher:
             build.end_stage(STAGE_REGISTRATION)
             delay = jittered(rng, timings.mh_post_registration_cost,
                              mobile.config.jitter)
-            self.sim.call_later(delay, post_done, label="hot-post")
+            self.sim.post_later(delay, post_done, label="hot-post")
 
         def post_done() -> None:
             build.end_stage(STAGE_POST)
@@ -325,4 +325,4 @@ class DeviceSwitcher:
         build.begin_stage()
         delay = jittered(rng, mobile.timings.route_update_cost,
                          mobile.config.jitter)
-        self.sim.call_later(delay, routes_changed, label="hot-routes")
+        self.sim.post_later(delay, routes_changed, label="hot-routes")

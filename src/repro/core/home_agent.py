@@ -153,9 +153,8 @@ class HomeAgentService:
                  + jittered(self._rng, timings.ha_processing_cost, self.config.jitter))
         self.sim.trace.emit("registration", "ha_received", host=self.host.name,
                             ident=request.identification, source=src)
-        self._processing_fifo.schedule(delay,
-                                       lambda: self._process(request, src),
-                                       label="ha-process")
+        self._processing_fifo.post(delay, lambda: self._process(request, src),
+                                   "ha-process")
 
     def _process(self, request: RegistrationRequest, src: IPAddress) -> None:
         code = self._validate(request)
@@ -195,7 +194,7 @@ class HomeAgentService:
                                 ident=request.identification, code=code)
             self._socket.sendto(reply.wrap(), destination, REGISTRATION_PORT)
 
-        self.sim.call_later(send_cost, transmit_reply, label="ha-reply-tx")
+        self.sim.post_later(send_cost, transmit_reply, label="ha-reply-tx")
 
     def _validate(self, request: RegistrationRequest) -> int:
         if request.home_address not in self._served:
@@ -324,7 +323,7 @@ class HomeAgentService:
             if on_recovered is not None:
                 on_recovered()
 
-        self.sim.call_later(down_for, recover, label="ha-recover")
+        self.sim.post_later(down_for, recover, label="ha-recover")
 
     @property
     def is_down(self) -> bool:

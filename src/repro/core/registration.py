@@ -248,7 +248,7 @@ class RegistrationClient:
                             care_of=request.care_of_address)
         marshal = jittered(self._rng, timings.mh_marshal_cost, self.config.jitter)
         send_cost = jittered(self._rng, timings.mh_send_overhead, self.config.jitter)
-        self.sim.call_later(marshal + send_cost,
+        self.sim.post_later(marshal + send_cost,
                             lambda: self._transmit(request.identification, via,
                                                    destination),
                             label="reg-marshal")
@@ -339,7 +339,7 @@ class RegistrationClient:
             self._latency_histogram.observe(outcome.round_trip / 1e6)
             pending.on_done(outcome)
 
-        self.sim.call_later(receive_cost, complete, label="reg-reply-rx")
+        self.sim.post_later(receive_cost, complete, label="reg-reply-rx")
 
 
 def _noop() -> None:

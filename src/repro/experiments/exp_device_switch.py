@@ -185,7 +185,7 @@ def run_device_switch_trial(case_name: str, index: int, iterations: int,
     timelines: List[SwitchTimeline] = []
     # Spread the switch start across one probe interval.
     phase = (index * PROBE_INTERVAL) // max(iterations, 1)
-    sim.call_later(phase, lambda: _switch(testbed, case, timelines.append))
+    sim.post_later(phase, lambda: _switch(testbed, case, timelines.append))
     sim.run_for(s(6))
     stream.stop()
     sim.run_for(s(3))  # drain radio-delayed stragglers

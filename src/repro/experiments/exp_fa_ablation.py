@@ -156,7 +156,7 @@ def _run_once_with_fa(seed: int, config: Config) -> tuple:
         # soon as the new registration is sent.  We notify at switch start
         # plus the new path's setup time via a trace-driven hook below.
 
-    sim.call_later(0, switch)
+    sim.post_later(0, switch)
 
     # Notify the old FA when the new registration request goes out.
     def watch_registration() -> None:
@@ -166,9 +166,9 @@ def _run_once_with_fa(seed: int, config: Config) -> tuple:
         if fresh:
             fa.notify_departure(addresses.mh_home, addresses.mh_dept_care_of)
         else:
-            sim.call_later(ms(50), watch_registration)
+            sim.post_later(ms(50), watch_registration)
 
-    sim.call_later(ms(50), watch_registration)
+    sim.post_later(ms(50), watch_registration)
 
     sim.run_for(s(5))
     stream.stop()

@@ -107,7 +107,7 @@ def _run_fleet(fleet_size: int, seed: int, config: Config) -> FleetResult:
 
     # Everyone registers at the same instant.
     for index in range(fleet_size):
-        sim.call_at(ms(100), lambda index=index: fire(index))
+        sim.post_at(ms(100), lambda index=index: fire(index))
     sim.run_for(s(30))
 
     latencies = [outcome.round_trip for outcome in outcomes.values()

@@ -212,7 +212,7 @@ class _Registrant:
     def start(self) -> None:
         """Schedule the first registration, staggered within one period."""
         delay = REG_START + int(self.renewal * self.rng.random())
-        self.sim.call_later(delay, self.attempt, label="x8-first-reg")
+        self.sim.post_later(delay, self.attempt, label="x8-first-reg")
 
     def attempt(self) -> None:
         if self.sim.now >= REG_STOP:
@@ -239,7 +239,7 @@ class _Registrant:
         latency_ms = outcome.round_trip / 1e6
         self.stats["latency"].add(latency_ms)  # type: ignore[union-attr]
         self.stats["latency_hist"].add(latency_ms)  # type: ignore[union-attr]
-        self.sim.call_later(self.renewal, self.attempt, label="x8-renew")
+        self.sim.post_later(self.renewal, self.attempt, label="x8-renew")
 
     def _storm_retry(self) -> None:
         if self.sim.now >= REG_STOP:
@@ -247,7 +247,7 @@ class _Registrant:
         self.stats["storm_retries"] += 1  # type: ignore[operator]
         span = self.storm_jitter * (2.0 * self.rng.random() - 1.0)
         delay = max(1, int(self.storm_base * (1.0 + span)))
-        self.sim.call_later(delay, self.attempt, label="x8-storm-retry")
+        self.sim.post_later(delay, self.attempt, label="x8-storm-retry")
 
 
 def _build_shard(sim: Simulator, config: Config, n_hosts: int,
@@ -341,9 +341,9 @@ def _sample_lookups(sim: Simulator, plane: BindingShardPlane,
             else:
                 tallies["lookup_authoritative"] += 1
         if sim.now + SAMPLE_INTERVAL <= SAMPLE_STOP:
-            sim.call_later(SAMPLE_INTERVAL, sample, label="x8-sample")
+            sim.post_later(SAMPLE_INTERVAL, sample, label="x8-sample")
 
-    sim.call_at(SAMPLE_START, sample, label="x8-sample")
+    sim.post_at(SAMPLE_START, sample, label="x8-sample")
 
 
 def run_plane_chaos_trial(fleet_size: int, n_hosts: int, host_offset: int,

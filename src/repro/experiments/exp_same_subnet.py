@@ -102,7 +102,7 @@ def run_same_subnet_trial(index: int, iterations: int, seed: int,
     stream.start()
 
     timelines: List[SwitchTimeline] = []
-    sim.call_at(switch_time,
+    sim.post_at(switch_time,
                 lambda: AddressSwitcher(testbed.mobile).switch_address(
                     addresses.mh_dept_care_of_2,
                     on_done=timelines.append),

@@ -109,7 +109,7 @@ def _fallback_lossless(seed: int, config: Config) -> bool:
                            interval=ms(100))
     stream.start()
     # Keep the HA binding alive past the CH cache's expiry.
-    sim.call_later(s(2), lambda: testbed.mobile.registration.register(
+    sim.post_later(s(2), lambda: testbed.mobile.registration.register(
         testbed.mobile.care_of, on_done=lambda outcome: None,
         via=testbed.mobile.active_interface, lifetime=s(60)))
     sim.run_for(s(6))

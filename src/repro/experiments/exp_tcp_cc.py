@@ -72,13 +72,13 @@ class CwndSampler:
     def __init__(self, conn: TCPConnection) -> None:
         self.conn = conn
         self.samples: List[int] = []
-        conn.sim.call_later(CWND_SAMPLE_INTERVAL, self._tick,
+        conn.sim.post_later(CWND_SAMPLE_INTERVAL, self._tick,
                             label="cwnd-sample")
 
     def _tick(self) -> None:
         self.samples.append(self.conn.cwnd)
         if self.conn.sim.now + CWND_SAMPLE_INTERVAL <= HORIZON:
-            self.conn.sim.call_later(CWND_SAMPLE_INTERVAL, self._tick,
+            self.conn.sim.post_later(CWND_SAMPLE_INTERVAL, self._tick,
                                      label="cwnd-sample")
 
     @property
@@ -143,16 +143,16 @@ def run_tcp_cc_trial(cc: str, loss_rate: float, handoff: bool, seed: int,
                            interval=SEND_INTERVAL, chunk_bytes=CHUNK_BYTES)
     sender.start()
     sampler = CwndSampler(sender.connection)
-    sim.call_later(HORIZON, sender.stop, label="tcp-cc-stop")
+    sim.post_later(HORIZON, sender.stop, label="tcp-cc-stop")
     if loss_rate > 0.0:
         FaultInjector.for_testbed(testbed, FaultPlan.of(GilbertElliottPhase(
             at=LOSS_AT, link=DEPT_LINK, duration=LOSS_DURATION,
             p_good_bad=loss_rate, p_bad_good=0.3,
             loss_good=0.0, loss_bad=0.85))).arm()
     if handoff:
-        sim.call_at(HANDOFF_AT, lambda: testbed.connect_radio(register=True),
+        sim.post_at(HANDOFF_AT, lambda: testbed.connect_radio(register=True),
                     label="handoff-radio-up")
-        sim.call_at(HANDOFF_AT + UNPLUG_AFTER, testbed.unplug_ethernet,
+        sim.post_at(HANDOFF_AT + UNPLUG_AFTER, testbed.unplug_ethernet,
                     label="handoff-unplug-eth")
     sim.run_for(HORIZON + DRAIN)
 

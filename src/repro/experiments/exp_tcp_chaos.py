@@ -139,9 +139,9 @@ def run_tcp_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
                                interval=SEND_INTERVAL,
                                chunk_bytes=CHUNK_BYTES)
         sender.start()
-        sim.call_later(HORIZON - WARMUP, sender.stop, label="tcp-chaos-stop")
+        sim.post_later(HORIZON - WARMUP, sender.stop, label="tcp-chaos-stop")
 
-    sim.call_at(WARMUP, start_session, label="tcp-chaos-start")
+    sim.post_at(WARMUP, start_session, label="tcp-chaos-start")
     plan = _build_plan(loss_rate, flap_period_ns,
                        dept_link=testbed.dept_segment.name,
                        eth_interface=testbed.mh_eth.name)

@@ -161,7 +161,7 @@ class FaultInjector:
             self._schedule_activation(event, link=event.link)
         elif isinstance(event, InterfaceFlap):
             interface = self._resolve_interface(event.interface)
-            self.sim.call_at(
+            self.sim.post_at(
                 event.at,
                 lambda: (self._activate(event, interface=event.interface),
                          interface.flap(event.down_for)),
@@ -173,14 +173,14 @@ class FaultInjector:
                 # spare and crash it later; the plane still rejects a
                 # crash of a non-member when the event actually fires.
                 self._check_plane_member(plane, event.agent, "restarts")
-                self.sim.call_at(
+                self.sim.post_at(
                     event.at,
                     lambda: (self._activate(event, agent=event.agent),
                              plane.crash(event.agent, event.down_for)),
                     label="fault:ha-restart")
             else:
                 agent = self._require(self.home_agent, "home agent", event)
-                self.sim.call_at(
+                self.sim.post_at(
                     event.at,
                     lambda: (self._activate(event),
                              agent.crash(event.down_for)),
@@ -188,7 +188,7 @@ class FaultInjector:
         elif isinstance(event, ReplicaJoin):
             plane = self._require(self.plane, "binding-shard plane", event)
             self._check_plane_member(plane, event.agent, "joins")
-            self.sim.call_at(
+            self.sim.post_at(
                 event.at,
                 lambda: (self._activate(event, agent=event.agent),
                          plane.add_replica(event.agent)),
@@ -196,7 +196,7 @@ class FaultInjector:
         elif isinstance(event, ReplicaDrain):
             plane = self._require(self.plane, "binding-shard plane", event)
             self._check_plane_member(plane, event.agent, "drains")
-            self.sim.call_at(
+            self.sim.post_at(
                 event.at,
                 lambda: (self._activate(event, agent=event.agent),
                          plane.drain_replica(event.agent)),
@@ -205,7 +205,7 @@ class FaultInjector:
             plane = self._require(self.plane, "binding-shard plane", event)
             for name in event.agents:
                 self._check_plane_member(plane, name, "partitions")
-            self.sim.call_at(
+            self.sim.post_at(
                 event.at,
                 lambda: (self._activate(event,
                                         agents=",".join(event.agents)),
@@ -223,8 +223,8 @@ class FaultInjector:
                 self.sim.trace.emit("fault", "dhcp_restored",
                                     server=server.host.name)
 
-            self.sim.call_at(event.at, outage_start, label="fault:dhcp-out")
-            self.sim.call_at(event.at + event.duration, outage_end,
+            self.sim.post_at(event.at, outage_start, label="fault:dhcp-out")
+            self.sim.post_at(event.at + event.duration, outage_end,
                              label="fault:dhcp-restore")
         elif isinstance(event, ReplyDropWindow):
             self._require(self.home_agent, "home agent", event)
@@ -279,7 +279,7 @@ class FaultInjector:
     # ------------------------------------------------------------ accounting
 
     def _schedule_activation(self, event, **fields) -> None:
-        self.sim.call_at(event.at,
+        self.sim.post_at(event.at,
                          lambda: self._activate(event, **fields),
                          label=f"fault:{event.kind}")
 

@@ -139,10 +139,10 @@ class DHCPServer:
         self._expire_stale()
         delay = self.config.dhcp_server_delay
         if message.op == DHCPOp.DISCOVER:
-            self.sim.call_later(delay, lambda: self._offer(message),
+            self.sim.post_later(delay, lambda: self._offer(message),
                                 label="dhcp-offer")
         elif message.op == DHCPOp.REQUEST:
-            self.sim.call_later(delay, lambda: self._acknowledge(message, src),
+            self.sim.post_later(delay, lambda: self._acknowledge(message, src),
                                 label="dhcp-ack")
         elif message.op == DHCPOp.RELEASE:
             self._release(message)
@@ -384,7 +384,7 @@ class DHCPClient:
             self.state = DHCPClientState.PROBING
             arp.flush(message.your_ip)
             arp.send_probe(message.your_ip)
-            self.sim.call_later(self.PROBE_WAIT,
+            self.sim.post_later(self.PROBE_WAIT,
                                 lambda: self._probe_done(message),
                                 label="dhcp-dad")
             return

@@ -209,7 +209,7 @@ class DNSResolver:
         cached = self._cache.get(key)
         if cached is not None and cached.expires_at > self.sim.now:
             self.cache_hits += 1
-            self.sim.call_later(0, lambda: on_answer(cached.address),
+            self.sim.post_later(0, lambda: on_answer(cached.address),
                                 label="dns-cache-hit")
             return
         ident = next(self._idents)

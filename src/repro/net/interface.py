@@ -26,6 +26,7 @@ from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
 from repro.net.packet import IPPacket
 from repro.sim.engine import Simulator, Time
 from repro.sim.randomness import RandomStream, jittered, lazy_stream
+from repro.sim.units import transmission_delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
@@ -183,7 +184,7 @@ class NetworkInterface:
             if on_done is not None:
                 on_done()
 
-        self.sim.call_later(self._jittered(self.device.up_delay), finish,
+        self.sim.post_later(self._jittered(self.device.up_delay), finish,
                             label="ifup")
 
     def bring_down(self, on_done: Callable[[], None]) -> None:
@@ -203,7 +204,7 @@ class NetworkInterface:
             self.sim.trace.emit("device", "down_done", interface=self.name)
             on_done()
 
-        self.sim.call_later(self._jittered(self.device.down_delay), finish,
+        self.sim.post_later(self._jittered(self.device.down_delay), finish,
                             label="ifdown")
 
     def flap(self, down_for: Time) -> None:
@@ -221,7 +222,7 @@ class NetworkInterface:
                 self.bring_up()
 
         def downed() -> None:
-            self.sim.call_later(down_for, restore,
+            self.sim.post_later(down_for, restore,
                                 label="flap-restore")
 
         self.bring_down(downed)
@@ -243,7 +244,7 @@ class NetworkInterface:
                                 address=addr)
             on_done()
 
-        self.sim.call_later(self._jittered(self.device.configure_delay), finish,
+        self.sim.post_later(self._jittered(self.device.configure_delay), finish,
                             label="ifconfig")
 
     # ------------------------------------------------------------------ I/O
@@ -377,8 +378,6 @@ class RadioInterface(NetworkInterface):
 
     def _serial_finish_time(self, size_bytes: int, direction: str) -> int:
         """When this packet clears the serial line (FIFO per direction)."""
-        from repro.sim.units import transmission_delay
-
         serial = self.config.serial
         start = max(self.sim.now, self._serial_busy_until[direction])
         finish = start + transmission_delay(size_bytes, serial.bandwidth_bps)

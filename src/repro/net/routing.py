@@ -12,7 +12,7 @@ policy in a separate table instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.net.addressing import PREFIX_MASKS, IPAddress, Subnet
 
@@ -75,16 +75,19 @@ class RoutingTable:
 
     Entries are indexed by ``network << 6 | prefix_len`` in one dict, so
     a lookup makes one probe per prefix length present in the table
-    (longest first) instead of testing every entry.  Every mutation
-    updates the index in place; interface liveness is read at lookup
-    time, so an interface going down needs no notification.
+    (longest first) instead of testing every entry.  A key with one
+    route (nearly every key) holds the entry itself; only a key that two
+    routes share holds a list.  Every mutation updates the index in
+    place; interface liveness is read at lookup time, so an interface
+    going down needs no notification.
     """
 
     def __init__(self) -> None:
         self._entries: List[RouteEntry] = []
-        #: ``network << 6 | prefix_len`` -> matching entries, in
-        #: insertion order (the tie-break among equal metrics).
-        self._index: Dict[int, List[RouteEntry]] = {}
+        #: ``network << 6 | prefix_len`` -> the one matching entry, or
+        #: the matching entries in insertion order (the tie-break among
+        #: equal metrics) when there are two or more.
+        self._index: Dict[int, Union[RouteEntry, List[RouteEntry]]] = {}
         #: The prefix lengths of ``_index``'s keys, longest first.
         self._lengths: List[int] = []
         #: How many ``_index`` keys have each length in ``_lengths``.
@@ -100,11 +103,15 @@ class RoutingTable:
         destination = entry.destination
         length = destination.prefix_len
         key = destination.network.value << 6 | length
-        bucket = self._index.get(key)
+        index = self._index
+        bucket = index.get(key)
         if bucket is not None:
-            bucket.append(entry)
+            if type(bucket) is list:
+                bucket.append(entry)
+            else:
+                index[key] = [bucket, entry]
             return
-        self._index[key] = [entry]
+        index[key] = entry
         lengths = self._lengths
         if length in lengths:
             self._length_keys[lengths.index(length)] += 1
@@ -117,11 +124,14 @@ class RoutingTable:
         destination = entry.destination
         length = destination.prefix_len
         key = destination.network.value << 6 | length
-        bucket = self._index[key]
-        bucket.remove(entry)
-        if bucket:
+        index = self._index
+        bucket = index[key]
+        if type(bucket) is list:
+            bucket.remove(entry)
+            if len(bucket) == 1:
+                index[key] = bucket[0]
             return
-        del self._index[key]
+        del index[key]
         position = self._lengths.index(length)
         if self._length_keys[position] > 1:
             self._length_keys[position] -= 1
@@ -196,6 +206,10 @@ class RoutingTable:
         for length in self._lengths:
             bucket = probe((value & PREFIX_MASKS[length]) << 6 | length)
             if bucket is None:
+                continue
+            if type(bucket) is not list:
+                if bucket.interface.is_up:
+                    return bucket
                 continue
             best: Optional[RouteEntry] = None
             for entry in bucket:

@@ -32,7 +32,7 @@ def seeded_sim_trial(seed: int) -> dict:
     sim = Simulator(seed=seed)
     counter = sim.metrics.counter("selftest", "fired")
     for index in range(TIMERS):
-        sim.call_at(ms(index + 1), counter.inc, label="selftest")
+        sim.post_at(ms(index + 1), counter.inc, label="selftest")
     sim.run()
     return {"seed": seed, "fired": counter.value,
             "derived": spawn_seed(seed, TIMERS)}

@@ -29,6 +29,15 @@ Performance notes (the engine is the hottest loop in the repository):
   the slotted layout roughly halves its construction cost.
 * The queue is a plain heap of ``(time, seq, event)`` tuples: heap
   comparisons stop at the unique ``(time, seq)`` ints and run in C.
+* A cancelled event stays queued until its deadline pops it, but it
+  drops its callback when cancelled, so its closure is freed at once.
+  Once cancelled entries are more than half the heap, the cancel that
+  tips it compacts the heap in place (the live entries, re-heapified):
+  each compaction removes more than half the entries it scans, so it
+  costs O(1) amortised per cancel, and since every ``(time, seq)`` is
+  unique the pop order cannot change.  No cancel leaves more cancelled
+  entries than live ones in the heap; CPython's asyncio event loop
+  applies the same rule to its timer heap.
 * Dispatch labels are constant kinds (``udp-tx``, ``eth``, ``tcp-rto``
   ...), string literals at every call site, so scheduling builds no
   string per event and the label series stay bounded however many hosts
@@ -52,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import time as _wallclock
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.capture import note_simulator
@@ -97,8 +106,9 @@ class Event:
         self.label = label
         self.cancelled = False
         # The owning Simulator while a *handle* event sits in its queue;
-        # cleared on pop so a late cancel() cannot corrupt the queue
-        # accounting.  post_* events never set it.
+        # cleared on pop (or when a compaction purges it) so a late
+        # cancel() cannot corrupt the queue accounting.  post_* events
+        # never set it.
         self._owner: Optional["Simulator"] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -106,10 +116,14 @@ class Event:
         return f"<Event t={self.time} seq={self.seq} {self.label!r}{state}>"
 
     def cancel(self) -> None:
-        """Prevent the callback from running when its deadline arrives."""
+        """Prevent the callback from running when its deadline arrives.
+
+        The callback is dropped now, so whatever it holds is freed before
+        the deadline pops the event."""
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = None  # type: ignore[assignment]
         if self._owner is not None:
             self._owner._note_cancelled()
 
@@ -197,7 +211,7 @@ class Simulator:
         existing = self._rngs.get(stream)
         if existing is not None:
             return existing
-        derived = RandomStream(f"{self._seed}/{stream}")
+        derived = RandomStream(self._seed, stream)
         self._rngs[stream] = derived
         return derived
 
@@ -309,9 +323,27 @@ class Simulator:
             gauge.value = live
 
     def _note_cancelled(self) -> None:
-        """A queued event was cancelled; it no longer counts as live."""
-        self._cancelled_in_queue += 1
+        """A queued event was cancelled; it no longer counts as live.
+
+        When cancelled entries become more than half the heap, they all
+        leave it now: the heap keeps its live entries, in place (``run``
+        holds the same list), and is re-heapified.
+        """
         self._live -= 1
+        cancelled = self._cancelled_in_queue + 1
+        heap = self._heap
+        if cancelled * 2 > len(heap):
+            live = []
+            for entry in heap:
+                event = entry[2]
+                if event.cancelled:
+                    event._owner = None
+                else:
+                    live.append(entry)
+            heap[:] = live
+            heapify(heap)
+            cancelled = 0
+        self._cancelled_in_queue = cancelled
 
     # --------------------------------------------------------------- running
 
@@ -348,8 +380,9 @@ class Simulator:
                     heappush(heap, entry)
                     break
                 if event.cancelled:
-                    # Lazy purge: cancelled events are dropped without
-                    # running their callbacks.
+                    # Lazy purge: an event cancelled since the last
+                    # compaction (which waits until cancelled entries are
+                    # more than half the heap) is dropped here unrun.
                     self._cancelled_in_queue -= 1
                     event._owner = None
                     continue

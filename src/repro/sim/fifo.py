@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Event, Simulator
+    from repro.sim.engine import Simulator
 
 
 class FifoDelay:
@@ -24,21 +24,12 @@ class FifoDelay:
         self._sim = sim
         self._busy_until = 0
 
-    def schedule(self, delay: int, callback: Callable[[], None],
-                 label: str = "") -> "Event":
-        """Run *callback* after *delay* of service time, in FIFO order."""
-        sim = self._sim
-        now = sim._now
-        busy = self._busy_until
-        finish = (busy if busy > now else now) + (delay if delay > 0 else 0)
-        self._busy_until = finish
-        return sim.call_at(finish, callback, label)
-
     def post(self, delay: int, callback: Callable[[], None],
              label: str) -> None:
-        """Like :meth:`schedule`, but fire-and-forget: no cancellation
-        handle is returned.  Use it whenever the ``schedule`` return value
-        would be discarded."""
+        """Run *callback* after *delay* of service time, in FIFO order.
+
+        Fire-and-forget: nothing cancels a processing stage, so no handle
+        is returned."""
         sim = self._sim
         now = sim._now
         busy = self._busy_until

@@ -2,15 +2,17 @@
 
 :class:`RandomStream` is what :meth:`Simulator.rng
 <repro.sim.engine.Simulator.rng>` hands out.  It draws exactly what a
-``random.Random`` seeded with the same string would draw, but it keeps
-only the words it may hand out instead of the generator's 2.5 KB of
-Mersenne Twister state.  Most streams are per-host jitter streams that
-draw a few dozen 32-bit words in a whole run: on one x8 shard 3,751 of
-3,762 streams draw at most 48 (median 32), on the x4 sweep the median
-is 6.  So a stream takes the generator's first :data:`CHUNK_WORDS`
-outputs as one int when it is created and drops the generator.  A stream
-that needs more rebuilds its generator once, skips the words it already
-handed out, and draws from the generator from then on.
+``random.Random`` seeded with ``f"{seed}/{name}"`` would draw, but it
+keeps only the words it may hand out instead of the generator's 2.5 KB
+of Mersenne Twister state, and the master seed and its name (the key the
+simulator already holds) instead of that seed string.  Most streams are
+per-host jitter streams that draw a few dozen 32-bit words in a whole
+run: on one x8 shard 3,751 of 3,762 streams draw at most 48 (median 32),
+on the x4 sweep the median is 6.  So a stream takes the generator's
+first :data:`CHUNK_WORDS` outputs as one int when it is created and
+drops the generator.  A stream that needs more rebuilds its generator
+once, skips the words it already handed out, and draws from the
+generator from then on.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ _RANDOM_SCALE = 1.0 / 9007199254740992.0  # 2**-53, as CPython's random()
 
 
 class RandomStream:
-    """A named stream drawing what ``random.Random(seed)`` would draw.
+    """A named stream drawing what ``random.Random(f"{seed}/{name}")``
+    would draw.
 
     ``random()`` and ``getrandbits(k)`` decode the held words as CPython's
     C generator does (word *i* is the generator's *i*-th 32-bit output);
@@ -38,14 +41,15 @@ class RandomStream:
     own functions, so they follow whichever CPython runs.
     """
 
-    __slots__ = ("_words", "_index", "_seed", "_generator")
+    __slots__ = ("_words", "_index", "_seed", "_name", "_generator")
 
-    def __init__(self, seed: str) -> None:
+    def __init__(self, seed: int, name: str) -> None:
         #: The unread chunk words, the next one in the low 32 bits.
-        self._words = Random(seed).getrandbits(32 * CHUNK_WORDS)
+        self._words = Random(f"{seed}/{name}").getrandbits(32 * CHUNK_WORDS)
         #: Chunk words handed out so far (``_PROMOTED`` once rebuilt).
         self._index = 0
         self._seed = seed
+        self._name = name
         self._generator = None
 
     def random(self) -> float:
@@ -84,7 +88,7 @@ class RandomStream:
 
     def _promote(self) -> Random:
         """Rebuild the generator where the chunk ends, and keep it."""
-        generator = Random(self._seed)
+        generator = Random(f"{self._seed}/{self._name}")
         generator.getrandbits(32 * self._index)
         self._generator = generator
         self._index = _PROMOTED

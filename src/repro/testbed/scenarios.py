@@ -57,7 +57,7 @@ def play(testbed: Testbed, name: str, steps: List[Step]) -> ScenarioRun:
             run.steps_executed.append(step.label)
             step.action(testbed, run)
 
-        testbed.sim.call_later(step.at, execute, label=f"scenario:{step.label}")
+        testbed.sim.post_later(step.at, execute, label=f"scenario:{step.label}")
     return run
 
 

@@ -93,7 +93,7 @@ class TcpDrainReceiver(TcpBulkReceiver):
     def _on_connection(self, conn: TCPConnection) -> None:
         super()._on_connection(conn)
         conn.auto_consume = False
-        self.host.sim.call_later(
+        self.host.sim.post_later(
             self.drain_interval, self._drain, label="tcp-drain")
 
     def _drain(self) -> None:
@@ -103,7 +103,7 @@ class TcpDrainReceiver(TcpBulkReceiver):
             conn.consume(take)
             self.drained_bytes += take
         if not self.closed:
-            self.host.sim.call_later(
+            self.host.sim.post_later(
                 self.drain_interval, self._drain, label="tcp-drain")
 
 

@@ -147,6 +147,64 @@ def test_route_index_tracks_live_prefix_lengths(ops):
             assert table.lookup(dst) is scan_routes(table._entries, dst)
 
 
+#: Two keys only, so adds pile several routes onto one key and removals
+#: take a shared key back to one route, then to none.
+SHARED = [Subnet(IPAddress(0x0A010200), 24), Subnet(IPAddress(0x0A000000), 8)]
+
+shared_ops = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(SHARED), st.integers(0, 2),
+              st.integers(0, 2)),
+    st.tuples(st.just("remove"), st.integers(0, 30)),
+    st.tuples(st.just("remove_matching"), st.one_of(st.none(),
+                                                    st.sampled_from(SHARED)),
+              st.one_of(st.none(), st.integers(0, 2))),
+    st.tuples(st.just("flip"), st.integers(0, 2)),
+)
+
+
+@given(st.lists(shared_ops, min_size=12, max_size=40))
+def test_route_key_holds_its_one_route_and_a_list_only_when_shared(ops):
+    """A key with one route holds the entry itself; a key that two or more
+    routes share holds them in insertion order; a removal back to one
+    route leaves the entry itself again.  ``lookup`` answers as the scan
+    throughout, metrics and down interfaces included."""
+    sim = Simulator()
+    ports = [make_interface(sim, index) for index in range(3)]
+    table = RoutingTable()
+    reference = []
+    for kind, *args in ops:
+        if kind == "add":
+            entry = RouteEntry(args[0], ports[args[2]], metric=args[1])
+            table.add(entry)
+            reference.append(entry)
+        elif kind == "remove" and reference:
+            table.remove(reference.pop(args[0] % len(reference)))
+        elif kind == "remove_matching":
+            port = ports[args[1]] if args[1] is not None else None
+            reference = [entry for entry in reference
+                         if not ((args[0] is None or entry.destination == args[0])
+                                 and (port is None or entry.interface is port))]
+            table.remove_matching(args[0], port)
+        elif kind == "flip":
+            port = ports[args[0]]
+            port.state = (InterfaceState.DOWN if port.is_up
+                          else InterfaceState.UP)
+        expected = {}
+        for entry in reference:
+            key = entry.destination.network.value << 6 | entry.destination.prefix_len
+            expected.setdefault(key, []).append(entry)
+        assert table._index.keys() == expected.keys()
+        for key, entries in expected.items():
+            held = table._index[key]
+            if len(entries) == 1:
+                assert held is entries[0]
+            else:
+                assert type(held) is list
+                assert [id(entry) for entry in held] == [id(entry) for entry in entries]
+        for dst in PROBES:
+            assert table.lookup(dst) is scan_routes(reference, dst)
+
+
 # ---------------------------------------------------- Mobile Policy Table
 
 class PolicyReference:

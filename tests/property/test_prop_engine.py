@@ -3,6 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
 from repro.sim.fifo import FifoDelay
 
 delays = st.lists(st.integers(min_value=0, max_value=10_000_000),
@@ -49,7 +50,7 @@ def test_fifo_never_reorders(service_times):
     fifo = FifoDelay(sim)
     completed = []
     for index, service in enumerate(service_times):
-        fifo.schedule(service, lambda index=index: completed.append(index))
+        fifo.post(service, lambda index=index: completed.append(index), "")
     sim.run()
     assert completed == list(range(len(service_times)))
 
@@ -60,7 +61,7 @@ def test_fifo_total_time_is_sum_of_services(service_times):
     fifo = FifoDelay(sim)
     finish = []
     for service in service_times:
-        fifo.schedule(service, lambda: finish.append(sim.now))
+        fifo.post(service, lambda: finish.append(sim.now), "")
     sim.run()
     assert finish[-1] == sum(service_times)
 
@@ -89,3 +90,90 @@ def test_cancelled_events_never_run(schedule):
                 if use_post or not cancel]
     assert sorted(ran) == expected
     assert sim.pending() == 0
+
+
+class _NeverCompacts(Simulator):
+    """The reference engine: cancelled entries wait for their deadlines."""
+
+    def _note_cancelled(self) -> None:
+        self._cancelled_in_queue += 1
+        self._live -= 1
+
+
+#: Operation kinds, timers and cancels listed more than once so that
+#: cancelled entries often outnumber live ones and the heap compacts.
+KINDS = ("call", "call", "cancel", "cancel", "cancel", "post", "each",
+         "run_until", "run_max")
+
+#: ``(kind, n, victim, child)``.  By *kind*, *n* is a delay, a handle to
+#: cancel, a receiver count or a run's bound.  Handles are counted back
+#: from the newest, the likeliest to be still queued.  A "call" timer,
+#: when it fires, cancels handle *victim* and arms a child timer *child*
+#: ns later, each if set.
+engine_ops = st.tuples(st.sampled_from(KINDS), st.integers(0, 1_000),
+                       st.one_of(st.none(), st.integers(0, 7)),
+                       st.one_of(st.none(), st.integers(0, 500)))
+
+
+def _drive(engine, ops):
+    """Run *ops* on a fresh *engine*; return what any caller can observe.
+
+    On the compacting engine, every cancel that takes a queued event out
+    must leave the heap at most twice the live events plus one (a cancel
+    of an event that already ran or was already cancelled changes
+    nothing).
+    """
+    sim = engine()
+    dispatched, states, handles = [], [], []
+
+    def cancel(index):
+        if not handles:
+            return
+        before = sim.pending()
+        handles[-1 - index % len(handles)].cancel()
+        if sim.pending() < before and engine is Simulator:
+            assert len(sim._heap) <= 2 * sim.pending() + 1
+
+    def timer(ident, victim, child):
+        def fire():
+            dispatched.append((sim.now, ident))
+            if victim is not None:
+                cancel(victim)
+            if child is not None:
+                handles.append(sim.call_later(
+                    child, timer((ident, "child"), victim, None), "child"))
+        return fire
+
+    for step, (kind, n, victim, child) in enumerate(ops):
+        if kind == "call":
+            handles.append(sim.call_later(n, timer(step, victim, child),
+                                          "call"))
+        elif kind == "post":
+            sim.post_later(n, lambda step=step: dispatched.append(
+                (sim.now, step)), "post")
+        elif kind == "each":
+            sim.post_each(sim.now + n,
+                          [lambda arg, i=i: dispatched.append((sim.now, arg, i))
+                           for i in range(1 + n % 4)], step, "each")
+        elif kind == "cancel":
+            cancel(n % 8)
+        elif kind == "run_until":
+            sim.run(until=sim.now + n // 5)
+        else:
+            try:
+                sim.run(max_events=n % 4)
+            except SimulationError:
+                dispatched.append("budget")
+        states.append((sim.now, sim.events_run, sim.pending()))
+    sim.run()
+    states.append((sim.now, sim.events_run, sim.pending()))
+    return dispatched, states, sim.profile()["queue_depth_max"]
+
+
+@given(st.lists(engine_ops, min_size=10, max_size=60))
+def test_compaction_changes_nothing_a_caller_can_observe(ops):
+    """Compacting the heap keeps the dispatch order, ``events_run``,
+    ``pending()`` and the queue high-water of an engine that leaves every
+    cancelled entry for its deadline, through cancels from inside
+    callbacks, ``run(until=)`` and runs resumed after ``max_events``."""
+    assert _drive(Simulator, ops) == _drive(_NeverCompacts, ops)

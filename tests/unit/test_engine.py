@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import random
+import weakref
 
 import pytest
 
@@ -130,6 +131,64 @@ def test_pending_counts_live_events():
     gone.cancel()
     assert sim.pending() == 1
     assert keep is not None
+
+
+def test_cancel_frees_the_callback_before_its_deadline():
+    class Payload:
+        def __call__(self):
+            pass
+
+    sim = Simulator()
+    payload = Payload()
+    alive = weakref.ref(payload)
+    handle = sim.call_at(ms(10), payload, "t")
+    sim.post_at(ms(20), lambda: None)
+    del payload
+    assert alive() is not None
+    handle.cancel()
+    assert alive() is None
+    assert handle.cancelled
+    sim.run()
+    assert sim.events_run == 1
+
+
+def test_cancelled_majority_leaves_the_heap_in_one_compaction():
+    sim = Simulator()
+    order = []
+    handles = [sim.call_at(ms(index % 2), lambda index=index: order.append(index))
+               for index in range(10)]
+    for handle in handles[:5]:
+        handle.cancel()
+    # Five of ten is not more than half: they wait for their deadlines.
+    assert len(sim._heap) == 10 and sim._cancelled_in_queue == 5
+    handles[5].cancel()
+    assert len(sim._heap) == 4 and sim._cancelled_in_queue == 0
+    assert all(handle._owner is None for handle in handles[:6])
+    assert sim.pending() == 4
+    handles[0].cancel()  # a second cancel changes nothing
+    assert sim.pending() == 4
+    sim.run()
+    # Deadline first, then scheduling order, as before the compaction.
+    assert order == [6, 8, 7, 9]
+
+
+def test_compaction_inside_a_callback_keeps_the_running_queue():
+    sim = Simulator()
+    order = []
+    later = [sim.call_at(ms(2 + index), lambda index=index: order.append(index))
+             for index in range(4)]
+
+    def cancel_most():
+        order.append("cancel")
+        for handle in later[:3]:
+            handle.cancel()  # the third tips the heap into a compaction
+        assert len(sim._heap) == 1
+        sim.post_at(ms(10), lambda: order.append("new"))
+
+    sim.post_at(ms(1), cancel_most)
+    sim.run()
+    assert order == ["cancel", 3, "new"]
+    assert sim.events_run == 3 and sim.pending() == 0 and not sim._heap
 
 
 def test_rng_streams_are_independent_and_deterministic():

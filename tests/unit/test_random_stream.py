@@ -13,7 +13,7 @@ import pytest
 
 from repro.sim.randomness import CHUNK_WORDS, RandomStream
 
-SEEDS = [f"{seed}/{name}" for seed in (0, 7, 71)
+SEEDS = [(seed, name) for seed in (0, 7, 71)
          for name in ("udp:mh7", "link:net-36.8", "x8:storm-jitter")]
 
 
@@ -39,11 +39,13 @@ def _script(picker: random.Random, length: int):
     return ops
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_interleaved_draws_match_random_random(seed):
-    script = _script(random.Random(seed), 400)
-    assert _draws(RandomStream(seed), script) == _draws(random.Random(seed),
-                                                        script)
+@pytest.mark.parametrize("seed,name", SEEDS,
+                         ids=[f"{seed}/{name}" for seed, name in SEEDS])
+def test_interleaved_draws_match_random_random(seed, name):
+    reference_seed = f"{seed}/{name}"
+    script = _script(random.Random(reference_seed), 400)
+    assert (_draws(RandomStream(seed, name), script)
+            == _draws(random.Random(reference_seed), script))
 
 
 def test_getrandbits_matches_for_every_width():
@@ -51,7 +53,7 @@ def test_getrandbits_matches_for_every_width():
     # every k (32, 63 and 64 among them) is drawn from the chunk, across
     # its end and from the rebuilt generator.
     for k in range(0, 101):
-        stream, reference = RandomStream("3/bits"), random.Random("3/bits")
+        stream, reference = RandomStream(3, "bits"), random.Random("3/bits")
         for _ in range(CHUNK_WORDS // 2):
             assert stream.getrandbits(k) == reference.getrandbits(k), k
             assert stream.random() == reference.random(), k
@@ -64,7 +66,7 @@ def test_each_method_crossing_the_chunk_end(offset):
                          ("getrandbits", (63,)), ("getrandbits", (32,)),
                          ("uniform", (0.0, 1.0)), ("randrange", (10**12,)),
                          ("expovariate", (1.5,))):
-        stream, reference = RandomStream("1/edge"), random.Random("1/edge")
+        stream, reference = RandomStream(1, "edge"), random.Random("1/edge")
         lead = CHUNK_WORDS - 2 + offset
         assert stream.getrandbits(32 * lead) == reference.getrandbits(32 * lead)
         for _ in range(5):
@@ -73,7 +75,7 @@ def test_each_method_crossing_the_chunk_end(offset):
 
 
 def test_stream_rebuilds_its_generator_once_past_the_chunk():
-    stream = RandomStream("5/grow")
+    stream = RandomStream(5, "grow")
     for _ in range(CHUNK_WORDS // 2):
         stream.random()
     assert stream._generator is None

@@ -69,8 +69,8 @@ class TestFifoDelay:
         fifo = FifoDelay(sim)
         order = []
         # Second item gets a much smaller delay but must not overtake.
-        fifo.schedule(ms(10), lambda: order.append("first"))
-        fifo.schedule(ms(1), lambda: order.append("second"))
+        fifo.post(ms(10), lambda: order.append("first"), "")
+        fifo.post(ms(1), lambda: order.append("second"), "")
         sim.run()
         assert order == ["first", "second"]
 
@@ -78,8 +78,8 @@ class TestFifoDelay:
         sim = Simulator()
         fifo = FifoDelay(sim)
         times = []
-        fifo.schedule(ms(10), lambda: times.append(sim.now))
-        fifo.schedule(ms(10), lambda: times.append(sim.now))
+        fifo.post(ms(10), lambda: times.append(sim.now), "")
+        fifo.post(ms(10), lambda: times.append(sim.now), "")
         sim.run()
         assert times == [ms(10), ms(20)]
 
@@ -87,10 +87,10 @@ class TestFifoDelay:
         sim = Simulator()
         fifo = FifoDelay(sim)
         times = []
-        fifo.schedule(ms(5), lambda: times.append(sim.now))
+        fifo.post(ms(5), lambda: times.append(sim.now), "")
         sim.run()
-        sim.call_at(ms(100), lambda: fifo.schedule(ms(5),
-                                                   lambda: times.append(sim.now)))
+        sim.post_at(ms(100), lambda: fifo.post(ms(5),
+                                               lambda: times.append(sim.now), ""))
         sim.run()
         assert times == [ms(5), ms(105)]
 
@@ -98,7 +98,7 @@ class TestFifoDelay:
         sim = Simulator()
         fifo = FifoDelay(sim)
         assert fifo.backlog == 0
-        fifo.schedule(ms(10), lambda: None)
+        fifo.post(ms(10), lambda: None, "")
         assert fifo.backlog == ms(10)
 
 
