@@ -27,7 +27,7 @@ from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import build_testbed
-from repro.workloads import UdpEchoResponder, UdpEchoStream
+from repro.workloads.udp_echo import run_echo
 
 DEFAULT_INTERVALS_MS = (150, 300, 600, 1200)
 PROBE_STREAM_INTERVAL = ms(100)
@@ -82,20 +82,19 @@ def _run_point(interval: int, seed: int, config: Config) -> SweepPoint:
     manager.on_switch = lambda timeline: failovers.append(sim.now)
     manager.start()
 
-    UdpEchoResponder(testbed.mobile)
-    stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,
-                           interval=PROBE_STREAM_INTERVAL)
-    stream.start()
-    sim.run_for(s(4))
+    pulled_at: List[int] = []
 
-    cable_pulled_at = sim.now
-    testbed.mh_eth.detach()
-    sim.run_for(s(12))
-    stream.stop()
-    sim.run_for(s(3))
+    def pull_cable() -> None:
+        pulled_at.append(sim.now)
+        testbed.mh_eth.detach()
+
+    stream = run_echo(
+        testbed, testbed.correspondent, testbed.mobile, addresses.mh_home,
+        PROBE_STREAM_INTERVAL, settle=0, run=s(16), drain=s(3),
+        switch=pull_cable, switch_at=s(4))
 
     assert failovers, "manager never failed over"
-    failover_ms = (failovers[0] - cable_pulled_at) / 1e6
+    failover_ms = (failovers[0] - pulled_at[0]) / 1e6
     total_probes = sum(option.probes_sent for option in manager.options)
     probes_per_second = total_probes / ((sim.now - s(1)) / 1e9)
     return SweepPoint(probe_interval_ms=interval / 1e6,

@@ -49,7 +49,7 @@ from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import Testbed, build_testbed
-from repro.workloads import UdpEchoResponder, UdpEchoStream
+from repro.workloads.udp_echo import run_echo
 
 #: Sweep grid: Gilbert-Elliott burst intensity x Ethernet flap cadence.
 DEFAULT_LOSS_RATES = (0.0, 0.2)
@@ -164,20 +164,15 @@ def run_chaos_trial(loss_rate: float, flap_period_ns: int, seed: int,
 
     _start_manager(testbed)
 
-    UdpEchoResponder(testbed.mobile)
-    stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,
-                           interval=ECHO_INTERVAL)
-    stream.start()
-
     plan = _build_plan(loss_rate, flap_period_ns,
                        dept_link=testbed.dept_segment.name,
                        eth_interface=testbed.mh_eth.name)
     injector = FaultInjector.for_testbed(testbed, plan)
     injector.arm()
 
-    sim.run_for(HORIZON - WARMUP)
-    stream.stop()
-    sim.run_for(s(3))  # let stragglers land before counting loss
+    stream = run_echo(
+        testbed, testbed.correspondent, testbed.mobile, addresses.mh_home,
+        ECHO_INTERVAL, settle=0, run=HORIZON - WARMUP, drain=s(3))
 
     sent = stream.sent
     delivered_pct = (100.0 * stream.received / sent) if sent else 0.0

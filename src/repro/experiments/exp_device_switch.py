@@ -31,7 +31,7 @@ from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import Testbed, build_testbed
-from repro.workloads import UdpEchoResponder, UdpEchoStream
+from repro.workloads.udp_echo import run_echo, switch_phase
 
 #: Probe spacing: "we chose the 250 ms interval because the round-trip time
 #: between the home agent and the mobile host through the radio interface
@@ -173,22 +173,13 @@ def run_device_switch_trial(case_name: str, index: int, iterations: int,
     """One (case, iteration) cell of Figure 6 as a pure trial unit."""
     case = SwitchCase[case_name]
     testbed = _prepare(seed, config, case)
-    sim = testbed.sim
-    addresses = testbed.addresses
-    UdpEchoResponder(testbed.mobile)
-    stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,
-                           interval=PROBE_INTERVAL)
-    sim.run_for(ms(800))  # initial registration settles
-    stream.start()
-    sim.run_for(s(2))
-
     timelines: List[SwitchTimeline] = []
-    # Spread the switch start across one probe interval.
-    phase = (index * PROBE_INTERVAL) // max(iterations, 1)
-    sim.post_later(phase, lambda: _switch(testbed, case, timelines.append))
-    sim.run_for(s(6))
-    stream.stop()
-    sim.run_for(s(3))  # drain radio-delayed stragglers
+    stream = run_echo(
+        testbed, testbed.correspondent, testbed.mobile,
+        testbed.addresses.mh_home, PROBE_INTERVAL, settle=ms(800),
+        run=s(8), drain=s(3),
+        switch=lambda: _switch(testbed, case, timelines.append),
+        switch_at=s(2) + switch_phase(index, iterations, PROBE_INTERVAL))
 
     if not timelines or not timelines[0].success:
         raise RuntimeError(f"{case.value} iteration {index} failed")

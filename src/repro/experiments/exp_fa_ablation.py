@@ -41,7 +41,7 @@ from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.testbed import build_testbed
-from repro.workloads import UdpEchoResponder, UdpEchoStream
+from repro.workloads.udp_echo import run_echo
 
 #: Probe spacing.  Chosen so the radio channel is not saturated even in
 #: the FA configuration, where every probe crosses the air twice on the
@@ -101,20 +101,14 @@ def _run_once_without_fa(seed: int, config: Config) -> int:
     testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
     testbed.mh_eth.state = InterfaceState.DOWN
 
-    UdpEchoResponder(testbed.mobile)
-    stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,
-                           interval=PROBE_INTERVAL)
-    sim.run_for(ms(1200))
-    stream.start()
-    sim.run_for(s(2))
-
     done: List[SwitchTimeline] = []
-    DeviceSwitcher(testbed.mobile).cold_switch(
-        testbed.mh_radio, testbed.mh_eth, addresses.mh_dept_care_of,
-        addresses.dept_net, addresses.router_dept, on_done=done.append)
-    sim.run_for(s(5))
-    stream.stop()
-    sim.run_for(s(3))
+    stream = run_echo(
+        testbed, testbed.correspondent, testbed.mobile, addresses.mh_home,
+        PROBE_INTERVAL, settle=ms(1200), run=s(7), drain=s(3),
+        switch=lambda: DeviceSwitcher(testbed.mobile).cold_switch(
+            testbed.mh_radio, testbed.mh_eth, addresses.mh_dept_care_of,
+            addresses.dept_net, addresses.router_dept, on_done=done.append),
+        switch_at=s(2))
     if not done or not done[0].success:
         raise RuntimeError("cold switch failed (no-FA configuration)")
     return stream.lost_count()
@@ -138,25 +132,7 @@ def _run_once_with_fa(seed: int, config: Config) -> tuple:
     testbed.mobile.ip.routes.remove_matching(interface=testbed.mh_eth)
     testbed.mh_eth.state = InterfaceState.DOWN
 
-    UdpEchoResponder(testbed.mobile)
-    stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,
-                           interval=PROBE_INTERVAL)
-    sim.run_for(ms(2500))  # FA-relayed registration takes a radio RTT
-    stream.start()
-    sim.run_for(s(2))
-
     done: List[SwitchTimeline] = []
-
-    def switch() -> None:
-        DeviceSwitcher(testbed.mobile).cold_switch(
-            testbed.mh_radio, testbed.mh_eth, addresses.mh_dept_care_of,
-            addresses.dept_net, addresses.router_dept, on_done=done.append)
-        # "A foreign agent in the old network receives the new
-        # registration": the MH's binding update reaches the old FA as
-        # soon as the new registration is sent.  We notify at switch start
-        # plus the new path's setup time via a trace-driven hook below.
-
-    sim.post_later(0, switch)
 
     # Notify the old FA when the new registration request goes out.
     def watch_registration() -> None:
@@ -168,11 +144,21 @@ def _run_once_with_fa(seed: int, config: Config) -> tuple:
         else:
             sim.post_later(ms(50), watch_registration)
 
-    sim.post_later(ms(50), watch_registration)
+    def switch() -> None:
+        DeviceSwitcher(testbed.mobile).cold_switch(
+            testbed.mh_radio, testbed.mh_eth, addresses.mh_dept_care_of,
+            addresses.dept_net, addresses.router_dept, on_done=done.append)
+        # "A foreign agent in the old network receives the new
+        # registration": the MH's binding update reaches the old FA as
+        # soon as the new registration is sent, which the trace-driven
+        # watch above notices.
+        sim.post_later(ms(50), watch_registration)
 
-    sim.run_for(s(5))
-    stream.stop()
-    sim.run_for(s(3))
+    # The FA-relayed registration takes a radio round trip to settle.
+    stream = run_echo(
+        testbed, testbed.correspondent, testbed.mobile, addresses.mh_home,
+        PROBE_INTERVAL, settle=ms(2500), run=s(7), drain=s(3),
+        switch=switch, switch_at=s(2))
     if not done or not done[0].success:
         raise RuntimeError("cold switch failed (FA configuration)")
     return stream.lost_count(), fa.packets_forwarded_after_departure

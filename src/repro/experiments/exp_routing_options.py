@@ -31,7 +31,7 @@ from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.stats import Stats, summarize_ms
 from repro.testbed import build_testbed
-from repro.workloads import UdpEchoResponder, UdpEchoStream
+from repro.workloads.udp_echo import run_echo
 
 #: Paper: "encapsulation adds 20 bytes or more to the packet length".
 PAPER_ENCAP_OVERHEAD_BYTES = IP_HEADER_BYTES
@@ -131,13 +131,11 @@ def _measure_mode(mode: RoutingMode, probes: int, seed: int,
     if transit_filter:
         testbed.remote_router.enable_transit_filter()
     testbed.visit_remote()
-    sim.run_for(ms(1500))
 
     # The correspondent echoes; the MH probes it under the given policy.
     correspondent = (testbed.remote_correspondent if nearby
                      else testbed.correspondent)
     target = addresses.ch_remote if nearby else addresses.ch_dept
-    UdpEchoResponder(correspondent)
     testbed.mobile.policy.set_policy(target, mode)
     if mode is RoutingMode.ENCAP_DIRECT:
         # The encapsulated-direct variant requires the correspondent to
@@ -146,12 +144,10 @@ def _measure_mode(mode: RoutingMode, probes: int, seed: int,
         from repro.core.tunnel import IPIPModule
 
         IPIPModule(correspondent)
-    stream = UdpEchoStream(testbed.mobile, target, interval=ms(120))
-    stream.start()
-    sim.run_for(ms(120) * probes)
-    stream.stop()
-    sim.run_for(s(2))
-    return list(stream.rtts())
+    stream = run_echo(testbed, testbed.mobile, correspondent, target,
+                      ms(120), settle=ms(1500), run=ms(120) * probes,
+                      drain=s(2))
+    return stream.rtts()
 
 
 def _encap_overhead(mode: RoutingMode) -> int:
@@ -179,12 +175,9 @@ def _fallback_demo(seed: int, config: Config) -> tuple:
     # The failed probe cached a TUNNEL fallback; traffic now flows.
     assert testbed.mobile.policy.lookup(addresses.ch_dept) is RoutingMode.TUNNEL
 
-    UdpEchoResponder(testbed.correspondent)
-    stream = UdpEchoStream(testbed.mobile, addresses.ch_dept, interval=ms(100))
-    stream.start()
-    sim.run_for(s(2))
-    stream.stop()
-    sim.run_for(s(2))
+    stream = run_echo(testbed, testbed.mobile, testbed.correspondent,
+                      addresses.ch_dept, ms(100), settle=0, run=s(2),
+                      drain=s(2))
     recovered = stream.received >= stream.sent - 1 and stream.sent > 0
     return probe_failed, recovered
 

@@ -23,12 +23,12 @@ from typing import Dict, List
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.handoff import AddressSwitcher, SwitchTimeline
-from repro.experiments.harness import format_histogram, histogram, spread_phases
+from repro.experiments.harness import format_histogram, histogram
 from repro.parallel import Trial
 from repro.sim.engine import Simulator
 from repro.sim.units import ms
 from repro.testbed import build_testbed
-from repro.workloads import UdpEchoResponder, UdpEchoStream
+from repro.workloads.udp_echo import run_echo, switch_phase
 
 #: Paper outcome: {packets lost: iterations}.
 PAPER_HISTOGRAM = {0: 16, 1: 4}
@@ -87,29 +87,20 @@ def run_same_subnet_trial(index: int, iterations: int, seed: int,
     iteration's own seed (the builder derives it); *index*/*iterations*
     only position the switch phase within the probe interval.
     """
-    switch_time = spread_phases(iterations, probe_interval,
-                                base_ns=ms(1500))[index]
     sim = Simulator(seed=seed)
     sim.trace.record_only()
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     addresses = testbed.addresses
     testbed.visit_dept()
-    UdpEchoResponder(testbed.mobile)
-    stream = UdpEchoStream(testbed.correspondent, addresses.mh_home,
-                           interval=probe_interval)
-    sim.run_for(ms(500))  # initial registration settles
-    stream.start()
 
     timelines: List[SwitchTimeline] = []
-    sim.post_at(switch_time,
-                lambda: AddressSwitcher(testbed.mobile).switch_address(
-                    addresses.mh_dept_care_of_2,
-                    on_done=timelines.append),
-                label="exp-switch")
-    sim.run(until=ms(2500))
-    stream.stop()
-    sim.run_for(ms(1000))  # let stragglers drain before counting
+    stream = run_echo(
+        testbed, testbed.correspondent, testbed.mobile, addresses.mh_home,
+        probe_interval, settle=ms(500), run=ms(2000), drain=ms(1000),
+        switch=lambda: AddressSwitcher(testbed.mobile).switch_address(
+            addresses.mh_dept_care_of_2, on_done=timelines.append),
+        switch_at=ms(1000) + switch_phase(index, iterations, probe_interval))
 
     if not timelines or not timelines[0].success:
         raise RuntimeError(f"iteration {index}: switch failed")

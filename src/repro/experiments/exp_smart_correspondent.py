@@ -30,7 +30,7 @@ from repro.sim.engine import Simulator
 from repro.sim.units import ms, s
 from repro.stats import Stats, summarize_ms
 from repro.testbed import build_testbed
-from repro.workloads import UdpEchoResponder, UdpEchoStream
+from repro.workloads.udp_echo import run_echo
 
 
 @dataclass
@@ -79,16 +79,11 @@ def _measure(seed: int, config: Config, smart: bool,
         optimizer = SmartCorrespondent(correspondent)
         testbed.mobile.add_smart_correspondent(testbed.addresses.ch_dept)
     testbed.visit_dept()
-    sim.run_for(s(2))
-    UdpEchoResponder(testbed.mobile)
-    stream = UdpEchoStream(correspondent, testbed.addresses.mh_home,
-                           interval=ms(100))
-    stream.start()
-    sim.run_for(ms(100) * probes)
-    stream.stop()
-    sim.run_for(s(1))
+    stream = run_echo(testbed, correspondent, testbed.mobile,
+                      testbed.addresses.mh_home, ms(100), settle=s(2),
+                      run=ms(100) * probes, drain=s(1))
     assert optimizer is None or optimizer.packets_optimized > 0
-    return (list(stream.rtts()),
+    return (stream.rtts(),
             testbed.home_agent.vif.packets_encapsulated)
 
 
@@ -103,18 +98,15 @@ def _fallback_lossless(seed: int, config: Config) -> bool:
     testbed.mobile.add_smart_correspondent(testbed.addresses.ch_dept)
     testbed.visit_dept(register=False)
     testbed.mobile.register_current(lifetime=s(3))
-    sim.run_for(s(1))
-    UdpEchoResponder(testbed.mobile)
-    stream = UdpEchoStream(testbed.correspondent, testbed.addresses.mh_home,
-                           interval=ms(100))
-    stream.start()
     # Keep the HA binding alive past the CH cache's expiry.
-    sim.post_later(s(2), lambda: testbed.mobile.registration.register(
-        testbed.mobile.care_of, on_done=lambda outcome: None,
-        via=testbed.mobile.active_interface, lifetime=s(60)))
-    sim.run_for(s(6))
-    stream.stop()
-    sim.run_for(s(1))
+    stream = run_echo(
+        testbed, testbed.correspondent, testbed.mobile,
+        testbed.addresses.mh_home, ms(100), settle=s(1), run=s(6),
+        drain=s(1),
+        switch=lambda: testbed.mobile.registration.register(
+            testbed.mobile.care_of, on_done=lambda outcome: None,
+            via=testbed.mobile.active_interface, lifetime=s(60)),
+        switch_at=s(2))
     return (smart.cached_care_of(testbed.addresses.mh_home) is None
             and stream.lost_count() == 0)
 

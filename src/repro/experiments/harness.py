@@ -73,13 +73,3 @@ def as_plain_data(value: Any) -> Any:
         return value
     return str(value)
 
-
-def spread_phases(iterations: int, interval_ns: int, base_ns: int) -> List[int]:
-    """Evenly spread switch times across one probe interval.
-
-    The same-subnet experiment's loss count depends on where the switch
-    lands relative to the 10 ms probe ticks; spreading start phases across
-    the interval samples that uniformly (and deterministically).
-    """
-    return [base_ns + (index * interval_ns) // iterations
-            for index in range(iterations)]

@@ -73,6 +73,11 @@ WINDOW = 64
 _Handler = Callable[[int, dict], None]
 
 
+def _without(holders: Tuple[str, ...], name: str) -> Tuple[str, ...]:
+    """*holders* less *name*."""
+    return tuple(holder for holder in holders if holder != name)
+
+
 class PlaneAuditor:
     """Continuously audit a :class:`BindingShardPlane` via its trace."""
 
@@ -81,8 +86,9 @@ class PlaneAuditor:
         self.sim = plane.sim
         self.violations: List[str] = []
         self._window: Deque[Tuple[int, str, str, dict]] = deque(maxlen=WINDOW)
-        #: Who holds a binding for each address: str(home) -> {replica}.
-        self._holdings: Dict[str, Set[str]] = {}
+        #: Who holds a binding for each address: str(home) -> replica
+        #: names.  Nearly every address has one holder, so a tuple.
+        self._holdings: Dict[str, Tuple[str, ...]] = {}
         self._members: Set[str] = set(plane.agents)
         self._down: Set[str] = set()
         self._partitioned: Set[str] = set(plane.partitioned_agents())
@@ -167,10 +173,9 @@ class PlaneAuditor:
         # in-flight request does not make the binding servable.
         if self._reachable(name):
             self._pending.pop(home, None)
-        holders = self._holdings.get(home)
-        if holders is None:
-            holders = self._holdings[home] = set()
-        holders.add(name)
+        holders = self._holdings.get(home, ())
+        if name not in holders:
+            holders = self._holdings[home] = holders + (name,)
         others = [other for other in holders
                   if other != name and self._reachable(other)]
         if others:
@@ -184,9 +189,10 @@ class PlaneAuditor:
         name = self._replica_of(fields.get("agent", ""))
         if name is None:
             return
-        holders = self._holdings.get(fields["home_address"])
-        if holders is not None:
-            holders.discard(name)
+        home = fields["home_address"]
+        holders = self._holdings.get(home, ())
+        if name in holders:
+            self._holdings[home] = _without(holders, name)
 
     # --- home-agent faults
 
@@ -197,7 +203,8 @@ class PlaneAuditor:
         self._down.add(name)
         for home, holders in self._holdings.items():
             if name in holders:
-                holders.discard(name)  # crash loses the state
+                # The crash loses the state.
+                holders = self._holdings[home] = _without(holders, name)
                 if not any(self._reachable(other) for other in holders):
                     self._disturb(home, time)
 
@@ -261,7 +268,7 @@ class PlaneAuditor:
         self._partitioned.discard(name)
         for home, holders in self._holdings.items():
             if name in holders:
-                holders.discard(name)
+                holders = self._holdings[home] = _without(holders, name)
                 if not any(self._reachable(other) for other in holders):
                     # Cleared synchronously by the hand-over's "adopted"
                     # records; anything left must be re-won by renewal.

@@ -7,27 +7,49 @@ the mobile host switches addresses." (Section 4.)  The device-switching
 experiment uses the same structure at a 250 ms interval, chosen because the
 radio round-trip time is 200-250 ms.
 
-:class:`UdpEchoStream` (correspondent side) tags each datagram with a
-sequence number and send timestamp; :class:`UdpEchoResponder` (mobile
-side) echoes whatever arrives.  Loss is counted end-to-end: a sequence
-number whose echo never returns is a lost packet — which is how the paper
-counts, since a reply can be lost on the return path too.
+:class:`UdpEchoStream` (the sender) tags each datagram with a sequence
+number and remembers its send time; :class:`UdpEchoResponder` echoes
+whatever arrives.  Loss is counted end-to-end: a sequence number whose
+echo never returns is a lost packet — which is how the paper counts, since
+a reply can be lost on the return path too.
+
+Every experiment that measures with the stream calls :func:`run_echo`,
+which owns the measurement protocol:
+
+1. **Settle.**  Probing starts at the later of the caller's fixed settle
+   time and the first moment the testbed's home agent holds a binding for
+   the mobile host's home address, checked one probe interval at a time.
+   A probe sent before the first registration lands dies for want of a
+   binding, and that loss belongs to no switch.  A binding that has not
+   arrived :data:`BINDING_WAIT` after the fixed settle fails the trial.
+2. **Run.**  The stream probes for the caller's run time; an optional
+   switch action fires at a fixed offset from the first probe
+   (:func:`switch_phase` spreads that offset across one probe interval
+   when trials sample the switch's phase).
+3. **Stop, then drain.**  The stream stops sending and the simulation
+   runs on for the drain time, so that echoes still in flight land before
+   anything is counted; counted earlier, they would read as lost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.net.addressing import IPAddress
 from repro.net.host import Host
 from repro.net.packet import AppData
 from repro.sim.engine import Event
+from repro.sim.units import s
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.testbed import Testbed
 
 #: The UDP echo port (RFC 862).
 ECHO_PORT = 7
 #: Payload bytes per probe (a small measurement packet).
 PROBE_BYTES = 12
+#: Longest wait past the fixed settle for the mobile host's first binding.
+BINDING_WAIT = s(10)
 
 
 class UdpEchoResponder:
@@ -44,27 +66,6 @@ class UdpEchoResponder:
         self._socket.sendto(data, src, src_port)
 
 
-@dataclass
-class EchoRecord:
-    """Fate of one probe."""
-
-    seq: int
-    sent_at: int
-    replied_at: Optional[int] = None
-
-    @property
-    def lost(self) -> bool:
-        """True if the echo never came back."""
-        return self.replied_at is None
-
-    @property
-    def rtt(self) -> Optional[int]:
-        """Round-trip time, or None when lost."""
-        if self.replied_at is None:
-            return None
-        return self.replied_at - self.sent_at
-
-
 class UdpEchoStream:
     """Sends sequence-numbered probes at a fixed interval and counts echoes."""
 
@@ -74,8 +75,10 @@ class UdpEchoStream:
         self.target = target
         self.interval = interval
         self._socket = host.udp.open(0).on_datagram(self._on_reply)
-        self._records: Dict[int, EchoRecord] = {}
-        self._next_seq = 0
+        #: Send time of each probe, indexed by sequence number.
+        self._sent_at: List[int] = []
+        #: Echo arrival time of each probe; None until its echo returns.
+        self._replied_at: List[Optional[int]] = []
         self._running = False
         self._tick_event: Optional[Event] = None
 
@@ -98,9 +101,9 @@ class UdpEchoStream:
     def _tick(self) -> None:
         if not self._running:
             return
-        seq = self._next_seq
-        self._next_seq += 1
-        self._records[seq] = EchoRecord(seq=seq, sent_at=self.sim.now)
+        seq = len(self._sent_at)
+        self._sent_at.append(self.sim.now)
+        self._replied_at.append(None)
         probe = AppData(content=("echo-probe", seq), size_bytes=PROBE_BYTES)
         self._socket.sendto(probe, self.target, ECHO_PORT)
         self._tick_event = self.sim.call_later(self.interval, self._tick,
@@ -112,62 +115,55 @@ class UdpEchoStream:
         if not (isinstance(content, tuple) and len(content) == 2
                 and content[0] == "echo-probe"):
             return
-        record = self._records.get(content[1])
-        if record is not None and record.replied_at is None:
-            record.replied_at = self.sim.now
+        seq = content[1]
+        replied_at = self._replied_at
+        if 0 <= seq < len(replied_at) and replied_at[seq] is None:
+            replied_at[seq] = self.sim.now
 
     # ------------------------------------------------------------------ stats
 
     @property
     def sent(self) -> int:
         """Probes sent so far."""
-        return len(self._records)
+        return len(self._sent_at)
 
     @property
     def received(self) -> int:
         """Probes whose echo returned."""
-        return sum(1 for record in self._records.values() if not record.lost)
+        return len(self._replied_at) - self._replied_at.count(None)
 
     def lost_count(self, since: Optional[int] = None,
                    until: Optional[int] = None) -> int:
-        """Probes sent in [since, until) whose echo never came back.
-
-        Call only after the stream has stopped and the simulation has run
-        long enough for stragglers to arrive, or in-flight probes will be
-        miscounted as lost.
-        """
+        """Probes sent in [since, until) whose echo has not come back."""
         return len(self.lost_sequences(since=since, until=until))
 
     def lost_sequences(self, since: Optional[int] = None,
                        until: Optional[int] = None) -> List[int]:
-        """Sorted sequence numbers of lost probes in the window."""
-        out = []
-        for record in self._records.values():
-            if since is not None and record.sent_at < since:
-                continue
-            if until is not None and record.sent_at >= until:
-                continue
-            if record.lost:
-                out.append(record.seq)
-        return sorted(out)
+        """Sequence numbers, ascending, of the window's lost probes."""
+        return [seq for seq, (sent_at, replied_at)
+                in enumerate(zip(self._sent_at, self._replied_at))
+                if replied_at is None
+                and (since is None or sent_at >= since)
+                and (until is None or sent_at < until)]
 
     def received_count(self, since: int) -> int:
         """Probes sent at or after *since* whose echo returned."""
-        return sum(1 for record in self._records.values()
-                   if not record.lost and record.sent_at >= since)
+        return sum(1 for sent_at, replied_at
+                   in zip(self._sent_at, self._replied_at)
+                   if replied_at is not None and sent_at >= since)
 
     def rtts(self) -> List[int]:
         """Round-trip times of all answered probes, in send order."""
-        return [record.rtt for record in sorted(self._records.values(),
-                                                key=lambda r: r.seq)
-                if record.rtt is not None]
+        return [replied_at - sent_at for sent_at, replied_at
+                in zip(self._sent_at, self._replied_at)
+                if replied_at is not None]
 
     def longest_outage(self) -> int:
         """Longest run of consecutive lost probes (packets)."""
         longest = 0
         current = 0
-        for record in sorted(self._records.values(), key=lambda r: r.seq):
-            if record.lost:
+        for replied_at in self._replied_at:
+            if replied_at is None:
                 current += 1
                 longest = max(longest, current)
             else:
@@ -178,3 +174,46 @@ class UdpEchoStream:
         """Stop and release the socket."""
         self.stop()
         self._socket.close()
+
+
+def switch_phase(index: int, iterations: int, interval: int) -> int:
+    """Offset of trial *index*'s switch within one probe *interval*.
+
+    A switch's loss depends on where it lands relative to the probe ticks;
+    spreading the *iterations* trials evenly across one interval samples
+    that phase uniformly, and deterministically.
+    """
+    return (index * interval) // iterations
+
+
+def run_echo(testbed: "Testbed", sender: Host, echoer: Host,
+             target: IPAddress, interval: int, *, settle: int, run: int,
+             drain: int, switch: Optional[Callable[[], None]] = None,
+             switch_at: int = 0) -> UdpEchoStream:
+    """Measure one run with a probe stream from *sender* to *echoer*.
+
+    Builds the responder on *echoer* and a stream probing *target* every
+    *interval* ns, settles (the later of *settle* ns and the mobile host's
+    first binding), probes for *run* ns with *switch* fired *switch_at* ns
+    after the first probe, stops, and drains for *drain* ns.  The returned
+    stream has stopped and drained, so its counts are final.
+    """
+    sim = testbed.sim
+    UdpEchoResponder(echoer)
+    stream = UdpEchoStream(sender, target, interval)
+    sim.run_for(settle)
+    give_up = sim.now + BINDING_WAIT
+    while testbed.addresses.mh_home not in testbed.home_agent.bindings:
+        if sim.now >= give_up:
+            raise RuntimeError(
+                f"no binding for {testbed.addresses.mh_home} at the home "
+                f"agent by t={sim.now / 1e9:g}s")
+        sim.run_for(interval)
+    start = sim.now
+    stream.start()
+    if switch is not None:
+        sim.post_at(start + switch_at, switch, label="exp-switch")
+    sim.run(until=start + run)
+    stream.stop()
+    sim.run_for(drain)
+    return stream

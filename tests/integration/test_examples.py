@@ -1,13 +1,19 @@
-"""Every example must run clean: they are executable documentation."""
+"""Every example must run clean and print what it printed when its
+``example/<name>`` golden was recorded: they are executable documentation."""
 
-import pathlib
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
-EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+from tests.integration.test_report_goldens import (
+    EXAMPLES,
+    golden,
+    run_example,
+)
+
+EXAMPLES_DIR = EXAMPLES[0].parent
 
 
 def test_examples_directory_is_populated():
@@ -18,11 +24,12 @@ def test_examples_directory_is_populated():
 
 @pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs_clean(example):
-    result = subprocess.run([sys.executable, str(example)],
-                            capture_output=True, text=True, timeout=120)
+    result = run_example(example)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "examples must narrate what they show"
     assert "Traceback" not in result.stderr
+    assert (hashlib.sha256(result.stdout.encode()).hexdigest()
+            == golden(f"example/{example.stem}"))
 
 
 def test_readme_quickstart_block_runs():

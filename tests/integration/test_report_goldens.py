@@ -1,6 +1,6 @@
 """Experiment reports and one run's metrics must match committed digests.
 
-Seven kinds of golden, all sha256 digests in ``report_goldens.json``:
+Eight kinds of golden, all sha256 digests in ``report_goldens.json``:
 
 * the extension experiments (x1-x6: UDP probes, registration storms,
   sharded fleets, fault injection, TCP congestion control over handoffs)
@@ -24,7 +24,9 @@ Seven kinds of golden, all sha256 digests in ``report_goldens.json``:
   under a TCP transfer.  Each record contributes its time, category,
   event and every field's name, type name and value, so a packet or
   address object leaking into a field where a string belongs fails here
-  even if it would print the same.
+  even if it would print the same;
+* the stdout of every ``examples/*.py`` (``example/quickstart``), which
+  ``test_examples.py`` checks as it runs each one.
 
 A change that moves any of these fails this test.  Each default-seed
 report is built once per test run by :func:`default_report`; the paper
@@ -41,6 +43,7 @@ say in the commit why the digests moved::
 import functools
 import hashlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +61,8 @@ from repro.testbed.scenarios import commute
 from repro.workloads import TcpBulkReceiver, TcpBulkSender
 
 GOLDEN_PATH = Path(__file__).with_name("report_goldens.json")
+EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples")
+                  .glob("*.py"))
 
 #: ``(id, reduced grid)`` pairs pinned at seeds 0-2.
 SHRUNK_GRIDS = [
@@ -185,10 +190,22 @@ def golden_digests() -> dict:
     digests["x4-shard/metrics"] = x4_shard_metrics_digest()
     digests["trace-stream/commute"] = typed_stream_digest(
         commute_trace().trace)
+    digests.update({f"example/{path.stem}": example_digest(path)
+                    for path in EXAMPLES})
     return digests
 
 
-def _golden(key: str) -> str:
+def run_example(path: Path) -> subprocess.CompletedProcess:
+    """Run one example as its own process, capturing its text output."""
+    return subprocess.run([sys.executable, str(path)], capture_output=True,
+                          text=True, timeout=120)
+
+
+def example_digest(path: Path) -> str:
+    return _sha256(run_example(path).stdout)
+
+
+def golden(key: str) -> str:
     return json.loads(GOLDEN_PATH.read_text())[key]
 
 
@@ -198,19 +215,19 @@ def _golden(key: str) -> str:
 def test_report_matches_golden(name, grid, seed):
     with capture_simulators() as sims:
         report = run_experiment(name, seed=seed, **grid).format_report()
-    assert _sha256(report) == _golden(f"{name}/{seed}")
+    assert _sha256(report) == golden(f"{name}/{seed}")
     # Nothing reads these trials' traces: they declare, and keep, nothing.
     assert sims and all(len(sim.trace) == 0 for sim in sims)
 
 
 @pytest.mark.parametrize("name", DEFAULT_SEED_IDS)
 def test_default_seed_report_matches_golden(name):
-    assert default_report_digest(name) == _golden(f"{name}/default")
+    assert default_report_digest(name) == golden(f"{name}/default")
 
 
 @pytest.mark.parametrize("name", METRICS_IDS)
 def test_default_seed_metrics_match_golden(name):
-    assert default_metrics_digest(name) == _golden(f"{name}/metrics")
+    assert default_metrics_digest(name) == golden(f"{name}/metrics")
 
 
 @pytest.mark.parametrize("name", ["f7", "a1"])
@@ -220,15 +237,15 @@ def test_registration_readers_keep_only_registration_records(name):
 
 
 def test_x8_small_grid_report_matches_golden():
-    assert x8_small_digest() == _golden("x8/small")
+    assert x8_small_digest() == golden("x8/small")
 
 
 def test_x7_reduced_report_matches_golden():
-    assert x7_reduced_digest() == _golden("x7/reduced")
+    assert x7_reduced_digest() == golden("x7/reduced")
 
 
 def test_x4_shard_metrics_snapshot_matches_golden():
-    assert x4_shard_metrics_digest() == _golden("x4-shard/metrics")
+    assert x4_shard_metrics_digest() == golden("x4-shard/metrics")
 
 
 def test_typed_record_stream_matches_golden():
@@ -236,7 +253,7 @@ def test_typed_record_stream_matches_golden():
     emitted = {record.category for record in sim.trace}
     assert {"ip", "device", "tunnel", "arp", "dhcp", "registration",
             "handoff", "policy", "tcp"} <= emitted
-    assert typed_stream_digest(sim.trace) == _golden("trace-stream/commute")
+    assert typed_stream_digest(sim.trace) == golden("trace-stream/commute")
 
 
 def main(argv) -> int:

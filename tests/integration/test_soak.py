@@ -1,8 +1,7 @@
 """Soak test: minutes of simulated roaming under concurrent load.
 
-Everything at once, for a long time: a TCP session, a UDP echo stream, a
-DNS-resolved correspondent, periodic re-registration, and a random walk
-between networks.  The invariants that must hold at the end are the
+Everything at once, for a long time: a TCP session, a UDP echo stream,
+periodic re-registration, and a random walk between networks.  The invariants that must hold at the end are the
 paper's core promises — no connection resets, in-order delivery, binding
 always tracking the mobile host.
 """

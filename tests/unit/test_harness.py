@@ -6,10 +6,10 @@ from repro.experiments.harness import (
     format_histogram,
     format_table,
     histogram,
-    spread_phases,
 )
 from repro.sim import ms
 from repro.stats import Stats, Welford, merge_stats, summarize, summarize_ms
+from repro.workloads.udp_echo import switch_phase
 
 
 class TestSummarize:
@@ -137,13 +137,14 @@ class TestFormatTable:
 
 
 class TestSpreadPhases:
+    """:func:`switch_phase` spreads trials' switches across one interval."""
+
     def test_phases_cover_one_interval_uniformly(self):
-        phases = spread_phases(10, ms(10), base_ns=ms(100))
-        assert len(phases) == 10
-        assert phases[0] == ms(100)
-        assert phases[-1] == ms(100) + 9 * ms(10) // 10
+        phases = [switch_phase(index, 10, ms(10)) for index in range(10)]
+        assert phases[0] == 0
+        assert phases[-1] == 9 * ms(10) // 10
         deltas = [b - a for a, b in zip(phases, phases[1:])]
         assert all(delta == ms(1) for delta in deltas)
 
     def test_single_iteration(self):
-        assert spread_phases(1, ms(10), base_ns=0) == [0]
+        assert switch_phase(0, 1, ms(10)) == 0
