@@ -151,8 +151,10 @@ class HomeAgentService:
         timings = self.config.registration
         delay = (jittered(self._rng, timings.ha_receive_overhead, self.config.jitter)
                  + jittered(self._rng, timings.ha_processing_cost, self.config.jitter))
-        self.sim.trace.emit("registration", "ha_received", host=self.host.name,
-                            ident=request.identification, source=src)
+        trace = self.sim.trace
+        if "registration" in trace.live:
+            trace.emit("registration", "ha_received", host=self.host.name,
+                       ident=request.identification, source=src)
         self._processing_fifo.post(delay, lambda: self._process(request, src),
                                    "ha-process")
 
@@ -189,9 +191,10 @@ class HomeAgentService:
             # Timestamped here so the trace delta matches the paper's
             # "time between the home agent receiving the registration
             # request and sending out its reply" (1.48 ms in Figure 7).
-            self.sim.trace.emit("registration", "ha_reply",
-                                host=self.host.name,
-                                ident=request.identification, code=code)
+            trace = self.sim.trace
+            if "registration" in trace.live:
+                trace.emit("registration", "ha_reply", host=self.host.name,
+                           ident=request.identification, code=code)
             self._socket.sendto(reply.wrap(), destination, REGISTRATION_PORT)
 
         self.sim.post_later(send_cost, transmit_reply, label="ha-reply-tx")

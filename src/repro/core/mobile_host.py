@@ -328,8 +328,10 @@ class MobileHost(Host):
             # the home address), so the IETF baseline sends direct with
             # the home source and lets the FA route it — i.e. the triangle.
             mode = RoutingMode.TRIANGLE
-        self.sim.trace.emit("policy", "decision", host=self.name,
-                            destination=dst, mode=mode.value)
+        trace = self.sim.trace
+        if "policy" in trace.live:
+            trace.emit("policy", "decision", host=self.name,
+                       destination=dst, mode=mode.value)
         if mode is RoutingMode.TUNNEL or mode is RoutingMode.ENCAP_DIRECT:
             # Route into the VIF; the endpoint selector picks the outer
             # destination (home agent, or the correspondent itself for the

@@ -90,7 +90,7 @@ class MobilePolicyTable:
     #: lookups per mode and result, and the probe fallbacks.
     _METRIC_FIELDS = tuple(
         ("policy", "lookups", (("mode", mode.value), ("result", result)),
-         (counts, mode))
+         (counts, mode.value))
         for mode in RoutingMode
         for result, counts in (("hit", "_hits"), ("miss", "_misses"))
     ) + (("policy", "probe_fallbacks", (), "probe_fallbacks"),)
@@ -106,9 +106,13 @@ class MobilePolicyTable:
         #: The keys of ``_index``, longest first.
         self._lengths: List[int] = []
         self._owner = owner
-        # Statistics: lookups by mode, and probe fallbacks.
-        self._hits: Dict[RoutingMode, int] = dict.fromkeys(RoutingMode, 0)
-        self._misses: Dict[RoutingMode, int] = dict.fromkeys(RoutingMode, 0)
+        # Statistics: lookups by mode value, and probe fallbacks.  An Enum
+        # member hashes through Python code and ``.value`` is a Python
+        # property, so ``lookup`` keys by the plain ``_value_`` str.
+        self._hits: Dict[str, int] = dict.fromkeys(
+            (mode.value for mode in RoutingMode), 0)
+        self._misses: Dict[str, int] = dict.fromkeys(
+            (mode.value for mode in RoutingMode), 0)
         self.probe_fallbacks = 0
         metrics.register(self, self._METRIC_FIELDS, host=owner)
         note_policy_table(self)
@@ -165,10 +169,10 @@ class MobilePolicyTable:
         entry = self.lookup_entry(dst)
         if entry is not None:
             mode = entry.mode
-            self._hits[mode] += 1
+            self._hits[mode._value_] += 1
         else:
             mode = self.default_mode
-            self._misses[mode] += 1
+            self._misses[mode._value_] += 1
         return mode
 
     # --------------------------------------------------------- dynamic updates

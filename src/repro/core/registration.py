@@ -242,10 +242,11 @@ class RegistrationClient:
                                        via=via, destination=destination)
         self._pending[request.identification] = pending
         self.attempts += 1
-        self.sim.trace.emit("registration", "request_start",
-                            host=self.host.name,
-                            ident=request.identification,
-                            care_of=request.care_of_address)
+        trace = self.sim.trace
+        if "registration" in trace.live:
+            trace.emit("registration", "request_start", host=self.host.name,
+                       ident=request.identification,
+                       care_of=request.care_of_address)
         marshal = jittered(self._rng, timings.mh_marshal_cost, self.config.jitter)
         send_cost = jittered(self._rng, timings.mh_send_overhead, self.config.jitter)
         self.sim.post_later(marshal + send_cost,
@@ -283,9 +284,11 @@ class RegistrationClient:
             self.retries += 1
         target = (destination if destination is not None
                   else pending.request.home_agent)
-        self.sim.trace.emit("registration", "request_sent", host=self.host.name,
-                            ident=ident, attempt=pending.transmissions,
-                            target=target)
+        trace = self.sim.trace
+        if "registration" in trace.live:
+            trace.emit("registration", "request_sent", host=self.host.name,
+                       ident=ident, attempt=pending.transmissions,
+                       target=target)
         self._socket.sendto(pending.request.wrap(), target, REGISTRATION_PORT,
                             via=via)
         delay = self._retry_delay(pending.transmissions)
@@ -329,9 +332,11 @@ class RegistrationClient:
 
         def complete() -> None:
             self.replies_received += 1
-            self.sim.trace.emit("registration", "reply_received",
-                                host=self.host.name,
-                                ident=reply.identification, code=reply.code)
+            trace = self.sim.trace
+            if "registration" in trace.live:
+                trace.emit("registration", "reply_received",
+                           host=self.host.name,
+                           ident=reply.identification, code=reply.code)
             outcome = RegistrationOutcome(reply=reply,
                                           request_sent_at=pending.sent_at,
                                           reply_received_at=self.sim.now,

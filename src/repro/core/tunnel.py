@@ -90,8 +90,10 @@ class VirtualInterface(NetworkInterface):
         self.packets_encapsulated += 1
         self.overhead_bytes += outer.size_bytes - packet.size_bytes
         self.tx_packets += 1
-        self.sim.trace.emit("tunnel", "encapsulated", interface=self.name,
-                            outer=outer)
+        trace = self.sim.trace
+        if "tunnel" in trace.live:
+            trace.emit("tunnel", "encapsulated", interface=self.name,
+                       outer=outer)
         cost = jittered(self._rng, self.host.timings.tunnel_cost,
                         self.config.jitter)
         self._fifo.post(cost, lambda: self.host.ip.send(outer),
@@ -125,8 +127,10 @@ class IPIPModule:
 
     def _receive(self, outer: IPPacket, iface: NetworkInterface) -> None:
         inner = outer.inner
-        self.sim.trace.emit("tunnel", "decapsulated", host=self.host.name,
-                            inner=inner)
+        trace = self.sim.trace
+        if "tunnel" in trace.live:
+            trace.emit("tunnel", "decapsulated", host=self.host.name,
+                       inner=inner)
         self.packets_decapsulated += 1
         cost = jittered(self._rng, self.host.timings.tunnel_cost,
                         self.host.config.jitter)

@@ -151,8 +151,10 @@ class ARPService:
     def add_proxy(self, addr: IPAddress) -> None:
         """Start answering ARP requests for *addr* (home-agent intercept)."""
         self._proxy_for.add(addr.value)
-        self._sim.trace.emit("arp", "proxy_added", interface=self._iface.name,
-                             address=addr)
+        trace = self._sim.trace
+        if "arp" in trace.live:
+            trace.emit("arp", "proxy_added", interface=self._iface.name,
+                       address=addr)
 
     def remove_proxy(self, addr: IPAddress) -> None:
         """Stop answering for *addr* (mobile host returned home)."""
@@ -227,8 +229,10 @@ class ARPService:
         message = ARPMessage(op=OP_REQUEST, sender_ip=addr,
                              sender_mac=self._iface.mac, target_ip=addr)
         self.gratuitous += 1
-        self._sim.trace.emit("arp", "gratuitous", interface=self._iface.name,
-                             address=addr)
+        trace = self._sim.trace
+        if "arp" in trace.live:
+            trace.emit("arp", "gratuitous", interface=self._iface.name,
+                       address=addr)
         self._iface.transmit_arp(message, BROADCAST_MAC)
 
     def send_probe(self, addr: IPAddress) -> None:

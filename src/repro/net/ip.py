@@ -148,7 +148,8 @@ class IPStack:
         """
         self.sent += 1
         trace = self.sim.trace
-        trace.emit("ip", "send", host=self.host.name, packet=packet)
+        if "ip" in trace.live:
+            trace.emit("ip", "send", host=self.host.name, packet=packet)
         if via is not None:
             via.send_ip(packet, self._next_hop_via(packet.dst, via))
             return True
@@ -195,8 +196,9 @@ class IPStack:
     def receive_packet(self, packet: IPPacket, iface: "NetworkInterface") -> None:
         """Entry point for packets arriving from an interface."""
         trace = self.sim.trace
-        trace.emit("ip", "receive", host=self.host.name,
-                   interface=iface.name, packet=packet)
+        if "ip" in trace.live:
+            trace.emit("ip", "receive", host=self.host.name,
+                       interface=iface.name, packet=packet)
         if self.is_local(packet.dst):
             self.deliver(packet, iface)
             return

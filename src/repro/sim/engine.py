@@ -25,10 +25,19 @@ through :meth:`Simulator.drop`, which counts and traces it by cause.
 
 Performance notes (the engine is the hottest loop in the repository):
 
+* A heap entry is a 4-tuple whose first two items, ``(time, seq)``, are
+  unique, so heap comparisons stop there and run in C.  A fire-and-forget
+  post is its entry and nothing more: ``(time, seq, callback, label)``,
+  with no object allocated for it.  A cancellable timer is
+  ``(time, seq, None, event)``, the :class:`Event` that :meth:`call_at`
+  returns as its handle, and a shared-medium fan-out is
+  ``(time, seq, None, fanout)``.  The run loop tests ``entry[2]`` first,
+  so a post runs without reading any object's attribute.
 * :class:`Event` is a hand-rolled ``__slots__`` class, not a dataclass —
-  the slotted layout roughly halves its construction cost.
-* The queue is a plain heap of ``(time, seq, event)`` tuples: heap
-  comparisons stop at the unique ``(time, seq)`` ints and run in C.
+  the slotted layout roughly halves its construction cost.  Only
+  :meth:`call_at` builds one.
+* ``now`` is a plain attribute that only :meth:`run` writes, not a
+  property: components read the clock on every hop.
 * A cancelled event stays queued until its deadline pops it, but it
   drops its callback when cancelled, so its closure is freed at once.
   Once cancelled entries are more than half the heap, the cancel that
@@ -89,11 +98,11 @@ class Event:
     The engine runs events in ``(time, seq)`` order: earlier deadlines
     first, and among equal deadlines the event scheduled first runs first.
 
-    This is also the public cancellation handle: everything
+    This is the public cancellation handle: everything
     :meth:`Simulator.call_at`/:meth:`Simulator.call_later` returns is an
     :class:`Event`, so components should annotate stored timers as
     ``Optional[Event]`` and call :meth:`cancel` without casts.
-    ``post_at``/``post_later`` return no handle.
+    ``post_at``/``post_later`` build none: a post is only its heap entry.
     """
 
     __slots__ = ("time", "seq", "callback", "label", "cancelled", "_owner")
@@ -105,10 +114,9 @@ class Event:
         self.callback = callback
         self.label = label
         self.cancelled = False
-        # The owning Simulator while a *handle* event sits in its queue;
-        # cleared on pop (or when a compaction purges it) so a late
-        # cancel() cannot corrupt the queue accounting.  post_* events
-        # never set it.
+        # The owning Simulator while the event sits in its queue; cleared
+        # on pop (or when a compaction purges it) so a late cancel()
+        # cannot corrupt the queue accounting.
         self._owner: Optional["Simulator"] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -128,21 +136,24 @@ class Event:
             self._owner._note_cancelled()
 
 
-class _FanOut(Event):
-    """One heap entry that calls each of *receivers* with *arg*, in order.
+class _FanOut:
+    """What a :meth:`Simulator.post_each` entry calls: each of *receivers*
+    with *arg*, in order.
 
-    Queued by :meth:`Simulator.post_each`.  ``callback`` is None, which is
-    how the run loop tells a fan-out from a plain event.  The entry is
-    never cancelled and never handed out.
+    Its ``callback`` is None, which is how the run loop tells it from an
+    :class:`Event`.  It is never cancelled and never handed out.
     """
 
-    __slots__ = ("receivers", "arg")
+    __slots__ = ("receivers", "arg", "label")
 
-    def __init__(self, time: Time, seq: int, receivers: List[Callable],
-                 arg: object, label: str) -> None:
-        super().__init__(time, seq, None, label)  # type: ignore[arg-type]
+    callback = None
+    cancelled = False
+
+    def __init__(self, receivers: List[Callable], arg: object,
+                 label: str) -> None:
         self.receivers = receivers
         self.arg = arg
+        self.label = label
 
 
 class Simulator:
@@ -156,7 +167,8 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._now: Time = 0
+        #: Current virtual time in nanoseconds.  Only :meth:`run` moves it.
+        self.now: Time = 0
         self._seq: int = 0
         self._heap: List[tuple] = []
         self._seed = seed
@@ -187,11 +199,6 @@ class Simulator:
         note_simulator(self)
 
     # ------------------------------------------------------------------ time
-
-    @property
-    def now(self) -> Time:
-        """Current virtual time in nanoseconds."""
-        return self._now
 
     @property
     def events_run(self) -> int:
@@ -241,16 +248,16 @@ class Simulator:
         Returns the :class:`Event` as a cancellation handle.  Prefer
         :meth:`post_at` when the handle would be discarded.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at {when} ns; "
-                f"it is already {self._now} ns"
+                f"it is already {self.now} ns"
             )
         seq = self._seq
         self._seq = seq + 1
         event = Event(when, seq, callback, label)
         event._owner = self
-        heappush(self._heap, (when, seq, event))
+        heappush(self._heap, (when, seq, None, event))
         live = self._live + 1
         self._live = live
         if live > self._depth_hw:
@@ -261,23 +268,24 @@ class Simulator:
         """Schedule *callback* to run *delay* nanoseconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
-        return self.call_at(self._now + delay, callback, label)
+        return self.call_at(self.now + delay, callback, label)
 
     def post_at(self, when: Time, callback: Callable[[], None], label: str = "") -> None:
         """Schedule *callback* at *when*, fire-and-forget.
 
         The no-handle twin of :meth:`call_at`, for callers that never
         cancel: datapath code (link deliveries, serial FIFOs, forwarding)
-        schedules exclusively through this.
+        schedules exclusively through this.  The heap entry
+        ``(when, seq, callback, label)`` is all it allocates.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at {when} ns; "
-                f"it is already {self._now} ns"
+                f"it is already {self.now} ns"
             )
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (when, seq, Event(when, seq, callback, label)))
+        heappush(self._heap, (when, seq, callback, label))
         live = self._live + 1
         self._live = live
         if live > self._depth_hw:
@@ -287,7 +295,7 @@ class Simulator:
         """Schedule *callback* *delay* nanoseconds from now, fire-and-forget."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
-        self.post_at(self._now + delay, callback, label)
+        self.post_at(self.now + delay, callback, label)
 
     def post_each(self, when: Time, receivers: List[Callable[[Any], None]],
                   arg: object, label: str = "") -> None:
@@ -298,10 +306,10 @@ class Simulator:
         :meth:`post_at` per receiver.  The engine keeps *receivers*, so
         the caller must hand over a list it does not mutate afterwards.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at {when} ns; "
-                f"it is already {self._now} ns"
+                f"it is already {self.now} ns"
             )
         count = len(receivers)
         if not count:
@@ -309,7 +317,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap,
-                 (when, seq, _FanOut(when, seq, receivers, arg, label)))
+                 (when, seq, None, _FanOut(receivers, arg, label)))
         live = self._live + count
         self._live = live
         if live > self._depth_hw:
@@ -335,9 +343,8 @@ class Simulator:
         if cancelled * 2 > len(heap):
             live = []
             for entry in heap:
-                event = entry[2]
-                if event.cancelled:
-                    event._owner = None
+                if entry[2] is None and entry[3].cancelled:
+                    entry[3]._owner = None
                 else:
                     live.append(entry)
             heap[:] = live
@@ -375,10 +382,25 @@ class Simulator:
         try:
             while heap:
                 entry = pop(heap)
-                when, _seq, event = entry
+                when, _seq, callback, label = entry
                 if until is not None and when > until:
                     heappush(heap, entry)
                     break
+                if callback is not None:
+                    # A post, (when, seq, callback, label): nothing else.
+                    self.now = when
+                    if max_events is not None and ran_this_call >= max_events:
+                        heappush(heap, entry)  # still queued for a later run()
+                        raise _budget_exceeded(max_events)
+                    ran_this_call += 1
+                    self._live -= 1
+                    try:
+                        counts[label] += 1
+                    except KeyError:
+                        counts[label] = 1
+                    callback()
+                    continue
+                event = label  # (when, seq, None, handle or fan-out)
                 if event.cancelled:
                     # Lazy purge: an event cancelled since the last
                     # compaction (which waits until cancelled entries are
@@ -386,7 +408,7 @@ class Simulator:
                     self._cancelled_in_queue -= 1
                     event._owner = None
                     continue
-                self._now = when
+                self.now = when
                 label = event.label
                 callback = event.callback
                 if callback is not None:
@@ -417,8 +439,8 @@ class Simulator:
                     except KeyError:
                         counts[label] = 1
                     receiver(arg)
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._events_run += ran_this_call
             self._flush_label_counts()
@@ -427,7 +449,7 @@ class Simulator:
 
     def run_for(self, duration: Time) -> None:
         """Run for *duration* nanoseconds of virtual time from now."""
-        self.run(until=self._now + duration)
+        self.run(until=self.now + duration)
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
@@ -465,9 +487,9 @@ class Simulator:
         wall = self.wall_time_ns
         return {
             "events_run": self._events_run,
-            "sim_time_ns": self._now,
+            "sim_time_ns": self.now,
             "wall_time_ns": wall,
-            "sim_to_wall_ratio": (self._now / wall) if wall else None,
+            "sim_to_wall_ratio": (self.now / wall) if wall else None,
             "queue_depth_max": self._queue_depth_gauge.value,
             "pending": self.pending(),
             "dispatched_by_label": dispatched,
@@ -475,6 +497,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator t={self._now / SECOND:.6f}s pending={self.pending()} "
+            f"<Simulator t={self.now / SECOND:.6f}s pending={self.pending()} "
             f"run={self._events_run}>"
         )

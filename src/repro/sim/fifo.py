@@ -31,7 +31,7 @@ class FifoDelay:
         Fire-and-forget: nothing cancels a processing stage, so no handle
         is returned."""
         sim = self._sim
-        now = sim._now
+        now = sim.now
         busy = self._busy_until
         finish = (busy if busy > now else now) + (delay if delay > 0 else 0)
         self._busy_until = finish

@@ -15,14 +15,25 @@ calls :meth:`Trace.record_only` with the categories it will read (possibly
 none); live consumers :meth:`Trace.subscribe` to the categories they read
 and receive them whether or not they are kept.  Call sites pass raw field
 values (a packet, an address, a TCP connection) and :meth:`Trace.emit`
-renders them only when the record is kept or delivered, so an emit
-nobody reads costs a call and a set lookup.
+renders them only when the record is kept or delivered.
+
+:attr:`Trace.live` holds the categories someone reads: every category
+until :meth:`Trace.record_only`, then the kept ones plus the subscribed
+ones.  Guard rule: a site that fires per packet or per registration
+tests ``"<category>" in trace.live`` before it builds the emit's
+arguments, so a record nobody reads costs one set test instead of a
+call, a keyword dict and the field reads at the call site.  Those sites
+are IP send and receive, tunnel encapsulation and decapsulation, the
+mobile host's policy decision, the registration client's request, send
+and reply records, the home agent's received and reply records, and ARP
+proxy-added and gratuitous announcements.  Every other site calls
+:meth:`Trace.emit` unguarded; ``emit`` makes the same test itself.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterator,
-                    List, Optional)
+from typing import (TYPE_CHECKING, Any, Callable, Container, Dict, FrozenSet,
+                    Iterator, List, Optional)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -70,6 +81,22 @@ class TraceRecord:
 #: Field types a record holds as they are.
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 
+
+class _Everything:
+    """:attr:`Trace.live` before :meth:`Trace.record_only`: every
+    category is read."""
+
+    __slots__ = ()
+
+    def __contains__(self, category: object) -> bool:
+        return True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<every category>"
+
+
+_EVERYTHING = _Everything()
+
 Subscriber = Callable[[TraceRecord], None]
 
 
@@ -82,6 +109,9 @@ class Trace:
         #: Categories kept; ``None`` keeps every category.
         self._kept: Optional[FrozenSet[str]] = None
         self._subscribers: Dict[str, List[Subscriber]] = {}
+        #: The categories someone reads (kept or subscribed): hot call
+        #: sites test ``category in trace.live`` before emitting.
+        self.live: Container[str] = _EVERYTHING
 
     def record_only(self, *categories: str) -> None:
         """Keep only records in *categories* (none: keep nothing).
@@ -94,6 +124,7 @@ class Trace:
         kept = self._kept = frozenset(categories)
         self._records = [record for record in self._records
                          if record.category in kept]
+        self.live = kept.union(self._subscribers)
 
     def subscribe(self, callback: Subscriber, *categories: str) -> None:
         """Deliver every future record in *categories* to *callback*.
@@ -106,6 +137,8 @@ class Trace:
             raise TypeError("subscribe() needs at least one category")
         for category in categories:
             self._subscribers.setdefault(category, []).append(callback)
+        if self._kept is not None:
+            self.live = self._kept.union(self._subscribers)
 
     def emit(self, category: str, event: str, **fields: Any) -> None:
         """Record *event* in *category* at the current virtual time.
@@ -115,17 +148,16 @@ class Trace:
         a ``describe()`` method (packet, segment, connection) goes through
         it, anything else (an address) through ``str()``.
         """
-        kept = self._kept is None or category in self._kept
-        callbacks = self._subscribers.get(category)
-        if not kept and callbacks is None:
+        if category not in self.live:
             return
         for key, value in fields.items():
             if type(value) not in _PLAIN:
                 describe = getattr(value, "describe", None)
                 fields[key] = describe() if describe is not None else str(value)
         record = TraceRecord(self._sim.now, category, event, fields)
-        if kept:
+        if self._kept is None or category in self._kept:
             self._records.append(record)
+        callbacks = self._subscribers.get(category)
         if callbacks is not None:
             for callback in callbacks:
                 callback(record)

@@ -1,4 +1,4 @@
-"""The MosquitoNet test-bed (Figure 5) and movement scenarios."""
+"""The MosquitoNet test-bed (Figure 5)."""
 
 from repro.testbed.topology import Addresses, Testbed, build_testbed
 

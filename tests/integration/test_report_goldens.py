@@ -57,7 +57,7 @@ from repro.obs import capture_simulators
 from repro.parallel import spawn_seed
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
-from repro.testbed.scenarios import commute
+from tests.scenarios import commute
 from repro.workloads import TcpBulkReceiver, TcpBulkSender
 
 GOLDEN_PATH = Path(__file__).with_name("report_goldens.json")

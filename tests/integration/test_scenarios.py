@@ -3,7 +3,7 @@
 from repro.net.addressing import ip
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
-from repro.testbed.scenarios import commute, random_walk
+from tests.scenarios import commute, random_walk
 from repro.workloads import UdpEchoResponder, UdpEchoStream
 
 HOME = ip("36.135.0.10")

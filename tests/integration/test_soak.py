@@ -11,7 +11,7 @@ import pytest
 from repro.net.addressing import ip
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
-from repro.testbed.scenarios import random_walk
+from tests.scenarios import random_walk
 from repro.workloads import (
     TcpBulkReceiver,
     TcpBulkSender,

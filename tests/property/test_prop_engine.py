@@ -1,5 +1,7 @@
 """Property tests for the event engine and FIFO delays."""
 
+import functools
+
 from hypothesis import given, strategies as st
 
 from repro.sim import Simulator
@@ -92,12 +94,21 @@ def test_cancelled_events_never_run(schedule):
     assert sim.pending() == 0
 
 
-class _NeverCompacts(Simulator):
-    """The reference engine: cancelled entries wait for their deadlines."""
+class _Reference(Simulator):
+    """The reference engine: cancelled entries wait for their deadlines,
+    and every post and every fan-out receiver is a handle :class:`Event`
+    of its own, as ``call_at`` queues it."""
 
     def _note_cancelled(self) -> None:
         self._cancelled_in_queue += 1
         self._live -= 1
+
+    def post_at(self, when, callback, label=""):
+        self.call_at(when, callback, label)
+
+    def post_each(self, when, receivers, arg, label=""):
+        for receiver in receivers:
+            self.call_at(when, functools.partial(receiver, arg), label)
 
 
 #: Operation kinds, timers and cancels listed more than once so that
@@ -167,13 +178,17 @@ def _drive(engine, ops):
         states.append((sim.now, sim.events_run, sim.pending()))
     sim.run()
     states.append((sim.now, sim.events_run, sim.pending()))
-    return dispatched, states, sim.profile()["queue_depth_max"]
+    profile = sim.profile()
+    return (dispatched, states, profile["queue_depth_max"],
+            profile["dispatched_by_label"])
 
 
 @given(st.lists(engine_ops, min_size=10, max_size=60))
 def test_compaction_changes_nothing_a_caller_can_observe(ops):
-    """Compacting the heap keeps the dispatch order, ``events_run``,
-    ``pending()`` and the queue high-water of an engine that leaves every
-    cancelled entry for its deadline, through cancels from inside
-    callbacks, ``run(until=)`` and runs resumed after ``max_events``."""
-    assert _drive(Simulator, ops) == _drive(_NeverCompacts, ops)
+    """Compacting the heap, queueing a post as a bare tuple and a fan-out
+    as one entry keep the dispatch order, ``events_run``, ``pending()``,
+    the queue high-water and the per-label dispatch counts of an engine
+    that leaves every cancelled entry for its deadline and queues every
+    callback as a handle, through cancels from inside callbacks,
+    ``run(until=)`` and runs resumed after ``max_events``."""
+    assert _drive(Simulator, ops) == _drive(_Reference, ops)

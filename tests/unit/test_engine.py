@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.sim import Simulator, ms
-from repro.sim.engine import SimulationError
+from repro.sim.engine import Event, SimulationError
 
 
 def test_events_run_in_time_order():
@@ -379,9 +379,32 @@ def test_max_events_trip_keeps_the_event_queued():
         sim.post_at(ms(index), lambda index=index: seen.append(index))
     with pytest.raises(SimulationError):
         sim.run(max_events=2)
+    # The post that tripped the budget stays queued; the clock is at it.
     assert seen == [0, 1] and sim.events_run == 2 and sim.pending() == 1
+    assert sim.now == ms(2)
     sim.run()
     assert seen == [0, 1, 2] and sim.events_run == 3
+
+
+def test_a_post_builds_no_event_and_a_call_still_returns_one(monkeypatch):
+    built = []
+    original = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    sim = Simulator()
+    ran = []
+    for index in range(1_000):
+        sim.post_at(index, lambda index=index: ran.append(index), "post")
+    assert built == []
+    handle = sim.call_at(500, lambda: ran.append("handle"), "handle")
+    assert built == [handle] and isinstance(handle, Event)
+    handle.cancel()
+    sim.run()
+    assert ran == list(range(1_000)) and sim.pending() == 0
 
 
 # ------------------------------------------------------- lazy rng streams

@@ -13,11 +13,11 @@ from repro.parallel import (
     spawn_seed,
 )
 from repro.parallel.runner import effective_jobs
-from repro.parallel.selftest import TIMERS
+from tests.parallel_trials import TIMERS
 
-ECHO = "repro.parallel.selftest:echo_trial"
-SIM = "repro.parallel.selftest:seeded_sim_trial"
-FAIL = "repro.parallel.selftest:failing_trial"
+ECHO = "tests.parallel_trials:echo_trial"
+SIM = "tests.parallel_trials:seeded_sim_trial"
+FAIL = "tests.parallel_trials:failing_trial"
 
 
 class TestSeeds:
@@ -49,8 +49,8 @@ class TestResolveTrial:
         assert func(value=7) == {"value": 7}
 
     @pytest.mark.parametrize("ref", [
-        "no-colon", ":func", "module:", "repro.parallel.selftest:missing",
-        "repro.parallel.selftest:ECHO_DOC",
+        "no-colon", ":func", "module:", "tests.parallel_trials:absent",
+        "tests.parallel_trials:TIMERS",
     ])
     def test_rejects_bad_references(self, ref):
         with pytest.raises((ValueError, ModuleNotFoundError)):

@@ -7,8 +7,9 @@ fields are rendered only for records that are kept or delivered.
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, s
 from repro.sim.trace import TraceRecord
+from repro.testbed import build_testbed
 
 
 class Counting:
@@ -128,3 +129,63 @@ def test_trace_record_mapping_interface():
     assert record.get("absent", 42) == 42
     assert record == TraceRecord(5, "ip", "send", {"host": "mh"})
     assert record != TraceRecord(6, "ip", "send", {"host": "mh"})
+
+
+def test_live_follows_keep_all_record_only_and_subscribe_in_either_order():
+    sim = Simulator()
+    trace = sim.trace
+    assert "ip" in trace.live and "anything" in trace.live
+    trace.subscribe(lambda record: None, "binding")
+    assert "ip" in trace.live
+    trace.record_only("registration")
+    assert set(trace.live) == {"registration", "binding"}
+
+    other = Simulator().trace
+    other.record_only()
+    assert set(other.live) == set()
+    delivered = []
+    other.subscribe(delivered.append, "ip")
+    assert set(other.live) == {"ip"}
+    other.emit("ip", "send", host="a")
+    other.emit("arp", "gratuitous", interface="eth0")
+    assert [(r.category, r.event) for r in delivered] == [("ip", "send")]
+    assert len(other) == 0
+
+
+#: The (category, event) of every site that tests ``trace.live`` first.
+GUARDED = {("ip", "send"), ("ip", "receive"),
+           ("tunnel", "encapsulated"), ("tunnel", "decapsulated"),
+           ("policy", "decision"),
+           ("registration", "request_start"), ("registration", "request_sent"),
+           ("registration", "reply_received"), ("registration", "ha_received"),
+           ("registration", "ha_reply"),
+           ("arp", "proxy_added"), ("arp", "gratuitous")}
+
+
+def _guarded_emits(*read):
+    """The guarded emits of a register-and-ping run that reads *read*."""
+    testbed = build_testbed(Simulator(seed=77), with_remote_correspondent=False,
+                            with_dhcp=False)
+    trace = testbed.sim.trace
+    trace.record_only(*read)
+    emitted = []
+    trace.emit = lambda category, event, **fields: emitted.append(
+        (category, event))
+    testbed.visit_dept()
+    testbed.sim.run_for(s(1))
+    replies = []
+    testbed.correspondent.icmp.ping(testbed.addresses.mh_home,
+                                    on_reply=replies.append,
+                                    on_timeout=lambda: replies.append(None))
+    testbed.sim.run_for(s(2))
+    assert replies and replies[0] is not None
+    return {pair for pair in emitted if pair in GUARDED}
+
+
+def test_guarded_sites_skip_emit_when_nobody_reads():
+    """With nothing kept or subscribed, a register-and-ping run through
+    the tunnel calls emit at none of the guarded sites; keeping their
+    categories reaches every one of them."""
+    assert _guarded_emits() == set()
+    assert _guarded_emits("ip", "tunnel", "policy", "registration",
+                          "arp") == GUARDED
