@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 from repro.net.addressing import PREFIX_MASKS, IPAddress, Subnet
-from repro.obs.capture import note_policy_table
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -115,7 +114,6 @@ class MobilePolicyTable:
             (mode.value for mode in RoutingMode), 0)
         self.probe_fallbacks = 0
         metrics.register(self, self._METRIC_FIELDS, host=owner)
-        note_policy_table(self)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -236,3 +234,12 @@ class MobilePolicyTable:
         return (f"<MobilePolicyTable{owner} "
                 f"default={self.default_mode.value}"
                 f"{' ' + body if body else ''}>")
+
+
+def policy_tables(metrics: MetricsRegistry) -> List[MobilePolicyTable]:
+    """Every Mobile Policy Table registered with *metrics*, in build order.
+
+    Each table registers itself with its simulator's registry when it is
+    built, so the registry is where a simulator's tables are found.
+    """
+    return metrics.owners(MobilePolicyTable._METRIC_FIELDS)

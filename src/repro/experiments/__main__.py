@@ -30,34 +30,26 @@ CPU.
 
 ``--profile`` prints an aggregated :meth:`Simulator.profile` after each
 experiment's report: dispatch counts by label kind, queue high-water
-mark, simulated-vs-wall throughput.  Like ``--metrics`` it covers the
-simulators built in worker processes too, whose profiles are shipped
-home, so everything but the wall-clock figures is the same at any
-``--jobs``.
-
-``--metrics`` captures every simulator an experiment builds — including
-those built in worker processes, whose registries are merged back — and
-prints the combined :mod:`repro.obs` registry after its report:
-link/interface traffic, tunnel encap/decap, TCP retransmits,
-registration latency histograms, and the engine's dispatch counters —
-followed by every Mobile Policy Table the run built, whose snapshots
-workers ship home like the registries.
+mark, simulated-vs-wall throughput.  ``--metrics`` prints the merged
+:mod:`repro.obs` registry after its report — link/interface traffic,
+tunnel encap/decap, TCP retransmits, registration latency histograms,
+and the engine's dispatch counters — followed by every Mobile Policy
+Table the run built.  Both read only the per-trial records of
+:func:`repro.parallel.observe_trials`, which the runner builds the same
+way in-process and in pool workers, so everything but ``--profile``'s
+wall-clock figures is the same at any ``--jobs``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
-from repro.obs import (
-    CapturedMetrics,
-    capture_policy_tables,
-    capture_simulators,
-    format_policy_tables,
-    format_reports,
-)
+from repro.obs import format_policy_tables, format_reports
 from repro.experiments import EXPERIMENTS, run_experiment
+from repro.parallel import observe_trials
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -83,21 +75,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def aggregate_profiles(captured: list) -> dict:
-    """Fold the profiles of a capture bucket's simulators into one view.
+def aggregate_profiles(records: list) -> dict:
+    """Fold the simulator profiles of a run's trial records into one view.
 
-    A simulator built in this process is asked for its
-    :meth:`Simulator.profile`; a worker's :class:`CapturedMetrics` brings
-    the profiles of the simulators its trial built.  Monotonic quantities
-    (events, wall time, dispatch counts) sum; the queue high-water is the
-    max across simulators.
+    Monotonic quantities (events, wall time, dispatch counts) sum; the
+    queue high-water is the max across simulators.
     """
-    profiles: list = []
-    for entry in captured:
-        if isinstance(entry, CapturedMetrics):
-            profiles.extend(entry.profiles)
-        else:
-            profiles.append(entry.profile())
+    profiles = [profile for record in records for profile in record.profiles]
     total: dict = {
         "simulators": len(profiles),
         "events_run": 0,
@@ -131,10 +115,10 @@ def main(argv: list) -> int:
         return 1
 
 
-def format_metrics(name: str, captured: list) -> str:
+def format_metrics(name: str, records: list) -> str:
     """The registry report ``--metrics`` prints after *name*'s report,
-    over the simulators :func:`capture_simulators` caught in its run."""
-    return format_reports((sim.metrics for sim in captured),
+    over the trial records :func:`observe_trials` collected in its run."""
+    return format_reports((record.metrics for record in records),
                           title=f"{name} metrics")
 
 
@@ -171,21 +155,21 @@ def _run(argv: list) -> int:
         return 2
     for name in requested:
         print(f"=== {name}: {EXPERIMENTS[name].title} ===")
-        if args.metrics or args.profile:
-            with capture_simulators() as captured, \
-                    capture_policy_tables() as tables:
-                report = run_experiment(name, jobs=args.jobs)
-        else:
+        observing = (observe_trials() if args.metrics or args.profile
+                     else contextlib.nullcontext())
+        with observing as records:
             report = run_experiment(name, jobs=args.jobs)
         print(report.format_report())
         if args.metrics:
             print()
-            print(format_metrics(name, captured))
+            print(format_metrics(name, records))
+            tables = [snap for record in records
+                      for snap in record.policy_tables]
             if tables:
                 print(format_policy_tables(tables))
         if args.profile:
             print()
-            profile = aggregate_profiles(captured)
+            profile = aggregate_profiles(records)
             print(f"--- {name} engine profile "
                   f"({profile['simulators']} simulators) ---")
             print(json.dumps(profile, indent=2, sort_keys=True))

@@ -126,41 +126,3 @@ def merge_same_subnet_trials(results: List[dict], iterations: int,
         report.losses.append(result["loss"])
         report.switch_totals_ms.append(result["switch_total_ms"])
     return report
-
-
-@dataclass
-class ProbeSweepReport:
-    """Loss vs probe spacing: the loss *window* made visible.
-
-    Section 4: "No matter how small this interval is, it is always
-    possible for some packet in flight to arrive during this time" — the
-    switch opens a fixed vulnerable window, so the number of packets it
-    catches scales with how densely packets are flying.  Sweeping the
-    probe spacing turns the invisible window into a measurable slope.
-    """
-
-    iterations_per_point: int
-    points: List[tuple] = field(default_factory=list)  # (interval_ms, mean)
-
-    def estimated_window_ms(self) -> float:
-        """The implied loss window: mean loss x spacing, averaged."""
-        estimates = [mean * interval for interval, mean in self.points
-                     if mean > 0]
-        if not estimates:
-            return 0.0
-        return sum(estimates) / len(estimates)
-
-
-def run_probe_interval_sweep() -> ProbeSweepReport:
-    """Run the same-subnet switch at 2, 5, 10 and 20 ms probe intervals."""
-    from repro.experiments import run_experiment
-
-    iterations = 10
-    report = ProbeSweepReport(iterations_per_point=iterations)
-    for index, interval_ms in enumerate((2, 5, 10, 20)):
-        sub = run_experiment("e1", seed=211 + index * 100,
-                             iterations=iterations,
-                             probe_interval=ms(interval_ms))
-        mean_loss = sum(sub.losses) / len(sub.losses)
-        report.points.append((float(interval_ms), mean_loss))
-    return report

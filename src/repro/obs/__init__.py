@@ -7,16 +7,7 @@ exporters for machines (JSONL, flat snapshot) and humans
 (``format_report``, surfaced by ``python -m repro.experiments --metrics``).
 """
 
-from repro.obs.capture import (
-    CapturedMetrics,
-    capture_active,
-    capture_policy_tables,
-    capture_simulators,
-    note_metrics_registry,
-    note_policy_snapshots,
-    note_policy_table,
-    note_simulator,
-)
+from repro.obs.capture import capture_simulators, note_simulator
 from repro.obs.export import (
     format_policy_table,
     format_policy_tables,
@@ -39,14 +30,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "CapturedMetrics",
-    "capture_active",
     "capture_simulators",
-    "capture_policy_tables",
-    "note_metrics_registry",
-    "note_policy_snapshots",
     "note_simulator",
-    "note_policy_table",
     "format_report",
     "format_reports",
     "format_policy_table",

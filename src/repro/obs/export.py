@@ -104,15 +104,13 @@ def format_reports(registries: Iterable[MetricsRegistry],
     return format_report(MetricsRegistry.merged(registries), title=title)
 
 
-def format_policy_table(table) -> str:
-    """One Mobile Policy Table as a human-readable block.
-
-    Renders the table's :meth:`~repro.core.policy.MobilePolicyTable.snapshot`
-    — owner, default mode, and every entry with its origin — in the style
-    of :func:`format_report`, for the ``--metrics`` report.  *table* may
-    also be such a snapshot already (what a worker process ships home).
+def format_policy_table(snap: Dict) -> str:
+    """One Mobile Policy Table's
+    :meth:`~repro.core.policy.MobilePolicyTable.snapshot` as a
+    human-readable block: owner, default mode, and every entry with its
+    origin, in the style of :func:`format_report`, for the ``--metrics``
+    report.
     """
-    snap = table if isinstance(table, dict) else table.snapshot()
     owner = snap["owner"] or "(unowned)"
     lines: List[str] = [f"[policy table: {owner}]",
                         f"  {'default':<44} {snap['default_mode']}"]
@@ -125,7 +123,6 @@ def format_policy_table(table) -> str:
     return "\n".join(lines)
 
 
-def format_policy_tables(tables: Iterable) -> str:
-    """Every captured policy table (or snapshot), one block each."""
-    blocks = [format_policy_table(table) for table in tables]
-    return "\n".join(blocks)
+def format_policy_tables(snapshots: Iterable[Dict]) -> str:
+    """Every policy table snapshot, one block each."""
+    return "\n".join(format_policy_table(snap) for snap in snapshots)

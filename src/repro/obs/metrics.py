@@ -298,6 +298,12 @@ class MetricsRegistry:
         entry[2].append(owner)
         entry[3].append(value)
 
+    def owners(self, fields: Tuple[Field, ...]) -> List[object]:
+        """The owners registered with field table *fields*, in
+        registration order."""
+        return [owner for table, _, owners, _ in self._owners.values()
+                if table is fields for owner in owners]
+
     def counter(self, component: str, name: str, **labels: object) -> Counter:
         """Get or create the counter ``component/name{labels}``."""
         return self._get_or_create(Counter, component, name, labels)

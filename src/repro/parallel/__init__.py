@@ -20,6 +20,9 @@ the two paths produce identical results:
 * **Graceful degradation.**  ``jobs=1``, a single trial, or a platform
   without working ``multiprocessing`` all fall back to the in-process
   loop — same results, no pool.
+* **One observed trial.**  Inside :func:`observe_trials`, every trial
+  also yields a :class:`TrialRecord` (merged metrics, engine profiles,
+  policy-table snapshots), built by the same function on either path.
 
 See ``docs/PERFORMANCE.md`` ("Parallel execution") for the user-facing
 flags and the determinism contract.
@@ -28,6 +31,8 @@ flags and the determinism contract.
 from repro.parallel.runner import (
     ParallelRunner,
     Trial,
+    TrialRecord,
+    observe_trials,
     resolve_trial,
     run_trials,
 )
@@ -36,6 +41,8 @@ from repro.parallel.seeds import balanced_shards, spawn_seed
 __all__ = [
     "ParallelRunner",
     "Trial",
+    "TrialRecord",
+    "observe_trials",
     "resolve_trial",
     "run_trials",
     "spawn_seed",

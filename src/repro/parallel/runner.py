@@ -2,18 +2,21 @@
 
 A :class:`Trial` names a module-level function by ``"module:function"``
 path and carries its keyword arguments.  :class:`ParallelRunner` executes
-a list of trials and returns their results **in submission order**, via
-one of two interchangeable paths:
+a list of trials and returns their results **in submission order**.
+Every trial, on either path, runs through :func:`_run_trial`, the one
+code that calls a trial function:
 
-* ``jobs=1`` (or one trial, or no usable ``multiprocessing``) — plain
-  in-process loop.  Parent-side :func:`repro.obs.capture_simulators`
-  blocks see every simulator the trials build, exactly as before.
-* ``jobs=N`` — a ``multiprocessing.Pool`` of N workers.  Each worker
-  resolves the function path, runs the trial inside its own metrics and
-  policy-table captures, and ships back ``(result, merged
-  MetricsRegistry, simulator profiles, policy-table snapshots)``; the
-  parent feeds them into any active captures, in submission order, so
-  ``--metrics`` and ``--profile`` reports are complete either way.
+* ``jobs=1`` (or one trial, or no usable ``multiprocessing``) — mapped
+  in-process.
+* ``jobs=N`` — mapped over a ``multiprocessing.Pool`` of N workers.
+
+While an :func:`observe_trials` block is open, :func:`_run_trial` also
+returns a :class:`TrialRecord` of what the trial's simulators measured —
+their merged metrics registry, their engine profiles and their Mobile
+Policy Table snapshots — and the runner hands the records to every open
+block in submission order.  ``--metrics`` and ``--profile`` read only
+these records, so their output is the same at any ``--jobs``, and an
+in-process trial's simulators are dropped once its record exists.
 
 The function-path indirection (rather than pickling callables) is what
 makes the pool spawn-safe: the child only needs to import the module,
@@ -22,19 +25,17 @@ which works under ``fork``, ``spawn`` and ``forkserver`` alike.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from repro.obs.capture import (
-    capture_active,
-    capture_policy_tables,
-    capture_simulators,
-    note_metrics_registry,
-    note_policy_snapshots,
-)
+from repro.core.policy import policy_tables
+from repro.obs.capture import capture_simulators
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -70,29 +71,64 @@ def resolve_trial(func_ref: str) -> Callable:
     return func
 
 
-#: Worker payload: (function path, params, collect-metrics flag).
+@dataclass(frozen=True)
+class TrialRecord:
+    """What one observed trial's simulators measured, as plain data.
+
+    ``metrics`` merges the registries of the simulators the trial built,
+    ``profiles`` holds each one's :meth:`~repro.sim.engine.Simulator.profile`
+    and ``policy_tables`` each Mobile Policy Table's
+    :meth:`~repro.core.policy.MobilePolicyTable.snapshot`, in build order.
+    It references no simulator, so it pickles home from a worker and
+    keeps nothing of the run alive.
+    """
+
+    metrics: MetricsRegistry
+    profiles: List[dict]
+    policy_tables: List[dict]
+
+
+#: The record lists of the open :func:`observe_trials` blocks.
+_observers: List[List[TrialRecord]] = []
+
+
+@contextlib.contextmanager
+def observe_trials() -> Iterator[List[TrialRecord]]:
+    """Collect the :class:`TrialRecord` of every trial run inside the
+    ``with`` body, in submission order."""
+    records: List[TrialRecord] = []
+    _observers.append(records)
+    try:
+        yield records
+    finally:
+        # By identity: nested blocks holding the same records are equal.
+        _observers[:] = [other for other in _observers
+                         if other is not records]
+
+
+#: One trial as :func:`_run_trial` takes it: (function path, params,
+#: observe flag).
 _Payload = Tuple[str, Dict[str, Any], bool]
 
 
-def _run_payload(payload: _Payload):
-    """Execute one trial in a worker process.
+def _run_trial(func_ref: str, params: Dict[str, Any], observe: bool
+               ) -> Tuple[Any, Optional[TrialRecord]]:
+    """Run one trial; return ``(result, record)``.
 
     Module-level so the pool can pickle it by reference under ``spawn``.
-    Returns ``(result, registry, profiles, policy snapshots)``: the merged
-    metrics and the engine profile of every simulator the trial built and
-    the snapshot of every Mobile Policy Table it built, collected only
-    when the parent asked (a capture block was active at submit time),
-    else ``None`` for all three.
+    The record is ``None`` unless *observe* is set.
     """
-    func_ref, params, collect = payload
     func = resolve_trial(func_ref)
-    if not collect:
-        return func(**params), None, None, None
-    with capture_simulators() as sims, capture_policy_tables() as tables:
+    if not observe:
+        return func(**params), None
+    with capture_simulators() as sims:
         result = func(**params)
-    registry = MetricsRegistry.merged(sim.metrics for sim in sims)
-    return (result, registry, [sim.profile() for sim in sims],
-            [table.snapshot() for table in tables])
+    record = TrialRecord(
+        MetricsRegistry.merged(sim.metrics for sim in sims),
+        [sim.profile() for sim in sims],
+        [table.snapshot() for sim in sims
+         for table in policy_tables(sim.metrics)])
+    return result, record
 
 
 def effective_jobs(jobs: Optional[int]) -> int:
@@ -123,48 +159,39 @@ class ParallelRunner:
     def run(self, trials: Iterable[Trial]) -> List[Any]:
         """Execute *trials*, returning their results in order.
 
-        Worker-side metrics registries, engine profiles and policy-table
-        snapshots are collected exactly when a parent capture block is
-        active, so ``--metrics`` and ``--profile`` work transparently;
-        what is collected is fed to the active captures.
+        Each trial's :class:`TrialRecord` is built exactly when an
+        :func:`observe_trials` block is open, and handed to every open
+        block.
         """
-        trial_list = list(trials)
-        if self.jobs <= 1 or len(trial_list) <= 1:
-            return self._run_serial(trial_list)
-        outcomes = self._run_pool(trial_list, capture_active())
-        if outcomes is None:  # pool unavailable: degrade, don't fail
-            return self._run_serial(trial_list)
-        results: List[Any] = []
-        for result, registry, profiles, policies in outcomes:
-            results.append(result)
-            if registry is not None:
-                note_metrics_registry(registry, profiles)
-                note_policy_snapshots(policies)
-        return results
+        observe = bool(_observers)
+        payloads: List[_Payload] = [(trial.func, dict(trial.params), observe)
+                                    for trial in trials]
+        outcomes = None
+        if self.jobs > 1 and len(payloads) > 1:
+            outcomes = self._run_pool(payloads)
+        if outcomes is None:  # in-process, or the pool is unavailable
+            outcomes = list(itertools.starmap(_run_trial, payloads))
+        for records in _observers:
+            records.extend(record for _, record in outcomes
+                           if record is not None)
+        return [result for result, _ in outcomes]
 
-    def _run_serial(self, trials: Sequence[Trial]) -> List[Any]:
-        # In-process: parent captures see the simulators directly, so no
-        # registry plumbing is needed (or wanted — it would double count).
-        return [resolve_trial(trial.func)(**trial.params) for trial in trials]
-
-    def _run_pool(self, trials: Sequence[Trial], collect: bool):
+    def _run_pool(self, payloads: Sequence[_Payload]):
         import multiprocessing
 
-        payloads: List[_Payload] = [(trial.func, dict(trial.params), collect)
-                                    for trial in trials]
-        workers = min(self.jobs, len(trials))
+        workers = min(self.jobs, len(payloads))
         try:
             context = (multiprocessing.get_context(self.start_method)
                        if self.start_method
                        else multiprocessing.get_context())
             with context.Pool(processes=workers) as pool:
-                # map() preserves submission order; chunksize 1 keeps the
-                # coarse trials balanced across workers.
-                return pool.map(_run_payload, payloads, chunksize=1)
+                # starmap() preserves submission order; chunksize 1 keeps
+                # the coarse trials balanced across workers.
+                return pool.starmap(_run_trial, payloads, chunksize=1)
         except (ImportError, OSError, ValueError) as exc:
             warnings.warn(
                 f"multiprocessing unavailable ({exc!r}); "
-                f"running {len(trials)} trials in-process",
+                f"running {len(payloads)} trials in-process",
                 RuntimeWarning, stacklevel=3)
             return None
 

@@ -18,7 +18,8 @@ if a claim outside :data:`UNGATED` fails at any of them::
 
 import argparse
 import sys
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 import pytest
 
@@ -35,11 +36,9 @@ from repro.experiments.exp_registration import (
     PAPER_TOTAL_MS,
 )
 from repro.experiments.exp_routing_options import PAPER_ENCAP_OVERHEAD_BYTES
-from repro.experiments.exp_same_subnet import (
-    PAPER_HISTOGRAM,
-    run_probe_interval_sweep,
-)
+from repro.experiments.exp_same_subnet import PAPER_HISTOGRAM
 from repro.obs import capture_simulators
+from repro.sim.units import ms
 from tests.integration.test_report_goldens import default_report
 
 
@@ -78,6 +77,42 @@ def same_subnet_claims(report) -> Dict[str, bool]:
 
 def test_same_subnet_switch_loss():
     _check(same_subnet_claims(default_report("e1")))
+
+
+@dataclass
+class ProbeSweepReport:
+    """Loss vs probe spacing: the loss *window* made visible.
+
+    Section 4: "No matter how small this interval is, it is always
+    possible for some packet in flight to arrive during this time" — the
+    switch opens a fixed vulnerable window, so the number of packets it
+    catches scales with how densely packets are flying.  Sweeping the
+    probe spacing turns the invisible window into a measurable slope.
+    """
+
+    iterations_per_point: int
+    points: List[tuple] = field(default_factory=list)  # (interval_ms, mean)
+
+    def estimated_window_ms(self) -> float:
+        """The implied loss window: mean loss x spacing, averaged."""
+        estimates = [mean * interval for interval, mean in self.points
+                     if mean > 0]
+        if not estimates:
+            return 0.0
+        return sum(estimates) / len(estimates)
+
+
+def run_probe_interval_sweep() -> ProbeSweepReport:
+    """Run the same-subnet switch at 2, 5, 10 and 20 ms probe intervals."""
+    iterations = 10
+    report = ProbeSweepReport(iterations_per_point=iterations)
+    for index, interval_ms in enumerate((2, 5, 10, 20)):
+        sub = run_experiment("e1", seed=211 + index * 100,
+                             iterations=iterations,
+                             probe_interval=ms(interval_ms))
+        mean_loss = sum(sub.losses) / len(sub.losses)
+        report.points.append((float(interval_ms), mean_loss))
+    return report
 
 
 def test_loss_window_sweep():

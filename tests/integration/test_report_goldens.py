@@ -54,7 +54,7 @@ from repro.experiments.__main__ import format_metrics
 from repro.experiments.exp_ha_scalability import run_fleet_trial
 from repro.net.addressing import ip
 from repro.obs import capture_simulators
-from repro.parallel import spawn_seed
+from repro.parallel import observe_trials, spawn_seed
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
 from tests.scenarios import commute
@@ -91,10 +91,11 @@ def _sha256(text: str) -> str:
 def _default_run(name: str):
     """``(report, --metrics text, kept trace categories)`` of one default
     run; the text is None for ids outside :data:`METRICS_IDS`.  Only these
-    survive the run, not its simulators."""
-    with capture_simulators() as sims:
+    survive the run, not its simulators.  The text is built as the CLI
+    builds it, from the run's trial records."""
+    with observe_trials() as records, capture_simulators() as sims:
         report = run_experiment(name)
-    metrics = format_metrics(name, sims) if name in METRICS_IDS else None
+    metrics = format_metrics(name, records) if name in METRICS_IDS else None
     kept = {record.category for sim in sims for record in sim.trace}
     return report, metrics, kept
 

@@ -9,6 +9,8 @@ in metrics captures.
 
 from __future__ import annotations
 
+from repro.core.policy import MobilePolicyTable, RoutingMode
+from repro.net.addressing import subnet
 from repro.parallel.seeds import spawn_seed
 from repro.sim.engine import Simulator
 from repro.sim.units import ms
@@ -24,13 +26,16 @@ TIMERS = 8
 
 
 def seeded_sim_trial(seed: int) -> dict:
-    """Builds a tiny simulation: :data:`TIMERS` callbacks, one counter metric.
+    """Builds a tiny simulation: :data:`TIMERS` callbacks, one counter
+    metric and a one-entry Mobile Policy Table.
 
     Deterministic in *seed* via :func:`spawn_seed`, so tests can check
     that results depend only on params, never on which worker ran them.
     """
     sim = Simulator(seed=seed)
     counter = sim.metrics.counter("selftest", "fired")
+    MobilePolicyTable(metrics=sim.metrics, owner="mh").set_policy(
+        subnet("36.8.0.0/24"), RoutingMode.LOCAL)
     for index in range(TIMERS):
         sim.post_at(ms(index + 1), counter.inc, label="selftest")
     sim.run()

@@ -1,13 +1,16 @@
 """Unit tests for the parallel trial runner and seed partitioning."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.obs import MetricsRegistry, capture_simulators
-from repro.obs.capture import CapturedMetrics, capture_active, note_metrics_registry
+from repro.obs import capture_simulators, note_simulator
 from repro.parallel import (
     ParallelRunner,
     Trial,
     balanced_shards,
+    observe_trials,
     resolve_trial,
     run_trials,
     spawn_seed,
@@ -107,24 +110,55 @@ class TestRunner:
 
 
 class TestMetricsCollection:
-    def test_serial_capture_sees_simulators_directly(self):
-        with capture_simulators() as captured:
+    #: Profile keys that measure the host, not the simulation.
+    WALL_CLOCK = ("wall_time_ns", "sim_to_wall_ratio")
+
+    def observed(self, jobs):
+        with observe_trials() as records:
+            results = run_trials(self.trials(), jobs=jobs)
+        return results, records
+
+    def comparable(self, record):
+        profiles = [{key: value for key, value in profile.items()
+                     if key not in self.WALL_CLOCK}
+                    for profile in record.profiles]
+        return record.metrics.snapshot(), profiles, record.policy_tables
+
+    def test_serial_and_pool_give_equal_records(self):
+        serial_results, serial = self.observed(jobs=1)
+        pool_results, pool = self.observed(jobs=2)
+        assert pool_results == serial_results
+        assert len(serial) == len(self.trials())
+        assert [self.comparable(record) for record in pool] == \
+            [self.comparable(record) for record in serial]
+        for record in serial:
+            assert record.metrics.get("selftest", "fired").value == TIMERS
+            assert len(record.profiles) == 1
+            assert record.policy_tables == [{
+                "owner": "mh", "default_mode": "tunnel",
+                "entries": [{"destination": "36.8.0.0/24",
+                             "mode": "local", "origin": "static"}]}]
+
+    def test_serial_trial_drops_its_simulator(self, monkeypatch):
+        built = []
+
+        def note(sim):
+            built.append(weakref.ref(sim))
+            note_simulator(sim)
+
+        monkeypatch.setattr("repro.sim.engine.note_simulator", note)
+        with observe_trials() as records:
             run_trials(self.trials(), jobs=1)
-        registry = MetricsRegistry.merged(sim.metrics for sim in captured)
-        counter = registry.get("selftest", "fired")
-        assert counter is not None and counter.value == 3 * TIMERS
+        gc.collect()
+        assert len(records) == len(built) == len(self.trials())
+        assert all(ref() is None for ref in built)
 
-    def test_parallel_capture_merges_worker_registries(self):
-        with capture_simulators() as captured:
-            run_trials(self.trials(), jobs=2)
-        assert captured and all(isinstance(item, CapturedMetrics)
-                                for item in captured)
-        registry = MetricsRegistry.merged(item.metrics for item in captured)
-        assert registry.get("selftest", "fired").value == 3 * TIMERS
-
-    def test_note_metrics_registry_without_capture_is_noop(self):
-        assert not capture_active()
-        note_metrics_registry(MetricsRegistry(), ())  # must not raise
+    def test_outer_capture_keeps_observed_simulators(self):
+        with capture_simulators() as sims, observe_trials() as records:
+            run_trials(self.trials(), jobs=1)
+        assert len(sims) == len(records) == len(self.trials())
+        assert [sim.metrics.snapshot() for sim in sims] == \
+            [record.metrics.snapshot() for record in records]
 
     def trials(self):
         return [Trial(SIM, dict(seed=seed))

@@ -6,9 +6,9 @@ mutation (set, clear, default mode, probe result) shows in the very next
 lookup, and default-mode answers keep their ``lookups{miss}`` accounting.
 """
 
-from repro.core.policy import MobilePolicyTable, RoutingMode
+from repro.core.policy import MobilePolicyTable, RoutingMode, policy_tables
 from repro.net.addressing import ip, subnet
-from repro.obs import capture_policy_tables, format_policy_table
+from repro.obs import format_policy_table
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -78,14 +78,19 @@ class TestInspection:
         assert "36.8.0.0/24->local(static)" in text
 
     def test_format_policy_table_renders_snapshot(self):
-        report = format_policy_table(make_table())
+        report = format_policy_table(make_table().snapshot())
         assert "mh" in report
         assert "default" in report and "tunnel" in report
         assert "36.8.0.99/32" in report and "triangle" in report
 
-    def test_capture_policy_tables_collects_new_tables(self):
-        with capture_policy_tables() as tables:
-            inside = make_table(owner="captured")
-        outside = make_table(owner="not-captured")
-        assert inside in tables
-        assert outside not in tables
+    def test_policy_tables_lists_one_registrys_tables_in_build_order(self):
+        metrics, other = MetricsRegistry(), MetricsRegistry()
+        first = make_table(metrics=metrics, owner="b")
+        elsewhere = make_table(metrics=other, owner="a")
+        second = make_table(metrics=metrics, owner="a")
+        # Another field table, even one naming a policy table, is not one.
+        metrics.register(first, (("policy", "probes", (), "probe_fallbacks"),),
+                         host="b")
+        assert policy_tables(metrics) == [first, second]
+        assert policy_tables(other) == [elsewhere]
+        assert policy_tables(MetricsRegistry()) == []
