@@ -61,7 +61,7 @@ from repro.experiments import (
     exp_tcp_cc,
     exp_tcp_chaos,
 )
-from repro.parallel import Trial, run_trials
+from repro.parallel import Trial, TrialRecord, run_trials
 from repro.sim.units import ms
 
 
@@ -171,13 +171,15 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, jobs: int = 1, seed: Optional[int] = None,
-                   **overrides):
+                   record: Optional[TrialRecord] = None, **overrides):
     """Build experiment *name*'s trials, run them on *jobs* workers and
     merge the results into its report.
 
     *seed* replaces the id's base seed, and each keyword replaces one key
     of its grid; a key the grid does not have is a :class:`TypeError`.
-    The report is byte-identical at any *jobs*.
+    Given a *record*, every trial's measurements are folded into it (what
+    ``--metrics`` and ``--profile`` print).  The report, and the record's
+    metrics and policy tables, are byte-identical at any *jobs*.
     """
     experiment = EXPERIMENTS[name]
     unknown = sorted(overrides.keys() - experiment.grid.keys())
@@ -188,4 +190,4 @@ def run_experiment(name: str, jobs: int = 1, seed: Optional[int] = None,
     grid = {**experiment.grid, **overrides}
     trials = experiment.build(
         seed=experiment.seed if seed is None else seed, **grid)
-    return experiment.merge(run_trials(trials, jobs=jobs), **grid)
+    return experiment.merge(run_trials(trials, jobs, record), **grid)

@@ -34,22 +34,22 @@ mark, simulated-vs-wall throughput.  ``--metrics`` prints the merged
 :mod:`repro.obs` registry after its report — link/interface traffic,
 tunnel encap/decap, TCP retransmits, registration latency histograms,
 and the engine's dispatch counters — followed by every Mobile Policy
-Table the run built.  Both read only the per-trial records of
-:func:`repro.parallel.observe_trials`, which the runner builds the same
-way in-process and in pool workers, so everything but ``--profile``'s
-wall-clock figures is the same at any ``--jobs``.
+Table the run built.  Both read only the run's
+:class:`repro.parallel.TrialRecord`, into which the runner folds each
+trial's record, built the same way in-process and in pool workers, so
+everything but ``--profile``'s wall-clock figures is the same at any
+``--jobs``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
-from repro.obs import format_policy_tables, format_reports
+from repro.obs import format_policy_tables, format_report
 from repro.experiments import EXPERIMENTS, run_experiment
-from repro.parallel import observe_trials
+from repro.parallel import TrialRecord
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -75,15 +75,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def aggregate_profiles(records: list) -> dict:
-    """Fold the simulator profiles of a run's trial records into one view.
+def aggregate_profiles(record: TrialRecord) -> dict:
+    """Fold the simulator profiles of a run's record into one view.
 
     Monotonic quantities (events, wall time, dispatch counts) sum; the
     queue high-water is the max across simulators.
     """
-    profiles = [profile for record in records for profile in record.profiles]
     total: dict = {
-        "simulators": len(profiles),
+        "simulators": len(record.profiles),
         "events_run": 0,
         "sim_time_ns": 0,
         "wall_time_ns": 0,
@@ -91,7 +90,7 @@ def aggregate_profiles(records: list) -> dict:
         "dispatched_by_label": {},
     }
     dispatched = total["dispatched_by_label"]
-    for profile in profiles:
+    for profile in record.profiles:
         total["events_run"] += profile["events_run"]
         total["sim_time_ns"] += profile["sim_time_ns"]
         total["wall_time_ns"] += profile["wall_time_ns"]
@@ -113,13 +112,6 @@ def main(argv: list) -> int:
         # like a successful run to CI.
         print(f"error: failed to write report output: {exc}", file=sys.stderr)
         return 1
-
-
-def format_metrics(name: str, records: list) -> str:
-    """The registry report ``--metrics`` prints after *name*'s report,
-    over the trial records :func:`observe_trials` collected in its run."""
-    return format_reports((record.metrics for record in records),
-                          title=f"{name} metrics")
 
 
 def _run(argv: list) -> int:
@@ -155,21 +147,17 @@ def _run(argv: list) -> int:
         return 2
     for name in requested:
         print(f"=== {name}: {EXPERIMENTS[name].title} ===")
-        observing = (observe_trials() if args.metrics or args.profile
-                     else contextlib.nullcontext())
-        with observing as records:
-            report = run_experiment(name, jobs=args.jobs)
+        record = TrialRecord() if args.metrics or args.profile else None
+        report = run_experiment(name, jobs=args.jobs, record=record)
         print(report.format_report())
         if args.metrics:
             print()
-            print(format_metrics(name, records))
-            tables = [snap for record in records
-                      for snap in record.policy_tables]
-            if tables:
-                print(format_policy_tables(tables))
+            print(format_report(record.metrics, title=f"{name} metrics"))
+            if record.policy_tables:
+                print(format_policy_tables(record.policy_tables))
         if args.profile:
             print()
-            profile = aggregate_profiles(records)
+            profile = aggregate_profiles(record)
             print(f"--- {name} engine profile "
                   f"({profile['simulators']} simulators) ---")
             print(json.dumps(profile, indent=2, sort_keys=True))

@@ -12,7 +12,6 @@ from repro.obs.export import (
     format_policy_table,
     format_policy_tables,
     format_report,
-    format_reports,
     snapshot_to_json,
     trace_to_jsonl,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "capture_simulators",
     "note_simulator",
     "format_report",
-    "format_reports",
     "format_policy_table",
     "format_policy_tables",
     "snapshot_to_json",

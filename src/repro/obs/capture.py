@@ -12,11 +12,11 @@ records the announcements made while a block runs::
     (sim,) = captured
 
 The trial runner (:func:`repro.parallel.runner._run_trial`) reads each
-observed trial's simulators this way, in-process and in pool workers
-alike; tests and perfbench read live simulators through it too.  When no
-capture is active (the normal case), :func:`note_simulator` is a no-op
-beyond one truthiness check, so simulation behavior and performance are
-untouched.
+recorded trial's simulators this way, in-process and in pool workers
+alike (a worker starts with no capture open); tests and perfbench read
+live simulators through it too.  When no capture is active (the normal
+case), :func:`note_simulator` is a no-op beyond one truthiness check, so
+simulation behavior and performance are untouched.
 """
 
 from __future__ import annotations

@@ -98,12 +98,6 @@ def format_report(registry: MetricsRegistry, title: str = "metrics") -> str:
     return "\n".join(lines)
 
 
-def format_reports(registries: Iterable[MetricsRegistry],
-                   title: str) -> str:
-    """Merge several registries and report the combination."""
-    return format_report(MetricsRegistry.merged(registries), title=title)
-
-
 def format_policy_table(snap: Dict) -> str:
     """One Mobile Policy Table's
     :meth:`~repro.core.policy.MobilePolicyTable.snapshot` as a

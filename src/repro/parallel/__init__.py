@@ -18,11 +18,13 @@ the two paths produce identical results:
   and carry picklable params, so the pool works under the ``spawn``
   start method (macOS/Windows default) as well as ``fork``.
 * **Graceful degradation.**  ``jobs=1``, a single trial, or a platform
-  without working ``multiprocessing`` all fall back to the in-process
-  loop — same results, no pool.
-* **One observed trial.**  Inside :func:`observe_trials`, every trial
-  also yields a :class:`TrialRecord` (merged metrics, engine profiles,
-  policy-table snapshots), built by the same function on either path.
+  that cannot make a pool all fall back to the in-process loop — same
+  results, no pool.  A trial's own error is never a reason to fall back.
+* **One run record, passed by hand.**  Given a :class:`TrialRecord`,
+  the runner folds into it each trial's record (merged metrics, engine
+  profiles, policy-table snapshots) as the trial returns, in submission
+  order; every trial's record is built by the same function on either
+  path.
 
 See ``docs/PERFORMANCE.md`` ("Parallel execution") for the user-facing
 flags and the determinism contract.
@@ -32,7 +34,6 @@ from repro.parallel.runner import (
     ParallelRunner,
     Trial,
     TrialRecord,
-    observe_trials,
     resolve_trial,
     run_trials,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "ParallelRunner",
     "Trial",
     "TrialRecord",
-    "observe_trials",
     "resolve_trial",
     "run_trials",
     "spawn_seed",

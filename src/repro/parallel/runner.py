@@ -10,13 +10,14 @@ code that calls a trial function:
   in-process.
 * ``jobs=N`` — mapped over a ``multiprocessing.Pool`` of N workers.
 
-While an :func:`observe_trials` block is open, :func:`_run_trial` also
-returns a :class:`TrialRecord` of what the trial's simulators measured —
-their merged metrics registry, their engine profiles and their Mobile
-Policy Table snapshots — and the runner hands the records to every open
-block in submission order.  ``--metrics`` and ``--profile`` read only
-these records, so their output is the same at any ``--jobs``, and an
-in-process trial's simulators are dropped once its record exists.
+Given a run record, :func:`_run_trial` also returns a
+:class:`TrialRecord` of what the trial's simulators measured — their
+merged metrics registry, their engine profiles and their Mobile Policy
+Table snapshots — and the runner folds each into the run record the
+moment its trial returns, in submission order, then drops it.
+``--metrics`` and ``--profile`` read only the run record, so their
+output is the same at any ``--jobs``, and a run holds one merged
+registry however many trials it has.
 
 The function-path indirection (rather than pickling callables) is what
 makes the pool spawn-safe: the child only needs to import the module,
@@ -25,17 +26,14 @@ which works under ``fork``, ``spawn`` and ``forkserver`` alike.
 
 from __future__ import annotations
 
-import contextlib
 import importlib
-import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.policy import policy_tables
-from repro.obs.capture import capture_simulators
+from repro.obs import capture
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -73,37 +71,28 @@ def resolve_trial(func_ref: str) -> Callable:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """What one observed trial's simulators measured, as plain data.
+    """What the simulators of one or more trials measured, as plain data.
 
-    ``metrics`` merges the registries of the simulators the trial built,
-    ``profiles`` holds each one's :meth:`~repro.sim.engine.Simulator.profile`
-    and ``policy_tables`` each Mobile Policy Table's
-    :meth:`~repro.core.policy.MobilePolicyTable.snapshot`, in build order.
-    It references no simulator, so it pickles home from a worker and
-    keeps nothing of the run alive.
+    ``metrics`` merges the registries of the simulators the trials
+    built, ``profiles`` holds each one's
+    :meth:`~repro.sim.engine.Simulator.profile` and ``policy_tables``
+    each Mobile Policy Table's
+    :meth:`~repro.core.policy.MobilePolicyTable.snapshot`, in build
+    order.  One trial's record and a whole run's are the same type: an
+    empty record :meth:`add`-ing each trial's in turn is the run's.  It
+    references no simulator, so it pickles home from a worker and keeps
+    nothing of the run alive.
     """
 
-    metrics: MetricsRegistry
-    profiles: List[dict]
-    policy_tables: List[dict]
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    profiles: List[dict] = field(default_factory=list)
+    policy_tables: List[dict] = field(default_factory=list)
 
-
-#: The record lists of the open :func:`observe_trials` blocks.
-_observers: List[List[TrialRecord]] = []
-
-
-@contextlib.contextmanager
-def observe_trials() -> Iterator[List[TrialRecord]]:
-    """Collect the :class:`TrialRecord` of every trial run inside the
-    ``with`` body, in submission order."""
-    records: List[TrialRecord] = []
-    _observers.append(records)
-    try:
-        yield records
-    finally:
-        # By identity: nested blocks holding the same records are equal.
-        _observers[:] = [other for other in _observers
-                         if other is not records]
+    def add(self, other: "TrialRecord") -> None:
+        """Fold *other* in after everything added so far."""
+        self.metrics.merge_from(other.metrics)
+        self.profiles.extend(other.profiles)
+        self.policy_tables.extend(other.policy_tables)
 
 
 #: One trial as :func:`_run_trial` takes it: (function path, params,
@@ -111,17 +100,17 @@ def observe_trials() -> Iterator[List[TrialRecord]]:
 _Payload = Tuple[str, Dict[str, Any], bool]
 
 
-def _run_trial(func_ref: str, params: Dict[str, Any], observe: bool
-               ) -> Tuple[Any, Optional[TrialRecord]]:
+def _run_trial(payload: _Payload) -> Tuple[Any, Optional[TrialRecord]]:
     """Run one trial; return ``(result, record)``.
 
     Module-level so the pool can pickle it by reference under ``spawn``.
-    The record is ``None`` unless *observe* is set.
+    The record is ``None`` unless the payload's observe flag is set.
     """
+    func_ref, params, observe = payload
     func = resolve_trial(func_ref)
     if not observe:
         return func(**params), None
-    with capture_simulators() as sims:
+    with capture.capture_simulators() as sims:
         result = func(**params)
     record = TrialRecord(
         MetricsRegistry.merged(sim.metrics for sim in sims),
@@ -129,6 +118,13 @@ def _run_trial(func_ref: str, params: Dict[str, Any], observe: bool
         [table.snapshot() for sim in sims
          for table in policy_tables(sim.metrics)])
     return result, record
+
+
+def _fresh_worker() -> None:
+    """Pool initializer: a forked worker inherits the parent's open
+    :func:`capture_simulators` buckets; it closes them, so it keeps no
+    simulator its trials build."""
+    capture._active.clear()
 
 
 def effective_jobs(jobs: Optional[int]) -> int:
@@ -156,51 +152,69 @@ class ParallelRunner:
         self.jobs = effective_jobs(jobs)
         self.start_method = start_method
 
-    def run(self, trials: Iterable[Trial]) -> List[Any]:
+    def run(self, trials: Iterable[Trial],
+            record: Optional[TrialRecord] = None) -> List[Any]:
         """Execute *trials*, returning their results in order.
 
-        Each trial's :class:`TrialRecord` is built exactly when an
-        :func:`observe_trials` block is open, and handed to every open
-        block.
+        Given a *record*, each trial's own :class:`TrialRecord` is folded
+        into it as the trial returns, in submission order, and dropped.
         """
-        observe = bool(_observers)
-        payloads: List[_Payload] = [(trial.func, dict(trial.params), observe)
-                                    for trial in trials]
-        outcomes = None
+        payloads: List[_Payload] = [
+            (trial.func, dict(trial.params), record is not None)
+            for trial in trials]
+        pool = None
         if self.jobs > 1 and len(payloads) > 1:
-            outcomes = self._run_pool(payloads)
-        if outcomes is None:  # in-process, or the pool is unavailable
-            outcomes = list(itertools.starmap(_run_trial, payloads))
-        for records in _observers:
-            records.extend(record for _, record in outcomes
-                           if record is not None)
-        return [result for result, _ in outcomes]
+            pool = self._pool(len(payloads))
+        if pool is None:  # in-process, or the pool is unavailable
+            return _fold(map(_run_trial, payloads), record)
+        with pool:
+            # imap() yields in submission order; chunksize 1 keeps the
+            # coarse trials balanced across workers.
+            return _fold(pool.imap(_run_trial, payloads, chunksize=1),
+                         record)
 
-    def _run_pool(self, payloads: Sequence[_Payload]):
+    def _pool(self, trials: int):
+        """A pool of up to ``jobs`` workers for *trials* trials, or None
+        if none can be made.
+
+        Only making the pool may fall back: an error a trial raises
+        surfaces as itself, and no trial runs twice.
+        """
         import multiprocessing
 
-        workers = min(self.jobs, len(payloads))
         try:
             context = (multiprocessing.get_context(self.start_method)
                        if self.start_method
                        else multiprocessing.get_context())
-            with context.Pool(processes=workers) as pool:
-                # starmap() preserves submission order; chunksize 1 keeps
-                # the coarse trials balanced across workers.
-                return pool.starmap(_run_trial, payloads, chunksize=1)
+            return context.Pool(processes=min(self.jobs, trials),
+                                initializer=_fresh_worker)
         except (ImportError, OSError, ValueError) as exc:
             warnings.warn(
                 f"multiprocessing unavailable ({exc!r}); "
-                f"running {len(payloads)} trials in-process",
+                f"running {trials} trials in-process",
                 RuntimeWarning, stacklevel=3)
             return None
 
 
-def run_trials(trials: Iterable[Trial], jobs: int) -> List[Any]:
+def _fold(outcomes: Iterable[Tuple[Any, Optional[TrialRecord]]],
+          record: Optional[TrialRecord]) -> List[Any]:
+    """The results of *outcomes*, each trial record folded into *record*
+    and released before the next trial's outcome is drawn."""
+    results = []
+    for result, trial_record in outcomes:
+        results.append(result)
+        if record is not None:
+            record.add(trial_record)
+        del trial_record
+    return results
+
+
+def run_trials(trials: Iterable[Trial], jobs: int,
+               record: Optional[TrialRecord] = None) -> List[Any]:
     """Convenience wrapper: run *trials* on a fresh :class:`ParallelRunner`.
 
     :func:`repro.experiments.run_experiment`, the one driver behind every
     experiment id, funnels through here, so the serial and parallel paths
     share one code path up to the pool itself.
     """
-    return ParallelRunner(jobs=jobs).run(trials)
+    return ParallelRunner(jobs=jobs).run(trials, record)

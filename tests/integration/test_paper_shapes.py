@@ -8,8 +8,8 @@ same-subnet switch (Section 4), Figure 6, Figure 7, the routing options
 the three extensions x1-x3.  The probe-interval sweep is not a CLI id, so
 it runs here.
 
-The e1, f6, f7, f3 and a1 checks are named claims, so they can also run
-across seeds.  From the repo root this prints, for each claim, at how many
+The e1, f6, f7, f3, a1, x1, x2 and x3 checks are named claims, so they
+can also run across seeds.  From the repo root this prints, for each claim, at how many
 of the N consecutive seeds from each id's default it holds, and exits 1
 if a claim outside :data:`UNGATED` fails at any of them::
 
@@ -302,45 +302,73 @@ def test_foreign_agent_reduces_loss_somewhat():
     _check(foreign_agent_claims(default_report("a1")))
 
 
+def smart_correspondent_claims(report) -> Dict[str, bool]:
+    """Smart correspondents cache the mobile host's binding and send to
+    it directly: the optimization is real (faster) and complete (the home
+    agent carries none of the optimized traffic), and losing the cache
+    degrades gracefully to the basic protocol."""
+    return {
+        "x1: optimized path > 1.2x faster": report.speedup > 1.2,
+        "x1: HA carries no optimized traffic":
+            report.ha_packets_optimized == 0,
+        "x1: HA carries the plain traffic": report.ha_packets_plain > 0,
+        "x1: cache loss falls back without loss": report.fallback_lossless,
+    }
+
+
 def test_smart_correspondent_reverse_path():
-    report = default_report("x1")
-    # Shape: the optimization is real (faster) and complete (the home
-    # agent carries none of the optimized traffic)...
-    assert report.speedup > 1.2
-    assert report.ha_packets_optimized == 0
-    assert report.ha_packets_plain > 0
-    # ...and losing the cache degrades gracefully to the basic protocol.
-    assert report.fallback_lossless
+    _check(smart_correspondent_claims(default_report("x1")))
 
 
-def test_home_agent_scalability():
-    report = default_report("x2")
-    # Every registration is eventually accepted at every fleet size.
-    for result in report.results:
-        assert result.accepted == result.fleet_size
-    # Latency grows roughly linearly with simultaneous arrivals (queueing
-    # behind ~1.5 ms of processing each), not explosively.
+def ha_scalability_claims(report) -> Dict[str, bool]:
+    """Section 4: "the home agent should be able to deal with a large
+    number of mobile hosts simultaneously", quantified."""
     single = report.results[0].latency.mean
     largest = report.results[-1]
     per_host = (largest.latency.maximum - single) / largest.fleet_size
-    assert 0.5 < per_host < 3.0  # ms per queued registration
-    # The paper's claim quantified: even 50 simultaneous mobile hosts are
-    # all registered within a tenth of a second.
-    assert largest.latency.maximum < 100.0
+    return {
+        # Every registration is eventually accepted at every fleet size.
+        "x2: every registration accepted": all(
+            result.accepted == result.fleet_size
+            for result in report.results),
+        # Latency grows roughly linearly with simultaneous arrivals
+        # (queueing behind ~1.5 ms of processing each), not explosively.
+        "x2: 0.5-3 ms per queued registration": 0.5 < per_host < 3.0,
+        # Even 50 simultaneous mobile hosts are all registered within a
+        # tenth of a second.
+        "x2: largest fleet registered < 100 ms":
+            largest.latency.maximum < 100.0,
+    }
+
+
+def test_home_agent_scalability():
+    _check(ha_scalability_claims(default_report("x2")))
+
+
+def autoswitch_claims(report) -> Dict[str, bool]:
+    """Section 6's automatic network selector: faster probing buys a
+    shorter outage with more background traffic."""
+    points = report.points
+    return {
+        # Faster probing -> shorter outage (monotone within the sweep
+        # ends)...
+        "x3: faster probing loses fewer packets":
+            points[0].packets_lost < points[-1].packets_lost,
+        "x3: faster probing fails over sooner":
+            points[0].failover_ms < points[-1].failover_ms,
+        # ...but more background traffic.
+        "x3: faster probing sends more probes":
+            points[0].probes_per_second > points[-1].probes_per_second,
+        # Failover time is governed by detection, i.e. a small multiple
+        # of the probe interval plus the probe timeout.
+        "x3: failover < 3 probe intervals + 1.5 s": all(
+            point.failover_ms < point.probe_interval_ms * 3 + 1500
+            for point in points),
+    }
 
 
 def test_autoswitch_probe_cadence_tradeoff():
-    report = default_report("x3")
-    points = report.points
-    # Faster probing -> shorter outage (monotone within the sweep ends).
-    assert points[0].packets_lost < points[-1].packets_lost
-    assert points[0].failover_ms < points[-1].failover_ms
-    # ...but more background traffic.
-    assert points[0].probes_per_second > points[-1].probes_per_second
-    # Failover time is governed by detection, i.e. a small multiple of
-    # the probe interval plus the probe timeout.
-    for point in points:
-        assert point.failover_ms < point.probe_interval_ms * 3 + 1500
+    _check(autoswitch_claims(default_report("x3")))
 
 
 #: The ids the seed sweep runs, each with its named claims.
@@ -350,6 +378,9 @@ CLAIMS = {
     "f7": figure7_claims,
     "f3": routing_options_claims,
     "a1": foreign_agent_claims,
+    "x1": smart_correspondent_claims,
+    "x2": ha_scalability_claims,
+    "x3": autoswitch_claims,
 }
 
 

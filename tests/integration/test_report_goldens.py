@@ -12,7 +12,9 @@ Eight kinds of golden, all sha256 digests in ``report_goldens.json``:
   plus the default 100k-host failover row (``x7/reduced``);
 * x8's audited plane-chaos grid cut to one 24-host fleet in two
   12-host shards (``x8/small``), which pins its shared-Ethernet
-  segments through the report;
+  segments through the report, and the same run's ``--metrics`` text
+  (``x8/small/metrics``), which pins the order in which the run record
+  folds its eight shard trials and the plane's per-host series;
 * the full ``metrics.snapshot()`` of one 20-host x4 shard
   (``x4-shard/metrics``), which pins every engine dispatch count and the
   queue high-water exactly, not only through report text;
@@ -50,11 +52,10 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import run_experiment
-from repro.experiments.__main__ import format_metrics
 from repro.experiments.exp_ha_scalability import run_fleet_trial
 from repro.net.addressing import ip
-from repro.obs import capture_simulators
-from repro.parallel import observe_trials, spawn_seed
+from repro.obs import capture_simulators, format_report
+from repro.parallel import TrialRecord, spawn_seed
 from repro.sim import Simulator, ms, s
 from repro.testbed import build_testbed
 from tests.scenarios import commute
@@ -87,16 +88,23 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def metrics_text(name: str, record: TrialRecord) -> str:
+    """The registry report ``python -m repro.experiments <name> --metrics``
+    prints after the report, built as the CLI builds it."""
+    return format_report(record.metrics, title=f"{name} metrics")
+
+
 @functools.lru_cache(maxsize=None)
 def _default_run(name: str):
     """``(report, --metrics text, kept trace categories)`` of one default
     run; the text is None for ids outside :data:`METRICS_IDS`.  Only these
     survive the run, not its simulators.  The text is built as the CLI
-    builds it, from the run's trial records."""
-    with observe_trials() as records, capture_simulators() as sims:
-        report = run_experiment(name)
-    metrics = format_metrics(name, records) if name in METRICS_IDS else None
-    kept = {record.category for sim in sims for record in sim.trace}
+    builds it, from the run's record."""
+    record = TrialRecord()
+    with capture_simulators() as sims:
+        report = run_experiment(name, record=record)
+    metrics = metrics_text(name, record) if name in METRICS_IDS else None
+    kept = {entry.category for sim in sims for entry in sim.trace}
     return report, metrics, kept
 
 
@@ -117,10 +125,15 @@ def default_metrics_digest(name: str) -> str:
     return _sha256(_default_run(name)[1])
 
 
-def x8_small_digest() -> str:
-    """x8's grid at one 24-host fleet size, two 12-host shards per cell."""
-    return _sha256(run_experiment(
-        "x8", fleet_sizes=(24,), shard_hosts=12).format_report())
+@functools.lru_cache(maxsize=None)
+def x8_small_digests() -> tuple:
+    """The report and ``--metrics`` digests of x8's grid at one 24-host
+    fleet size, two 12-host shards per cell."""
+    record = TrialRecord()
+    report = run_experiment("x8", fleet_sizes=(24,), shard_hosts=12,
+                            record=record)
+    return (_sha256(report.format_report()),
+            _sha256(metrics_text("x8", record)))
 
 
 def x7_reduced_digest() -> str:
@@ -186,7 +199,7 @@ def golden_digests() -> dict:
                     for name in DEFAULT_SEED_IDS})
     digests.update({f"{name}/metrics": default_metrics_digest(name)
                     for name in METRICS_IDS})
-    digests["x8/small"] = x8_small_digest()
+    digests["x8/small"], digests["x8/small/metrics"] = x8_small_digests()
     digests["x7/reduced"] = x7_reduced_digest()
     digests["x4-shard/metrics"] = x4_shard_metrics_digest()
     digests["trace-stream/commute"] = typed_stream_digest(
@@ -238,7 +251,11 @@ def test_registration_readers_keep_only_registration_records(name):
 
 
 def test_x8_small_grid_report_matches_golden():
-    assert x8_small_digest() == golden("x8/small")
+    assert x8_small_digests()[0] == golden("x8/small")
+
+
+def test_x8_small_grid_metrics_match_golden():
+    assert x8_small_digests()[1] == golden("x8/small/metrics")
 
 
 def test_x7_reduced_report_matches_golden():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.policy import MobilePolicyTable, RoutingMode
 from repro.net.addressing import subnet
+from repro.obs import capture
 from repro.parallel.seeds import spawn_seed
 from repro.sim.engine import Simulator
 from repro.sim.units import ms
@@ -46,3 +47,18 @@ def seeded_sim_trial(seed: int) -> dict:
 def failing_trial() -> dict:
     """Raises; lets tests assert worker exceptions surface in the parent."""
     raise RuntimeError("boom")
+
+
+def value_error_trial(index: int, log: str) -> dict:
+    """Appends *index* to the file *log*, then raises :class:`ValueError`:
+    an error of a type the pool's own set-up can also raise, so tests
+    can tell the two apart and count how often each trial ran."""
+    with open(log, "a") as handle:
+        handle.write(f"{index}\n")
+    raise ValueError(f"trial {index} failed")
+
+
+def open_captures_trial() -> int:
+    """How many :func:`~repro.obs.capture_simulators` buckets are open
+    where the trial runs."""
+    return len(capture._active)

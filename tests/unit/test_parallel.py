@@ -1,16 +1,17 @@
 """Unit tests for the parallel trial runner and seed partitioning."""
 
 import gc
+import warnings
 import weakref
 
 import pytest
 
-from repro.obs import capture_simulators, note_simulator
+from repro.obs import MetricsRegistry, capture_simulators, note_simulator
 from repro.parallel import (
     ParallelRunner,
     Trial,
+    TrialRecord,
     balanced_shards,
-    observe_trials,
     resolve_trial,
     run_trials,
     spawn_seed,
@@ -21,6 +22,8 @@ from tests.parallel_trials import TIMERS
 ECHO = "tests.parallel_trials:echo_trial"
 SIM = "tests.parallel_trials:seeded_sim_trial"
 FAIL = "tests.parallel_trials:failing_trial"
+VALUE_ERROR = "tests.parallel_trials:value_error_trial"
+OPEN_CAPTURES = "tests.parallel_trials:open_captures_trial"
 
 
 class TestSeeds:
@@ -108,15 +111,40 @@ class TestRunner:
             results = runner.run(self.trials())
         assert results == run_trials(self.trials(), jobs=1)
 
+    def test_worker_value_error_is_the_trials_own(self, tmp_path):
+        # ValueError and OSError are also what a pool that cannot be made
+        # raises; one a trial raises must not pass for that, nor send the
+        # trials round again in-process.
+        log = tmp_path / "calls.txt"
+        trials = [Trial(VALUE_ERROR, dict(index=index, log=str(log)))
+                  for index in range(3)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="trial 0 failed"):
+                run_trials(trials, jobs=2)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        calls = log.read_text().split()
+        assert "0" in calls
+        assert len(calls) == len(set(calls))  # no trial ran twice
+
+    @pytest.mark.parametrize("jobs,open_captures", [(1, 1), (2, 0)])
+    def test_workers_start_with_no_open_capture(self, jobs, open_captures):
+        # A forked worker would inherit the outer bucket and keep every
+        # simulator its trials build in its private copy.
+        with capture_simulators():
+            counts = run_trials([Trial(OPEN_CAPTURES)] * 3, jobs=jobs)
+        assert counts == [open_captures] * 3
+
 
 class TestMetricsCollection:
     #: Profile keys that measure the host, not the simulation.
     WALL_CLOCK = ("wall_time_ns", "sim_to_wall_ratio")
 
     def observed(self, jobs):
-        with observe_trials() as records:
-            results = run_trials(self.trials(), jobs=jobs)
-        return results, records
+        record = TrialRecord()
+        results = run_trials(self.trials(), jobs=jobs, record=record)
+        return results, record
 
     def comparable(self, record):
         profiles = [{key: value for key, value in profile.items()
@@ -128,37 +156,47 @@ class TestMetricsCollection:
         serial_results, serial = self.observed(jobs=1)
         pool_results, pool = self.observed(jobs=2)
         assert pool_results == serial_results
-        assert len(serial) == len(self.trials())
-        assert [self.comparable(record) for record in pool] == \
-            [self.comparable(record) for record in serial]
-        for record in serial:
-            assert record.metrics.get("selftest", "fired").value == TIMERS
-            assert len(record.profiles) == 1
-            assert record.policy_tables == [{
-                "owner": "mh", "default_mode": "tunnel",
-                "entries": [{"destination": "36.8.0.0/24",
-                             "mode": "local", "origin": "static"}]}]
+        assert self.comparable(pool) == self.comparable(serial)
+        trials = len(self.trials())
+        assert serial.metrics.get("selftest", "fired").value \
+            == TIMERS * trials
+        assert len(serial.profiles) == trials  # one simulator per trial
+        assert serial.policy_tables == [{
+            "owner": "mh", "default_mode": "tunnel",
+            "entries": [{"destination": "36.8.0.0/24",
+                         "mode": "local", "origin": "static"}]}] * trials
 
     def test_serial_trial_drops_its_simulator(self, monkeypatch):
-        built = []
+        built, folded = [], []
 
         def note(sim):
+            # A trial starts only once the one before it is folded and
+            # its record released.
+            assert all(ref() is None for ref in folded)
             built.append(weakref.ref(sim))
             note_simulator(sim)
 
+        def add(record, other):
+            folded.append(weakref.ref(other))
+            fold(record, other)
+
+        fold = TrialRecord.add
         monkeypatch.setattr("repro.sim.engine.note_simulator", note)
-        with observe_trials() as records:
-            run_trials(self.trials(), jobs=1)
+        monkeypatch.setattr(TrialRecord, "add", add)
+        run = TrialRecord()
+        run_trials(self.trials(), jobs=1, record=run)
         gc.collect()
-        assert len(records) == len(built) == len(self.trials())
-        assert all(ref() is None for ref in built)
+        assert len(folded) == len(built) == len(self.trials())
+        assert all(ref() is None for ref in built + folded)
+        assert len(run.profiles) == len(self.trials())
 
     def test_outer_capture_keeps_observed_simulators(self):
-        with capture_simulators() as sims, observe_trials() as records:
-            run_trials(self.trials(), jobs=1)
-        assert len(sims) == len(records) == len(self.trials())
-        assert [sim.metrics.snapshot() for sim in sims] == \
-            [record.metrics.snapshot() for record in records]
+        record = TrialRecord()
+        with capture_simulators() as sims:
+            run_trials(self.trials(), jobs=1, record=record)
+        assert len(sims) == len(record.profiles) == len(self.trials())
+        assert record.metrics.snapshot() == MetricsRegistry.merged(
+            MetricsRegistry.merged([sim.metrics]) for sim in sims).snapshot()
 
     def trials(self):
         return [Trial(SIM, dict(seed=seed))
